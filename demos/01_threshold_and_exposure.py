@@ -8,8 +8,14 @@ and positive above it.  A single release of size q therefore generates
 exposure only if q exceeds delta_c, and the exposure has an exact zero
 buffer, a quadratic onset, and an asymptotically linear tail.
 
+The quadrature cross-checks are the test suite's oracles in tests/util.py,
+which need scipy (the [test] extra); the package itself does not.
+
 Run: python demos/01_threshold_and_exposure.py
 """
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from leakystage import (
@@ -18,11 +24,12 @@ from leakystage import (
     exposure_closed_form,
     exposure_derivative,
     exposure_near_threshold,
-    exposure_quadrature,
-    exposure_spectral_form,
     growth_pressure,
     normalized_factor,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from util import exposure_quadrature, exposure_spectral_form  # noqa: E402
 
 params = ModelParams(beta=0.6, mu=1.0, delta=1.8, rho=0.5)
 d = derive(params)

@@ -43,8 +43,6 @@ from .exposure import (
     exposure_closed_form,
     exposure_derivative,
     exposure_near_threshold,
-    exposure_quadrature,
-    exposure_spectral_form,
 )
 from .model import (
     EPS_THR,
@@ -122,8 +120,6 @@ __all__ = [
     "exposure_closed_form",
     "exposure_derivative",
     "exposure_near_threshold",
-    "exposure_quadrature",
-    "exposure_spectral_form",
     "feasibility_curves",
     "growth_pressure",
     "horizon_capacity",

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-import yaml
-
 from . import __version__
 from .allocation import (
     SplitProblem,
@@ -112,18 +110,26 @@ def _reject_unknown(mapping: Mapping[str, Any], allowed: set[str], context: str)
         raise ConfigError(f"{context}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
+def _finite(value: Any, what: str) -> float:
+    """``value`` as a float; ``what`` names it in the error if it is not a finite number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number (got {value!r})")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be finite (got {value!r})")
+    return number
+
+
 def _number(mapping: Mapping[str, Any], name: str, context: str, *, required: bool = True,
             minimum: float | None = None, strict: bool = False) -> float | None:
     if name not in mapping:
         if required:
             raise ConfigError(f"{context}: missing required field '{name}'")
         return None
-    value = mapping[name]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context}: field '{name}' must be a number (got {value!r})")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{context}: field '{name}' must be finite (got {value!r})")
+    value = _finite(mapping[name], f"{context}: field '{name}'")
     if minimum is not None and (value < minimum or (strict and value == minimum)):
         op = ">" if strict else ">="
         raise ConfigError(f"{context}: field '{name}' must be {op} {minimum} (got {value!r})")
@@ -262,7 +268,8 @@ def _validate_simulate(block: dict[str, Any]) -> dict[str, Any]:
     for i, pair in enumerate(raw):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ConfigError(f"simulate: schedule[{i}] must be a [time, size] pair")
-        events.append((float(pair[0]), float(pair[1])))
+        events.append((_finite(pair[0], f"simulate: schedule[{i}] time"),
+                       _finite(pair[1], f"simulate: schedule[{i}] size")))
     try:
         schedule = ImpulseSchedule(tuple(events))
     except LeakyStageError as exc:
@@ -335,6 +342,21 @@ _BLOCK_VALIDATORS = {
 }
 
 
+def _load_yaml(path: str | Path) -> dict[str, Any]:
+    """Read a YAML config document; errors name ``path`` as the caller gave it."""
+    import yaml  # only config files need it, so preset and flag runs skip the import
+
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {str(path)!r}: {exc}") from exc
+    try:
+        loaded = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config file {str(path)!r} is not valid YAML: {exc}") from exc
+    return _as_mapping(loaded, "config document")
+
+
 def parse_config(source: Mapping[str, Any] | str | Path, *, command: str | None = None) -> RunConfig:
     """Validate a config document (or YAML file path) into a :class:`RunConfig`.
 
@@ -343,16 +365,7 @@ def parse_config(source: Mapping[str, Any] | str | Path, *, command: str | None 
     errors, never silently ignored.
     """
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {str(path)!r}: {exc}") from exc
-        try:
-            loaded = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config file {str(path)!r} is not valid YAML: {exc}") from exc
-        document = _as_mapping(loaded, "config document")
+        document = _load_yaml(source)
     else:
         document = _as_mapping(source, "config document")
 
@@ -824,16 +837,7 @@ def _assemble_document(args: argparse.Namespace) -> dict[str, Any]:
             )
         document = preset(args.preset)
     elif args.config:
-        path = Path(args.config)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
-        try:
-            loaded = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config file {args.config!r} is not valid YAML: {exc}") from exc
-        document = _as_mapping(loaded, "config document")
+        document = _load_yaml(args.config)
     else:
         document = {}
 

@@ -1,4 +1,4 @@
-"""Single-release threshold exposure: closed form, derivatives, and oracles.
+"""Single-release threshold exposure: closed form and derivatives.
 
 A release of size ``q`` into an empty reservoir decays as ``q * exp(-rho t)``.
 The exposure is the time-integral of the positive part of the growth pressure
@@ -6,9 +6,10 @@ along that path.  It is identically zero on ``[0, delta_c]`` (the zero
 buffer), convex, continuously differentiable at the threshold, and has
 quadratic onset just above it.
 
-``exposure_closed_form`` is the production path; ``exposure_quadrature`` and
-``exposure_spectral_form`` are independent numerical routes used to check it.
-All functions are pure and thread-safe.
+``exposure_closed_form`` is the production path.  The independent quadrature
+routes that check it live with the other oracles in ``tests/util.py``, so the
+package needs no numerical integrator at run time.  All functions are pure and
+thread-safe.
 """
 from __future__ import annotations
 
@@ -16,14 +17,26 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import LeakyStageError
-from .model import EPS_THR, ModelParams, derive, growth_pressure, normalized_factor
+from .model import EPS_THR, ModelParams, derive
 
 #: Below this relative overshoot the log is evaluated via log1p to avoid
 #: cancellation; the onset regime is quadratic and numerically delicate.
 _LOG1P_SWITCH = 1e-4
+
+#: Below this relative overshoot ``x = q/delta_c - 1`` the exposure bracket
+#: ``q - delta_c - delta_c log(q/delta_c) = delta_c (x - log1p(x))`` is summed
+#: from its Taylor series.  The bracket is about ``delta_c x**2 / 2`` while the
+#: terms it subtracts are of order ``delta_c``, so evaluating it directly leaves
+#: a relative error of about 1e-16/x**2: 1e-2 at x = 1e-7, and below x = 1e-9
+#: the sign can flip.  Above the switch that error stays under 1e-13, even
+#: where numpy's and the math module's logarithms differ in the last bit.
+_SERIES_SWITCH = 0.1
+
+#: Coefficients of ``(x - log1p(x)) / x**2 = 1/2 - x/3 + x**2/4 - ...``; the
+#: first omitted term is below 1e-17 relative for ``x <= _SERIES_SWITCH``.
+_ONSET_SERIES = tuple((-1.0) ** k / k for k in range(2, 18))
 
 
 @dataclass(frozen=True)
@@ -52,6 +65,27 @@ def _log_ratio(q: float, delta_c: float) -> float:
     return math.log(q) - math.log(delta_c)
 
 
+def _onset(x):
+    """``(x - log1p(x)) / x**2`` by Horner's rule on its Taylor series.
+
+    Accurate to rounding for ``0 <= x <= _SERIES_SWITCH``.  Works elementwise
+    on arrays with the same operations in the same order, so the scalar and
+    vectorised exposures agree bit for bit below the switch.
+    """
+    acc = 0.0
+    for c in reversed(_ONSET_SERIES):
+        acc = c + x * acc
+    return acc
+
+
+def _bracket(q: float, delta_c: float) -> float:
+    """``q - delta_c - delta_c log(q/delta_c)`` for ``q > delta_c``, without cancellation."""
+    if q < delta_c * (1.0 + _SERIES_SWITCH):
+        x = (q - delta_c) / delta_c  # the numerator is exact here
+        return delta_c * x * x * _onset(x)
+    return q - delta_c - delta_c * (math.log(q) - math.log(delta_c))
+
+
 def exposure_closed_form(
     q: float, params: ModelParams, *, eps_thr: float = EPS_THR
 ) -> ExposureValue:
@@ -66,9 +100,8 @@ def exposure_closed_form(
     d = derive(params)
     if q <= d.delta_c + eps_thr:
         return ExposureValue(value=0.0, active_duration=0.0)
-    ln = _log_ratio(q, d.delta_c)
-    value = (d.alpha / params.rho) * (q - d.delta_c - d.delta_c * ln)
-    return ExposureValue(value=value, active_duration=ln / params.rho)
+    value = (d.alpha / params.rho) * _bracket(q, d.delta_c)
+    return ExposureValue(value=value, active_duration=_log_ratio(q, d.delta_c) / params.rho)
 
 
 def exposure_batch(
@@ -76,8 +109,9 @@ def exposure_batch(
 ) -> np.ndarray:
     """Vectorised exposure values for an array of release sizes.
 
-    Same piecewise formula as :func:`exposure_closed_form`; plateau entries
-    are exact zeros.  Intended for grid searches over many candidate splits.
+    Same piecewise formula as :func:`exposure_closed_form`, with the same
+    series switch near the threshold; plateau entries are exact zeros.
+    Intended for grid searches over many candidate splits.
     """
     q = np.asarray(q, dtype=float)
     if np.any(q < 0.0):
@@ -86,38 +120,12 @@ def exposure_batch(
     out = np.zeros_like(q)
     active = q > d.delta_c + eps_thr
     qa = q[active]
-    ln = np.log(qa) - math.log(d.delta_c)
-    out[active] = (d.alpha / params.rho) * (qa - d.delta_c - d.delta_c * ln)
+    bracket = qa - d.delta_c - d.delta_c * (np.log(qa) - math.log(d.delta_c))
+    onset = np.flatnonzero(qa < d.delta_c * (1.0 + _SERIES_SWITCH))
+    x = (qa[onset] - d.delta_c) / d.delta_c
+    bracket[onset] = d.delta_c * x * x * _onset(x)
+    out[active] = (d.alpha / params.rho) * bracket
     return out
-
-
-def exposure_quadrature(
-    q: float, params: ModelParams, tol: float = 1e-10, *, eps_thr: float = EPS_THR
-) -> float:
-    """Exposure by adaptive quadrature of the growth pressure along the path.
-
-    Integrates ``g(q e^{-rho t})`` over the analytically known active window
-    ``[0, t_q]`` only, where the integrand is smooth and positive, so the
-    positive-part kink never enters the quadrature.  Independent of the
-    closed form; agrees with it to the requested relative tolerance.
-    """
-    if tol <= 0.0:
-        raise LeakyStageError(f"tolerance must be > 0 (got {tol!r})")
-    if q < 0.0:
-        raise LeakyStageError(f"release size must be >= 0 (got {q!r})")
-    d = derive(params)
-    if q <= d.delta_c + eps_thr:
-        return 0.0  # empty active window
-    t_q = _log_ratio(q, d.delta_c) / params.rho
-    value, _ = quad(
-        lambda t: growth_pressure(q * math.exp(-params.rho * t), params),
-        0.0,
-        t_q,
-        epsabs=0.0,
-        epsrel=tol,
-        limit=200,
-    )
-    return value
 
 
 def exposure_derivative(
@@ -146,31 +154,3 @@ def exposure_near_threshold(epsilon: float, params: ModelParams) -> float:
     """
     d = derive(params)
     return (d.alpha * d.delta_c) / (2.0 * params.rho) * epsilon * epsilon
-
-
-def exposure_spectral_form(
-    q: float, params: ModelParams, tol: float = 1e-10, *, eps_thr: float = EPS_THR
-) -> float:
-    """Exposure via the normalised growth factor: ``mu * int [R - 1]_+ dt``.
-
-    Evaluates the excess of ``R(q e^{-rho t})`` above 1 on the active window
-    numerically.  Because ``g = mu (R - 1)`` this must agree with the closed
-    form; the route through ``R`` is kept separate on purpose.
-    """
-    if tol <= 0.0:
-        raise LeakyStageError(f"tolerance must be > 0 (got {tol!r})")
-    if q < 0.0:
-        raise LeakyStageError(f"release size must be >= 0 (got {q!r})")
-    d = derive(params)
-    if q <= d.delta_c + eps_thr:
-        return 0.0  # R <= 1 along the whole path
-    t_q = _log_ratio(q, d.delta_c) / params.rho
-    value, _ = quad(
-        lambda t: normalized_factor(q * math.exp(-params.rho * t), params) - 1.0,
-        0.0,
-        t_q,
-        epsabs=0.0,
-        epsrel=tol,
-        limit=200,
-    )
-    return params.mu * value

@@ -17,7 +17,6 @@ from leakystage import (
     derive,
     dominance_tolerance,
     exposure_closed_form,
-    exposure_quadrature,
     horizon_capacity,
     horizon_feasibility,
     HorizonRegime,
@@ -38,6 +37,7 @@ from util import (
     bellman_state_value,
     bellman_tables,
     enumerate_overhead,
+    exposure_quadrature,
     grid_min_split_2,
     grid_min_split_3,
     random_params,

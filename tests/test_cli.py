@@ -50,6 +50,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "absent.yaml")
 
+    @pytest.mark.parametrize(
+        "entry", [["a", 0.1], [True, 0.2], ["0.5", "0.2"], [0.0, math.inf], [10**400, 0.2]]
+    )
+    def test_schedule_entries_must_be_finite_numbers(self, entry):
+        block = {"schedule": [entry], "S0": 0.05, "T": 2.0, "step": 0.1}
+        with pytest.raises(ConfigError, match=r"simulate: schedule\[0\]"):
+            parse_config({"params": FIG, "simulate": block})
+
     def test_overhead_requires_one_parameterisation(self):
         with pytest.raises(ConfigError, match="exactly one of r/Q"):
             parse_config({"params": FIG, "overhead": {"r": 2.0, "Q": 0.7, "k": 0.1}})
@@ -254,6 +262,25 @@ class TestMain:
         assert code == 0
         document = json.loads(capsys.readouterr().out)
         assert document["payload"]["rows"][0][0] == 0.5
+
+    @pytest.mark.parametrize("entry", [["a", 0.1], [True, 0.2], ["0.5", "0.2"]])
+    def test_bad_schedule_entry_exits_1(self, tmp_path, capsys, entry):
+        path = tmp_path / "run.yaml"
+        block = {"schedule": [[0.0, 0.3], entry], "S0": 0.05, "T": 2.0, "step": 0.1}
+        path.write_text(yaml.safe_dump({"params": FIG, "simulate": block}), encoding="utf-8")
+        code = main(["simulate", "--config", str(path), "--no-meta-time"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "simulate: schedule[1]" in err
+        assert "Traceback" not in err
+
+    def test_config_errors_name_the_path_as_typed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.yaml").write_text("params: [unclosed\n", encoding="utf-8")
+        assert main(["split", "--config", "./bad.yaml"]) == 1
+        assert "config file './bad.yaml' is not valid YAML" in capsys.readouterr().err
+        assert main(["split", "--config", "./absent.yaml"]) == 1
+        assert "cannot read config file './absent.yaml'" in capsys.readouterr().err
 
     def test_tol_flag_overrides_threshold_tolerance(self, capsys):
         # within --tol of the supremal frontier r = 1 + h, the verdict is

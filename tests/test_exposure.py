@@ -2,18 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakystage import (
     LeakyStageError,
+    ModelParams,
     derive,
     exposure_batch,
     exposure_closed_form,
     exposure_derivative,
     exposure_near_threshold,
-    exposure_quadrature,
-    exposure_spectral_form,
 )
-from util import random_params
+from util import exposure_quadrature, exposure_spectral_form, random_params
+
+#: Rate sets in the shock-sensitive regime, drawn like ``util.random_params``.
+rate_sets = st.builds(
+    lambda beta, gap_mu, gap_delta, rho: ModelParams(
+        beta=beta, mu=beta + gap_mu, delta=beta + gap_mu + gap_delta, rho=rho
+    ),
+    st.floats(0.05, 1.5),
+    st.floats(0.02, 1.5),
+    st.floats(0.02, 2.0),
+    st.floats(0.1, 3.0),
+)
 
 
 class TestClosedForm:
@@ -80,6 +92,17 @@ class TestClosedForm:
         batch = exposure_batch(qs, figure_params)
         for q, value in zip(qs, batch):
             assert value == exposure_closed_form(float(q), figure_params).value
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=rate_sets, log_overshoots=st.lists(st.floats(-12.0, 2.0), min_size=1, max_size=8))
+    def test_batch_matches_scalar_across_onset(self, params, log_overshoots):
+        d = derive(params)
+        qs = d.delta_c * (1.0 + 10.0 ** np.array(log_overshoots))
+        batch = exposure_batch(qs, params)
+        for q, value in zip(qs, batch):
+            scalar = exposure_closed_form(float(q), params)
+            assert (value == 0.0) == (scalar.active_duration == 0.0)
+            assert abs(value - scalar.value) <= 1e-12 * scalar.value
 
 
 class TestQuadratureOracle:
@@ -171,6 +194,20 @@ class TestNearThreshold:
             gaps.append(abs(exact / exposure_near_threshold(eps, figure_params) - 1.0))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[-1] < 1e-3
+
+
+    def test_onset_is_the_leading_term_at_tiny_overshoot(self):
+        # below 1e-6 the cubic correction is under 1e-6 relative, so the exact
+        # value must match the leading term; rounding noise or a negative
+        # value would not
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            p = random_params(rng)
+            d = derive(p)
+            q = d.delta_c * (1.0 + 10.0 ** rng.uniform(-11.0, -6.0))
+            eps = (q - d.delta_c) / d.delta_c  # the overshoot q actually carries
+            value = exposure_closed_form(q, p).value
+            assert value == pytest.approx(exposure_near_threshold(eps, p), rel=1e-6)
 
 
 class TestSpectralForm:

@@ -1,9 +1,9 @@
 """Shared helpers for the test suite: random instances and brute-force oracles.
 
 The oracles here are deliberately independent of the closed forms they check:
-grid/simplex searches for the allocation optimum, a one-dimensional Bellman
-grid recursion for the minimax peak value, and plain enumeration for the
-overhead trade-off.
+adaptive quadrature of the single-release exposure (two routes), grid/simplex
+searches for the allocation optimum, a one-dimensional Bellman grid recursion
+for the minimax peak value, and plain enumeration for the overhead trade-off.
 """
 from __future__ import annotations
 
@@ -11,8 +11,16 @@ import math
 
 import numpy as np
 
-from leakystage import ImpulseSchedule, ModelParams
-from leakystage.exposure import exposure_batch
+from leakystage import (
+    EPS_THR,
+    ImpulseSchedule,
+    LeakyStageError,
+    ModelParams,
+    derive,
+    growth_pressure,
+    normalized_factor,
+)
+from leakystage.exposure import _log_ratio, exposure_batch
 
 
 def random_params(rng: np.random.Generator) -> ModelParams:
@@ -30,6 +38,74 @@ def random_schedule(
     times = np.unique(np.round(np.sort(rng.uniform(0.0, t_max, count)), 6))
     sizes = rng.uniform(0.0, max_size, len(times))
     return ImpulseSchedule(tuple((float(t), float(q)) for t, q in zip(times, sizes)))
+
+
+# ---------------------------------------------------------------------------
+# exposure oracles
+#
+# scipy is imported inside these two functions, so that callers of the other
+# helpers (the benchmark harness imports this module too) do not load it.
+
+
+def exposure_quadrature(
+    q: float, params: ModelParams, tol: float = 1e-10, *, eps_thr: float = EPS_THR
+) -> float:
+    """Exposure by adaptive quadrature of the growth pressure along the path.
+
+    Integrates ``g(q e^{-rho t})`` over the analytically known active window
+    ``[0, t_q]`` only, where the integrand is smooth and positive, so the
+    positive-part kink never enters the quadrature.  Independent of the
+    closed form; agrees with it to the requested relative tolerance.
+    """
+    if tol <= 0.0:
+        raise LeakyStageError(f"tolerance must be > 0 (got {tol!r})")
+    if q < 0.0:
+        raise LeakyStageError(f"release size must be >= 0 (got {q!r})")
+    d = derive(params)
+    if q <= d.delta_c + eps_thr:
+        return 0.0  # empty active window
+    from scipy.integrate import quad
+
+    t_q = _log_ratio(q, d.delta_c) / params.rho
+    value, _ = quad(
+        lambda t: growth_pressure(q * math.exp(-params.rho * t), params),
+        0.0,
+        t_q,
+        epsabs=0.0,
+        epsrel=tol,
+        limit=200,
+    )
+    return value
+
+
+def exposure_spectral_form(
+    q: float, params: ModelParams, tol: float = 1e-10, *, eps_thr: float = EPS_THR
+) -> float:
+    """Exposure via the normalised growth factor: ``mu * int [R - 1]_+ dt``.
+
+    Evaluates the excess of ``R(q e^{-rho t})`` above 1 on the active window
+    numerically.  Because ``g = mu (R - 1)`` this must agree with the closed
+    form; the route through ``R`` is kept separate on purpose.
+    """
+    if tol <= 0.0:
+        raise LeakyStageError(f"tolerance must be > 0 (got {tol!r})")
+    if q < 0.0:
+        raise LeakyStageError(f"release size must be >= 0 (got {q!r})")
+    d = derive(params)
+    if q <= d.delta_c + eps_thr:
+        return 0.0  # R <= 1 along the whole path
+    from scipy.integrate import quad
+
+    t_q = _log_ratio(q, d.delta_c) / params.rho
+    value, _ = quad(
+        lambda t: normalized_factor(q * math.exp(-params.rho * t), params) - 1.0,
+        0.0,
+        t_q,
+        epsabs=0.0,
+        epsrel=tol,
+        limit=200,
+    )
+    return params.mu * value
 
 
 # ---------------------------------------------------------------------------
