@@ -16,20 +16,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import LeakyStageError
-from .model import EPS_THR, ModelParams, derive
-
-#: Relative slack used when rounding a threshold ratio up to an integer, so
-#: that ratios which are exact integers up to floating error do not get
-#: bumped to the next stage count.
-_CEIL_GUARD = 1e-12
+from .exposure import exposure_bracket
+from .model import EPS_THR, ModelParams, derive, guarded_ceil
 
 #: Candidate costs within this relative distance of the minimum are ties.
 _TIE_REL = 1e-12
-
-
-def _guarded_ceil(x: float) -> int:
-    """Ceiling that forgives floating error just above an integer."""
-    return math.ceil(x - _CEIL_GUARD * max(1.0, abs(x)))
 
 
 def excess_exposure(r: float, n: int) -> float:
@@ -108,10 +99,7 @@ def min_exposure(Q: float, n: int, params: ModelParams, *, eps_thr: float = EPS_
     cap = n * d.delta_c
     if Q <= cap + eps_thr:
         return 0.0
-    x = Q / cap - 1.0
-    if x < 1e-4:
-        return (d.alpha / params.rho) * cap * (x - math.log1p(x))
-    return (d.alpha / params.rho) * (Q - cap - cap * (math.log(Q) - math.log(cap)))
+    return (d.alpha / params.rho) * exposure_bracket(Q, cap)
 
 
 def optimal_split(problem: SplitProblem, *, eps_thr: float = EPS_THR) -> AllocationResult:
@@ -157,7 +145,7 @@ def minimal_safe_count(Q: float, params: ModelParams) -> int:
     if not (math.isfinite(Q) and Q > 0.0):
         raise LeakyStageError(f"total load Q must be finite and > 0 (got {Q!r})")
     d = derive(params)
-    return max(1, _guarded_ceil(Q / d.delta_c))
+    return max(1, guarded_ceil(Q / d.delta_c))
 
 
 def overhead_optimal_count(r: float, k: float) -> OverheadResult:
@@ -172,7 +160,7 @@ def overhead_optimal_count(r: float, k: float) -> OverheadResult:
         raise LeakyStageError(f"dimensionless load r must be finite and > 0 (got {r!r})")
     if not (math.isfinite(k) and k >= 0.0):
         raise LeakyStageError(f"dimensionless overhead k must be finite and >= 0 (got {k!r})")
-    n_safe = max(1, _guarded_ceil(r))
+    n_safe = max(1, guarded_ceil(r))
     costs = [n * k + excess_exposure(r, n) for n in range(1, n_safe + 1)]
     best = min(costs)
     ties = tuple(
@@ -198,7 +186,7 @@ def k_safe(r: float) -> float:
     """
     if not (math.isfinite(r) and r > 0.0):
         raise LeakyStageError(f"dimensionless load r must be finite and > 0 (got {r!r})")
-    n_safe = max(1, _guarded_ceil(r))
+    n_safe = max(1, guarded_ceil(r))
     if n_safe <= 1:
         return math.inf
     return min(excess_exposure(r, m) / (n_safe - m) for m in range(1, n_safe))

@@ -27,17 +27,10 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from . import __version__
-from .allocation import (
-    SplitProblem,
-    _guarded_ceil,
-    excess_exposure,
-    k_safe,
-    optimal_split,
-    overhead_optimal_count,
-)
+from .allocation import SplitProblem, excess_exposure, k_safe, optimal_split, overhead_optimal_count
 from .envelope import ImpulseSchedule, simulate_envelope, simulate_full
 from .errors import ConfigError, LeakyStageError
-from .model import EPS_THR, ModelParams, derive, growth_pressure
+from .model import EPS_THR, DimensionlessPoint, ModelParams, derive, growth_pressure, guarded_ceil
 from .phase import PanelC, PhaseGrid, build_phase_tables
 from .presets import PRESETS, preset
 from .recovery import (
@@ -49,7 +42,61 @@ from .recovery import (
     min_peak_plan,
 )
 
-COMMANDS = ("exposure", "split", "overhead", "peak", "horizon", "simulate", "phase")
+_PARAMS = ("beta", "mu", "delta", "rho")
+_PANELS = ("a", "b", "c", "all")
+
+
+def _int_list(text: str) -> list[int]:
+    """Parse a ``--n-list`` value: comma-separated integers, empty parts skipped."""
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers (got {text!r})"
+        ) from None
+
+
+_NUMBER = {"type": float}
+_COUNT = {"type": int}
+
+#: Every field of every command block, in config order, with the argparse
+#: keyword arguments of the flag that sets it, or None where only a config
+#: document can.  A field's flag is ``--`` plus its name with ``_`` written
+#: ``-``.  The table drives the parser, the flag merge and the unknown-key
+#: check; ``config.schema.json`` names the same fields.
+_FIELDS: dict[str, dict[str, dict[str, Any] | None]] = {
+    "exposure": {
+        "q": {"action": "append", "type": float, "metavar": "SIZE",
+              "help": "release size (repeatable)"},
+    },
+    "split": {"Q": _NUMBER, "n": _COUNT},
+    "overhead": {"r": _NUMBER, "k": _NUMBER, "Q": _NUMBER, "K": _NUMBER},
+    "peak": {"Q": _NUMBER, "n": _COUNT, "lam": _NUMBER, "tau": _NUMBER},
+    "horizon": {
+        "Q": _NUMBER, "r": _NUMBER, "T": _NUMBER, "h": _NUMBER,
+        "n_list": {"type": _int_list, "metavar": "N,N,...",
+                   "help": "comma-separated release counts to tabulate"},
+    },
+    "simulate": {"schedule": None, "S0": _NUMBER, "T": _NUMBER, "step": _NUMBER},
+    "phase": {
+        "panel": {"choices": _PANELS},
+        "r_range": None, "h_range": None, "k_range": None, "n_curves": None, "panel_c": None,
+        "resolve_integers": {"action": "store_true", "default": None,
+                             "help": "straddle integer r samples by +/-1e-6"},
+    },
+}
+
+_HELP = {
+    "exposure": "single-release exposure table",
+    "split": "optimal complete-relaxation split",
+    "overhead": "cost-optimal release count under overhead",
+    "peak": "peak-minimising finite-recovery plan",
+    "horizon": "fixed-horizon capacity and feasibility",
+    "simulate": "envelope and full-system trajectories",
+    "phase": "phase-diagram tables",
+}
+
+COMMANDS = tuple(_FIELDS)
 
 _PHASE_DEFAULTS: dict[str, Any] = {
     "h_range": [0.0, 4.0, 81],
@@ -57,7 +104,6 @@ _PHASE_DEFAULTS: dict[str, Any] = {
     "r_range": [1.02, 4.0, 150],
     "k_range": [0.0, 1.5, 7],
     "panel_c": {"r": 2.1, "n": 3, "h": 2.0},
-    "resolve_integers": False,
 }
 
 
@@ -73,13 +119,8 @@ class RunConfig:
     def echo(self) -> dict[str, Any]:
         """Config document that reproduces this run exactly."""
         return {
-            "params": {
-                "beta": self.params.beta,
-                "mu": self.params.mu,
-                "delta": self.params.delta,
-                "rho": self.params.rho,
-            },
-            self.command: _jsonable(self.options),
+            "params": {name: getattr(self.params, name) for name in _PARAMS},
+            self.command: self.options,
             "eps_thr": self.eps_thr,
         }
 
@@ -104,14 +145,16 @@ def _as_mapping(value: Any, context: str) -> dict[str, Any]:
     return dict(value)
 
 
-def _reject_unknown(mapping: Mapping[str, Any], allowed: set[str], context: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
+def _reject_unknown(mapping: Mapping[str, Any], allowed, context: str) -> None:
+    unknown = sorted(set(mapping) - set(allowed))
     if unknown:
         raise ConfigError(f"{context}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
-def _finite(value: Any, what: str) -> float:
-    """``value`` as a float; ``what`` names it in the error if it is not a finite number."""
+def _finite(value: Any, what: str, *, minimum: float | None = None,
+            strict: bool = False) -> float:
+    """``value`` as a float; ``what`` names it in the error if it is not a finite
+    number at or above ``minimum`` (above it when ``strict``)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{what} must be a number (got {value!r})")
     try:
@@ -120,7 +163,18 @@ def _finite(value: Any, what: str) -> float:
         number = math.inf
     if not math.isfinite(number):
         raise ConfigError(f"{what} must be finite (got {value!r})")
+    if minimum is not None and (number < minimum or (strict and number == minimum)):
+        raise ConfigError(f"{what} must be {'>' if strict else '>='} {minimum} (got {number!r})")
     return number
+
+
+def _count(value: Any, what: str, minimum: int = 1) -> int:
+    """``value`` as an integer; ``what`` names it in the error if it is not one >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer (got {value!r})")
+    if value < minimum:
+        raise ConfigError(f"{what} must be >= {minimum} (got {value!r})")
+    return value
 
 
 def _number(mapping: Mapping[str, Any], name: str, context: str, *, required: bool = True,
@@ -129,11 +183,7 @@ def _number(mapping: Mapping[str, Any], name: str, context: str, *, required: bo
         if required:
             raise ConfigError(f"{context}: missing required field '{name}'")
         return None
-    value = _finite(mapping[name], f"{context}: field '{name}'")
-    if minimum is not None and (value < minimum or (strict and value == minimum)):
-        op = ">" if strict else ">="
-        raise ConfigError(f"{context}: field '{name}' must be {op} {minimum} (got {value!r})")
-    return value
+    return _finite(mapping[name], f"{context}: field '{name}'", minimum=minimum, strict=strict)
 
 
 def _integer(mapping: Mapping[str, Any], name: str, context: str, *, required: bool = True,
@@ -142,12 +192,15 @@ def _integer(mapping: Mapping[str, Any], name: str, context: str, *, required: b
         if required:
             raise ConfigError(f"{context}: missing required field '{name}'")
         return None
-    value = mapping[name]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{context}: field '{name}' must be an integer (got {value!r})")
-    if value < minimum:
-        raise ConfigError(f"{context}: field '{name}' must be >= {minimum} (got {value!r})")
-    return value
+    return _count(mapping[name], f"{context}: field '{name}'", minimum)
+
+
+def _counts(mapping: Mapping[str, Any], name: str, context: str, default: list[int]) -> list[int]:
+    """Field ``name`` (``default`` when absent): a nonempty list of integers >= 1."""
+    value = mapping.get(name, default)
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{context}: field '{name}' must be a nonempty list of integers")
+    return [_count(n, f"{context}: {name}[{i}]") for i, n in enumerate(value)]
 
 
 def _exactly_one(mapping: Mapping[str, Any], names: tuple[str, ...], context: str) -> str:
@@ -159,51 +212,32 @@ def _exactly_one(mapping: Mapping[str, Any], names: tuple[str, ...], context: st
     return present[0]
 
 
-def _range_triple(mapping: Mapping[str, Any], name: str, context: str) -> tuple[float, float, int] | None:
-    if name not in mapping:
-        return None
-    value = mapping[name]
+def _range_triple(value: Any, what: str) -> list[Any]:
     if not (isinstance(value, (list, tuple)) and len(value) == 3):
-        raise ConfigError(f"{context}: field '{name}' must be a [min, max, count] triple")
+        raise ConfigError(f"{what} must be a [min, max, count] triple")
     lo, hi, count = value
-    if isinstance(count, bool) or not isinstance(count, int):
-        raise ConfigError(f"{context}: '{name}' count must be an integer (got {count!r})")
-    for edge in (lo, hi):
-        if isinstance(edge, bool) or not isinstance(edge, (int, float)):
-            raise ConfigError(f"{context}: '{name}' bounds must be numbers (got {edge!r})")
-    return (float(lo), float(hi), count)
+    return [_finite(lo, f"{what} min"), _finite(hi, f"{what} max"), _count(count, f"{what} count")]
 
 
 def _validate_params(document: Mapping[str, Any]) -> ModelParams:
     if "params" not in document:
         raise ConfigError("missing required section 'params'")
     block = _as_mapping(document["params"], "params")
-    _reject_unknown(block, {"beta", "mu", "delta", "rho"}, "params")
-    values = {
-        name: _number(block, name, "params") for name in ("beta", "mu", "delta", "rho")
-    }
+    _reject_unknown(block, _PARAMS, "params")
+    values = {name: _number(block, name, "params") for name in _PARAMS}
     return ModelParams(**values)  # ordering/positivity enforced by the type
 
 
 def _validate_exposure(block: dict[str, Any]) -> dict[str, Any]:
-    _reject_unknown(block, {"q"}, "exposure")
     if "q" not in block:
         raise ConfigError("exposure: missing required field 'q'")
     raw = block["q"]
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        raw = [raw]
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ConfigError("exposure: field 'q' must be a nonempty list of release sizes")
-    qs = []
-    for i, value in enumerate(raw):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
-            raise ConfigError(f"exposure: q[{i}] must be a number >= 0 (got {value!r})")
-        qs.append(float(value))
-    return {"q": qs}
+    return {"q": [_finite(q, f"exposure: q[{i}]", minimum=0.0) for i, q in enumerate(raw)]}
 
 
 def _validate_split(block: dict[str, Any]) -> dict[str, Any]:
-    _reject_unknown(block, {"Q", "n"}, "split")
     return {
         "Q": _number(block, "Q", "split", minimum=0.0, strict=True),
         "n": _integer(block, "n", "split"),
@@ -211,7 +245,6 @@ def _validate_split(block: dict[str, Any]) -> dict[str, Any]:
 
 
 def _validate_overhead(block: dict[str, Any]) -> dict[str, Any]:
-    _reject_unknown(block, {"r", "k", "Q", "K"}, "overhead")
     load = _exactly_one(block, ("r", "Q"), "overhead")
     cost = _exactly_one(block, ("k", "K"), "overhead")
     return {
@@ -221,7 +254,6 @@ def _validate_overhead(block: dict[str, Any]) -> dict[str, Any]:
 
 
 def _validate_peak(block: dict[str, Any]) -> dict[str, Any]:
-    _reject_unknown(block, {"Q", "n", "lam", "tau"}, "peak")
     carry = _exactly_one(block, ("lam", "tau"), "peak")
     out = {
         "Q": _number(block, "Q", "peak", minimum=0.0),
@@ -238,27 +270,16 @@ def _validate_peak(block: dict[str, Any]) -> dict[str, Any]:
 
 
 def _validate_horizon(block: dict[str, Any]) -> dict[str, Any]:
-    _reject_unknown(block, {"Q", "r", "T", "h", "n_list"}, "horizon")
     load = _exactly_one(block, ("Q", "r"), "horizon")
     span = _exactly_one(block, ("T", "h"), "horizon")
-    out = {
+    return {
         load: _number(block, load, "horizon", minimum=0.0, strict=True),
         span: _number(block, span, "horizon", minimum=0.0),
+        "n_list": _counts(block, "n_list", "horizon", [2, 3, 4, 6, 10]),
     }
-    ns = block.get("n_list", [2, 3, 4, 6, 10])
-    if not isinstance(ns, (list, tuple)) or not ns:
-        raise ConfigError("horizon: field 'n_list' must be a nonempty list of integers")
-    checked = []
-    for i, n in enumerate(ns):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ConfigError(f"horizon: n_list[{i}] must be an integer >= 1 (got {n!r})")
-        checked.append(n)
-    out["n_list"] = checked
-    return out
 
 
 def _validate_simulate(block: dict[str, Any]) -> dict[str, Any]:
-    _reject_unknown(block, {"schedule", "S0", "T", "step"}, "simulate")
     if "schedule" not in block:
         raise ConfigError("simulate: missing required field 'schedule'")
     raw = block["schedule"]
@@ -288,23 +309,14 @@ def _validate_simulate(block: dict[str, Any]) -> dict[str, Any]:
 
 
 def _validate_phase(block: dict[str, Any]) -> dict[str, Any]:
-    allowed = {"panel", "r_range", "h_range", "k_range", "n_curves", "panel_c",
-               "resolve_integers"}
-    _reject_unknown(block, allowed, "phase")
     panel = block.get("panel", "all")
-    if panel not in ("a", "b", "c", "all"):
+    if panel not in _PANELS:
         raise ConfigError(f"phase: field 'panel' must be one of a/b/c/all (got {panel!r})")
     out: dict[str, Any] = {"panel": panel}
     for name in ("r_range", "h_range", "k_range"):
-        triple = _range_triple(block, name, "phase")
-        out[name] = list(triple) if triple is not None else list(_PHASE_DEFAULTS[name])
-    ns = block.get("n_curves", _PHASE_DEFAULTS["n_curves"])
-    if not isinstance(ns, (list, tuple)) or not ns:
-        raise ConfigError("phase: field 'n_curves' must be a nonempty list of integers")
-    for i, n in enumerate(ns):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ConfigError(f"phase: n_curves[{i}] must be an integer >= 1 (got {n!r})")
-    out["n_curves"] = list(ns)
+        value = block.get(name, _PHASE_DEFAULTS[name])
+        out[name] = _range_triple(value, f"phase: field '{name}'")
+    out["n_curves"] = _counts(block, "n_curves", "phase", _PHASE_DEFAULTS["n_curves"])
     pc = _as_mapping(block.get("panel_c", _PHASE_DEFAULTS["panel_c"]), "phase.panel_c")
     _reject_unknown(pc, {"r", "n", "h"}, "phase.panel_c")
     defaults = _PHASE_DEFAULTS["panel_c"]
@@ -388,6 +400,7 @@ def parse_config(source: Mapping[str, Any] | str | Path, *, command: str | None 
         )
     name = present[0]
     block = _as_mapping(document[name], name)
+    _reject_unknown(block, _FIELDS[name], name)
     options = _BLOCK_VALIDATORS[name](block)
     eps_thr = _number(document, "eps_thr", "config document", required=False, minimum=0.0,
                       strict=True)
@@ -403,12 +416,26 @@ def parse_config(source: Mapping[str, Any] | str | Path, *, command: str | None 
 # command execution
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+#: Each dimensionless coordinate and the dimensional field it can be given as.
+_COORDINATES = {"r": "Q", "h": "T", "k": "K"}
+
+
+def _dimensionless(config: RunConfig) -> dict[str, float | None]:
+    """The run's ``r``, ``h`` and ``k``, or None where its command has no such coordinate.
+
+    Each is taken as given or derived from its dimensional field by
+    :meth:`DimensionlessPoint.from_dimensional`; a schedule's load is the sum
+    of its releases.
+    """
+    opts = config.options
+    given = {dim: opts[dim] for dim in _COORDINATES.values() if dim in opts}
+    if "schedule" in opts:
+        given["Q"] = math.fsum(q for _, q in opts["schedule"])
+    point = DimensionlessPoint.from_dimensional(config.params, **given)
+    return {
+        name: opts[name] if name in opts else getattr(point, name) if dim in given else None
+        for name, dim in _COORDINATES.items()
+    }
 
 
 def _run_exposure(config: RunConfig) -> tuple[dict, list[str], int]:
@@ -444,17 +471,12 @@ def _run_split(config: RunConfig) -> tuple[dict, list[str], int]:
 
 
 def _run_overhead(config: RunConfig) -> tuple[dict, list[str], int]:
-    opts = config.options
-    d = derive(config.params)
-    if "r" in opts:
-        r, k = opts["r"], opts["k"]
-    else:
-        r = opts["Q"] / d.delta_c
-        k = opts["K"] * config.params.rho / d.gamma
+    dim = _dimensionless(config)
+    r, k = dim["r"], dim["k"]
     result = overhead_optimal_count(r, k)
     frontier = k_safe(r)
     rows = []
-    for n in range(1, max(1, _guarded_ceil(r)) + 1):
+    for n in range(1, max(1, guarded_ceil(r)) + 1):
         residual = excess_exposure(r, n)
         rows.append([
             n,
@@ -476,8 +498,10 @@ def _run_overhead(config: RunConfig) -> tuple[dict, list[str], int]:
 
 def _run_peak(config: RunConfig) -> tuple[dict, list[str], int]:
     opts = config.options
-    lam = opts["lam"] if "lam" in opts else math.exp(-config.params.rho * opts["tau"])
-    rc = RecoveryConfig(lam=lam, n=opts["n"], Q=opts["Q"])
+    if "tau" in opts:
+        rc = RecoveryConfig.from_interval(config.params.rho, opts["tau"], opts["n"], opts["Q"])
+    else:
+        rc = RecoveryConfig(lam=opts["lam"], n=opts["n"], Q=opts["Q"])
     plan = min_peak_plan(rc)
     d = derive(config.params)
     is_safe = plan.peak <= d.delta_c + config.eps_thr
@@ -500,8 +524,8 @@ def _run_peak(config: RunConfig) -> tuple[dict, list[str], int]:
 def _run_horizon(config: RunConfig) -> tuple[dict, list[str], int]:
     opts = config.options
     d = derive(config.params)
-    r = opts["r"] if "r" in opts else opts["Q"] / d.delta_c
-    h = opts["h"] if "h" in opts else config.params.rho * opts["T"]
+    dim = _dimensionless(config)
+    r, h = dim["r"], dim["h"]
     verdict = horizon_feasibility(r, h, eps_thr=config.eps_thr)
     n_safe: Any
     if verdict.regime is HorizonRegime.SAFE_WITH_ONE_RELEASE:
@@ -624,26 +648,6 @@ _RUNNERS = {
 }
 
 
-def _dimensionless_metadata(config: RunConfig) -> dict[str, Any]:
-    d = derive(config.params)
-    opts = config.options
-    r = h = k = None
-    if config.command == "split":
-        r = opts["Q"] / d.delta_c
-    elif config.command == "overhead":
-        r = opts["r"] if "r" in opts else opts["Q"] / d.delta_c
-        k = opts["k"] if "k" in opts else opts["K"] * config.params.rho / d.gamma
-    elif config.command == "peak":
-        r = opts["Q"] / d.delta_c
-    elif config.command == "horizon":
-        r = opts["r"] if "r" in opts else opts["Q"] / d.delta_c
-        h = opts["h"] if "h" in opts else config.params.rho * opts["T"]
-    elif config.command == "simulate":
-        r = math.fsum(q for _, q in opts["schedule"]) / d.delta_c
-        h = config.params.rho * opts["T"]
-    return {"r": r, "h": h, "k": k}
-
-
 def run(config: RunConfig, *, meta_time: bool = True) -> OutputEnvelope:
     """Execute a validated run and assemble the output envelope."""
     payload, warnings, exit_code = _RUNNERS[config.command](config)
@@ -655,7 +659,7 @@ def run(config: RunConfig, *, meta_time: bool = True) -> OutputEnvelope:
         "delta_c": d.delta_c,
         "alpha": d.alpha,
         "gamma": d.gamma,
-        "dimensionless": _dimensionless_metadata(config),
+        "dimensionless": _dimensionless(config),
         "config": config.echo(),
     }
     if meta_time:
@@ -759,7 +763,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
                      help="threshold comparison tolerance (eps_thr)")
     sub.add_argument("--no-meta-time", action="store_true",
                      help="omit the timestamp from metadata (reproducible output)")
-    for name in ("beta", "mu", "delta", "rho"):
+    for name in _PARAMS:
         sub.add_argument(f"--{name}", type=float, metavar="RATE")
 
 
@@ -769,62 +773,13 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"leakystage {__version__}")
     subs = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    sub = subs.add_parser("exposure", help="single-release exposure table")
-    sub.add_argument("--q", action="append", type=float, metavar="SIZE",
-                     help="release size (repeatable)")
-    _add_common_flags(sub)
-
-    sub = subs.add_parser("split", help="optimal complete-relaxation split")
-    sub.add_argument("--Q", type=float)
-    sub.add_argument("--n", type=int)
-    _add_common_flags(sub)
-
-    sub = subs.add_parser("overhead", help="cost-optimal release count under overhead")
-    sub.add_argument("--r", type=float)
-    sub.add_argument("--k", type=float)
-    sub.add_argument("--Q", type=float)
-    sub.add_argument("--K", type=float)
-    _add_common_flags(sub)
-
-    sub = subs.add_parser("peak", help="peak-minimising finite-recovery plan")
-    sub.add_argument("--Q", type=float)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--lam", type=float)
-    sub.add_argument("--tau", type=float)
-    _add_common_flags(sub)
-
-    sub = subs.add_parser("horizon", help="fixed-horizon capacity and feasibility")
-    sub.add_argument("--Q", type=float)
-    sub.add_argument("--r", type=float)
-    sub.add_argument("--T", type=float)
-    sub.add_argument("--h", type=float)
-    sub.add_argument("--n-list", dest="n_list", metavar="N,N,...",
-                     help="comma-separated release counts to tabulate")
-    _add_common_flags(sub)
-
-    sub = subs.add_parser("simulate", help="envelope and full-system trajectories")
-    sub.add_argument("--S0", type=float)
-    sub.add_argument("--T", type=float)
-    sub.add_argument("--step", type=float)
-    _add_common_flags(sub)
-
-    sub = subs.add_parser("phase", help="phase-diagram tables")
-    sub.add_argument("--panel", choices=("a", "b", "c", "all"))
-    sub.add_argument("--resolve-integers", dest="resolve_integers", action="store_true",
-                     default=None, help="straddle integer r samples by +/-1e-6")
-    _add_common_flags(sub)
+    for command, fields in _FIELDS.items():
+        sub = subs.add_parser(command, help=_HELP[command])
+        for name, flag in fields.items():
+            if flag is not None:
+                sub.add_argument("--" + name.replace("_", "-"), **flag)
+        _add_common_flags(sub)
     return parser
-
-
-_FLAG_FIELDS: dict[str, tuple[str, ...]] = {
-    "exposure": ("q",),
-    "split": ("Q", "n"),
-    "overhead": ("r", "k", "Q", "K"),
-    "peak": ("Q", "n", "lam", "tau"),
-    "horizon": ("Q", "r", "T", "h", "n_list"),
-    "simulate": ("S0", "T", "step"),
-    "phase": ("panel", "resolve_integers"),
-}
 
 
 def _assemble_document(args: argparse.Namespace) -> dict[str, Any]:
@@ -842,24 +797,16 @@ def _assemble_document(args: argparse.Namespace) -> dict[str, Any]:
         document = {}
 
     params = _as_mapping(document.get("params", {}), "params")
-    for name in ("beta", "mu", "delta", "rho"):
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
+    for name in _PARAMS:
+        if getattr(args, name) is not None:
+            params[name] = getattr(args, name)
     if params:
         document["params"] = params
 
     block = _as_mapping(document.get(args.command, {}), args.command)
-    for name in _FLAG_FIELDS[args.command]:
-        value = getattr(args, name, None)
-        if value is None:
-            continue
-        if args.command == "horizon" and name == "n_list":
-            try:
-                value = [int(part) for part in str(value).split(",") if part.strip()]
-            except ValueError as exc:
-                raise ConfigError(f"horizon: cannot parse n_list {value!r}") from exc
-        block[name] = value
+    for name in _FIELDS[args.command]:
+        if getattr(args, name, None) is not None:
+            block[name] = getattr(args, name)
     if block or args.command in document:
         document[args.command] = block
     if args.tol is not None:

@@ -78,8 +78,12 @@ def _onset(x):
     return acc
 
 
-def _bracket(q: float, delta_c: float) -> float:
-    """``q - delta_c - delta_c log(q/delta_c)`` for ``q > delta_c``, without cancellation."""
+def exposure_bracket(q: float, delta_c: float) -> float:
+    """``q - delta_c - delta_c log(q/delta_c)`` for ``q > delta_c``, without cancellation.
+
+    The exposure of one release, and of ``n`` equal releases with ``delta_c``
+    replaced by the capacity ``n * delta_c``, is this times ``alpha / rho``.
+    """
     if q < delta_c * (1.0 + _SERIES_SWITCH):
         x = (q - delta_c) / delta_c  # the numerator is exact here
         return delta_c * x * x * _onset(x)
@@ -100,7 +104,7 @@ def exposure_closed_form(
     d = derive(params)
     if q <= d.delta_c + eps_thr:
         return ExposureValue(value=0.0, active_duration=0.0)
-    value = (d.alpha / params.rho) * _bracket(q, d.delta_c)
+    value = (d.alpha / params.rho) * exposure_bracket(q, d.delta_c)
     return ExposureValue(value=value, active_duration=_log_ratio(q, d.delta_c) / params.rho)
 
 

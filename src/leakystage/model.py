@@ -12,6 +12,7 @@ function is pure, so everything here is safe to share across threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,16 @@ from .errors import ParameterError
 #: Absolute tolerance for floating comparisons against the critical level.
 #: Inputs exactly at the threshold are classified as safe (closed interval).
 EPS_THR = 1e-12
+
+#: Relative slack used when rounding a threshold ratio up to an integer, so
+#: that ratios which are exact integers up to floating error do not get
+#: bumped to the next stage count.
+_CEIL_GUARD = 1e-12
+
+
+def guarded_ceil(x: float) -> int:
+    """Ceiling that forgives floating error just above an integer."""
+    return math.ceil(x - _CEIL_GUARD * max(1.0, abs(x)))
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LeakyStageError, ScheduleError
-from .model import EPS_THR, ModelParams, derive
-from .allocation import _guarded_ceil
+from .model import EPS_THR, ModelParams, derive, guarded_ceil
 
 
 class CountBound(enum.Enum):
@@ -271,7 +270,7 @@ def safe_count_fixed_lambda(Q: float, lam: float, params: ModelParams) -> int:
     excess = max(0.0, r - 1.0)
     if excess == 0.0:
         return 1
-    return 1 + max(0, _guarded_ceil(excess / (1.0 - lam)))
+    return 1 + max(0, guarded_ceil(excess / (1.0 - lam)))
 
 
 def horizon_capacity(n: int, h: float) -> float:

@@ -122,6 +122,21 @@ class TestMinExposure:
             per_release = n * exposure_closed_form(Q / n, p).value
             assert abs(direct - per_release) <= 1e-12 * max(1.0, per_release)
 
+    @pytest.mark.parametrize("n, overshoot", [(3, 1e-9), (5, 1e-11)])
+    def test_near_capacity_matches_mpmath(self, figure_params, n, overshoot):
+        # just past the kink the bracket is about cap * x**2 / 2 while the terms
+        # it subtracts are about cap, so a direct log difference loses digits
+        mpmath = pytest.importorskip("mpmath")
+        d = derive(figure_params)
+        Q = n * d.delta_c * (1.0 + overshoot)
+        cap = n * d.delta_c  # the same double capacity min_exposure uses
+        with mpmath.workdps(50):
+            q, c = mpmath.mpf(Q), mpmath.mpf(cap)
+            scale = mpmath.mpf(d.alpha) / mpmath.mpf(figure_params.rho)
+            exact = scale * (q - c - c * mpmath.log(q / c))
+            error = abs(mpmath.mpf(min_exposure(Q, n, figure_params)) - exact) / exact
+        assert error <= 1e-14
+
 
 class TestMinimalSafeCount:
     def test_fractional_load(self, figure_params):

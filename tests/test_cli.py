@@ -1,14 +1,21 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakystage import ConfigError, LeakyStageError, derive
-from leakystage.cli import main, parse_config, run, to_csv, to_json
+from leakystage.cli import _FIELDS, _PARAMS, COMMANDS, main, parse_config, run, to_csv, to_json
 from leakystage.presets import PRESETS
 
 FIG = {"beta": 0.6, "mu": 1.0, "delta": 1.8, "rho": 0.5}
+FIG_FLAGS = ["--beta", "0.6", "--mu", "1.0", "--delta", "1.8", "--rho", "0.5"]
+SCHEMA = json.loads(
+    (Path(__file__).resolve().parents[1] / "config.schema.json").read_text(encoding="utf-8")
+)
 
 
 class TestParseConfig:
@@ -61,6 +68,15 @@ class TestParseConfig:
     def test_overhead_requires_one_parameterisation(self):
         with pytest.raises(ConfigError, match="exactly one of r/Q"):
             parse_config({"params": FIG, "overhead": {"r": 2.0, "Q": 0.7, "k": 0.1}})
+
+    @pytest.mark.parametrize("q", [[1.0, math.nan], [1.0, math.inf], [1.0, -0.5], [1.0, "2"]])
+    def test_release_sizes_must_be_finite_and_nonnegative(self, q):
+        with pytest.raises(ConfigError, match=r"exposure: q\[1\]"):
+            parse_config({"params": FIG, "exposure": {"q": q}})
+
+    def test_release_sizes_must_be_a_list(self):
+        with pytest.raises(ConfigError, match="nonempty list"):
+            parse_config({"params": FIG, "exposure": {"q": 0.5}})
 
     def test_figure_preset_resolves(self):
         config = parse_config(PRESETS["fig-envelope"], command="simulate")
@@ -293,6 +309,36 @@ class TestMain:
         assert main(base + ["--tol", "1e-3"]) == 0
         assert "SupremalBoundary" in capsys.readouterr().out
 
+    def test_non_finite_q_flags_exit_1(self, capsys):
+        code = main(["exposure", "--q", "nan", "--q", "inf", *FIG_FLAGS, "--no-meta-time"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "exposure: q[0] must be finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("mixed", [["--r", "2.5", "--K", "0.1"], ["--Q", "0.8", "--k", "0.1"]])
+    def test_overhead_mixed_pairs(self, capsys, mixed):
+        d = derive(parse_config({"params": FIG, "exposure": {"q": [0.0]}}).params)
+        # each coordinate picked on its own: k = K rho / gamma, r = Q / delta_c
+        if "--K" in mixed:
+            r, k = 2.5, 0.1 * FIG["rho"] / d.gamma
+        else:
+            r, k = 0.8 / d.delta_c, 0.1
+        outputs = []
+        for flags in (mixed, ["--r", repr(r), "--k", repr(k)]):
+            assert main(["overhead", *flags, *FIG_FLAGS, "--no-meta-time"]) == 0
+            outputs.append([l for l in capsys.readouterr().out.splitlines()
+                            if not l.startswith("# config=")])
+        assert outputs[0] == outputs[1]
+        assert outputs[0][2] == f"# r={r:.17g} h= k={k:.17g}"
+
+    def test_bad_n_list_names_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["horizon", "--r", "2.0", "--h", "1.0", "--n-list", "2,x", *FIG_FLAGS])
+        assert exit_info.value.code == 1
+        err = capsys.readouterr().err
+        assert "--n-list" in err and "'2,x'" in err
+
     def test_repeated_q_flags(self, capsys):
         code = main(["exposure", "--q", "0.2", "--q", "1.0",
                      "--beta", "0.6", "--mu", "1.0", "--delta", "1.8", "--rho", "0.5",
@@ -320,7 +366,78 @@ class TestMain:
         assert a.read_bytes() == b.read_bytes()
 
 
+def _documents() -> st.SearchStrategy:
+    """Documents whose block holds any subset of its command's fields and of
+    one unknown key, each with a value of its kind: integers for counts,
+    finite floats of either sign for the rest."""
+    number = st.floats(allow_nan=False, allow_infinity=False)
+    count = st.integers(-2, 40)
+    kinds = {"n": count, "n_list": st.lists(count, max_size=4)}
+
+    def document(command: str) -> st.SearchStrategy:
+        fields = {name: kinds.get(name, number) for name in _FIELDS[command]}
+        block = st.fixed_dictionaries({}, optional={**fields, "bogus": number})
+        return block.map(lambda block: {"params": FIG, command: block})
+
+    return st.sampled_from(["overhead", "horizon", "peak", "split"]).flatmap(document)
+
+
+def _accepted_documents() -> st.SearchStrategy:
+    """Documents with every required field and one field of each exclusive
+    pair, with values in range; magnitudes stay within 1e3 because the
+    overhead table lists ceil(r) rows."""
+    size = st.floats(0.0, 1.0) | st.floats(0.0, 1e3)
+    count = st.integers(1, 40)
+
+    def one(*choices):  # one field of an exclusive pair
+        return st.sampled_from(choices).flatmap(lambda c: c[1].map(lambda v: {c[0]: v}))
+
+    def merged(*parts):
+        return st.tuples(*parts).map(lambda ds: {k: v for d in ds for k, v in d.items()})
+
+    load, fixed = one(("r", size), ("Q", size)), st.fixed_dictionaries({"Q": size, "n": count})
+    n_list = st.fixed_dictionaries({}, optional={"n_list": st.lists(count, min_size=1)})
+    blocks = {
+        "overhead": merged(load, one(("k", size), ("K", size))),
+        "horizon": merged(load, one(("h", size), ("T", size)), n_list),
+        "peak": merged(fixed, one(("lam", st.floats(0.0, 1.0, exclude_max=True)), ("tau", size))),
+        "split": fixed,
+    }
+    return st.sampled_from(sorted(blocks)).flatmap(
+        lambda command: blocks[command].map(lambda block: {"params": FIG, command: block})
+    )
+
+
 class TestSchemaContract:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_table_fields_are_the_schema_fields(self, command):
+        assert list(_FIELDS[command]) == list(SCHEMA["properties"][command]["properties"])
+
+    def test_commands_and_params_are_the_schema_ones(self):
+        assert [entry["required"] for entry in SCHEMA["oneOf"]] == [[c] for c in COMMANDS]
+        assert list(_PARAMS) == list(SCHEMA["properties"]["params"]["properties"])
+
+    @settings(max_examples=600, deadline=None)
+    @given(_documents())
+    def test_schema_accepts_exactly_what_parse_config_accepts(self, document):
+        jsonschema = pytest.importorskip("jsonschema")
+        valid = jsonschema.Draft202012Validator(SCHEMA).is_valid(document)
+        try:
+            parse_config(document)
+            accepted = True
+        except ConfigError:
+            accepted = False
+        assert valid == accepted
+
+    @settings(max_examples=400, deadline=None)
+    @given(_accepted_documents())
+    def test_accepted_documents_run_or_raise_leakystage_errors(self, document):
+        try:
+            run(parse_config(document), meta_time=False)
+        except LeakyStageError:
+            pass
+
+
     def test_presets_validate_against_schema(self):
         jsonschema = pytest.importorskip("jsonschema")
         from pathlib import Path
