@@ -12,6 +12,7 @@ is the load and ``k`` the overhead in one-shock exposure units.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -135,6 +136,13 @@ def optimal_split(problem: SplitProblem, *, eps_thr: float = EPS_THR) -> Allocat
     )
 
 
+def _safe_count(r: float) -> int:
+    """Smallest release count at which load ``r`` has no excess exposure."""
+    if not (math.isfinite(r) and r > 0.0):
+        raise LeakyStageError(f"dimensionless load r must be finite and > 0 (got {r!r})")
+    return max(1, guarded_ceil(r))
+
+
 def minimal_safe_count(Q: float, params: ModelParams) -> int:
     """Smallest release count whose combined capacity covers ``Q``.
 
@@ -151,26 +159,27 @@ def minimal_safe_count(Q: float, params: ModelParams) -> int:
 def overhead_optimal_count(r: float, k: float) -> OverheadResult:
     """Cost-optimal release count for load ``r`` with per-release overhead ``k``.
 
-    Minimises ``n * k + excess(r, n)`` over ``n in {1, ..., ceil(r)}`` (the
-    exposure term vanishes for ``n >= r``, so larger counts are dominated).
-    All counts whose cost ties the minimum within a relative 1e-12 are
-    reported; ``n_star`` is the smallest of them.
+    Minimises ``n * k + excess(r, n)`` over ``n in {1, ..., ceil(r)}`` (larger
+    counts only add overhead).  The cost is convex, so only the floor and ceiling
+    of :func:`continuous_relaxed_count` and the run of counts tying the minimum
+    within a relative 1e-12 are evaluated; ``n_star`` is the smallest tie.
     """
-    if not (math.isfinite(r) and r > 0.0):
-        raise LeakyStageError(f"dimensionless load r must be finite and > 0 (got {r!r})")
-    if not (math.isfinite(k) and k >= 0.0):
-        raise LeakyStageError(f"dimensionless overhead k must be finite and >= 0 (got {k!r})")
-    n_safe = max(1, guarded_ceil(r))
-    costs = [n * k + excess_exposure(r, n) for n in range(1, n_safe + 1)]
-    best = min(costs)
-    ties = tuple(
-        n for n, cost in enumerate(costs, start=1) if cost <= best + _TIE_REL * max(1.0, best)
-    )
+    n_safe = _safe_count(r)
+    relaxed = continuous_relaxed_count(r, k)
+    cost = functools.cache(lambda n: n * k + excess_exposure(r, n))
+    lo = hi = min((min(max(1, f(relaxed)), n_safe) for f in (math.floor, math.ceil)), key=cost)
+    bound = cost(lo) + _TIE_REL * max(1.0, cost(lo))
+    while lo > 1 and cost(lo - 1) <= bound:
+        lo -= 1
+    while hi < n_safe and cost(hi + 1) <= bound:
+        hi += 1
+    best = min(map(cost, range(lo, hi + 1)))
+    ties = tuple(n for n in range(lo, hi + 1) if cost(n) <= best + _TIE_REL * max(1.0, best))
     n_star = ties[0]
     residual = excess_exposure(r, n_star)
     return OverheadResult(
         n_star=n_star,
-        cost=costs[n_star - 1],
+        cost=cost(n_star),
         residual_exposure=residual,
         is_fully_safe=residual == 0.0,
         ties=ties,
@@ -180,23 +189,21 @@ def overhead_optimal_count(r: float, k: float) -> OverheadResult:
 def k_safe(r: float) -> float:
     """Largest overhead at which the fully safe count stays cost-optimal.
 
-    ``+inf`` when one release is already safe (``ceil(r) = 1``); otherwise
-    the minimum over unsafe counts ``m < ceil(r)`` of the exposure removed
-    per extra stage.  Full safety is optimal exactly when ``k <= k_safe(r)``.
+    ``+inf`` when one release is already safe (``ceil(r) = 1``); otherwise the
+    exposure ``excess(r, ceil(r) - 1)`` removed by the last stage, by convexity
+    the least per extra stage.  Full safety is optimal exactly when ``k <= k_safe(r)``.
     """
-    if not (math.isfinite(r) and r > 0.0):
-        raise LeakyStageError(f"dimensionless load r must be finite and > 0 (got {r!r})")
-    n_safe = max(1, guarded_ceil(r))
+    n_safe = _safe_count(r)
     if n_safe <= 1:
         return math.inf
-    return min(excess_exposure(r, m) / (n_safe - m) for m in range(1, n_safe))
+    return excess_exposure(r, n_safe - 1)
 
 
 def continuous_relaxed_count(r: float, k: float) -> float:
     """Stationary point ``r * exp(-k)`` of the relaxed (non-integer) objective.
 
-    A diagnostic for how overhead pulls the optimum away from the safe count;
-    not an integer solution formula.
+    The objective is convex, so the cost-optimal count is the floor or the
+    ceiling of this point, clamped to ``[1, ceil(r)]``.
     """
     if not (math.isfinite(r) and r > 0.0):
         raise LeakyStageError(f"dimensionless load r must be finite and > 0 (got {r!r})")

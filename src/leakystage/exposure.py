@@ -21,10 +21,6 @@ import numpy as np
 from .errors import LeakyStageError
 from .model import EPS_THR, ModelParams, derive
 
-#: Below this relative overshoot the log is evaluated via log1p to avoid
-#: cancellation; the onset regime is quadratic and numerically delicate.
-_LOG1P_SWITCH = 1e-4
-
 #: Below this relative overshoot ``x = q/delta_c - 1`` the exposure bracket
 #: ``q - delta_c - delta_c log(q/delta_c) = delta_c (x - log1p(x))`` is summed
 #: from its Taylor series.  The bracket is about ``delta_c x**2 / 2`` while the
@@ -58,11 +54,8 @@ class ExposureValue:
 
 
 def _log_ratio(q: float, delta_c: float) -> float:
-    """log(q / delta_c) with cancellation control near the threshold."""
-    x = q / delta_c - 1.0
-    if x < _LOG1P_SWITCH:
-        return math.log1p(x)
-    return math.log(q) - math.log(delta_c)
+    """log(q / delta_c); near the threshold ``q - delta_c`` is exact, so no digits are lost."""
+    return math.log1p((q - delta_c) / delta_c)
 
 
 def _onset(x):

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakystage import (
     LeakyStageError,
     SplitProblem,
+    allocation,
     continuous_relaxed_count,
     derive,
+    excess_exposure,
     exposure_closed_form,
     k_safe,
     min_exposure,
@@ -15,7 +19,7 @@ from leakystage import (
     optimal_split,
     overhead_optimal_count,
 )
-from util import enumerate_overhead, grid_min_split_2, random_params
+from util import enumerate_k_safe, enumerate_overhead, grid_min_split_2, random_params
 
 
 class TestOptimalSplit:
@@ -187,13 +191,46 @@ class TestOverheadOptimalCount:
 
     def test_agrees_with_enumeration(self):
         rng = np.random.default_rng(43)
-        for _ in range(2000):
-            r = rng.uniform(1e-3, 20.0)
-            k = rng.uniform(0.0, 5.0)
+        cases = [(rng.uniform(1e-3, 20.0), rng.uniform(0.0, 5.0)) for _ in range(2000)]
+        # loads straddling integers, at overheads on and just off the frontier
+        for m in range(1, 13):
+            for eps in (2.3e-16, 1e-15, 1e-12, 1e-9, 1e-6):
+                for r in (m * (1.0 - eps), m * (1.0 + eps)):
+                    if math.isfinite(k_safe(r)):
+                        cases += [(r, k_safe(r) * (1.0 + s)) for s in (-1e-12, 0.0, 1e-12)]
+        for r, k in cases:
             result = overhead_optimal_count(r, k)
             best, argmin, ties = enumerate_overhead(r, k)
             assert result.n_star == argmin
             assert result.cost == pytest.approx(best, rel=1e-12, abs=1e-12)
+            # the oracle also lists counts past ceil(r); they cost only n * k, so
+            # they tie the safe count when k is below the tie tolerance
+            assert result.ties == tuple(n for n in ties if n <= math.ceil(r)), (r, k)
+
+    def test_evaluates_only_the_tie_run_and_its_neighbours(self, monkeypatch):
+        counts = set()
+
+        def counting_excess(r, n):
+            counts.add(n)
+            return excess_exposure(r, n)
+
+        monkeypatch.setattr(allocation, "excess_exposure", counting_excess)
+        rng = np.random.default_rng(41)
+        for r, k in [(10.0 ** rng.uniform(0.0, 7.0), rng.uniform(0.0, 3.0)) for _ in range(200)]:
+            counts.clear()
+            result = overhead_optimal_count(r, k)
+            assert set(result.ties) <= counts
+            assert len(counts) <= len(result.ties) + 2
+
+    def test_large_load_ties_around_relaxed_point(self):
+        # the cost is about 3.9e8 here, so the relative tie tolerance admits
+        # about 4e-4 and the tie run spans some 1400 counts; n_star is its
+        # smallest, and the relaxed point's floor or ceiling lies inside it
+        relaxed = 1e9 * math.exp(-0.5)
+        result = overhead_optimal_count(1e9, 0.5)
+        assert {math.floor(relaxed), math.ceil(relaxed)} & set(result.ties)
+        assert result.ties == tuple(range(result.n_star, result.ties[-1] + 1))
+        assert not result.is_fully_safe
 
     def test_tie_at_frontier_contains_safe_count(self):
         rng = np.random.default_rng(47)
@@ -226,6 +263,15 @@ class TestKSafe:
         diffs = np.abs(np.diff(vals))
         assert diffs.max() < 0.05  # smooth within the band
         assert k_safe(2.999) > 100 * k_safe(3.001)  # sawtooth drop
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-3.0, 4.0))
+    def test_matches_enumeration_over_unsafe_counts(self, log_r):
+        r = 10.0**log_r
+        assert k_safe(r) == pytest.approx(enumerate_k_safe(r), rel=1e-12)
+
+    def test_large_load_is_last_stage_exposure(self):
+        assert k_safe(1e9 + 0.5) == excess_exposure(1e9 + 0.5, 10**9)
 
     def test_frontier_splits_regimes(self):
         rng = np.random.default_rng(53)

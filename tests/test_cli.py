@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -9,13 +10,15 @@ from hypothesis import strategies as st
 
 from leakystage import ConfigError, LeakyStageError, derive
 from leakystage.cli import _FIELDS, _PARAMS, COMMANDS, main, parse_config, run, to_csv, to_json
-from leakystage.presets import PRESETS
+from leakystage.presets import PRESETS, preset
 
 FIG = {"beta": 0.6, "mu": 1.0, "delta": 1.8, "rho": 0.5}
 FIG_FLAGS = ["--beta", "0.6", "--mu", "1.0", "--delta", "1.8", "--rho", "0.5"]
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parents[1] / "config.schema.json").read_text(encoding="utf-8")
-)
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA = json.loads((ROOT / "config.schema.json").read_text(encoding="utf-8"))
+#: SHA-256 digests of every preset's ``--no-meta-time`` CSV and JSON output,
+#: shared with the benchmark, which checks the same bytes from fresh processes.
+GOLDEN = json.loads((ROOT / "bench" / "golden.json").read_text(encoding="utf-8"))
 
 
 class TestParseConfig:
@@ -241,6 +244,16 @@ class TestMain:
                 assert code == 0, name
                 outputs.append(out.read_bytes())
             assert outputs[0] == outputs[1], name
+
+    def test_golden_digests_cover_every_preset(self):
+        assert sorted(GOLDEN) == sorted(PRESETS)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_preset_output_matches_golden_digest(self, name):
+        entry = GOLDEN[name]
+        envelope = run(parse_config(preset(name), command=entry["command"]), meta_time=False)
+        for fmt, text in (("csv", to_csv(envelope)), ("json", to_json(envelope))):
+            assert hashlib.sha256(text.encode()).hexdigest() == entry[fmt], f"{name} {fmt}"
 
     def test_flags_override_preset(self, tmp_path, capsys):
         code = main(["peak", "--preset", "peak-c", "--n", "4", "--no-meta-time"])

@@ -36,6 +36,19 @@ class TestClosedForm:
             assert value.value == 0.0
             assert value.active_duration == 0.0
 
+    @pytest.mark.parametrize("overshoot", [1e-8, 1e-6, 5e-5])
+    def test_active_duration_near_threshold_matches_mpmath(self, figure_params, overshoot):
+        # q - delta_c is exact this close to the threshold; forming q/delta_c - 1
+        # first would round the overshoot and lose about 1e-16/overshoot relative
+        mpmath = pytest.importorskip("mpmath")
+        d = derive(figure_params)
+        q = d.delta_c * (1.0 + overshoot)
+        duration = exposure_closed_form(q, figure_params).active_duration
+        with mpmath.workdps(50):
+            exact = mpmath.log(mpmath.mpf(q) / mpmath.mpf(d.delta_c)) / figure_params.rho
+            error = abs(mpmath.mpf(duration) - exact) / exact
+        assert error <= 1e-15
+
     def test_figure_value(self, figure_params):
         # (1.2 / 0.5) * (2/3 - 1/3 - (1/3) ln 2)
         expected = 2.4 * (2.0 / 3.0 - 1.0 / 3.0 - math.log(2.0) / 3.0)

@@ -3,7 +3,8 @@
 The oracles here are deliberately independent of the closed forms they check:
 adaptive quadrature of the single-release exposure (two routes), grid/simplex
 searches for the allocation optimum, a one-dimensional Bellman grid recursion
-for the minimax peak value, and plain enumeration for the overhead trade-off.
+for the minimax peak value, and plain enumeration for the overhead trade-off
+and its frontier ``k_safe``.
 """
 from __future__ import annotations
 
@@ -17,10 +18,12 @@ from leakystage import (
     LeakyStageError,
     ModelParams,
     derive,
+    excess_exposure,
+    exposure_batch,
     growth_pressure,
     normalized_factor,
 )
-from leakystage.exposure import _log_ratio, exposure_batch
+from leakystage.model import guarded_ceil
 
 
 def random_params(rng: np.random.Generator) -> ModelParams:
@@ -47,6 +50,11 @@ def random_schedule(
 # helpers (the benchmark harness imports this module too) do not load it.
 
 
+def _active_time(q: float, delta_c: float, rho: float) -> float:
+    """End ``log(q / delta_c) / rho`` of the active window of a release above threshold."""
+    return math.log1p((q - delta_c) / delta_c) / rho
+
+
 def exposure_quadrature(
     q: float, params: ModelParams, tol: float = 1e-10, *, eps_thr: float = EPS_THR
 ) -> float:
@@ -66,7 +74,7 @@ def exposure_quadrature(
         return 0.0  # empty active window
     from scipy.integrate import quad
 
-    t_q = _log_ratio(q, d.delta_c) / params.rho
+    t_q = _active_time(q, d.delta_c, params.rho)
     value, _ = quad(
         lambda t: growth_pressure(q * math.exp(-params.rho * t), params),
         0.0,
@@ -96,7 +104,7 @@ def exposure_spectral_form(
         return 0.0  # R <= 1 along the whole path
     from scipy.integrate import quad
 
-    t_q = _log_ratio(q, d.delta_c) / params.rho
+    t_q = _active_time(q, d.delta_c, params.rho)
     value, _ = quad(
         lambda t: normalized_factor(q * math.exp(-params.rho * t), params) - 1.0,
         0.0,
@@ -160,6 +168,21 @@ def enumerate_overhead(r: float, k: float, extra: int = 3):
     best = min(costs.values())
     ties = [n for n, c in costs.items() if c <= best + 1e-12 * max(1.0, best)]
     return best, ties[0], ties
+
+
+def enumerate_k_safe(r: float) -> float:
+    """The frontier ``k_safe(r)`` as a minimum over every unsafe count.
+
+    Minimises the exposure removed per extra stage, ``excess(r, m) /
+    (ceil(r) - m)``, over all ``m < ceil(r)``; the closed form keeps only
+    ``m = ceil(r) - 1``.  ``+inf`` when one release is already safe.
+    """
+    if not (math.isfinite(r) and r > 0.0):
+        raise LeakyStageError(f"dimensionless load r must be finite and > 0 (got {r!r})")
+    n_safe = max(1, guarded_ceil(r))
+    if n_safe <= 1:
+        return math.inf
+    return min(excess_exposure(r, m) / (n_safe - m) for m in range(1, n_safe))
 
 
 # ---------------------------------------------------------------------------
