@@ -152,8 +152,10 @@ def minimal_safe_count(Q: float, params: ModelParams) -> int:
     """
     if not (math.isfinite(Q) and Q > 0.0):
         raise LeakyStageError(f"total load Q must be finite and > 0 (got {Q!r})")
-    d = derive(params)
-    return max(1, guarded_ceil(Q / d.delta_c))
+    r = Q / derive(params).delta_c
+    if not math.isfinite(r):
+        raise LeakyStageError(f"total load Q={Q!r} overflows Q / delta_c")
+    return max(1, guarded_ceil(r))
 
 
 def overhead_optimal_count(r: float, k: float) -> OverheadResult:

@@ -565,17 +565,9 @@ def _run_simulate(config: RunConfig) -> tuple[dict, list[str], int]:
     schedule = ImpulseSchedule(tuple((t, q) for t, q in opts["schedule"]))
     red = simulate_envelope(schedule, config.params, opts["T"], opts["step"])
     full = simulate_full(schedule, config.params, opts["S0"], 0.0, opts["T"], opts["step"])
-    rows = [
-        [
-            float(t),
-            float(a_red),
-            float(s_full),
-            float(a_full),
-            float(growth_pressure(a_full, config.params)),
-            float(growth_pressure(a_red, config.params)),
-        ]
-        for t, a_red, s_full, a_full in zip(red.t, red.A, full.S, full.A)
-    ]
+    g_full, g_red = growth_pressure(full.A, config.params), growth_pressure(red.A, config.params)
+    samples = (red.t, red.A, full.S, full.A, g_full, g_red)
+    rows = [list(row) for row in zip(*(array.tolist() for array in samples))]
     warnings = []
     if full.clamp_count:
         warnings.append(

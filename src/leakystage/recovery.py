@@ -270,7 +270,10 @@ def safe_count_fixed_lambda(Q: float, lam: float, params: ModelParams) -> int:
     excess = max(0.0, r - 1.0)
     if excess == 0.0:
         return 1
-    return 1 + max(0, guarded_ceil(excess / (1.0 - lam)))
+    stages = excess / (1.0 - lam)
+    if not math.isfinite(stages):
+        raise LeakyStageError(f"total load Q={Q!r} overflows (Q / delta_c - 1) / (1 - lam)")
+    return 1 + max(0, guarded_ceil(stages))
 
 
 def horizon_capacity(n: int, h: float) -> float:

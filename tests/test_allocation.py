@@ -167,6 +167,11 @@ class TestMinimalSafeCount:
             if n > 1:
                 assert (n - 1) * d.delta_c < Q
 
+    def test_overflowing_ratio_names_Q(self, figure_params):
+        # Q / delta_c is inf: guarded_ceil(inf) used to raise ValueError
+        with pytest.raises(LeakyStageError, match=r"total load Q=1e\+308 overflows"):
+            minimal_safe_count(1e308, figure_params)
+
 
 class TestOverheadOptimalCount:
     def test_subcritical_load_needs_one_release(self):

@@ -303,6 +303,17 @@ class TestMain:
         assert "simulate: schedule[1]" in err
         assert "Traceback" not in err
 
+    def test_overflowing_step_exits_1(self, tmp_path, capsys):
+        # a step far too coarse for the rates makes RK4 overflow math.exp
+        path = tmp_path / "run.yaml"
+        block = {"schedule": [[0.0, 3.0]], "S0": 0.9, "T": 8.0, "step": 2.5}
+        path.write_text(yaml.safe_dump({"params": FIG, "simulate": block}), encoding="utf-8")
+        code = main(["simulate", "--config", str(path), "--no-meta-time"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "RK4 overflowed at step 2.5; reduce the step" in err
+        assert "Traceback" not in err
+
     def test_config_errors_name_the_path_as_typed(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.yaml").write_text("params: [unclosed\n", encoding="utf-8")

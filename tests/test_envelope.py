@@ -1,7 +1,11 @@
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakystage import (
     ImpulseSchedule,
@@ -21,7 +25,9 @@ from leakystage import (
     verify_envelope_dominance,
     verify_log_growth_bound,
 )
-from util import random_params, random_schedule
+from leakystage import envelope
+from leakystage.cli import main, parse_config, run, to_csv
+from util import path_exposure_loop, random_params, random_schedule, rk4_segment_loop
 
 FIG_SCHEDULE = ImpulseSchedule(
     ((0.0, 0.46), (2.0, 0.24), (4.0, 0.24), (6.0, 0.24), (8.0, 0.24))
@@ -238,3 +244,106 @@ class TestPathExposure:
         numeric = path_exposure(trajectory, figure_params, exact_decay=True)
         closed = exposure_closed_form(1.0, figure_params).value
         assert numeric == pytest.approx(closed, abs=5e-6)
+
+
+def _simulate_full_loop(*args) -> envelope.Trajectory:
+    """``simulate_full`` driven by the plain per-stage RK4 loop of ``tests/util``."""
+    with mock.patch.object(envelope, "_rk4_segment", rk4_segment_loop):
+        return simulate_full(*args)
+
+
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return np.array_equal(x, y) and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestLoopOracles:
+    """The unrolled RK4 and the vectorised trapezoid equal the plain loops bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(-3.0, -1.0),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_full_and_envelope_paths(self, seed, log_step, zero_start, exact_decay):
+        rng = np.random.default_rng(seed)
+        p = random_params(rng)
+        schedule = random_schedule(rng)
+        T = schedule.events[-1][0] + 2.0
+        step = 10.0**log_step
+        S0 = 0.0 if zero_start else float(rng.uniform(1e-3, 0.5))
+        full = simulate_full(schedule, p, S0, 0.0, T, step)
+        oracle = _simulate_full_loop(schedule, p, S0, 0.0, T, step)
+        for name in ("t", "A", "S", "jump_indices", "jump_sizes"):
+            assert _same_bits(getattr(full, name), getattr(oracle, name)), name
+        assert full.clamp_count == oracle.clamp_count
+        red = simulate_envelope(schedule, p, T, step)
+        for trajectory in (full, red):
+            value = path_exposure(trajectory, p, exact_decay=exact_decay)
+            expected = path_exposure_loop(trajectory, p, exact_decay=exact_decay)
+            assert value == expected
+            assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-30.0, 1.0) | st.just(-math.inf),
+        st.floats(0.0, 5.0),
+        st.floats(0.0, 10.0),
+        st.floats(1e-3, 3.0),
+        st.floats(1e-3, 0.5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_segment(self, u, A, t0, width, h_step, seed):
+        p = random_params(np.random.default_rng(seed))
+        args = (u, A, t0, t0 + width, h_step, p)
+        try:
+            expected = rk4_segment_loop(*args)
+        except OverflowError:  # a step far too coarse for the rates: both overflow
+            with pytest.raises(OverflowError):
+                envelope._rk4_segment(*args)
+            return
+        assert envelope._rk4_segment(*args) == expected
+
+    def test_one_sample_path_has_zero_exposure(self, figure_params):
+        red = simulate_envelope(ImpulseSchedule(()), figure_params, 0.0, 0.1)
+        assert len(red.t) == 1
+        assert path_exposure(red, figure_params) == path_exposure_loop(red, figure_params) == 0.0
+
+    def test_dominance_reuses_full_exposure(self, figure_params):
+        with mock.patch.object(envelope, "path_exposure", wraps=envelope.path_exposure) as spy:
+            check = verify_envelope_dominance(FIG_SCHEDULE, figure_params, 0.08, 12.0, 0.01)
+        assert spy.call_count == 2
+        full = simulate_full(FIG_SCHEDULE, figure_params, 0.08, 0.0, 12.0, 0.01)
+        assert (check.log_growth, check.log_bound) == verify_log_growth_bound(full, figure_params)
+        assert check.log_bound == check.exposure_full
+
+
+class TestClamp:
+    """A coarse step drives the integrated reservoir negative once."""
+
+    CASE = (ImpulseSchedule(((0.0, 3.0),)), 0.5, 4.0, 1.0)  # schedule, S0, T, step
+
+    def test_clamped_samples_match_oracle(self, figure_params):
+        schedule, S0, T, step = self.CASE
+        full = simulate_full(schedule, figure_params, S0, 0.0, T, step)
+        oracle = _simulate_full_loop(schedule, figure_params, S0, 0.0, T, step)
+        assert full.clamp_count == oracle.clamp_count == 1
+        assert _same_bits(full.A, oracle.A) and _same_bits(full.S, oracle.S)
+        clamped = np.flatnonzero(full.A == 0.0)
+        assert clamped.size > 1  # the start sample and the clamped node
+        assert np.array_equal(clamped, np.flatnonzero(oracle.A == 0.0))
+
+    def test_cli_warns(self, tmp_path, capsys):
+        schedule, S0, T, step = self.CASE
+        block = {"schedule": [list(e) for e in schedule.events], "S0": S0, "T": T, "step": step}
+        document = {"params": {"beta": 0.6, "mu": 1.0, "delta": 1.8, "rho": 0.5},
+                    "simulate": block}
+        result = run(parse_config(document), meta_time=False)
+        warning = "1 negative reservoir excursions clamped; reduce the step"
+        assert result.warnings == (warning,)
+        assert f"# warning={warning}" in to_csv(result).splitlines()
+        path = tmp_path / "clamp.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["simulate", "--config", str(path), "--no-meta-time"]) == 0
+        assert f"warning: {warning}" in capsys.readouterr().err

@@ -205,6 +205,12 @@ class TestSafeCountFixedLambda:
                 scan += 1
             assert got == scan
 
+    @pytest.mark.parametrize("Q, lam", [(1e308, 0.5), (1e300, 1.0 - 1e-15)])
+    def test_overflowing_count_names_Q(self, figure_params, Q, lam):
+        # (r - 1) / (1 - lam) is inf: guarded_ceil(inf) used to raise ValueError
+        with pytest.raises(LeakyStageError, match=r"total load Q=.* overflows"):
+            safe_count_fixed_lambda(Q, lam, figure_params)
+
 
 class TestHorizonCapacity:
     def test_worked_value(self):

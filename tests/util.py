@@ -3,8 +3,9 @@
 The oracles here are deliberately independent of the closed forms they check:
 adaptive quadrature of the single-release exposure (two routes), grid/simplex
 searches for the allocation optimum, a one-dimensional Bellman grid recursion
-for the minimax peak value, and plain enumeration for the overhead trade-off
-and its frontier ``k_safe``.
+for the minimax peak value, plain enumeration for the overhead trade-off
+and its frontier ``k_safe``, and the plain per-step loops of the envelope
+integrator and path exposure.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from leakystage import (
     growth_pressure,
     normalized_factor,
 )
+from leakystage.envelope import Trajectory, _segment_nodes
 from leakystage.model import guarded_ceil
 
 
@@ -274,3 +276,85 @@ def bellman_descent_3(
         H2 = np.min(np.maximum(A2, H1), axis=1)
         best = min(best, float(np.max([A1[start : start + chunk], H2], axis=0).min()))
     return best
+
+
+# ---------------------------------------------------------------------------
+# envelope oracles
+#
+# The straightforward loops that ``envelope._rk4_segment`` and
+# ``envelope.path_exposure`` replace: one call of ``deriv`` per RK4 stage, and
+# one trapezoid interval at a time.  The production code must match them bit
+# for bit.
+
+
+def rk4_segment_loop(
+    u: float, A: float, t0: float, t1: float, h_step: float, params: ModelParams
+) -> tuple[list[float], list[float], list[float], int]:
+    """Advance (log S, A) over [t0, t1] with fixed-step RK4; return node samples."""
+    beta, mu, delta, rho = params.beta, params.mu, params.delta, params.rho
+    alpha = delta - beta
+
+    def deriv(u_: float, A_: float) -> tuple[float, float]:
+        s = math.exp(u_)
+        return (beta - mu) - beta * s + alpha * A_, -(rho + delta * s) * A_
+
+    nodes = _segment_nodes(t0, t1, h_step)
+    h = (t1 - t0) / len(nodes)
+    ts: list[float] = []
+    us: list[float] = []
+    As: list[float] = []
+    clamped = 0
+    for node in nodes:
+        du1, dA1 = deriv(u, A)
+        du2, dA2 = deriv(u + 0.5 * h * du1, A + 0.5 * h * dA1)
+        du3, dA3 = deriv(u + 0.5 * h * du2, A + 0.5 * h * dA2)
+        du4, dA4 = deriv(u + h * du3, A + h * dA3)
+        u = u + (h / 6.0) * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
+        A = A + (h / 6.0) * (dA1 + 2.0 * dA2 + 2.0 * dA3 + dA4)
+        if A < 0.0:
+            A = 0.0
+            clamped += 1
+        ts.append(float(node))
+        us.append(u)
+        As.append(A)
+    return ts, us, As, clamped
+
+
+def path_exposure_loop(
+    trajectory: Trajectory, params: ModelParams, *, exact_decay: bool = False
+) -> float:
+    """Integral of the positive growth pressure along a sampled path.
+
+    Composite trapezoid with kink refinement: where the pressure changes
+    sign inside a sample interval, the crossing time is inserted as a
+    breakpoint, solved analytically when the path is a pure decay segment
+    (``exact_decay``), by linear interpolation otherwise.  Duplicated jump
+    samples contribute nothing (zero width).
+    """
+    t, A = trajectory.t, trajectory.A
+    d = derive(params)
+    g = growth_pressure(A, params)
+    total = 0.0
+    rho = params.rho
+    jumps = set(int(i) for i in trajectory.jump_indices)
+    for i in range(len(t) - 1):
+        dt = t[i + 1] - t[i]
+        if dt <= 0.0:
+            continue
+        gi, gj = g[i], g[i + 1]
+        if gi >= 0.0 and gj >= 0.0:
+            total += 0.5 * (gi + gj) * dt
+        elif gi <= 0.0 and gj <= 0.0:
+            continue
+        else:
+            # one endpoint active: split at the threshold crossing
+            if exact_decay and i not in jumps and A[i] > 0.0:
+                t_cross = t[i] + math.log(A[i] / d.delta_c) / rho
+                t_cross = min(max(t_cross, t[i]), t[i + 1])
+            else:
+                t_cross = t[i] + dt * gi / (gi - gj)
+            if gi > 0.0:
+                total += 0.5 * gi * (t_cross - t[i])
+            else:
+                total += 0.5 * gj * (t[i + 1] - t_cross)
+    return total
