@@ -23,19 +23,6 @@ from .allocation import (
     optimal_split,
     overhead_optimal_count,
 )
-from .envelope import (
-    EnvelopeCheck,
-    ImpulseSchedule,
-    Trajectory,
-    balance_jump_residuals,
-    dominance_tolerance,
-    path_exposure,
-    simulate_envelope,
-    simulate_full,
-    verify_balance_identity,
-    verify_envelope_dominance,
-    verify_log_growth_bound,
-)
 from .errors import ConfigError, LeakyStageError, ParameterError, ScheduleError
 from .exposure import (
     ExposureValue,
@@ -146,3 +133,31 @@ __all__ = [
     "verify_envelope_dominance",
     "verify_log_growth_bound",
 ]
+
+#: Names served from ``envelope`` on first access (PEP 562), so that importing
+#: the package, and every command but ``simulate``, never loads numpy.
+_ENVELOPE_NAMES = frozenset({
+    "EnvelopeCheck",
+    "ImpulseSchedule",
+    "Trajectory",
+    "balance_jump_residuals",
+    "dominance_tolerance",
+    "path_exposure",
+    "simulate_envelope",
+    "simulate_full",
+    "verify_balance_identity",
+    "verify_envelope_dominance",
+    "verify_log_growth_bound",
+})
+
+
+def __getattr__(name: str):
+    if name in _ENVELOPE_NAMES:
+        from . import envelope
+
+        return getattr(envelope, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _ENVELOPE_NAMES)

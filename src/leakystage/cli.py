@@ -28,7 +28,6 @@ from typing import Any, Mapping
 
 from . import __version__
 from .allocation import SplitProblem, excess_exposure, k_safe, optimal_split, overhead_optimal_count
-from .envelope import ImpulseSchedule, simulate_envelope, simulate_full
 from .errors import ConfigError, LeakyStageError
 from .model import EPS_THR, DimensionlessPoint, ModelParams, derive, growth_pressure, guarded_ceil
 from .phase import PanelC, PhaseGrid, build_phase_tables
@@ -280,6 +279,9 @@ def _validate_horizon(block: dict[str, Any]) -> dict[str, Any]:
 
 
 def _validate_simulate(block: dict[str, Any]) -> dict[str, Any]:
+    # envelope loads numpy, which no other command needs
+    from .envelope import ImpulseSchedule
+
     if "schedule" not in block:
         raise ConfigError("simulate: missing required field 'schedule'")
     raw = block["schedule"]
@@ -561,6 +563,8 @@ def _run_horizon(config: RunConfig) -> tuple[dict, list[str], int]:
 
 
 def _run_simulate(config: RunConfig) -> tuple[dict, list[str], int]:
+    from .envelope import ImpulseSchedule, simulate_envelope, simulate_full
+
     opts = config.options
     schedule = ImpulseSchedule(tuple((t, q) for t, q in opts["schedule"]))
     red = simulate_envelope(schedule, config.params, opts["T"], opts["step"])

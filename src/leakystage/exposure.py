@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import LeakyStageError
 from .model import EPS_THR, ModelParams, derive
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Below this relative overshoot ``x = q/delta_c - 1`` the exposure bracket
 #: ``q - delta_c - delta_c log(q/delta_c) = delta_c (x - log1p(x))`` is summed
@@ -110,6 +112,8 @@ def exposure_batch(
     series switch near the threshold; plateau entries are exact zeros.
     Intended for grid searches over many candidate splits.
     """
+    import numpy as np
+
     q = np.asarray(q, dtype=float)
     if np.any(q < 0.0):
         raise LeakyStageError("release sizes must be >= 0")

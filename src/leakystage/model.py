@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ParameterError
 
 #: Absolute tolerance for floating comparisons against the critical level.
@@ -32,6 +30,14 @@ _CEIL_GUARD = 1e-12
 def guarded_ceil(x: float) -> int:
     """Ceiling that forgives floating error just above an integer."""
     return math.ceil(x - _CEIL_GUARD * max(1.0, abs(x)))
+
+
+def _is_finite(value) -> bool:
+    """``math.isfinite`` that answers False for integers beyond the float range and non-numbers."""
+    try:
+        return math.isfinite(value)
+    except (OverflowError, TypeError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         for name in ("beta", "mu", "delta", "rho"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and np.isfinite(value)):
+            if not (isinstance(value, (int, float)) and _is_finite(value)):
                 raise ParameterError(f"{name} must be a finite number (got {value!r})")
             if value <= 0.0:
                 raise ParameterError(f"{name} must be strictly positive (got {value!r})")
@@ -116,7 +122,7 @@ class DimensionlessPoint:
     def __post_init__(self) -> None:
         for name in ("r", "h", "k"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0.0):
+            if not (_is_finite(value) and value >= 0.0):
                 raise ParameterError(f"{name} must be finite and >= 0 (got {value!r})")
 
     @classmethod

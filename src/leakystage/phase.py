@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .allocation import k_safe, overhead_optimal_count
 from .errors import LeakyStageError
 from .recovery import RecoveryConfig, horizon_capacity, min_peak_plan, simulate_recurrence
@@ -92,9 +90,27 @@ class PhaseTables:
     panel_c: PanelC | None = None
 
 
-def _values(rng: tuple[float, float, int]) -> np.ndarray:
-    lo, hi, count = rng
-    return np.linspace(lo, hi, count)
+def _linspace(lo: float, hi: float, count: int, endpoint: bool = True) -> list[float]:
+    """``np.linspace(lo, hi, count, endpoint=endpoint)`` as a list, bit for bit.
+
+    The same steps as numpy 2.x in the same order: ``i * step + lo``, or
+    ``i / div * delta + lo`` when the step is zero (equal endpoints, or a
+    difference so small that the step underflows), with the last sample set
+    to ``hi`` when the endpoint is included.
+    """
+    lo, hi = float(lo), float(hi)
+    div = count - 1 if endpoint else count
+    delta = hi - lo
+    if div <= 0:
+        return [i * delta + lo for i in range(count)]
+    step = delta / div
+    if step == 0:
+        xs = [i / div * delta + lo for i in range(count)]
+    else:
+        xs = [i * step + lo for i in range(count)]
+    if endpoint and count > 1:
+        xs[-1] = hi
+    return xs
 
 
 def build_phase_tables(
@@ -135,13 +151,9 @@ def feasibility_curves(
     """
     if grid.h_range is None or not grid.n_curves:
         raise LeakyStageError("feasibility curves need h_range and n_curves")
-    hs = _values(grid.h_range)
-    feasibility = tuple(
-        (float(h), n, horizon_capacity(n, float(h)))
-        for n in grid.n_curves
-        for h in hs
-    )
-    frontier = tuple((float(h), 1.0 + float(h)) for h in hs)
+    hs = _linspace(*grid.h_range)
+    feasibility = tuple((h, n, horizon_capacity(n, h)) for n in grid.n_curves for h in hs)
+    frontier = tuple((h, 1.0 + h) for h in hs)
     return feasibility, frontier
 
 
@@ -158,8 +170,7 @@ def sawtooth_frontier(
     if grid.r_range is None:
         raise LeakyStageError("the sawtooth frontier needs r_range")
     rs: list[float] = []
-    for r in _values(grid.r_range):
-        r = float(r)
+    for r in _linspace(*grid.r_range):
         nearest = round(r)
         if resolve_integers and nearest >= 2 and abs(r - nearest) < _INTEGER_NUDGE:
             rs.extend([nearest - _INTEGER_NUDGE, nearest + _INTEGER_NUDGE])
@@ -168,9 +179,9 @@ def sawtooth_frontier(
     ksafe_rows = tuple((r, k_safe(r)) for r in rs if r > 0.0)
     nstar_rows: tuple[tuple[float, float, int], ...] = ()
     if grid.k_range is not None:
-        ks = _values(grid.k_range)
+        ks = _linspace(*grid.k_range)
         nstar_rows = tuple(
-            (r, float(k), overhead_optimal_count(r, float(k)).n_star)
+            (r, k, overhead_optimal_count(r, k).n_star)
             for r in rs
             if r > 0.0
             for k in ks
@@ -211,10 +222,8 @@ def panel_c_comparison(
         rows: list[tuple[float, float]] = []
         for k, level in enumerate(plan.post_levels):
             last = k == len(plan.post_levels) - 1
-            xs = np.linspace(0.0, spacing, path_points, endpoint=last)
-            rows.extend(
-                (k * spacing + float(x), level * math.exp(-float(x))) for x in xs
-            )
+            xs = _linspace(0.0, spacing, path_points, endpoint=last)
+            rows.extend((k * spacing + x, level * math.exp(-x)) for x in xs)
         return tuple(rows)
 
     return PanelC(

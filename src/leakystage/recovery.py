@@ -19,8 +19,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import LeakyStageError, ScheduleError
 from .model import EPS_THR, ModelParams, derive, guarded_ceil
 
@@ -335,6 +333,8 @@ def unequal_spacing_capacity(taus, rho: float) -> float:
     """
     if not (math.isfinite(rho) and rho > 0.0):
         raise LeakyStageError(f"recovery rate rho must be > 0 (got {rho!r})")
+    import numpy as np
+
     taus = np.asarray(taus, dtype=float)
     if taus.size and (not np.all(np.isfinite(taus)) or np.any(taus < 0.0)):
         raise LeakyStageError("every inter-release time must be finite and >= 0")

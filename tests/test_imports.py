@@ -1,18 +1,39 @@
-"""The production path imports neither scipy nor PyYAML.
+"""The production path imports neither scipy nor PyYAML, and numpy only for arrays.
 
 scipy serves only the quadrature oracles in ``util`` and PyYAML only
 ``--config`` files, so importing the package and running a preset must load
-neither.  Each check runs in a fresh interpreter, since this test process has
-imported both already.
+neither.  numpy is loaded only by ``simulate`` (through ``envelope``),
+``exposure_batch`` and ``unequal_spacing_capacity``; the package serves the
+``envelope`` names lazily, so every other command runs without it.  Each
+check runs in a fresh interpreter, since this test process has imported all
+three already.
 """
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import leakystage
 
 SRC = str(Path(leakystage.__file__).resolve().parent.parent)
+
+# a None entry in sys.modules makes any import of that name fail
+BLOCK_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
+
+RATES = ["--beta", "0.6", "--mu", "1.0", "--delta", "1.8", "--rho", "0.5"]
+
+SCALAR_RUNS = [
+    [cmd, "--preset", name, "--format", fmt]
+    for cmd, name in [("peak", "peak-c"), ("horizon", "horizon-c"), ("phase", "panel-a"),
+                      ("phase", "panel-b"), ("phase", "panel-c")]
+    for fmt in ("csv", "json")
+] + [
+    ["exposure", "--q", "0.2", "--q", "0.5", *RATES],
+    ["split", "--Q", "1.0", "--n", "3", *RATES],
+    ["overhead", "--r", "4.5", "--k", "0.3", *RATES],
+]
 
 
 def run_child(code: str) -> subprocess.CompletedProcess:
@@ -33,7 +54,6 @@ def test_import_loads_neither_scipy_nor_yaml():
 
 
 def test_preset_runs_with_scipy_and_yaml_blocked():
-    # a None entry in sys.modules makes any import of that name fail
     child = run_child(
         "import sys\n"
         "sys.modules['scipy'] = None\n"
@@ -43,3 +63,53 @@ def test_preset_runs_with_scipy_and_yaml_blocked():
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.startswith("# tool=leakystage")
+
+
+def test_numpy_loads_only_with_the_envelope_names():
+    child = run_child(
+        "import sys, leakystage, leakystage.cli\n"
+        "before = 'numpy' in sys.modules\n"
+        "from leakystage import simulate_full\n"
+        "print(before, 'numpy' in sys.modules, simulate_full.__module__)\n"
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["False", "True", "leakystage.envelope"]
+
+
+@pytest.mark.parametrize("argv", SCALAR_RUNS, ids=" ".join)
+def test_scalar_command_runs_with_numpy_blocked(argv):
+    child = run_child(
+        BLOCK_NUMPY
+        + "from leakystage.cli import main\n"
+        + f"raise SystemExit(main({[*argv, '--no-meta-time']!r}))\n"
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip()
+
+
+def test_simulate_loads_numpy():
+    child = run_child(
+        "import os, sys\n"
+        "from leakystage.cli import main\n"
+        "code = main(['simulate', '--preset', 'fig-envelope', '--no-meta-time',"
+        " '--out', os.devnull])\n"
+        "print('numpy' in sys.modules)\n"
+        "raise SystemExit(code)\n"
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "True"
+
+
+def test_every_public_name_resolves():
+    listed = dir(leakystage)
+    for name in leakystage.__all__:
+        assert getattr(leakystage, name) is not None, name
+        assert name in listed, name
+    namespace: dict = {}
+    exec("from leakystage import *", namespace)
+    assert set(leakystage.__all__) <= set(namespace)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        leakystage.no_such_name  # noqa: B018

@@ -122,6 +122,11 @@ class TestValidation:
         with pytest.raises(ParameterError, match="rho"):
             ModelParams(beta=0.6, mu=1.0, delta=1.8, rho=float("nan"))
 
+    def test_integer_beyond_float_range_rejected(self):
+        # math.isfinite raises OverflowError on such an int; the field must be named instead
+        with pytest.raises(ParameterError, match="beta"):
+            ModelParams(10**400, 1.0, 1.8, 0.5)
+
     def test_derived_constants_guarded(self):
         with pytest.raises(ParameterError):
             DerivedConstants(alpha=1.0, gamma=0.5, delta_c=1.5)
@@ -137,3 +142,14 @@ class TestDimensionlessPoint:
     def test_negative_rejected(self):
         with pytest.raises(ParameterError, match="r"):
             DimensionlessPoint(r=-0.1, h=0.0, k=0.0)
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(ParameterError, match="r must be finite"):
+            DimensionlessPoint(r=10**400, h=0, k=0)
+
+    @pytest.mark.parametrize("value", ["1", None, 1j, [1.0]])
+    def test_non_number_rejected(self, value):
+        with pytest.raises(ParameterError, match="h must be finite"):
+            DimensionlessPoint(r=0, h=value, k=0)
+        with pytest.raises(ParameterError, match="r must be finite"):
+            DimensionlessPoint(r=value, h=0, k=0)

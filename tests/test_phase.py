@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakystage import (
     LeakyStageError,
@@ -14,6 +16,8 @@ from leakystage import (
     panel_c_comparison,
     sawtooth_frontier,
 )
+from leakystage.phase import _linspace
+from util import linspace_oracle
 
 GRID = PhaseGrid(
     r_range=(1.05, 4.0, 60),
@@ -156,3 +160,36 @@ class TestPhaseGrid:
             PhaseGrid(h_range=(2.0, 1.0, 10))
         with pytest.raises(LeakyStageError):
             PhaseGrid(h_range=(-1.0, 1.0, 10))
+
+
+# Finite endpoints anywhere in the float range, with subnormal and signed-zero
+# values drawn often, since that is where a zero step and the ``i / div``
+# branch come in.
+_ENDPOINTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+)
+
+
+class TestLinspace:
+    @settings(max_examples=600, deadline=None)
+    @given(
+        lo=_ENDPOINTS,
+        hi=_ENDPOINTS,
+        equal=st.booleans(),
+        count=st.one_of(st.integers(0, 3), st.integers(0, 3000)),
+        endpoint=st.booleans(),
+    )
+    def test_matches_numpy_bit_for_bit(self, lo, hi, equal, count, endpoint):
+        if equal:
+            hi = lo
+        grid = _linspace(lo, hi, count, endpoint=endpoint)
+        assert all(type(x) is float for x in grid)
+        expected = linspace_oracle(lo, hi, count, endpoint=endpoint)
+        assert np.array(grid, dtype=float).tobytes() == expected.tobytes()
+
+    def test_integer_endpoints_give_floats(self):
+        grid = _linspace(0, 4, 41)
+        assert all(type(x) is float for x in grid)
+        assert np.array(grid).tobytes() == linspace_oracle(0, 4, 41).tobytes()

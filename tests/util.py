@@ -4,8 +4,8 @@ The oracles here are deliberately independent of the closed forms they check:
 adaptive quadrature of the single-release exposure (two routes), grid/simplex
 searches for the allocation optimum, a one-dimensional Bellman grid recursion
 for the minimax peak value, plain enumeration for the overhead trade-off
-and its frontier ``k_safe``, and the plain per-step loops of the envelope
-integrator and path exposure.
+and its frontier ``k_safe``, numpy's ``linspace`` for the phase grids, and the
+plain per-step loops of the envelope integrator and path exposure.
 """
 from __future__ import annotations
 
@@ -276,6 +276,16 @@ def bellman_descent_3(
         H2 = np.min(np.maximum(A2, H1), axis=1)
         best = min(best, float(np.max([A1[start : start + chunk], H2], axis=0).min()))
     return best
+
+
+# ---------------------------------------------------------------------------
+# phase grid oracle
+
+
+def linspace_oracle(lo: float, hi: float, count: int, endpoint: bool = True) -> np.ndarray:
+    """The grid ``phase._linspace`` must reproduce bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linspace(lo, hi, count, endpoint=endpoint)
 
 
 # ---------------------------------------------------------------------------
