@@ -1,9 +1,13 @@
 """Command-line front-end: config ingestion, dispatch, and deterministic output.
 
 Subcommands: ``exposure``, ``split``, ``overhead``, ``peak``, ``horizon``,
-``simulate``, ``phase``.  A run is configured by a YAML document (see
-``config.schema.json`` at the repo root for the contract), by a named preset,
-or by flags; flags override document values.  Unknown keys are hard errors.
+``simulate``, ``phase``.  A run is configured by a YAML document, by a named
+preset, or by flags; flags override document values.  Unknown keys are hard
+errors.  The config contract is the field table ``_FIELDS`` (with ``_PARAMS``
+and ``eps_thr`` in ``_DOCUMENT``): it declares every flag, drives the one
+validator, and builds :func:`schema`, whose output is ``config.schema.json``
+at the repo root.  As in JSON Schema, an integral float such as ``2.0`` counts
+as an integer.
 
 Output is an envelope of metadata (version, config echo, derived constants),
 a payload table, and warnings, emitted as CSV (metadata in ``#`` comment
@@ -41,69 +45,99 @@ from .recovery import (
     min_peak_plan,
 )
 
-_PARAMS = ("beta", "mu", "delta", "rho")
-_PANELS = ("a", "b", "c", "all")
+
+@dataclass(frozen=True)
+class _Field:
+    """One config field.  ``kind`` is ``number``, ``count`` (an integer), ``numbers`` or
+    ``counts`` (nonempty lists), ``range`` (``[min, max, count]``), ``schedule`` (a list
+    of ``[time, size]`` pairs), ``enum`` (one of ``choices``), ``bool``, or ``object`` (a
+    mapping of ``fields`` holding exactly one member of each ``one_of`` group).  Numbers
+    and counts are >= ``minimum`` (> when ``strict``) and < ``below`` if set.  An absent
+    field fails when ``required``, else takes ``default`` unless that is None.  ``help``
+    is its flag help and schema description; flags are ``--name`` (``_`` as ``-``)."""
+
+    kind: str
+    help: str = ""
+    minimum: float = 0.0
+    strict: bool = False
+    below: float | None = None
+    required: bool = False
+    default: Any = None
+    flag: bool = True
+    choices: tuple[str, ...] = ()
+    fields: dict[str, _Field] | None = None
+    one_of: tuple[tuple[str, ...], ...] = ()
 
 
-def _int_list(text: str) -> list[int]:
-    """Parse a ``--n-list`` value: comma-separated integers, empty parts skipped."""
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers (got {text!r})"
-        ) from None
+#: The labelled items of a ``range`` triple and of a ``schedule`` pair.
+_RANGE_ITEMS = {"min": _Field("number"), "max": _Field("number"),
+                "count": _Field("count", minimum=2)}
+_PAIR_ITEMS = {"time": _Field("number"), "size": _Field("number")}
 
+_PARAMS = {name: _Field("number", text, strict=True, required=True) for name, text in (
+    ("beta", "baseline recruitment rate"), ("mu", "return rate"),
+    ("delta", "reservoir reactivation rate"), ("rho", "reservoir recovery rate"))}
 
-_NUMBER = {"type": float}
-_COUNT = {"type": int}
-
-#: Every field of every command block, in config order, with the argparse
-#: keyword arguments of the flag that sets it, or None where only a config
-#: document can.  A field's flag is ``--`` plus its name with ``_`` written
-#: ``-``.  The table drives the parser, the flag merge and the unknown-key
-#: check; ``config.schema.json`` names the same fields.
-_FIELDS: dict[str, dict[str, dict[str, Any] | None]] = {
-    "exposure": {
-        "q": {"action": "append", "type": float, "metavar": "SIZE",
-              "help": "release size (repeatable)"},
-    },
-    "split": {"Q": _NUMBER, "n": _COUNT},
-    "overhead": {"r": _NUMBER, "k": _NUMBER, "Q": _NUMBER, "K": _NUMBER},
-    "peak": {"Q": _NUMBER, "n": _COUNT, "lam": _NUMBER, "tau": _NUMBER},
-    "horizon": {
-        "Q": _NUMBER, "r": _NUMBER, "T": _NUMBER, "h": _NUMBER,
-        "n_list": {"type": _int_list, "metavar": "N,N,...",
-                   "help": "comma-separated release counts to tabulate"},
-    },
-    "simulate": {"schedule": None, "S0": _NUMBER, "T": _NUMBER, "step": _NUMBER},
-    "phase": {
-        "panel": {"choices": _PANELS},
-        "r_range": None, "h_range": None, "k_range": None, "n_curves": None, "panel_c": None,
-        "resolve_integers": {"action": "store_true", "default": None,
-                             "help": "straddle integer r samples by +/-1e-6"},
-    },
-}
-
-_HELP = {
-    "exposure": "single-release exposure table",
-    "split": "optimal complete-relaxation split",
-    "overhead": "cost-optimal release count under overhead",
-    "peak": "peak-minimising finite-recovery plan",
-    "horizon": "fixed-horizon capacity and feasibility",
-    "simulate": "envelope and full-system trajectories",
-    "phase": "phase-diagram tables",
+#: Every command block, its fields in config order.
+_FIELDS: dict[str, _Field] = {
+    "exposure": _Field("object", "Single-release exposure table of a list of sizes.", fields={
+        "q": _Field("numbers", "release sizes (repeat --q for each)", required=True)}),
+    "split": _Field("object", "Optimal complete-relaxation split of Q into n releases.", fields={
+        "Q": _Field("number", "total load", strict=True, required=True),
+        "n": _Field("count", "number of releases", minimum=1, required=True)}),
+    "overhead": _Field("object", "Cost-optimal release count; load as r or Q, overhead as k or "
+                       "K, each chosen on its own.", one_of=(("r", "Q"), ("k", "K")), fields={
+        "r": _Field("number", "load in threshold units, Q / delta_c", strict=True),
+        "Q": _Field("number", "total load", strict=True),
+        "k": _Field("number", "overhead per release in one-shock exposure units"),
+        "K": _Field("number", "overhead per release")}),
+    "peak": _Field("object", "Peak-minimising finite-recovery plan; give carry-over lam or "
+                   "spacing tau.", one_of=(("lam", "tau"),), fields={
+        "Q": _Field("number", "total load", required=True),
+        "n": _Field("count", "number of releases", minimum=1, required=True),
+        "lam": _Field("number", "carry-over factor between releases", below=1.0),
+        "tau": _Field("number", "time between releases", strict=True)}),
+    "horizon": _Field("object", "Fixed-horizon capacities and feasibility; load as Q or r, span "
+                      "as T or h.", one_of=(("Q", "r"), ("T", "h")), fields={
+        "Q": _Field("number", "total load", strict=True),
+        "r": _Field("number", "load in threshold units, Q / delta_c", strict=True),
+        "T": _Field("number", "horizon length"),
+        "h": _Field("number", "recovery budget over the horizon, rho * T"),
+        "n_list": _Field("counts", "release counts to tabulate", minimum=1,
+                         default=[2, 3, 4, 6, 10])}),
+    "simulate": _Field("object", "Envelope and full-system trajectories under an impulse "
+                       "schedule.", fields={
+        "schedule": _Field("schedule", "release events, times strictly increasing", required=True),
+        "S0": _Field("number", "initial activity level S of the full system", required=True),
+        "T": _Field("number", "end time, at or after the last event", required=True),
+        "step": _Field("number", "largest RK4 step", strict=True, required=True)}),
+    "phase": _Field("object", "Phase-diagram tables; ranges are [min, max, count].", fields={
+        "panel": _Field("enum", "panel to tabulate", choices=("a", "b", "c", "all"), default="all"),
+        "r_range": _Field("range", "load samples of panel b", default=[1.02, 4.0, 150]),
+        "h_range": _Field("range", "horizon samples of panel a", default=[0.0, 4.0, 81]),
+        "k_range": _Field("range", "overhead samples of panel b", default=[0.0, 1.5, 7]),
+        "n_curves": _Field("counts", "release counts of the panel a curves", minimum=1,
+                           default=[2, 3, 4, 6, 10], flag=False),
+        "panel_c": _Field("object", "the configuration compared in panel c", default={}, fields={
+            "r": _Field("number", "load in threshold units", strict=True, default=2.1),
+            "n": _Field("count", "number of releases", minimum=2, default=3),
+            "h": _Field("number", "recovery budget over the horizon", strict=True, default=2.0)}),
+        "resolve_integers": _Field("bool", "straddle integer r samples by +/-1e-6",
+                                   default=False)}),
 }
 
 COMMANDS = tuple(_FIELDS)
 
-_PHASE_DEFAULTS: dict[str, Any] = {
-    "h_range": [0.0, 4.0, 81],
-    "n_curves": [2, 3, 4, 6, 10],
-    "r_range": [1.02, 4.0, 150],
-    "k_range": [0.0, 1.5, 7],
-    "panel_c": {"r": 2.1, "n": 3, "h": 2.0},
-}
+_DOCUMENT = _Field(
+    "object", "One params section plus exactly one command block. Flags given on the command "
+    "line override values from this document.", one_of=(COMMANDS,), fields={
+        "params": _Field("object", "The four positive rates; must satisfy beta < mu < delta.",
+                         fields=_PARAMS, required=True),
+        "eps_thr": _Field("number", "absolute tolerance for comparisons against the critical "
+                          "level", strict=True, default=EPS_THR),
+        **_FIELDS,
+    },
+)
 
 
 @dataclass(frozen=True)
@@ -144,16 +178,10 @@ def _as_mapping(value: Any, context: str) -> dict[str, Any]:
     return dict(value)
 
 
-def _reject_unknown(mapping: Mapping[str, Any], allowed, context: str) -> None:
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{context}: unknown key(s) {', '.join(map(repr, unknown))}")
-
-
-def _finite(value: Any, what: str, *, minimum: float | None = None,
-            strict: bool = False) -> float:
+def _finite(value: Any, what: str, minimum: float, strict: bool = False,
+            below: float | None = None) -> float:
     """``value`` as a float; ``what`` names it in the error if it is not a finite
-    number at or above ``minimum`` (above it when ``strict``)."""
+    number at or above ``minimum`` (above it when ``strict``) and below ``below``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{what} must be a number (got {value!r})")
     try:
@@ -162,13 +190,18 @@ def _finite(value: Any, what: str, *, minimum: float | None = None,
         number = math.inf
     if not math.isfinite(number):
         raise ConfigError(f"{what} must be finite (got {value!r})")
-    if minimum is not None and (number < minimum or (strict and number == minimum)):
+    if number < minimum or (strict and number == minimum):
         raise ConfigError(f"{what} must be {'>' if strict else '>='} {minimum} (got {number!r})")
+    if below is not None and number >= below:
+        raise ConfigError(f"{what} must be < {below} (got {number!r})")
     return number
 
 
-def _count(value: Any, what: str, minimum: int = 1) -> int:
-    """``value`` as an integer; ``what`` names it in the error if it is not one >= ``minimum``."""
+def _count(value: Any, what: str, minimum: int) -> int:
+    """``value`` as an int, an integral float included; ``what`` names it in the
+    error if it is not an integer >= ``minimum``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{what} must be an integer (got {value!r})")
     if value < minimum:
@@ -176,184 +209,88 @@ def _count(value: Any, what: str, minimum: int = 1) -> int:
     return value
 
 
-def _number(mapping: Mapping[str, Any], name: str, context: str, *, required: bool = True,
-            minimum: float | None = None, strict: bool = False) -> float | None:
-    if name not in mapping:
-        if required:
-            raise ConfigError(f"{context}: missing required field '{name}'")
-        return None
-    return _finite(mapping[name], f"{context}: field '{name}'", minimum=minimum, strict=strict)
+def _scalar(field: _Field, value: Any, what: str) -> float | int:
+    if field.kind == "count":
+        return _count(value, what, field.minimum)
+    return _finite(value, what, field.minimum, field.strict, field.below)
 
 
-def _integer(mapping: Mapping[str, Any], name: str, context: str, *, required: bool = True,
-             minimum: int = 1) -> int | None:
-    if name not in mapping:
-        if required:
-            raise ConfigError(f"{context}: missing required field '{name}'")
-        return None
-    return _count(mapping[name], f"{context}: field '{name}'", minimum)
+def _check(field: _Field, value: Any, where: str, name: str) -> Any:
+    """``value`` of the field ``name`` of the mapping ``where``, checked against ``field``."""
+    kind, what = field.kind, f"{where}: field '{name}'"
+    if kind == "object":
+        path = name if where == "config document" else f"{where}.{name}"  # params, phase.panel_c
+        return _check_object(field, value, path)
+    if kind in ("number", "count"):
+        return _scalar(field, value, what)
+    if kind == "enum" and value not in field.choices:
+        raise ConfigError(f"{what} must be one of {'/'.join(field.choices)} (got {value!r})")
+    if kind == "bool" and not isinstance(value, bool):
+        raise ConfigError(f"{what} must be a boolean (got {value!r})")
+    if kind in ("enum", "bool"):
+        return value
+    if kind == "range":
+        if not (isinstance(value, (list, tuple)) and len(value) == 3):
+            raise ConfigError(f"{what} must be a [min, max, count] triple")
+        return [_scalar(item, v, f"{what} {label}")
+                for (label, item), v in zip(_RANGE_ITEMS.items(), value)]
+    if kind == "schedule":
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{what} must be a list of [time, size] pairs")
+        events = []
+        for i, pair in enumerate(value):
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ConfigError(f"{where}: {name}[{i}] must be a [time, size] pair")
+            events.append([_scalar(item, v, f"{where}: {name}[{i}] {label}")
+                           for (label, item), v in zip(_PAIR_ITEMS.items(), pair)])
+        return events
+    if not (isinstance(value, (list, tuple)) and value):
+        raise ConfigError(f"{what} must be a nonempty list of "
+                          + ("numbers" if kind == "numbers" else "integers"))
+    item = _finite if kind == "numbers" else _count
+    return [item(v, f"{where}: {name}[{i}]", field.minimum) for i, v in enumerate(value)]
 
 
-def _counts(mapping: Mapping[str, Any], name: str, context: str, default: list[int]) -> list[int]:
-    """Field ``name`` (``default`` when absent): a nonempty list of integers >= 1."""
-    value = mapping.get(name, default)
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{context}: field '{name}' must be a nonempty list of integers")
-    return [_count(n, f"{context}: {name}[{i}]") for i, n in enumerate(value)]
-
-
-def _exactly_one(mapping: Mapping[str, Any], names: tuple[str, ...], context: str) -> str:
-    present = [n for n in names if n in mapping]
-    if len(present) != 1:
-        raise ConfigError(
-            f"{context}: exactly one of {'/'.join(names)} is required (got {present or 'none'})"
-        )
-    return present[0]
-
-
-def _range_triple(value: Any, what: str) -> list[Any]:
-    if not (isinstance(value, (list, tuple)) and len(value) == 3):
-        raise ConfigError(f"{what} must be a [min, max, count] triple")
-    lo, hi, count = value
-    return [_finite(lo, f"{what} min"), _finite(hi, f"{what} max"), _count(count, f"{what} count")]
-
-
-def _validate_params(document: Mapping[str, Any]) -> ModelParams:
-    if "params" not in document:
-        raise ConfigError("missing required section 'params'")
-    block = _as_mapping(document["params"], "params")
-    _reject_unknown(block, _PARAMS, "params")
-    values = {name: _number(block, name, "params") for name in _PARAMS}
-    return ModelParams(**values)  # ordering/positivity enforced by the type
-
-
-def _validate_exposure(block: dict[str, Any]) -> dict[str, Any]:
-    if "q" not in block:
-        raise ConfigError("exposure: missing required field 'q'")
-    raw = block["q"]
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise ConfigError("exposure: field 'q' must be a nonempty list of release sizes")
-    return {"q": [_finite(q, f"exposure: q[{i}]", minimum=0.0) for i, q in enumerate(raw)]}
-
-
-def _validate_split(block: dict[str, Any]) -> dict[str, Any]:
-    return {
-        "Q": _number(block, "Q", "split", minimum=0.0, strict=True),
-        "n": _integer(block, "n", "split"),
-    }
-
-
-def _validate_overhead(block: dict[str, Any]) -> dict[str, Any]:
-    load = _exactly_one(block, ("r", "Q"), "overhead")
-    cost = _exactly_one(block, ("k", "K"), "overhead")
-    return {
-        load: _number(block, load, "overhead", minimum=0.0, strict=True),
-        cost: _number(block, cost, "overhead", minimum=0.0),
-    }
-
-
-def _validate_peak(block: dict[str, Any]) -> dict[str, Any]:
-    carry = _exactly_one(block, ("lam", "tau"), "peak")
-    out = {
-        "Q": _number(block, "Q", "peak", minimum=0.0),
-        "n": _integer(block, "n", "peak"),
-    }
-    if carry == "lam":
-        lam = _number(block, "lam", "peak", minimum=0.0)
-        if lam >= 1.0:
-            raise ConfigError(f"peak: field 'lam' must lie in [0, 1) (got {lam!r})")
-        out["lam"] = lam
-    else:
-        out["tau"] = _number(block, "tau", "peak", minimum=0.0, strict=True)
+def _check_object(field: _Field, value: Any, where: str) -> dict[str, Any]:
+    """The mapping ``value``, named ``where`` in errors, checked against the object
+    ``field``: each present field checked, each absent one given its default."""
+    block = _as_mapping(value, where)
+    unknown = sorted(set(block) - set(field.fields))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+    for group in field.one_of:
+        present = [name for name in group if name in block]
+        if len(present) != 1:
+            raise ConfigError(
+                f"{where}: exactly one of {'/'.join(group)} is required (got {present or 'none'})"
+            )
+    out: dict[str, Any] = {}
+    for name, sub in field.fields.items():
+        if name in block:
+            out[name] = _check(sub, block[name], where, name)
+        elif sub.required:
+            raise ConfigError(f"{where}: missing required field '{name}'")
+        elif sub.default is not None:
+            out[name] = _check(sub, sub.default, where, name)
     return out
 
 
-def _validate_horizon(block: dict[str, Any]) -> dict[str, Any]:
-    load = _exactly_one(block, ("Q", "r"), "horizon")
-    span = _exactly_one(block, ("T", "h"), "horizon")
-    return {
-        load: _number(block, load, "horizon", minimum=0.0, strict=True),
-        span: _number(block, span, "horizon", minimum=0.0),
-        "n_list": _counts(block, "n_list", "horizon", [2, 3, 4, 6, 10]),
-    }
+def _check_cross_fields(command: str, options: dict[str, Any]) -> None:
+    """The rules no JSON schema states: increasing schedule times (``ImpulseSchedule``),
+    ``T`` at or after the last event, and ``min < max`` in phase ranges (``PhaseGrid``)."""
+    if command == "simulate":
+        from .envelope import ImpulseSchedule  # envelope loads numpy, which no other command needs
 
-
-def _validate_simulate(block: dict[str, Any]) -> dict[str, Any]:
-    # envelope loads numpy, which no other command needs
-    from .envelope import ImpulseSchedule
-
-    if "schedule" not in block:
-        raise ConfigError("simulate: missing required field 'schedule'")
-    raw = block["schedule"]
-    if not isinstance(raw, (list, tuple)):
-        raise ConfigError("simulate: field 'schedule' must be a list of [time, size] pairs")
-    events = []
-    for i, pair in enumerate(raw):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ConfigError(f"simulate: schedule[{i}] must be a [time, size] pair")
-        events.append((_finite(pair[0], f"simulate: schedule[{i}] time"),
-                       _finite(pair[1], f"simulate: schedule[{i}] size")))
-    try:
-        schedule = ImpulseSchedule(tuple(events))
-    except LeakyStageError as exc:
-        raise ConfigError(f"simulate: invalid schedule: {exc}") from exc
-    out = {
-        "schedule": [[t, q] for t, q in schedule.events],
-        "S0": _number(block, "S0", "simulate", minimum=0.0),
-        "T": _number(block, "T", "simulate", minimum=0.0),
-        "step": _number(block, "step", "simulate", minimum=0.0, strict=True),
-    }
-    if schedule.events and out["T"] < schedule.events[-1][0]:
-        raise ConfigError(
-            f"simulate: field 'T' must be >= the last event time {schedule.events[-1][0]!r}"
-        )
-    return out
-
-
-def _validate_phase(block: dict[str, Any]) -> dict[str, Any]:
-    panel = block.get("panel", "all")
-    if panel not in _PANELS:
-        raise ConfigError(f"phase: field 'panel' must be one of a/b/c/all (got {panel!r})")
-    out: dict[str, Any] = {"panel": panel}
-    for name in ("r_range", "h_range", "k_range"):
-        value = block.get(name, _PHASE_DEFAULTS[name])
-        out[name] = _range_triple(value, f"phase: field '{name}'")
-    out["n_curves"] = _counts(block, "n_curves", "phase", _PHASE_DEFAULTS["n_curves"])
-    pc = _as_mapping(block.get("panel_c", _PHASE_DEFAULTS["panel_c"]), "phase.panel_c")
-    _reject_unknown(pc, {"r", "n", "h"}, "phase.panel_c")
-    defaults = _PHASE_DEFAULTS["panel_c"]
-    out["panel_c"] = {
-        "r": _number(pc, "r", "phase.panel_c", required=False, minimum=0.0, strict=True)
-        or defaults["r"],
-        "n": _integer(pc, "n", "phase.panel_c", required=False, minimum=2) or defaults["n"],
-        "h": _number(pc, "h", "phase.panel_c", required=False, minimum=0.0, strict=True)
-        or defaults["h"],
-    }
-    resolve = block.get("resolve_integers", False)
-    if not isinstance(resolve, bool):
-        raise ConfigError(
-            f"phase: field 'resolve_integers' must be a boolean (got {resolve!r})"
-        )
-    out["resolve_integers"] = resolve
-    # grid constraints are enforced by the PhaseGrid type at parse time
-    PhaseGrid(
-        r_range=tuple(out["r_range"]),
-        h_range=tuple(out["h_range"]),
-        k_range=tuple(out["k_range"]),
-        n_curves=tuple(out["n_curves"]),
-    )
-    return out
-
-
-_BLOCK_VALIDATORS = {
-    "exposure": _validate_exposure,
-    "split": _validate_split,
-    "overhead": _validate_overhead,
-    "peak": _validate_peak,
-    "horizon": _validate_horizon,
-    "simulate": _validate_simulate,
-    "phase": _validate_phase,
-}
+        try:
+            events = ImpulseSchedule(tuple(map(tuple, options["schedule"]))).events
+        except LeakyStageError as exc:
+            raise ConfigError(f"simulate: invalid schedule: {exc}") from exc
+        if events and options["T"] < events[-1][0]:
+            raise ConfigError(
+                f"simulate: field 'T' must be >= the last event time {events[-1][0]!r}"
+            )
+    elif command == "phase":
+        PhaseGrid(*(tuple(options[name]) for name in ("r_range", "h_range", "k_range")))
 
 
 def _load_yaml(path: str | Path) -> dict[str, Any]:
@@ -376,15 +313,14 @@ def parse_config(source: Mapping[str, Any] | str | Path, *, command: str | None 
 
     Exactly one command block must be present; every validation error names
     the offending field and the violated constraint.  Unknown keys are hard
-    errors, never silently ignored.
+    errors, never silently ignored.  The cross-field rules run last, so a document
+    that :func:`schema` rejects always fails with :class:`ConfigError`.
     """
     if isinstance(source, (str, Path)):
         document = _load_yaml(source)
     else:
         document = _as_mapping(source, "config document")
 
-    _reject_unknown(document, {"params", "eps_thr", *COMMANDS}, "config document")
-    params = _validate_params(document)
     present = [name for name in COMMANDS if name in document]
     if command is not None:
         if command not in COMMANDS:
@@ -401,17 +337,60 @@ def parse_config(source: Mapping[str, Any] | str | Path, *, command: str | None 
             f"({', '.join(COMMANDS)}); found {present or 'none'}"
         )
     name = present[0]
-    block = _as_mapping(document[name], name)
-    _reject_unknown(block, _FIELDS[name], name)
-    options = _BLOCK_VALIDATORS[name](block)
-    eps_thr = _number(document, "eps_thr", "config document", required=False, minimum=0.0,
-                      strict=True)
-    return RunConfig(
-        params=params,
-        command=name,
-        options=options,
-        eps_thr=EPS_THR if eps_thr is None else eps_thr,
-    )
+    checked = _check_object(_DOCUMENT, document, "config document")
+    params = ModelParams(**checked["params"])  # the type enforces beta < mu < delta
+    _check_cross_fields(name, checked[name])
+    return RunConfig(params=params, command=name, options=checked[name],
+                     eps_thr=checked["eps_thr"])
+
+
+def _schema(field: _Field) -> dict[str, Any]:
+    """The JSON schema of one field."""
+    out: dict[str, Any] = {"description": field.help} if field.help else {}
+    kind = field.kind
+    if kind == "object":
+        out.update(type="object", additionalProperties=False)
+        if any(sub.required for sub in field.fields.values()):
+            out["required"] = [name for name, sub in field.fields.items() if sub.required]
+        groups = [{"oneOf": [{"required": [name]} for name in group]} for group in field.one_of]
+        if len(groups) == 1:
+            out.update(groups[0])
+        elif groups:
+            out["allOf"] = groups
+        out["properties"] = {name: _schema(sub) for name, sub in field.fields.items()}
+    elif kind in ("number", "count"):
+        out["type"] = "integer" if kind == "count" else "number"
+        out["exclusiveMinimum" if field.strict else "minimum"] = field.minimum
+        if field.below is not None:
+            out["exclusiveMaximum"] = field.below
+    elif kind in ("numbers", "counts"):
+        item = _Field(kind[:-1], minimum=field.minimum)  # kind "number" or "count"
+        out.update(type="array", minItems=1, items=_schema(item))
+    elif kind == "range":
+        out.update(type="array", minItems=3, maxItems=3,
+                   prefixItems=[_schema(item) for item in _RANGE_ITEMS.values()])
+    elif kind == "schedule":
+        out.update(type="array", items={"type": "array", "minItems": 2, "maxItems": 2,
+                                        "prefixItems": [_schema(i) for i in _PAIR_ITEMS.values()]})
+    elif kind == "enum":
+        out["enum"] = list(field.choices)
+    else:
+        out["type"] = "boolean"
+    if field.default is not None:
+        out["default"] = field.default
+    return out
+
+
+def schema() -> dict[str, Any]:
+    """The JSON schema (draft 2020-12) of a config document, built from the field table.
+
+    ``config.schema.json`` at the repo root is ``json.dumps(schema(), indent=2)`` plus a
+    newline.  It states all that :func:`parse_config` checks but the cross-field rules:
+    ``beta < mu < delta``, increasing schedule times, ``T`` at or after the last event
+    and ``min < max`` in each range.
+    """
+    return {"$schema": "https://json-schema.org/draft/2020-12/schema",
+            "title": "leakystage run configuration", **_schema(_DOCUMENT)}
 
 
 # ---------------------------------------------------------------------------
@@ -749,6 +728,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _int_list(text: str) -> list[int]:
+    """Parse a ``counts`` flag value: comma-separated integers, empty parts skipped."""
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers (got {text!r})"
+        ) from None
+
+
+#: The argparse keywords of each field kind that has a flag.
+_FLAG_KWARGS: dict[str, dict[str, Any]] = {
+    "number": {"type": float}, "count": {"type": int}, "enum": {},
+    "numbers": {"action": "append", "type": float},
+    "counts": {"type": _int_list, "metavar": "N,N,..."},
+    "bool": {"action": "store_true", "default": None},
+}
+
+
+def _add_field_flags(sub: argparse.ArgumentParser, fields: dict[str, _Field], **extra) -> None:
+    for name, field in fields.items():
+        if field.flag and field.kind in _FLAG_KWARGS:
+            choices = {"choices": field.choices} if field.choices else {}
+            sub.add_argument("--" + name.replace("_", "-"), help=field.help,
+                             **_FLAG_KWARGS[field.kind], **choices, **extra)
+
+
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="YAML config document")
     sub.add_argument("--preset", metavar="NAME",
@@ -756,11 +762,10 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--tol", type=float, metavar="EPS",
-                     help="threshold comparison tolerance (eps_thr)")
+                     help=_DOCUMENT.fields["eps_thr"].help + " (eps_thr)")
     sub.add_argument("--no-meta-time", action="store_true",
                      help="omit the timestamp from metadata (reproducible output)")
-    for name in _PARAMS:
-        sub.add_argument(f"--{name}", type=float, metavar="RATE")
+    _add_field_flags(sub, _PARAMS, metavar="RATE")
 
 
 def _build_parser() -> _Parser:
@@ -769,11 +774,9 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"leakystage {__version__}")
     subs = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    for command, fields in _FIELDS.items():
-        sub = subs.add_parser(command, help=_HELP[command])
-        for name, flag in fields.items():
-            if flag is not None:
-                sub.add_argument("--" + name.replace("_", "-"), **flag)
+    for command, block in _FIELDS.items():
+        sub = subs.add_parser(command, help=block.help)
+        _add_field_flags(sub, block.fields)
         _add_common_flags(sub)
     return parser
 
@@ -792,19 +795,12 @@ def _assemble_document(args: argparse.Namespace) -> dict[str, Any]:
     else:
         document = {}
 
-    params = _as_mapping(document.get("params", {}), "params")
-    for name in _PARAMS:
-        if getattr(args, name) is not None:
-            params[name] = getattr(args, name)
-    if params:
-        document["params"] = params
-
-    block = _as_mapping(document.get(args.command, {}), args.command)
-    for name in _FIELDS[args.command]:
-        if getattr(args, name, None) is not None:
-            block[name] = getattr(args, name)
-    if block or args.command in document:
-        document[args.command] = block
+    for key, fields in (("params", _PARAMS), (args.command, _FIELDS[args.command].fields)):
+        block = _as_mapping(document.get(key, {}), key)
+        block.update((name, getattr(args, name)) for name in fields
+                     if getattr(args, name, None) is not None)
+        if block or key in document:
+            document[key] = block
     if args.tol is not None:
         document["eps_thr"] = args.tol
     return document

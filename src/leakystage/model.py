@@ -23,13 +23,15 @@ EPS_THR = 1e-12
 
 #: Relative slack used when rounding a threshold ratio up to an integer, so
 #: that ratios which are exact integers up to floating error do not get
-#: bumped to the next stage count.
+#: bumped to the next stage count; capped at ``_CEIL_CAP`` (reached at
+#: |x| = 1e9) so that a large ratio is never rounded below its load.
 _CEIL_GUARD = 1e-12
+_CEIL_CAP = 1e-3
 
 
 def guarded_ceil(x: float) -> int:
-    """Ceiling that forgives floating error just above an integer."""
-    return math.ceil(x - _CEIL_GUARD * max(1.0, abs(x)))
+    """Ceiling that forgives floating error just above an integer: ceil(x) - 1 or ceil(x)."""
+    return math.ceil(x - min(_CEIL_GUARD * max(1.0, abs(x)), _CEIL_CAP))
 
 
 def _is_finite(value) -> bool:

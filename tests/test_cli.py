@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakystage import ConfigError, LeakyStageError, derive
-from leakystage.cli import _FIELDS, _PARAMS, COMMANDS, main, parse_config, run, to_csv, to_json
+from leakystage.cli import (
+    _DOCUMENT, _FIELDS, _PARAMS, COMMANDS, main, parse_config, run, schema, to_csv, to_json,
+)
 from leakystage.presets import PRESETS, preset
 
 FIG = {"beta": 0.6, "mu": 1.0, "delta": 1.8, "rho": 0.5}
@@ -80,6 +82,36 @@ class TestParseConfig:
     def test_release_sizes_must_be_a_list(self):
         with pytest.raises(ConfigError, match="nonempty list"):
             parse_config({"params": FIG, "exposure": {"q": 0.5}})
+
+    @pytest.mark.parametrize("command, block, path", [
+        ("split", {"Q": 1.0, "n": 2.0}, ["n"]),
+        ("horizon", {"r": 2.0, "h": 1.0, "n_list": [2.0, 3]}, ["n_list", 0]),
+        ("phase", {"panel": "b", "r_range": [1.0, 3.0, 2.0]}, ["r_range", 2]),
+        ("phase", {"panel": "c", "panel_c": {"n": 2.0}}, ["panel_c", "n"]),
+    ])
+    def test_integral_float_counts_are_integers(self, command, block, path):
+        # JSON Schema's "integer" accepts 2.0, so the contract does too
+        value = parse_config({"params": FIG, command: block}).options
+        for key in path:
+            value = value[key]
+        assert value == 2 and type(value) is int  # the config echo prints 2
+
+    @pytest.mark.parametrize("n", [True, 2.5, "2", math.nan, math.inf])
+    def test_counts_must_be_integers(self, n):
+        with pytest.raises(ConfigError, match="split: field 'n' must be an integer"):
+            parse_config({"params": FIG, "split": {"Q": 1.0, "n": n}})
+
+    def test_range_ends_name_the_field(self):
+        with pytest.raises(ConfigError, match=r"phase: field 'r_range' min must be >= 0\.0"):
+            parse_config({"params": FIG, "phase": {"r_range": [-1.0, 2.0, 5]}})
+        with pytest.raises(LeakyStageError, match="r_range must satisfy 0 <= min < max"):
+            parse_config({"params": FIG, "phase": {"r_range": [3, 2, 5]}})
+
+    def test_field_errors_come_before_the_rate_ordering(self):
+        # a schema-invalid block fails as ConfigError even with misordered rates
+        document = {"params": dict(FIG, beta=1.2), "split": {"Q": 1.0, "n": 0}}
+        with pytest.raises(ConfigError, match="split: field 'n' must be >= 1"):
+            parse_config(document)
 
     def test_figure_preset_resolves(self):
         config = parse_config(PRESETS["fig-envelope"], command="simulate")
@@ -390,20 +422,79 @@ class TestMain:
         assert a.read_bytes() == b.read_bytes()
 
 
+#: The messages of the cross-field rules, the only errors a schema-valid
+#: document may raise.
+CROSS_FIELD_RULES = (
+    "shock-sensitive ordering violated",  # beta < mu < delta
+    "event times must be strictly increasing",
+    "must be >= the last event time",
+    "must satisfy 0 <= min < max",  # phase ranges
+)
+
+
 def _documents() -> st.SearchStrategy:
-    """Documents whose block holds any subset of its command's fields and of
-    one unknown key, each with a value of its kind: integers for counts,
-    finite floats of either sign for the rest."""
-    number = st.floats(allow_nan=False, allow_infinity=False)
-    count = st.integers(-2, 40)
-    kinds = {"n": count, "n_list": st.lists(count, max_size=4)}
+    """Documents over the whole contract, valid and invalid.
+
+    Every command block holds its required fields most of the time and each
+    other field (and an unknown key) some of the time; ``params`` is the
+    figure rate set or a block of the same kind, and ``eps_thr``, an unknown
+    top-level key or a second command block appear now and then.  Values are
+    drawn by field kind, with the bounds on both sides (zero, one, negatives,
+    integral floats such as ``2.0``), schedules with unsorted times, short or
+    long pairs, range triples of any length and order, ``panel_c`` subfields,
+    and values of the wrong kind: bools, strings, None, lists and mappings.
+    Non-finite floats and integers beyond the float range are not JSON, so
+    they are not drawn.
+    """
+
+    def weighted(common, rare, odds):  # common odds times in odds + 1
+        return st.sampled_from([True] * odds + [False]).flatmap(
+            lambda pick: common if pick else rare)
+
+    nothing = st.just({})
+    wrong = st.sampled_from([True, False, None, "a", "2", [], {}, [1.0]])
+    number = weighted(st.floats(1e-3, 20.0), st.sampled_from(
+        [0, 0.0, 1, 1.0, 2.0, 2.5, -1, -0.5]) | st.floats(allow_nan=False, allow_infinity=False), 3)
+    count = weighted(st.integers(1, 12), st.integers(-1, 12).map(float)
+                     | st.sampled_from([0, -1, 0.0, 2.5]), 3)
+    pair = weighted(st.tuples(number, number).map(list), st.lists(number, max_size=3), 3)
+    kinds = {
+        "number": number,
+        "count": count,
+        "numbers": st.lists(number, max_size=4),
+        "counts": st.lists(count, max_size=4),
+        "range": weighted(st.tuples(number, number, count).map(list),
+                          st.lists(number | count, max_size=4), 3),
+        "schedule": weighted(st.lists(pair, max_size=4).map(sorted),
+                             st.lists(pair, max_size=4), 1),
+        "enum": st.sampled_from(["a", "b", "c", "all", "d", "A"]),
+        "bool": st.booleans(),
+    }
+
+    def value(field) -> st.SearchStrategy:
+        return weighted(block(field) if field.kind == "object" else kinds[field.kind], wrong, 7)
+
+    def entry(name, strategy, odds):  # {name: value} odds times in odds + 1, else {}
+        return weighted(strategy.map(lambda v: {name: v}), nothing, odds)
+
+    def merged(*parts):
+        return st.tuples(*parts).map(lambda ds: {k: v for d in ds for k, v in d.items()})
+
+    def block(field) -> st.SearchStrategy:
+        return merged(*[entry(name, value(sub), 7 if sub.required else 1)
+                        for name, sub in field.fields.items()],
+                      weighted(nothing, number.map(lambda v: {"bogus": v}), 7))
 
     def document(command: str) -> st.SearchStrategy:
-        fields = {name: kinds.get(name, number) for name in _FIELDS[command]}
-        block = st.fixed_dictionaries({}, optional={**fields, "bogus": number})
-        return block.map(lambda block: {"params": FIG, command: block})
+        other = st.sampled_from([c for c in COMMANDS if c != command])
+        return merged(
+            entry("params", weighted(st.just(FIG), value(_DOCUMENT.fields["params"]), 2), 15),
+            entry(command, value(_FIELDS[command]), 15),
+            entry("eps_thr", value(_DOCUMENT.fields["eps_thr"]), 1),
+            weighted(nothing, number.map(lambda v: {"bogus": v}) | other.map(lambda c: {c: {}}), 7),
+        )
 
-    return st.sampled_from(["overhead", "horizon", "peak", "split"]).flatmap(document)
+    return st.one_of(*map(document, COMMANDS))
 
 
 def _accepted_documents() -> st.SearchStrategy:
@@ -435,7 +526,7 @@ def _accepted_documents() -> st.SearchStrategy:
 class TestSchemaContract:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_table_fields_are_the_schema_fields(self, command):
-        assert list(_FIELDS[command]) == list(SCHEMA["properties"][command]["properties"])
+        assert list(_FIELDS[command].fields) == list(SCHEMA["properties"][command]["properties"])
 
     def test_commands_and_params_are_the_schema_ones(self):
         assert [entry["required"] for entry in SCHEMA["oneOf"]] == [[c] for c in COMMANDS]
@@ -448,10 +539,13 @@ class TestSchemaContract:
         valid = jsonschema.Draft202012Validator(SCHEMA).is_valid(document)
         try:
             parse_config(document)
-            accepted = True
-        except ConfigError:
-            accepted = False
-        assert valid == accepted
+            error = None
+        except LeakyStageError as exc:
+            error = exc
+        if valid:
+            assert error is None or any(rule in str(error) for rule in CROSS_FIELD_RULES), error
+        else:
+            assert isinstance(error, ConfigError), document
 
     @settings(max_examples=400, deadline=None)
     @given(_accepted_documents())
@@ -464,19 +558,15 @@ class TestSchemaContract:
 
     def test_presets_validate_against_schema(self):
         jsonschema = pytest.importorskip("jsonschema")
-        from pathlib import Path
-
-        schema_path = Path(__file__).resolve().parents[1] / "config.schema.json"
-        schema = json.loads(schema_path.read_text(encoding="utf-8"))
         for name, document in PRESETS.items():
-            jsonschema.validate(document, schema)
+            jsonschema.validate(document, SCHEMA)
 
     def test_schema_rejects_unknown_keys(self):
         jsonschema = pytest.importorskip("jsonschema")
-        from pathlib import Path
-
-        schema_path = Path(__file__).resolve().parents[1] / "config.schema.json"
-        schema = json.loads(schema_path.read_text(encoding="utf-8"))
         bad = {"params": FIG, "split": {"Q": 1.0, "n": 2}, "bogus": True}
         with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate(bad, schema)
+            jsonschema.validate(bad, SCHEMA)
+
+    def test_committed_schema_is_the_generated_one(self):
+        text = (ROOT / "config.schema.json").read_text(encoding="utf-8")
+        assert text == json.dumps(schema(), indent=2) + "\n"

@@ -2,12 +2,15 @@
 
 scipy serves only the quadrature oracles in ``util`` and PyYAML only
 ``--config`` files, so importing the package and running a preset must load
-neither.  numpy is loaded only by ``simulate`` (through ``envelope``),
-``exposure_batch`` and ``unequal_spacing_capacity``; the package serves the
-``envelope`` names lazily, so every other command runs without it.  Each
-check runs in a fresh interpreter, since this test process has imported all
-three already.
+neither; jsonschema serves only the tests (``cli.schema()`` builds its dict
+without it), so neither loads anything beyond the standard-library modules
+the package imports itself.  numpy is loaded only by ``simulate`` (through
+``envelope``), ``exposure_batch`` and ``unequal_spacing_capacity``; the
+package serves the ``envelope`` names lazily, so every other command runs
+without it.  Each check runs in a fresh interpreter, since this test process
+has imported all three already.
 """
+import json
 import os
 import subprocess
 import sys
@@ -51,6 +54,30 @@ def test_import_loads_neither_scipy_nor_yaml():
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "[]"
+
+
+#: The standard-library modules the package imports itself (``locale`` comes
+#: with argparse's message lookup during a run).  Importing the package and
+#: running a scalar preset may load these and whatever they load, and nothing else.
+STDLIB_IMPORTS = ("__future__", "argparse", "copy", "dataclasses", "datetime", "enum",
+                  "functools", "json", "locale", "math", "os", "pathlib", "sys", "typing")
+
+
+def test_import_and_preset_run_load_nothing_else():
+    child = run_child(
+        f"import {', '.join(STDLIB_IMPORTS)}\n"
+        "baseline = set(sys.modules)\n"
+        "def extra():\n"
+        "    return sorted(name for name in set(sys.modules) - baseline\n"
+        "                  if name.partition('.')[0] != 'leakystage')\n"
+        "import leakystage, leakystage.cli\n"
+        "after_import = extra()\n"
+        "code = leakystage.cli.main(['peak', '--preset', 'peak-c', '--no-meta-time',"
+        " '--out', os.devnull])\n"
+        "print(json.dumps([code, after_import, extra()]))\n"
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == [0, [], []]
 
 
 def test_preset_runs_with_scipy_and_yaml_blocked():

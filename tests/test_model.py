@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from leakystage import (
     DerivedConstants,
@@ -10,6 +14,7 @@ from leakystage import (
     growth_pressure,
     normalized_factor,
 )
+from leakystage.model import guarded_ceil
 from util import random_params
 
 
@@ -153,3 +158,45 @@ class TestDimensionlessPoint:
             DimensionlessPoint(r=0, h=value, k=0)
         with pytest.raises(ParameterError, match="r must be finite"):
             DimensionlessPoint(r=value, h=0, k=0)
+
+
+def _uncapped_ceil(x: float) -> int:
+    """``guarded_ceil`` before its guard was capped: the guard grew as 1e-12 |x|."""
+    return math.ceil(x - 1e-12 * max(1.0, abs(x)))
+
+
+#: Finite doubles of every magnitude, and integers up to 1e18 plus a fraction,
+#: with fractions near the 1e-3 cap and near the 1e-12 relative guard.
+_CEIL_INPUTS = st.floats(-1e300, 1e300) | st.builds(
+    lambda n, f: n + f,
+    st.integers(-10**18, 10**18),
+    st.floats(0.0, 1.0) | st.sampled_from([1e-3, 1.001e-3, 1e-12, 1e-9, 0.5]),
+)
+
+
+class TestGuardedCeil:
+    @given(_CEIL_INPUTS)
+    def test_within_one_below_the_ceiling(self, x):
+        assert guarded_ceil(x) in (math.ceil(x) - 1, math.ceil(x))
+
+    @given(_CEIL_INPUTS)
+    def test_ceiling_when_clear_of_the_integer_below(self, x):
+        # x - guard rounds to the nearest double, so a fraction within half
+        # an ulp of the 1e-3 cap can still round onto the integer below
+        if x - math.floor(x) > 1e-3 + math.ulp(x):
+            assert guarded_ceil(x) == math.ceil(x)
+
+    @given(st.floats(-1e9, 1e9) | st.builds(lambda n, f: n + f, st.integers(-10**9, 10**9),
+                                             st.floats(0.0, 1.0)))
+    def test_unchanged_up_to_1e9(self, x):
+        if abs(x) <= 1e9:
+            assert guarded_ceil(x) == _uncapped_ceil(x)
+
+    @pytest.mark.parametrize("x, expected", [
+        (1e13 + 0.5, 10**13 + 1),  # the uncapped guard gave 9999999999991
+        (1e15 + 0.5, 10**15 + 1),  # and 999999999999001
+        (3.0 + 1e-13, 3),          # float error above an integer is still forgiven
+        (1e9 + 0.25, 10**9 + 1),
+    ])
+    def test_large_ratios_keep_their_ceiling(self, x, expected):
+        assert guarded_ceil(x) == expected
