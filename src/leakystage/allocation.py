@@ -17,11 +17,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import LeakyStageError
-from .exposure import exposure_bracket
+from .exposure import _onset, exposure_bracket
 from .model import EPS_THR, ModelParams, derive, guarded_ceil
 
 #: Candidate costs within this relative distance of the minimum are ties.
 _TIE_REL = 1e-12
+
+#: From here on every float is an integer and the spacing of floats is at least 2.
+_EXACT_INTEGERS = 2.0**53
 
 
 def excess_exposure(r: float, n: int) -> float:
@@ -198,6 +201,11 @@ def k_safe(r: float) -> float:
     n_safe = _safe_count(r)
     if n_safe <= 1:
         return math.inf
+    if r >= _EXACT_INTEGERS:
+        # r is an integer here and r / (r - 1) rounds to 1, so write the excess
+        # m (x - log1p x) of m = r - 1 through x = 1/m: it is x * onset(x), about 1/(2r).
+        x = 1.0 / (int(r) - 1)
+        return x * _onset(x)
     return excess_exposure(r, n_safe - 1)
 
 

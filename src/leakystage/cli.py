@@ -27,12 +27,14 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Mapping
 
 from . import __version__
 from .allocation import SplitProblem, excess_exposure, k_safe, optimal_split, overhead_optimal_count
 from .errors import ConfigError, LeakyStageError
+from .exposure import exposure_table
 from .model import EPS_THR, DimensionlessPoint, ModelParams, derive, growth_pressure, guarded_ceil
 from .phase import PanelC, PhaseGrid, build_phase_tables
 from .presets import PRESETS, preset
@@ -420,17 +422,7 @@ def _dimensionless(config: RunConfig) -> dict[str, float | None]:
 
 
 def _run_exposure(config: RunConfig) -> tuple[dict, list[str], int]:
-    from .exposure import exposure_closed_form, exposure_derivative
-
-    rows = []
-    for q in config.options["q"]:
-        value = exposure_closed_form(q, config.params, eps_thr=config.eps_thr)
-        rows.append([
-            q,
-            value.value,
-            exposure_derivative(q, config.params, eps_thr=config.eps_thr),
-            value.active_duration,
-        ])
+    rows = exposure_table(config.options["q"], config.params, eps_thr=config.eps_thr)
     return {"columns": ["q", "exposure", "derivative", "active_duration"], "rows": rows}, [], 0
 
 
@@ -654,6 +646,7 @@ def run(config: RunConfig, *, meta_time: bool = True) -> OutputEnvelope:
 
 
 def _format_cell(value: Any) -> str:
+    """CSV text of a metadata value, or of a cell whose type ``_CSV_SLOTS`` lacks."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -666,6 +659,7 @@ def _format_cell(value: Any) -> str:
 
 
 def _json_safe(value: Any) -> Any:
+    """``value`` with each non-finite float replaced by ``"inf"``, ``"-inf"`` or ``"nan"``."""
     if isinstance(value, float) and not math.isfinite(value):
         return "inf" if value > 0 else ("-inf" if value < 0 else "nan")
     if isinstance(value, dict):
@@ -673,6 +667,33 @@ def _json_safe(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
     return value
+
+
+#: The %-conversion that writes a CSV cell of each type as ``_format_cell`` does;
+#: ``%.0s`` consumes a None and writes nothing.  Cells of other types, bools
+#: included, are converted by ``_format_cell`` first and written by ``%s``.
+_CSV_SLOTS = {float: "%.17g", int: "%d", str: "%s", type(None): "%.0s"}
+
+
+def _csv_lines(rows: list) -> list[str]:
+    """The CSV line of each row, through one %-template per row type signature."""
+    templates: dict[tuple[type, ...], tuple[str, tuple[int, ...]]] = {}
+    lines = []
+    for row in rows:
+        signature = tuple(map(type, row))
+        template = templates.get(signature)
+        if template is None:
+            template = templates[signature] = (
+                ",".join(_CSV_SLOTS.get(kind, "%s") for kind in signature),
+                tuple(i for i, kind in enumerate(signature) if kind not in _CSV_SLOTS),
+            )
+        text, converted = template
+        if converted:
+            row = list(row)
+            for i in converted:
+                row[i] = _format_cell(row[i])
+        lines.append(text % tuple(row))
+    return lines
 
 
 def to_csv(envelope: OutputEnvelope) -> str:
@@ -700,19 +721,75 @@ def to_csv(envelope: OutputEnvelope) -> str:
     for warning in envelope.warnings:
         lines.append(f"# warning={warning}")
     lines.append(",".join(envelope.payload["columns"]))
-    for row in envelope.payload["rows"]:
-        lines.append(",".join(_format_cell(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+    lines.extend(_csv_lines(envelope.payload["rows"]))
+    lines.append("")  # the final newline, without copying the text to add it
+    return "\n".join(lines)
+
+
+#: JSON text of a scalar of each type as ``json.dumps`` writes it, except that a
+#: non-finite float comes out bare (``inf``) and ``_NON_FINITE`` quotes it.
+_JSON_SCALARS = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii,
+                 bool: ("false", "true").__getitem__, type(None): {None: "null"}.__getitem__}
+_NON_FINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
+
+
+def _json_write(value: Any, pad: str, out: list[str]) -> None:
+    """Append to ``out`` the text ``json.dumps(_json_safe(value), indent=2, allow_nan=False)``
+    gives ``value`` written ``len(pad)`` spaces deep, without the encoder's per-value
+    dispatch.  A list of scalars is one piece; the caller joins the pieces once, so the
+    document is copied once, not once per nesting level."""
+    kind = type(value)
+    if kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        try:
+            items = [_JSON_SCALARS[type(v)](v) for v in value]
+        except KeyError:  # it holds a container or a type the table lacks
+            separator = "[\n" + inner
+            for v in value:
+                out.append(separator)
+                _json_write(v, inner, out)
+                separator = ",\n" + inner
+            out.append("\n" + pad + "]")
+        else:  # a list of scalars, in one pass
+            if "inf" in items or "-inf" in items or "nan" in items:
+                items = [_NON_FINITE.get(item, item) for item in items]
+            out.append("[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]")
+    elif kind is dict and all(type(key) is str for key in value):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        separator = "{\n" + inner
+        for key, v in value.items():
+            out.append(separator + encode_basestring_ascii(key) + ": ")
+            _json_write(v, inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif kind in _JSON_SCALARS:
+        text = _JSON_SCALARS[kind](value)
+        out.append(_NON_FINITE.get(text, text))
+    else:
+        # any other type (a numpy scalar, a dict subclass, non-string keys): the
+        # encoder itself, its lines re-indented to this depth
+        out.append(json.dumps(_json_safe(value), indent=2, allow_nan=False)
+                   .replace("\n", "\n" + pad))
 
 
 def to_json(envelope: OutputEnvelope) -> str:
-    """Render the envelope as a JSON document."""
+    """Render the envelope as a JSON document: ``json.dumps(..., indent=2)`` bytes,
+    with non-finite floats as the strings ``"inf"``, ``"-inf"`` and ``"nan"``."""
     document = {
-        "metadata": _json_safe(envelope.metadata),
-        "payload": _json_safe(envelope.payload),
+        "metadata": envelope.metadata,
+        "payload": envelope.payload,
         "warnings": list(envelope.warnings),
     }
-    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+    out: list[str] = []
+    _json_write(document, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

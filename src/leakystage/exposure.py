@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import LeakyStageError
-from .model import EPS_THR, ModelParams, derive
+from .model import EPS_THR, DerivedConstants, ModelParams, derive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,10 +49,15 @@ class ExposureValue:
     active_duration: float
 
     def __post_init__(self) -> None:
-        if self.value < 0.0 or self.active_duration < 0.0:
-            raise LeakyStageError("exposure and active duration must be nonnegative")
-        if (self.value == 0.0) != (self.active_duration == 0.0):
-            raise LeakyStageError("exposure is zero exactly when the active duration is zero")
+        _check_exposure(self.value, self.active_duration)
+
+
+def _check_exposure(value: float, active_duration: float) -> None:
+    """The invariants of :class:`ExposureValue`; :func:`exposure_table` checks each row."""
+    if value < 0.0 or active_duration < 0.0:
+        raise LeakyStageError("exposure and active duration must be nonnegative")
+    if (value == 0.0) != (active_duration == 0.0):
+        raise LeakyStageError("exposure is zero exactly when the active duration is zero")
 
 
 def _log_ratio(q: float, delta_c: float) -> float:
@@ -85,6 +90,23 @@ def exposure_bracket(q: float, delta_c: float) -> float:
     return q - delta_c - delta_c * (math.log(q) - math.log(delta_c))
 
 
+def _release(
+    q: float, d: DerivedConstants, rho: float, eps_thr: float
+) -> tuple[float, float, float]:
+    """Exposure value, derivative and active duration of one release of size ``q``.
+
+    The one kernel behind :func:`exposure_closed_form`, :func:`exposure_derivative`
+    and :func:`exposure_table`, so all three give the same bits.
+    """
+    if q < 0.0:
+        raise LeakyStageError(f"release size must be >= 0 (got {q!r})")
+    if q <= d.delta_c + eps_thr:
+        return 0.0, 0.0, 0.0
+    scale = d.alpha / rho
+    return (scale * exposure_bracket(q, d.delta_c), scale * (1.0 - d.delta_c / q),
+            _log_ratio(q, d.delta_c) / rho)
+
+
 def exposure_closed_form(
     q: float, params: ModelParams, *, eps_thr: float = EPS_THR
 ) -> ExposureValue:
@@ -94,13 +116,24 @@ def exposure_closed_form(
     threshold the value is ``(delta-beta)/rho * (q - delta_c - delta_c *
     log(q/delta_c))`` and the active duration is ``log(q/delta_c)/rho``.
     """
-    if q < 0.0:
-        raise LeakyStageError(f"release size must be >= 0 (got {q!r})")
-    d = derive(params)
-    if q <= d.delta_c + eps_thr:
-        return ExposureValue(value=0.0, active_duration=0.0)
-    value = (d.alpha / params.rho) * exposure_bracket(q, d.delta_c)
-    return ExposureValue(value=value, active_duration=_log_ratio(q, d.delta_c) / params.rho)
+    value, _, active_duration = _release(q, derive(params), params.rho, eps_thr)
+    return ExposureValue(value=value, active_duration=active_duration)
+
+
+def exposure_table(sizes, params: ModelParams, *, eps_thr: float = EPS_THR) -> list[list[float]]:
+    """Rows ``[q, value, derivative, active_duration]``, one per release size ``q``.
+
+    Each row holds the bits of :func:`exposure_closed_form` and
+    :func:`exposure_derivative` and is checked against the invariants of
+    :class:`ExposureValue`; the constants are derived once for the whole table.
+    """
+    d, rho = derive(params), params.rho
+    rows = []
+    for q in sizes:
+        value, derivative, active_duration = _release(q, d, rho, eps_thr)
+        _check_exposure(value, active_duration)
+        rows.append([q, value, derivative, active_duration])
+    return rows
 
 
 def exposure_batch(
@@ -138,12 +171,7 @@ def exposure_derivative(
     it; continuous at the threshold with value 0 and increasing towards
     ``(delta-beta)/rho`` for large releases.
     """
-    if q < 0.0:
-        raise LeakyStageError(f"release size must be >= 0 (got {q!r})")
-    d = derive(params)
-    if q <= d.delta_c + eps_thr:
-        return 0.0
-    return (d.alpha / params.rho) * (1.0 - d.delta_c / q)
+    return _release(q, derive(params), params.rho, eps_thr)[1]
 
 
 def exposure_near_threshold(epsilon: float, params: ModelParams) -> float:

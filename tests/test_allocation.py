@@ -278,6 +278,16 @@ class TestKSafe:
     def test_large_load_is_last_stage_exposure(self):
         assert k_safe(1e9 + 0.5) == excess_exposure(1e9 + 0.5, 10**9)
 
+    @pytest.mark.parametrize("r", [2.0**53, 1e16, 1e30, 1e300])
+    def test_integer_loads_match_mpmath(self, r):
+        # from 2**53 on, r / (r - 1) rounds to 1; the excess r - m - m log(r/m) of
+        # m = r - 1 is about 1/(2r) and must not collapse to 0
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(700):  # the log term cancels about 600 digits at 1e300
+            m = mpmath.mpf(int(r) - 1)
+            expected = float(1 - m * mpmath.log1p(1 / m))
+        assert k_safe(r) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
     def test_frontier_splits_regimes(self):
         rng = np.random.default_rng(53)
         for _ in range(300):

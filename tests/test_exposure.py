@@ -14,6 +14,7 @@ from leakystage import (
     exposure_derivative,
     exposure_near_threshold,
 )
+from leakystage.cli import parse_config, run
 from util import exposure_quadrature, exposure_spectral_form, random_params
 
 #: Rate sets in the shock-sensitive regime, drawn like ``util.random_params``.
@@ -243,3 +244,25 @@ class TestSpectralForm:
             closed = exposure_closed_form(q, p).value
             spectral = exposure_spectral_form(q, p, tol=1e-12)
             assert abs(spectral - closed) <= 1e-9 * max(1.0, closed)
+
+
+class TestCliTable:
+    """``exposure`` CLI rows carry the bits of the scalar functions, edges included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(params=rate_sets, eps_thr=st.sampled_from([1e-12, 1e-9, 1e-6, 5e-324]),
+           overshoots=st.lists(st.floats(-1.0, 4.0), max_size=6))
+    def test_rows_are_the_scalar_bits(self, params, eps_thr, overshoots):
+        edge = derive(params).delta_c + eps_thr
+        sizes = [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf), 0.0,
+                 *(max(0.0, edge * (1.0 + x)) for x in overshoots)]
+        rates = {name: getattr(params, name) for name in ("beta", "mu", "delta", "rho")}
+        document = {"params": rates, "exposure": {"q": sizes}, "eps_thr": eps_thr}
+        rows = run(parse_config(document), meta_time=False).payload["rows"]
+        assert [row[0] for row in rows] == sizes
+        for q, value, derivative, duration in rows:
+            expected = exposure_closed_form(q, params, eps_thr=eps_thr)
+            assert value.hex() == expected.value.hex()
+            assert duration.hex() == expected.active_duration.hex()
+            assert derivative.hex() == exposure_derivative(q, params, eps_thr=eps_thr).hex()
+            assert (value == 0.0) == (duration == 0.0) == (q <= edge)

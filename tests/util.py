@@ -4,11 +4,13 @@ The oracles here are deliberately independent of the closed forms they check:
 adaptive quadrature of the single-release exposure (two routes), grid/simplex
 searches for the allocation optimum, a one-dimensional Bellman grid recursion
 for the minimax peak value, plain enumeration for the overhead trade-off
-and its frontier ``k_safe``, numpy's ``linspace`` for the phase grids, and the
-plain per-step loops of the envelope integrator and path exposure.
+and its frontier ``k_safe``, numpy's ``linspace`` for the phase grids, the
+plain per-step loops of the envelope integrator and path exposure, and the
+per-cell CSV and ``json.dumps`` emit path for the CLI's output bytes.
 """
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -368,3 +370,65 @@ def path_exposure_loop(
             else:
                 total += 0.5 * gj * (t[i + 1] - t_cross)
     return total
+
+
+# ---------------------------------------------------------------------------
+# emit oracles
+#
+# The emitters ``cli.to_csv`` and ``cli.to_json`` replace: one ``isinstance``
+# chain per CSV cell, and ``json.dumps`` with ``indent=2`` (CPython's
+# pure-Python encoder) after ``_json_safe`` has copied the whole envelope.  The
+# production emitters must give the same bytes.
+
+
+def _format_cell_oracle(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _json_safe_oracle(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return "inf" if value > 0 else ("-inf" if value < 0 else "nan")
+    if isinstance(value, dict):
+        return {k: _json_safe_oracle(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe_oracle(v) for v in value]
+    return value
+
+
+def to_csv_oracle(envelope) -> str:
+    """The CSV bytes ``cli.to_csv`` must write."""
+    lines = []
+    meta = envelope.metadata
+    lines.append(f"# tool={meta['tool']} version={meta['version']} command={meta['command']}")
+    lines.append("# delta_c={} alpha={} gamma={}".format(
+        *(_format_cell_oracle(meta[name]) for name in ("delta_c", "alpha", "gamma"))))
+    dim = meta["dimensionless"]
+    lines.append("# r={} h={} k={}".format(*(_format_cell_oracle(dim[name]) for name in "rhk")))
+    lines.append("# config=" + json.dumps(_json_safe_oracle(meta["config"]), sort_keys=True,
+                                          separators=(",", ":")))
+    if "generated" in meta:
+        lines.append(f"# generated={meta['generated']}")
+    for warning in envelope.warnings:
+        lines.append(f"# warning={warning}")
+    lines.append(",".join(envelope.payload["columns"]))
+    for row in envelope.payload["rows"]:
+        lines.append(",".join(_format_cell_oracle(cell) for cell in row))
+    return "\n".join(lines) + "\n"
+
+
+def to_json_oracle(envelope) -> str:
+    """The JSON bytes ``cli.to_json`` must write."""
+    document = {
+        "metadata": _json_safe_oracle(envelope.metadata),
+        "payload": _json_safe_oracle(envelope.payload),
+        "warnings": list(envelope.warnings),
+    }
+    return json.dumps(document, indent=2, allow_nan=False) + "\n"
