@@ -12,13 +12,11 @@ is the load and ``k`` the overhead in one-shock exposure units.
 """
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 
 from .errors import LeakyStageError
 from .exposure import _onset, exposure_bracket
-from .model import EPS_THR, ModelParams, derive, guarded_ceil
+from .model import EPS_THR, FrozenRecord, ModelParams, derive, guarded_ceil
 
 #: Candidate costs within this relative distance of the minimum are ties.
 _TIE_REL = 1e-12
@@ -42,8 +40,7 @@ def excess_exposure(r: float, n: int) -> float:
     return r - n - n * (math.log(r) - math.log(n))
 
 
-@dataclass(frozen=True)
-class SplitProblem:
+class SplitProblem(FrozenRecord):
     """A fixed load ``Q`` to be split into exactly ``n`` separated releases."""
 
     Q: float
@@ -57,8 +54,7 @@ class SplitProblem:
             raise LeakyStageError(f"release count n must be an integer >= 1 (got {self.n!r})")
 
 
-@dataclass(frozen=True)
-class AllocationResult:
+class AllocationResult(FrozenRecord):
     """An optimal split: release sizes, total exposure, and flags.
 
     ``is_safe`` holds exactly when the total exposure is zero;
@@ -72,8 +68,7 @@ class AllocationResult:
     unique_minimizer: bool
 
 
-@dataclass(frozen=True)
-class OverheadResult:
+class OverheadResult(FrozenRecord):
     """Outcome of the overhead/exposure stage-count minimisation.
 
     ``ties`` lists every cost-optimal count (smallest first); ``n_star`` is
@@ -171,7 +166,14 @@ def overhead_optimal_count(r: float, k: float) -> OverheadResult:
     """
     n_safe = _safe_count(r)
     relaxed = continuous_relaxed_count(r, k)
-    cost = functools.cache(lambda n: n * k + excess_exposure(r, n))
+    costs: dict[int, float] = {}
+
+    def cost(n: int) -> float:
+        value = costs.get(n)
+        if value is None:
+            value = costs[n] = n * k + excess_exposure(r, n)
+        return value
+
     lo = hi = min((min(max(1, f(relaxed)), n_safe) for f in (math.floor, math.ceil)), key=cost)
     bound = cost(lo) + _TIE_REL * max(1.0, cost(lo))
     while lo > 1 and cost(lo - 1) <= bound:

@@ -21,12 +21,10 @@ Exit codes: 0 on success, 2 when the computed verdict is an infeasibility
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Mapping
@@ -35,7 +33,15 @@ from . import __version__
 from .allocation import SplitProblem, excess_exposure, k_safe, optimal_split, overhead_optimal_count
 from .errors import ConfigError, LeakyStageError
 from .exposure import exposure_table
-from .model import EPS_THR, DimensionlessPoint, ModelParams, derive, growth_pressure, guarded_ceil
+from .model import (
+    EPS_THR,
+    DimensionlessPoint,
+    FrozenRecord,
+    ModelParams,
+    derive,
+    growth_pressure,
+    guarded_ceil,
+)
 from .phase import PanelC, PhaseGrid, build_phase_tables
 from .presets import PRESETS, preset
 from .recovery import (
@@ -48,8 +54,7 @@ from .recovery import (
 )
 
 
-@dataclass(frozen=True)
-class _Field:
+class _Field(FrozenRecord):
     """One config field.  ``kind`` is ``number``, ``count`` (an integer), ``numbers`` or
     ``counts`` (nonempty lists), ``range`` (``[min, max, count]``), ``schedule`` (a list
     of ``[time, size]`` pairs), ``enum`` (one of ``choices``), ``bool``, or ``object`` (a
@@ -142,8 +147,7 @@ _DOCUMENT = _Field(
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(FrozenRecord):
     """A fully validated run: model parameters plus one command block."""
 
     params: ModelParams
@@ -160,8 +164,7 @@ class RunConfig:
         }
 
 
-@dataclass(frozen=True)
-class OutputEnvelope:
+class OutputEnvelope(FrozenRecord):
     """Metadata, payload table, and warnings of one run."""
 
     metadata: dict[str, Any]
@@ -239,18 +242,33 @@ def _check(field: _Field, value: Any, where: str, name: str) -> Any:
     if kind == "schedule":
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{what} must be a list of [time, size] pairs")
-        events = []
-        for i, pair in enumerate(value):
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-                raise ConfigError(f"{where}: {name}[{i}] must be a [time, size] pair")
-            events.append([_scalar(item, v, f"{where}: {name}[{i}] {label}")
-                           for (label, item), v in zip(_PAIR_ITEMS.items(), pair)])
-        return events
+        return _each(_pair, value, f"{where}: {name}")
     if not (isinstance(value, (list, tuple)) and value):
         raise ConfigError(f"{what} must be a nonempty list of "
                           + ("numbers" if kind == "numbers" else "integers"))
-    item = _finite if kind == "numbers" else _count
-    return [item(v, f"{where}: {name}[{i}]", field.minimum) for i, v in enumerate(value)]
+    return _each(_finite if kind == "numbers" else _count, value, f"{where}: {name}",
+                 field.minimum)
+
+
+def _pair(pair: Any, what: str) -> list[float]:
+    """A ``[time, size]`` schedule event, named ``what`` in errors."""
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+        raise ConfigError(f"{what} must be a [time, size] pair")
+    return [_scalar(item, v, f"{what} {label}")
+            for (label, item), v in zip(_PAIR_ITEMS.items(), pair)]
+
+
+def _each(check, items: list | tuple, what: str, *args) -> list:
+    """``check(item, what[i], *args)`` of each item.  Items are checked unlabelled, and
+    the label ``what[i]`` is formatted only to check a failing item again and name it."""
+    checked = []
+    for i, item in enumerate(items):
+        try:
+            checked.append(check(item, "", *args))
+        except ConfigError:
+            check(item, f"{what}[{i}]", *args)
+            raise
+    return checked
 
 
 def _check_object(field: _Field, value: Any, where: str) -> dict[str, Any]:
@@ -630,6 +648,8 @@ def run(config: RunConfig, *, meta_time: bool = True) -> OutputEnvelope:
         "config": config.echo(),
     }
     if meta_time:
+        import datetime  # only the timestamp needs it, so --no-meta-time runs skip the import
+
         metadata["generated"] = (
             datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0).isoformat()
         )

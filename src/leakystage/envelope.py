@@ -29,19 +29,17 @@ operation order of the plain loops, so results are the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LeakyStageError, ScheduleError
-from .model import ModelParams, derive, growth_pressure
+from .model import FrozenRecord, ModelParams, derive, growth_pressure
 
 #: Base absolute tolerance for the dominance check; see dominance_tolerance.
 TOL_DOM = 1e-9
 
 
-@dataclass(frozen=True)
-class ImpulseSchedule:
+class ImpulseSchedule(FrozenRecord):
     """Ordered release events ``(time, size)`` with strictly increasing times."""
 
     events: tuple[tuple[float, float], ...]
@@ -72,8 +70,7 @@ class ImpulseSchedule:
         return tuple(q for _, q in self.events)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(FrozenRecord):
     """Sampled piecewise path with duplicated samples at jump times.
 
     ``jump_indices[j]`` is the index of the pre-jump sample of event ``j``;
@@ -96,8 +93,7 @@ class Trajectory:
                 array.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class EnvelopeCheck:
+class EnvelopeCheck(FrozenRecord):
     """Numbers produced by the envelope verification runs.
 
     ``max_violation`` is the largest sample of ``A_full - A_red`` (negative

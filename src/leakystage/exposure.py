@@ -14,11 +14,10 @@ thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import LeakyStageError
-from .model import EPS_THR, DerivedConstants, ModelParams, derive
+from .model import EPS_THR, DerivedConstants, FrozenRecord, ModelParams, derive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,8 +36,7 @@ _SERIES_SWITCH = 0.1
 _ONSET_SERIES = tuple((-1.0) ** k / k for k in range(2, 18))
 
 
-@dataclass(frozen=True)
-class ExposureValue:
+class ExposureValue(FrozenRecord):
     """Exposure of one release: integral value and duration above threshold.
 
     ``value`` is in time units and is exactly 0.0 if and only if the release

@@ -8,12 +8,12 @@ below zero at reservoir level ``A``.
 
 All quantities are dimensionless internally; rates are per unit time and the
 time unit is implicit.  Every type is immutable after construction and every
-function is pure, so everything here is safe to share across threads.
+function is pure, so everything here is safe to share across threads.  The
+records here and in the other modules derive from :class:`FrozenRecord`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ParameterError
 
@@ -34,6 +34,74 @@ def guarded_ceil(x: float) -> int:
     return math.ceil(x - min(_CEIL_GUARD * max(1.0, abs(x)), _CEIL_CAP))
 
 
+_NO_DEFAULT = object()
+
+
+class FrozenRecord:
+    """Base of the package's immutable records, in place of ``@dataclass(frozen=True)``.
+
+    A subclass declares its fields as annotated class attributes, after those of
+    a record it extends; a field's default is the class attribute's value.  Each
+    subclass gets one compiled ``__init__`` taking the fields positionally or by
+    keyword, then calling ``__post_init__`` if defined.  Records equal records
+    of the same class with equal fields, hash as their field tuple, print as
+    ``Name(field=value, ...)`` and raise :class:`dataclasses.FrozenInstanceError`
+    on assignment or deletion.  Unlike the decorator, this neither imports
+    ``dataclasses`` nor compiles six functions per class.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = [name for name in cls.__annotations__ if name not in cls._fields]  # its own only
+        cls._fields = cls.__match_args__ = fields = (*cls._fields, *own)
+        namespace: dict = {"_set": object.__setattr__}
+        params = []
+        for name in fields:
+            default = getattr(cls, name, _NO_DEFAULT)
+            if default is not _NO_DEFAULT:
+                namespace["_default_" + name] = default
+                params.append(f"{name}=_default_{name}")
+            elif len(namespace) > 1:  # holds a default already
+                raise TypeError(f"non-default field {name!r} follows a field with a default")
+            else:
+                params.append(name)
+        body = [f"    _set(self, {name!r}, {name})" for name in fields]
+        if hasattr(cls, "__post_init__"):
+            body.append("    self.__post_init__()")
+        exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body or ["    pass"]),
+             namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        items = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({items})"
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError  # loaded only when the error is raised
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 def _is_finite(value) -> bool:
     """``math.isfinite`` that answers False for integers beyond the float range and non-numbers."""
     try:
@@ -42,8 +110,7 @@ def _is_finite(value) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(FrozenRecord):
     """The four positive rates of the reservoir model.
 
     Attributes
@@ -86,8 +153,7 @@ class ModelParams:
             )
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(FrozenRecord):
     """Constants derived from :class:`ModelParams`.
 
     ``alpha = delta - beta`` and ``gamma = mu - beta`` are the reactivation
@@ -108,8 +174,7 @@ class DerivedConstants:
             raise ParameterError(f"critical level must lie in (0, 1) (got {self.delta_c!r})")
 
 
-@dataclass(frozen=True)
-class DimensionlessPoint:
+class DimensionlessPoint(FrozenRecord):
     """The three dimensionless coordinates that organise the benchmarks.
 
     ``r`` is the load in threshold units (Q / delta_c), ``h`` the recovery

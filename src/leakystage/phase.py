@@ -18,10 +18,10 @@ underlying solvers directly.  Rows are emitted in deterministic grid order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .allocation import k_safe, overhead_optimal_count
 from .errors import LeakyStageError
+from .model import FrozenRecord
 from .recovery import RecoveryConfig, horizon_capacity, min_peak_plan, simulate_recurrence
 
 #: Offset applied on request to r-samples that sit on an integer, exposing
@@ -29,8 +29,7 @@ from .recovery import RecoveryConfig, horizon_capacity, min_peak_plan, simulate_
 _INTEGER_NUDGE = 1e-6
 
 
-@dataclass(frozen=True)
-class PhaseGrid:
+class PhaseGrid(FrozenRecord):
     """Sampling ranges ``(min, max, count)`` for the phase tables.
 
     Only the ranges needed by the requested tables have to be present.
@@ -57,8 +56,7 @@ class PhaseGrid:
                 raise LeakyStageError(f"n_curves entries must be integers >= 1 (got {n!r})")
 
 
-@dataclass(frozen=True)
-class PanelC:
+class PanelC(FrozenRecord):
     """Uniform versus front-loaded allocation at one (r, n, h) configuration.
 
     Levels are normalized by the critical level; times are in recovery units
@@ -79,8 +77,7 @@ class PanelC:
     front_path: tuple[tuple[float, float], ...]
 
 
-@dataclass(frozen=True)
-class PhaseTables:
+class PhaseTables(FrozenRecord):
     """The assembled phase tables; unrequested parts stay empty/None."""
 
     feasibility: tuple[tuple[float, int, float], ...] = ()

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .errors import LeakyStageError, ScheduleError
-from .model import EPS_THR, ModelParams, derive, guarded_ceil
+from .model import EPS_THR, FrozenRecord, ModelParams, derive, guarded_ceil
 
 
 class CountBound(enum.Enum):
@@ -39,8 +38,7 @@ class HorizonRegime(enum.Enum):
     INFEASIBLE = "Infeasible"
 
 
-@dataclass(frozen=True)
-class HorizonFeasibility:
+class HorizonFeasibility(FrozenRecord):
     """Feasibility verdict for absorbing load ``r`` within horizon ``h``.
 
     ``n`` is populated only for the ``SAFE_WITH_N`` regime.  ``label`` is the
@@ -63,8 +61,7 @@ def _validate_lam(lam: float) -> None:
         raise LeakyStageError(f"carry-over factor must lie in [0, 1) (got {lam!r})")
 
 
-@dataclass(frozen=True)
-class RecoveryConfig:
+class RecoveryConfig(FrozenRecord):
     """Release count, budget, carry-over factor, and starting level.
 
     ``lam`` may be given directly or derived from an inter-release time via
@@ -96,8 +93,7 @@ class RecoveryConfig:
         return cls(lam=math.exp(-rho * tau), n=n, Q=Q, a0=a0)
 
 
-@dataclass(frozen=True)
-class PeakPlan:
+class PeakPlan(FrozenRecord):
     """A release profile with its post-release levels and peak.
 
     ``capacity_residual`` is the defect of the budget identity
@@ -114,8 +110,7 @@ class PeakPlan:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class CapacityReport:
+class CapacityReport(FrozenRecord):
     """Safe-capacity numbers for one (n, lam, h) configuration."""
 
     c_n: float

@@ -3,6 +3,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from leakystage import ConfigError, LeakyStageError, derive
 from leakystage.cli import (
-    _DOCUMENT, _FIELDS, _PARAMS, COMMANDS, main, parse_config, run, schema, to_csv, to_json,
+    _DOCUMENT, _FIELDS, _PARAMS, COMMANDS, _check, _count, _Field, _finite, main, parse_config,
+    run, schema, to_csv, to_json,
 )
 from leakystage.presets import PRESETS, preset
 
@@ -74,10 +76,32 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="exactly one of r/Q"):
             parse_config({"params": FIG, "overhead": {"r": 2.0, "Q": 0.7, "k": 0.1}})
 
-    @pytest.mark.parametrize("q", [[1.0, math.nan], [1.0, math.inf], [1.0, -0.5], [1.0, "2"]])
+    @pytest.mark.parametrize("q", [[1.0, math.nan], [1.0, math.inf], [1.0, -0.5], [1.0, "2"],
+                                   [1.0, True], [1.0, 10**400]])
     def test_release_sizes_must_be_finite_and_nonnegative(self, q):
         with pytest.raises(ConfigError, match=r"exposure: q\[1\]"):
             parse_config({"params": FIG, "exposure": {"q": q}})
+
+    @settings(max_examples=400, deadline=None)
+    @given(kind=st.sampled_from(["numbers", "counts"]), minimum=st.sampled_from([0.0, 1, 2.5]),
+           value=st.lists(st.one_of(
+               st.integers(-2, 6), st.floats(-1.0, 6.0), st.sampled_from(
+                   [True, math.nan, -math.inf, 2.0, 10**400, "1", None, np.float64(1.5)])),
+               min_size=1, max_size=6))
+    def test_list_items_match_the_item_by_item_check(self, kind, minimum, value):
+        # each list item checked on its own and labelled with its index, as before the
+        # labels were formatted only for a failing item
+        field = _Field(kind, minimum=minimum)
+        item = _finite if kind == "numbers" else _count
+
+        def outcome(check):
+            try:
+                return [(type(v), v) for v in check()]
+            except ConfigError as exc:
+                return str(exc)
+
+        assert outcome(lambda: _check(field, value, "w", "x")) == outcome(
+            lambda: [item(v, f"w: x[{i}]", minimum) for i, v in enumerate(value)])
 
     def test_release_sizes_must_be_a_list(self):
         with pytest.raises(ConfigError, match="nonempty list"):

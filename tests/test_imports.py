@@ -59,8 +59,8 @@ def test_import_loads_neither_scipy_nor_yaml():
 #: The standard-library modules the package imports itself (``locale`` comes
 #: with argparse's message lookup during a run).  Importing the package and
 #: running a scalar preset may load these and whatever they load, and nothing else.
-STDLIB_IMPORTS = ("__future__", "argparse", "copy", "dataclasses", "datetime", "enum",
-                  "functools", "json", "locale", "math", "os", "pathlib", "sys", "typing")
+STDLIB_IMPORTS = ("__future__", "argparse", "copy", "enum", "json", "locale", "math", "os",
+                  "pathlib", "sys", "typing")
 
 
 def test_import_and_preset_run_load_nothing_else():
@@ -78,6 +78,30 @@ def test_import_and_preset_run_load_nothing_else():
     )
     assert child.returncode == 0, child.stderr
     assert json.loads(child.stdout) == [0, [], []]
+
+
+def test_reproducible_run_loads_no_dataclasses_inspect_or_datetime():
+    # the records are not dataclasses, and only the timestamp needs datetime
+    child = run_child(
+        "import os, sys, leakystage, leakystage.cli\n"
+        "code = leakystage.cli.main(['peak', '--preset', 'peak-c', '--no-meta-time',"
+        " '--out', os.devnull])\n"
+        "print(code, sorted(name for name in ('dataclasses', 'inspect', 'datetime')\n"
+        "                   if name in sys.modules))\n"
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "0 []"
+
+
+def test_timestamped_run_writes_generated():
+    child = run_child(
+        "from leakystage.cli import main\n"
+        "raise SystemExit(main(['peak', '--preset', 'peak-c']))\n"
+    )
+    assert child.returncode == 0, child.stderr
+    stamps = [line for line in child.stdout.splitlines() if line.startswith("# generated=")]
+    assert len(stamps) == 1
+    assert stamps[0].endswith("+00:00")
 
 
 def test_preset_runs_with_scipy_and_yaml_blocked():

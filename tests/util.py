@@ -5,8 +5,9 @@ adaptive quadrature of the single-release exposure (two routes), grid/simplex
 searches for the allocation optimum, a one-dimensional Bellman grid recursion
 for the minimax peak value, plain enumeration for the overhead trade-off
 and its frontier ``k_safe``, numpy's ``linspace`` for the phase grids, the
-plain per-step loops of the envelope integrator and path exposure, and the
-per-cell CSV and ``json.dumps`` emit path for the CLI's output bytes.
+plain per-step loops of the envelope integrator and path exposure, the
+per-cell CSV and ``json.dumps`` emit path for the CLI's output bytes, and frozen
+dataclasses for the package's records.
 """
 from __future__ import annotations
 
@@ -432,3 +433,26 @@ def to_json_oracle(envelope) -> str:
         "warnings": list(envelope.warnings),
     }
     return json.dumps(document, indent=2, allow_nan=False) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# record oracle
+#
+# The package's records derive from ``model.FrozenRecord`` instead of being
+# frozen dataclasses.  This builds the dataclass each replaced, for tests to
+# compare against.
+
+
+def dataclass_oracle(cls):
+    """The frozen dataclass with the name, fields, defaults and ``__post_init__`` of the
+    record class ``cls``."""
+    import dataclasses
+
+    fields = []
+    for name in cls._fields:
+        if hasattr(cls, name):  # a field's default is its class attribute
+            fields.append((name, object, dataclasses.field(default=getattr(cls, name))))
+        else:
+            fields.append((name, object))
+    namespace = {"__post_init__": cls.__post_init__} if hasattr(cls, "__post_init__") else {}
+    return dataclasses.make_dataclass(cls.__name__, fields, namespace=namespace, frozen=True)
