@@ -16,7 +16,7 @@ import math
 
 from .errors import LeakyStageError
 from .exposure import _onset, exposure_bracket
-from .model import EPS_THR, FrozenRecord, ModelParams, derive, guarded_ceil
+from .model import EPS_THR, FrozenRecord, ModelParams, _count, _number, derive, guarded_ceil
 
 #: Candidate costs within this relative distance of the minimum are ties.
 _TIE_REL = 1e-12
@@ -32,6 +32,11 @@ def excess_exposure(r: float, n: int) -> float:
     log1p near the kink to limit cancellation.  This is the exposure term of
     the overhead objective, in units of one-shock exposure.
     """
+    return _excess(_number(r, "dimensionless load r"), _count(n, "release count n"))
+
+
+def _excess(r: float, n: int) -> float:
+    """:func:`excess_exposure` of arguments already checked."""
     if r <= n:
         return 0.0
     x = r / n - 1.0
@@ -48,10 +53,8 @@ class SplitProblem(FrozenRecord):
     params: ModelParams
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.Q) and self.Q > 0.0):
-            raise LeakyStageError(f"total load Q must be finite and > 0 (got {self.Q!r})")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise LeakyStageError(f"release count n must be an integer >= 1 (got {self.n!r})")
+        _number(self.Q, "total load Q", strict=True)
+        _count(self.n, "release count n")
 
 
 class AllocationResult(FrozenRecord):
@@ -90,15 +93,18 @@ def min_exposure(Q: float, n: int, params: ModelParams, *, eps_thr: float = EPS_
     Nonincreasing in ``n`` and strictly decreasing exactly while ``Q``
     exceeds ``n * delta_c``.
     """
-    if not (math.isfinite(Q) and Q > 0.0):
-        raise LeakyStageError(f"total load Q must be finite and > 0 (got {Q!r})")
-    if not (isinstance(n, int) and n >= 1):
-        raise LeakyStageError(f"release count n must be an integer >= 1 (got {n!r})")
+    _number(Q, "total load Q", strict=True)
+    _count(n, "release count n")
     d = derive(params)
-    cap = n * d.delta_c
+    return _split_exposure(Q, n * d.delta_c, d.alpha / params.rho,
+                           _number(eps_thr, "tolerance eps_thr"))
+
+
+def _split_exposure(Q: float, cap: float, scale: float, eps_thr: float) -> float:
+    """:func:`min_exposure` of a checked load ``Q`` at capacity ``cap``; ``scale = alpha / rho``."""
     if Q <= cap + eps_thr:
         return 0.0
-    return (d.alpha / params.rho) * exposure_bracket(Q, cap)
+    return scale * exposure_bracket(Q, cap)
 
 
 def optimal_split(problem: SplitProblem, *, eps_thr: float = EPS_THR) -> AllocationResult:
@@ -112,6 +118,7 @@ def optimal_split(problem: SplitProblem, *, eps_thr: float = EPS_THR) -> Allocat
     zero-exposure split has every release at the critical level.
     """
     Q, n, params = problem.Q, problem.n, problem.params
+    eps_thr = _number(eps_thr, "tolerance eps_thr")
     d = derive(params)
     cap = n * d.delta_c
     if Q >= cap - eps_thr:
@@ -119,7 +126,7 @@ def optimal_split(problem: SplitProblem, *, eps_thr: float = EPS_THR) -> Allocat
         releases = (Q / n,) * n
         return AllocationResult(
             releases=releases,
-            total_exposure=min_exposure(Q, n, params, eps_thr=eps_thr),
+            total_exposure=_split_exposure(Q, cap, d.alpha / params.rho, eps_thr),
             is_safe=Q <= cap + eps_thr,
             unique_minimizer=True,
         )
@@ -135,9 +142,7 @@ def optimal_split(problem: SplitProblem, *, eps_thr: float = EPS_THR) -> Allocat
 
 
 def _safe_count(r: float) -> int:
-    """Smallest release count at which load ``r`` has no excess exposure."""
-    if not (math.isfinite(r) and r > 0.0):
-        raise LeakyStageError(f"dimensionless load r must be finite and > 0 (got {r!r})")
+    """Smallest release count at which a checked load ``r > 0`` has no excess exposure."""
     return max(1, guarded_ceil(r))
 
 
@@ -148,12 +153,10 @@ def minimal_safe_count(Q: float, params: ModelParams) -> int:
     that loads which are exact multiples of the critical level (up to
     floating error) are not pushed to an extra stage.
     """
-    if not (math.isfinite(Q) and Q > 0.0):
-        raise LeakyStageError(f"total load Q must be finite and > 0 (got {Q!r})")
-    r = Q / derive(params).delta_c
-    if not math.isfinite(r):
+    r = _number(Q, "total load Q", strict=True) / derive(params).delta_c
+    if r == math.inf:
         raise LeakyStageError(f"total load Q={Q!r} overflows Q / delta_c")
-    return max(1, guarded_ceil(r))
+    return _safe_count(r)
 
 
 def overhead_optimal_count(r: float, k: float) -> OverheadResult:
@@ -164,8 +167,8 @@ def overhead_optimal_count(r: float, k: float) -> OverheadResult:
     of :func:`continuous_relaxed_count` and the run of counts tying the minimum
     within a relative 1e-12 are evaluated; ``n_star`` is the smallest tie.
     """
+    relaxed = continuous_relaxed_count(r, k)  # checks r and k
     n_safe = _safe_count(r)
-    relaxed = continuous_relaxed_count(r, k)
     costs: dict[int, float] = {}
 
     def cost(n: int) -> float:
@@ -200,7 +203,7 @@ def k_safe(r: float) -> float:
     exposure ``excess(r, ceil(r) - 1)`` removed by the last stage, by convexity
     the least per extra stage.  Full safety is optimal exactly when ``k <= k_safe(r)``.
     """
-    n_safe = _safe_count(r)
+    n_safe = _safe_count(_number(r, "dimensionless load r", strict=True))
     if n_safe <= 1:
         return math.inf
     if r >= _EXACT_INTEGERS:
@@ -208,7 +211,7 @@ def k_safe(r: float) -> float:
         # m (x - log1p x) of m = r - 1 through x = 1/m: it is x * onset(x), about 1/(2r).
         x = 1.0 / (int(r) - 1)
         return x * _onset(x)
-    return excess_exposure(r, n_safe - 1)
+    return _excess(r, n_safe - 1)
 
 
 def continuous_relaxed_count(r: float, k: float) -> float:
@@ -217,8 +220,5 @@ def continuous_relaxed_count(r: float, k: float) -> float:
     The objective is convex, so the cost-optimal count is the floor or the
     ceiling of this point, clamped to ``[1, ceil(r)]``.
     """
-    if not (math.isfinite(r) and r > 0.0):
-        raise LeakyStageError(f"dimensionless load r must be finite and > 0 (got {r!r})")
-    if not (math.isfinite(k) and k >= 0.0):
-        raise LeakyStageError(f"dimensionless overhead k must be finite and >= 0 (got {k!r})")
-    return r * math.exp(-k)
+    _number(r, "dimensionless load r", strict=True)
+    return r * math.exp(-_number(k, "dimensionless overhead k"))

@@ -30,7 +30,8 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from . import __version__
-from .allocation import SplitProblem, excess_exposure, k_safe, optimal_split, overhead_optimal_count
+from .allocation import SplitProblem, k_safe, optimal_split, overhead_optimal_count
+from .allocation import _excess, _safe_count
 from .errors import ConfigError, LeakyStageError
 from .exposure import exposure_table
 from .model import (
@@ -40,14 +41,14 @@ from .model import (
     ModelParams,
     derive,
     growth_pressure,
-    guarded_ceil,
 )
 from .phase import PanelC, PhaseGrid, build_phase_tables
 from .presets import PRESETS, preset
 from .recovery import (
-    CountBound,
+    UNBOUNDED,
     HorizonRegime,
     RecoveryConfig,
+    _safe_count_within,
     horizon_capacity,
     horizon_feasibility,
     min_peak_plan,
@@ -467,8 +468,8 @@ def _run_overhead(config: RunConfig) -> tuple[dict, list[str], int]:
     result = overhead_optimal_count(r, k)
     frontier = k_safe(r)
     rows = []
-    for n in range(1, max(1, guarded_ceil(r)) + 1):
-        residual = excess_exposure(r, n)
+    for n in range(1, _safe_count(r) + 1):  # r and k were checked by the two calls above
+        residual = _excess(r, n)
         rows.append([
             n,
             n * k + residual,
@@ -518,13 +519,8 @@ def _run_horizon(config: RunConfig) -> tuple[dict, list[str], int]:
     dim = _dimensionless(config)
     r, h = dim["r"], dim["h"]
     verdict = horizon_feasibility(r, h, eps_thr=config.eps_thr)
-    n_safe: Any
-    if verdict.regime is HorizonRegime.SAFE_WITH_ONE_RELEASE:
-        n_safe = 1
-    elif verdict.regime is HorizonRegime.SAFE_WITH_N:
-        n_safe = verdict.n
-    else:
-        n_safe = CountBound.UNBOUNDED.value
+    n_safe = _safe_count_within(verdict)
+    n_safe = UNBOUNDED.value if n_safe is UNBOUNDED else n_safe
     rows = []
     for n in opts["n_list"]:
         capacity = horizon_capacity(n, h)
@@ -732,10 +728,11 @@ def to_csv(envelope: OutputEnvelope) -> str:
             _format_cell(dim["r"]), _format_cell(dim["h"]), _format_cell(dim["k"])
         )
     )
-    lines.append(
-        "# config=" + json.dumps(_json_safe(meta["config"]), sort_keys=True,
-                                 separators=(",", ":"))
-    )
+    try:  # a checked config's echo is all finite: _json_safe's copy is rarely needed
+        echo = json.dumps(meta["config"], sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        echo = json.dumps(_json_safe(meta["config"]), sort_keys=True, separators=(",", ":"))
+    lines.append("# config=" + echo)
     if "generated" in meta:
         lines.append(f"# generated={meta['generated']}")
     for warning in envelope.warnings:

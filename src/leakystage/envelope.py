@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import LeakyStageError, ScheduleError
-from .model import FrozenRecord, ModelParams, derive, growth_pressure
+from .model import FrozenRecord, ModelParams, _number, derive, growth_pressure
 
 #: Base absolute tolerance for the dominance check; see dominance_tolerance.
 TOL_DOM = 1e-9
@@ -45,17 +45,15 @@ class ImpulseSchedule(FrozenRecord):
     events: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        events = tuple((float(t), float(q)) for t, q in self.events)
-        object.__setattr__(self, "events", events)
+        events = []
         previous = -math.inf
-        for i, (t, q) in enumerate(events):
-            if not (math.isfinite(t) and t >= 0.0):
-                raise ScheduleError(f"event {i} time must be finite and >= 0 (got {t!r})")
+        for i, (t, q) in enumerate(self.events):
+            t = float(_number(t, f"event {i} time", error=ScheduleError))
             if t <= previous:
                 raise ScheduleError(f"event times must be strictly increasing (event {i} at {t!r})")
-            if not (math.isfinite(q) and q >= 0.0):
-                raise ScheduleError(f"event {i} size must be finite and >= 0 (got {q!r})")
+            events.append((t, float(_number(q, f"event {i} size", error=ScheduleError))))
             previous = t
+        object.__setattr__(self, "events", tuple(events))
 
     @property
     def total(self) -> float:
@@ -110,27 +108,32 @@ class EnvelopeCheck(FrozenRecord):
 
 def dominance_tolerance(T: float, h_step: float) -> float:
     """Allowed dominance defect: base slack plus an RK4 error allowance."""
+    _number(T, "horizon T")
+    _number(h_step, "step size", strict=True)
     return TOL_DOM + 10.0 * T * h_step**4
 
 
 def _segment_nodes(t0: float, t1: float, h_step: float) -> np.ndarray:
     """Uniform nodes covering (t0, t1], with step <= h_step dividing it exactly."""
     width = t1 - t0
-    n = max(1, math.ceil(width / h_step - 1e-12))
-    nodes = t0 + width * np.arange(1, n + 1) / n
+    try:
+        n = max(1, math.ceil(width / h_step - 1e-12))
+        nodes = t0 + width * np.arange(1, n + 1) / n
+    except (OverflowError, ValueError, MemoryError):  # more nodes than can be allocated
+        raise LeakyStageError(
+            f"step size {h_step!r} needs more samples on [{t0!r}, {t1!r}] than can be allocated"
+        ) from None
     nodes[-1] = t1  # land on the event bit-exactly
     return nodes
 
 
 def _check_run_args(schedule: ImpulseSchedule, T: float, h_step: float) -> None:
-    if not (math.isfinite(T) and T >= 0.0):
-        raise LeakyStageError(f"horizon T must be finite and >= 0 (got {T!r})")
+    _number(T, "horizon T")
     if schedule.events and schedule.events[-1][0] > T:
         raise LeakyStageError(
             f"horizon T={T!r} lies before the last event at {schedule.events[-1][0]!r}"
         )
-    if not (math.isfinite(h_step) and h_step > 0.0):
-        raise LeakyStageError(f"step size must be > 0 (got {h_step!r})")
+    _number(h_step, "step size", strict=True)
 
 
 def simulate_envelope(
@@ -148,8 +151,7 @@ def simulate_envelope(
     pre- and post-jump samples both stored.
     """
     _check_run_args(schedule, T, h_step)
-    if not (math.isfinite(a0) and a0 >= 0.0):
-        raise LeakyStageError(f"initial level a0 must be finite and >= 0 (got {a0!r})")
+    _number(a0, "initial level a0")
     times: list[float] = [0.0]
     levels: list[float] = [a0]
     jump_indices: list[int] = []
@@ -229,10 +231,8 @@ def simulate_full(
     ``S0 = 0`` stays on the invariant manifold ``S = 0`` exactly.
     """
     _check_run_args(schedule, T, h_step)
-    if not (math.isfinite(S0) and S0 >= 0.0):
-        raise LeakyStageError(f"S0 must be finite and >= 0 (got {S0!r})")
-    if not (math.isfinite(A0) and A0 >= 0.0):
-        raise LeakyStageError(f"A0 must be finite and >= 0 (got {A0!r})")
+    _number(S0, "S0")
+    _number(A0, "A0")
     u = math.log(S0) if S0 > 0.0 else -math.inf
     times: list[float] = [0.0]
     us: list[float] = [u]

@@ -17,7 +17,8 @@ import math
 from typing import TYPE_CHECKING
 
 from .errors import LeakyStageError
-from .model import EPS_THR, DerivedConstants, FrozenRecord, ModelParams, derive
+from .model import EPS_THR, DerivedConstants, FrozenRecord, ModelParams, _number, _numbers
+from .model import derive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,13 +48,13 @@ class ExposureValue(FrozenRecord):
     active_duration: float
 
     def __post_init__(self) -> None:
-        _check_exposure(self.value, self.active_duration)
+        _check_exposure(_number(self.value, "exposure value"),
+                        _number(self.active_duration, "active duration"))
 
 
 def _check_exposure(value: float, active_duration: float) -> None:
-    """The invariants of :class:`ExposureValue`; :func:`exposure_table` checks each row."""
-    if value < 0.0 or active_duration < 0.0:
-        raise LeakyStageError("exposure and active duration must be nonnegative")
+    """The invariant of :class:`ExposureValue` that ties its two (checked, nonnegative)
+    fields together; :func:`exposure_table` checks it on each row."""
     if (value == 0.0) != (active_duration == 0.0):
         raise LeakyStageError("exposure is zero exactly when the active duration is zero")
 
@@ -94,11 +95,10 @@ def _release(
     """Exposure value, derivative and active duration of one release of size ``q``.
 
     The one kernel behind :func:`exposure_closed_form`, :func:`exposure_derivative`
-    and :func:`exposure_table`, so all three give the same bits.
+    and :func:`exposure_table`, so all three give the same bits.  It checks ``q``;
+    the callers check ``eps_thr``.
     """
-    if q < 0.0:
-        raise LeakyStageError(f"release size must be >= 0 (got {q!r})")
-    if q <= d.delta_c + eps_thr:
+    if _number(q, "release size q") <= d.delta_c + eps_thr:
         return 0.0, 0.0, 0.0
     scale = d.alpha / rho
     return (scale * exposure_bracket(q, d.delta_c), scale * (1.0 - d.delta_c / q),
@@ -114,6 +114,7 @@ def exposure_closed_form(
     threshold the value is ``(delta-beta)/rho * (q - delta_c - delta_c *
     log(q/delta_c))`` and the active duration is ``log(q/delta_c)/rho``.
     """
+    eps_thr = _number(eps_thr, "tolerance eps_thr")
     value, _, active_duration = _release(q, derive(params), params.rho, eps_thr)
     return ExposureValue(value=value, active_duration=active_duration)
 
@@ -125,7 +126,7 @@ def exposure_table(sizes, params: ModelParams, *, eps_thr: float = EPS_THR) -> l
     :func:`exposure_derivative` and is checked against the invariants of
     :class:`ExposureValue`; the constants are derived once for the whole table.
     """
-    d, rho = derive(params), params.rho
+    d, rho, eps_thr = derive(params), params.rho, _number(eps_thr, "tolerance eps_thr")
     rows = []
     for q in sizes:
         value, derivative, active_duration = _release(q, d, rho, eps_thr)
@@ -145,12 +146,10 @@ def exposure_batch(
     """
     import numpy as np
 
-    q = np.asarray(q, dtype=float)
-    if np.any(q < 0.0):
-        raise LeakyStageError("release sizes must be >= 0")
+    q = _numbers(q, "release sizes")
     d = derive(params)
     out = np.zeros_like(q)
-    active = q > d.delta_c + eps_thr
+    active = q > d.delta_c + _number(eps_thr, "tolerance eps_thr")
     qa = q[active]
     bracket = qa - d.delta_c - d.delta_c * (np.log(qa) - math.log(d.delta_c))
     onset = np.flatnonzero(qa < d.delta_c * (1.0 + _SERIES_SWITCH))
@@ -169,6 +168,7 @@ def exposure_derivative(
     it; continuous at the threshold with value 0 and increasing towards
     ``(delta-beta)/rho`` for large releases.
     """
+    eps_thr = _number(eps_thr, "tolerance eps_thr")
     return _release(q, derive(params), params.rho, eps_thr)[1]
 
 
@@ -179,5 +179,6 @@ def exposure_near_threshold(epsilon: float, params: ModelParams) -> float:
     ``(delta-beta) * delta_c / (2 rho) * epsilon**2`` up to an O(epsilon^3)
     error.  This is an approximation, not the exact value.
     """
+    _number(epsilon, "relative overshoot epsilon")
     d = derive(params)
     return (d.alpha * d.delta_c) / (2.0 * params.rho) * epsilon * epsilon

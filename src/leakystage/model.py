@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ParameterError
+from .errors import LeakyStageError, ParameterError
 
 #: Absolute tolerance for floating comparisons against the critical level.
 #: Inputs exactly at the threshold are classified as safe (closed interval).
@@ -102,12 +102,45 @@ class FrozenRecord:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _is_finite(value) -> bool:
-    """``math.isfinite`` that answers False for integers beyond the float range and non-numbers."""
+def _number(value, what: str, minimum=0, strict: bool = False, below=math.inf,
+            error: type[LeakyStageError] = LeakyStageError):
+    """``value``, as given, if it is a finite number at or above ``minimum`` (above it
+    when ``strict``) and below ``below``; else ``error`` naming it ``what``.  The one
+    rule for the numeric arguments of the package's public functions and records."""
     try:
-        return math.isfinite(value)
-    except (OverflowError, TypeError):
-        return False
+        if math.isfinite(value) and (value > minimum if strict else value >= minimum) \
+                and value < below:
+            return value
+    except (OverflowError, TypeError):  # an integer beyond the float range, a non-number
+        pass
+    rule = f"{'>' if strict else '>='} {minimum}" + ("" if below == math.inf else f" and < {below}")
+    raise error(f"{what} must be finite and {rule} (got {value!r})")
+
+
+def _count(value, what: str, minimum: int = 1,
+           error: type[LeakyStageError] = LeakyStageError) -> int:
+    """``value`` if it is an integer at or above ``minimum`` within the float range,
+    which the counts enter through float arithmetic; else ``error`` naming it ``what``."""
+    try:
+        if isinstance(value, int) and value >= minimum and math.isfinite(value):
+            return value
+    except OverflowError:
+        raise error(f"{what} must be an integer below 2**1024 (got {value!r})") from None
+    raise error(f"{what} must be an integer >= {minimum} (got {value!r})")
+
+
+def _numbers(values, what: str):
+    """:func:`_number` for an array: ``values`` as floats if all are finite and >= 0."""
+    import numpy as np
+
+    try:  # strings, None and integers beyond int64 give non-numeric dtypes
+        array = np.asarray(values)
+        if array.dtype.kind in "biuf" and (
+                not array.size or array.min() >= 0.0 and array.max() < math.inf):
+            return array.astype(float, copy=False)
+    except ValueError:  # a ragged nesting
+        pass
+    raise LeakyStageError(f"{what} must be finite and >= 0")
 
 
 class ModelParams(FrozenRecord):
@@ -137,20 +170,12 @@ class ModelParams(FrozenRecord):
     def __post_init__(self) -> None:
         for name in ("beta", "mu", "delta", "rho"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and _is_finite(value)):
-                raise ParameterError(f"{name} must be a finite number (got {value!r})")
-            if value <= 0.0:
-                raise ParameterError(f"{name} must be strictly positive (got {value!r})")
-        if not self.beta < self.mu:
-            raise ParameterError(
-                "shock-sensitive ordering violated: requires beta < mu "
-                f"(got beta={self.beta!r}, mu={self.mu!r})"
-            )
-        if not self.mu < self.delta:
-            raise ParameterError(
-                "shock-sensitive ordering violated: requires mu < delta "
-                f"(got mu={self.mu!r}, delta={self.delta!r})"
-            )
+            if not isinstance(value, (int, float)):  # a Decimal rate would fail in float arithmetic
+                raise ParameterError(f"{name} must be a number (got {value!r})")
+            _number(value, name, strict=True, error=ParameterError)
+        if not self.beta < self.mu < self.delta:
+            raise ParameterError("shock-sensitive ordering violated: requires beta < mu < delta "
+                                 f"(got beta={self.beta!r}, mu={self.mu!r}, delta={self.delta!r})")
 
 
 class DerivedConstants(FrozenRecord):
@@ -166,12 +191,9 @@ class DerivedConstants(FrozenRecord):
     delta_c: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0.0 and self.gamma > 0.0):
-            raise ParameterError(
-                f"derived margins must be positive (alpha={self.alpha!r}, gamma={self.gamma!r})"
-            )
-        if not 0.0 < self.delta_c < 1.0:
-            raise ParameterError(f"critical level must lie in (0, 1) (got {self.delta_c!r})")
+        _number(self.alpha, "margin alpha", strict=True, error=ParameterError)
+        _number(self.gamma, "margin gamma", strict=True, error=ParameterError)
+        _number(self.delta_c, "critical level delta_c", strict=True, below=1, error=ParameterError)
 
 
 class DimensionlessPoint(FrozenRecord):
@@ -188,9 +210,7 @@ class DimensionlessPoint(FrozenRecord):
 
     def __post_init__(self) -> None:
         for name in ("r", "h", "k"):
-            value = getattr(self, name)
-            if not (_is_finite(value) and value >= 0.0):
-                raise ParameterError(f"{name} must be finite and >= 0 (got {value!r})")
+            _number(getattr(self, name), name, error=ParameterError)
 
     @classmethod
     def from_dimensional(
@@ -200,6 +220,8 @@ class DimensionlessPoint(FrozenRecord):
         T: float = 0.0,
         K: float = 0.0,
     ) -> "DimensionlessPoint":
+        for name, value in (("Q", Q), ("T", T), ("K", K)):
+            _number(value, name, error=ParameterError)
         d = derive(params)
         return cls(r=Q / d.delta_c, h=params.rho * T, k=K * params.rho / d.gamma)
 
@@ -220,14 +242,21 @@ def growth_pressure(A, params: ModelParams):
     Strictly increasing in ``A`` and zero exactly at the critical level.
     Accepts scalars or numpy arrays; ``A`` may exceed 1 (the affine
     continuation is a conservative risk proxy, not a population share).
+    NaN and infinite levels propagate; a non-number raises.
     """
-    return (params.beta - params.mu) + (params.delta - params.beta) * A
+    try:
+        return (params.beta - params.mu) + (params.delta - params.beta) * A
+    except (OverflowError, TypeError):
+        raise LeakyStageError(f"level A must be a number or numbers (got {A!r})") from None
 
 
 def normalized_factor(A, params: ModelParams):
     """Normalised linear growth factor ``R(A) = ((1 - A) beta + delta A) / mu``.
 
     Satisfies ``g(A) = mu * (R(A) - 1)``, so ``R`` crosses 1 exactly at the
-    critical level.  Accepts scalars or numpy arrays.
+    critical level.  Accepts scalars or numpy arrays, like :func:`growth_pressure`.
     """
-    return ((1.0 - A) * params.beta + params.delta * A) / params.mu
+    try:
+        return ((1.0 - A) * params.beta + params.delta * A) / params.mu
+    except (OverflowError, TypeError):
+        raise LeakyStageError(f"level A must be a number or numbers (got {A!r})") from None

@@ -21,8 +21,8 @@ import math
 
 from .allocation import k_safe, overhead_optimal_count
 from .errors import LeakyStageError
-from .model import FrozenRecord
-from .recovery import RecoveryConfig, horizon_capacity, min_peak_plan, simulate_recurrence
+from .model import FrozenRecord, _count, _number
+from .recovery import RecoveryConfig, _horizon_capacity, min_peak_plan, simulate_recurrence
 
 #: Offset applied on request to r-samples that sit on an integer, exposing
 #: both sides of the sawtooth drop.
@@ -47,13 +47,11 @@ class PhaseGrid(FrozenRecord):
             if rng is None:
                 continue
             lo, hi, count = rng
-            if not (isinstance(count, int) and count >= 2):
-                raise LeakyStageError(f"{name} count must be an integer >= 2 (got {count!r})")
-            if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
+            _count(count, f"{name} count", 2)
+            if not _number(lo, f"{name} min") < _number(hi, f"{name} max"):
                 raise LeakyStageError(f"{name} must satisfy 0 <= min < max (got {lo!r}, {hi!r})")
         for n in self.n_curves:
-            if not (isinstance(n, int) and n >= 1):
-                raise LeakyStageError(f"n_curves entries must be integers >= 1 (got {n!r})")
+            _count(n, "n_curves entry")
 
 
 class PanelC(FrozenRecord):
@@ -148,8 +146,8 @@ def feasibility_curves(
     """
     if grid.h_range is None or not grid.n_curves:
         raise LeakyStageError("feasibility curves need h_range and n_curves")
-    hs = _linspace(*grid.h_range)
-    feasibility = tuple((h, n, horizon_capacity(n, h)) for n in grid.n_curves for h in hs)
+    hs = _linspace(*grid.h_range)  # the grid's checks cover every n and h
+    feasibility = tuple((h, n, _horizon_capacity(n, h)) for n in grid.n_curves for h in hs)
     frontier = tuple((h, 1.0 + h) for h in hs)
     return feasibility, frontier
 
@@ -196,14 +194,10 @@ def panel_c_comparison(
     units: the uniform split piles up and can cross 1 even when the
     front-loaded profile (peak ``r / B_n(h)``) stays below it.
     """
-    if not (isinstance(n, int) and n >= 2):
-        raise LeakyStageError(f"the comparison needs n >= 2 releases (got {n!r})")
-    if not (math.isfinite(r) and r > 0.0):
-        raise LeakyStageError(f"dimensionless load r must be > 0 (got {r!r})")
-    if not (math.isfinite(h) and h > 0.0):
-        raise LeakyStageError(f"horizon h must be > 0 (got {h!r})")
-    if path_points < 2:
-        raise LeakyStageError(f"path_points must be >= 2 (got {path_points!r})")
+    _count(n, "release count n", 2)
+    _number(r, "dimensionless load r", strict=True)
+    _number(h, "horizon h", strict=True)
+    _count(path_points, "path_points", 2)
     spacing = h / (n - 1)
     lam = math.exp(-spacing)
     config = RecoveryConfig(lam=lam, n=n, Q=r)
@@ -228,7 +222,7 @@ def panel_c_comparison(
         n=n,
         h=h,
         lam=lam,
-        capacity=horizon_capacity(n, h),
+        capacity=_horizon_capacity(n, h),
         uniform_releases=uniform.releases,
         front_releases=front.releases,
         uniform_levels=levels(uniform),

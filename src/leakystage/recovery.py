@@ -19,7 +19,8 @@ import enum
 import math
 
 from .errors import LeakyStageError, ScheduleError
-from .model import EPS_THR, FrozenRecord, ModelParams, derive, guarded_ceil
+from .model import EPS_THR, FrozenRecord, ModelParams, _count, _number, _numbers, derive
+from .model import guarded_ceil
 
 
 class CountBound(enum.Enum):
@@ -55,10 +56,16 @@ class HorizonFeasibility(FrozenRecord):
         return self.regime.value
 
 
-def _validate_lam(lam: float) -> None:
-    # lam = 0 is the complete-relaxation limit and is accepted.
-    if not (math.isfinite(lam) and 0.0 <= lam < 1.0):
-        raise LeakyStageError(f"carry-over factor must lie in [0, 1) (got {lam!r})")
+def _lam(lam: float) -> float:
+    """The checked carry-over factor; 0 is the complete-relaxation limit and is accepted."""
+    return _number(lam, "carry-over factor lam", below=1)
+
+
+def _safe_count_within(verdict: HorizonFeasibility) -> int | CountBound:
+    """The release count ``verdict`` calls safe: 1, its ``n``, or UNBOUNDED."""
+    if verdict.regime is HorizonRegime.SAFE_WITH_N:
+        return verdict.n  # type: ignore[return-value]
+    return 1 if verdict.regime is HorizonRegime.SAFE_WITH_ONE_RELEASE else UNBOUNDED
 
 
 class RecoveryConfig(FrozenRecord):
@@ -74,22 +81,17 @@ class RecoveryConfig(FrozenRecord):
     a0: float = 0.0
 
     def __post_init__(self) -> None:
-        _validate_lam(self.lam)
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise LeakyStageError(f"release count n must be an integer >= 1 (got {self.n!r})")
-        if not (math.isfinite(self.Q) and self.Q >= 0.0):
-            raise LeakyStageError(f"total load Q must be finite and >= 0 (got {self.Q!r})")
-        if not (math.isfinite(self.a0) and self.a0 >= 0.0):
-            raise LeakyStageError(f"initial level a0 must be finite and >= 0 (got {self.a0!r})")
+        _lam(self.lam)
+        _count(self.n, "release count n")
+        _number(self.Q, "total load Q")
+        _number(self.a0, "initial level a0")
 
     @classmethod
     def from_interval(
         cls, rho: float, tau: float, n: int, Q: float, a0: float = 0.0
     ) -> "RecoveryConfig":
-        if not (math.isfinite(rho) and rho > 0.0):
-            raise LeakyStageError(f"recovery rate rho must be > 0 (got {rho!r})")
-        if not (math.isfinite(tau) and tau > 0.0):
-            raise LeakyStageError(f"inter-release time tau must be > 0 (got {tau!r})")
+        _number(rho, "recovery rate rho", strict=True)
+        _number(tau, "inter-release time tau", strict=True)
         return cls(lam=math.exp(-rho * tau), n=n, Q=Q, a0=a0)
 
 
@@ -128,10 +130,29 @@ def peak_capacity(n: int, lam: float) -> float:
     the peak exceeding one unit.  ``lam = 0`` is accepted as the
     complete-relaxation limit, where the multiplier is ``n``.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise LeakyStageError(f"release count n must be an integer >= 1 (got {n!r})")
-    _validate_lam(lam)
+    return _peak_capacity(_count(n, "release count n"), _lam(lam))
+
+
+def _peak_capacity(n: int, lam: float) -> float:
+    """:func:`peak_capacity` of arguments already checked."""
     return 1.0 + (n - 1) * (1.0 - lam)
+
+
+def _levels(releases: tuple[float, ...], a0: float, lam: float) -> list[float]:
+    """Post-release levels of checked ``releases`` from level ``a0``."""
+    level = a0 + releases[0]
+    levels = [level]
+    for q in releases[1:]:
+        level = lam * level + q
+        levels.append(level)
+    return levels
+
+
+def _plan(releases, levels, a0: float, lam: float, peak, capacity, degenerate) -> PeakPlan:
+    """The :class:`PeakPlan` of checked ``releases`` with their post-release ``levels``."""
+    identity = levels[-1] + (1.0 - lam) * math.fsum(levels[:-1]) - a0
+    return PeakPlan(tuple(releases), tuple(levels), peak, capacity,
+                    math.fsum(releases) - identity, degenerate)
 
 
 def simulate_recurrence(config: RecoveryConfig, releases) -> PeakPlan:
@@ -139,29 +160,14 @@ def simulate_recurrence(config: RecoveryConfig, releases) -> PeakPlan:
 
     ``A_1 = a0 + q_1`` and ``A_k = lam * A_{k-1} + q_k`` for later stages.
     """
-    releases = tuple(float(q) for q in releases)
+    releases = tuple(releases)
     if len(releases) != config.n:
-        raise ScheduleError(
-            f"expected {config.n} releases, got {len(releases)}"
-        )
-    for j, q in enumerate(releases):
-        if not (math.isfinite(q) and q >= 0.0):
-            raise ScheduleError(f"release {j + 1} must be finite and >= 0 (got {q!r})")
-    levels = []
-    level = config.a0
-    for q in releases:
-        level = config.lam * level + q if levels else config.a0 + q
-        levels.append(level)
-    total = math.fsum(releases)
-    identity = levels[-1] + (1.0 - config.lam) * math.fsum(levels[:-1]) - config.a0
-    return PeakPlan(
-        releases=releases,
-        post_levels=tuple(levels),
-        peak=max(levels) if levels else config.a0,
-        capacity_multiplier=peak_capacity(config.n, config.lam),
-        capacity_residual=total - identity,
-        degenerate=total == 0.0,
-    )
+        raise ScheduleError(f"expected {config.n} releases, got {len(releases)}")
+    releases = tuple([float(_number(q, f"release {j}", error=ScheduleError))
+                      for j, q in enumerate(releases, 1)])
+    levels = _levels(releases, config.a0, config.lam)
+    return _plan(releases, levels, config.a0, config.lam, max(levels),
+                 _peak_capacity(config.n, config.lam), not any(releases))
 
 
 def min_peak_plan(config: RecoveryConfig) -> PeakPlan:
@@ -176,26 +182,11 @@ def min_peak_plan(config: RecoveryConfig) -> PeakPlan:
         raise LeakyStageError(
             "min_peak_plan assumes an empty start (a0 = 0); use state_peak_plan for a0 > 0"
         )
-    if config.Q == 0.0:
-        zeros = (0.0,) * config.n
-        return PeakPlan(
-            releases=zeros,
-            post_levels=zeros,
-            peak=0.0,
-            capacity_multiplier=peak_capacity(config.n, config.lam),
-            capacity_residual=0.0,
-            degenerate=True,
-        )
-    peak = config.Q / peak_capacity(config.n, config.lam)
-    releases = (peak,) + ((1.0 - config.lam) * peak,) * (config.n - 1)
-    simulated = simulate_recurrence(config, releases)
-    return PeakPlan(
-        releases=releases,
-        post_levels=simulated.post_levels,
-        peak=peak,
-        capacity_multiplier=simulated.capacity_multiplier,
-        capacity_residual=simulated.capacity_residual,
-    )
+    lam, a0 = config.lam, config.a0
+    capacity = _peak_capacity(config.n, lam)
+    peak = (config.Q + 0.0) / capacity  # + 0.0: a load of -0.0 releases +0.0, as Q = 0 does
+    releases = (peak,) + ((1.0 - lam) * peak,) * (config.n - 1)
+    return _plan(releases, _levels(releases, a0, lam), a0, lam, peak, capacity, config.Q == 0.0)
 
 
 def state_value(m: int, a: float, Q: float, lam: float) -> float:
@@ -205,14 +196,16 @@ def state_value(m: int, a: float, Q: float, lam: float) -> float:
     recursion ``H_m(a, Q) = min_q max(a + q, H_{m-1}(lam (a + q), Q - q))``
     with ``H_1(a, Q) = a + Q``.
     """
-    if not (isinstance(m, int) and m >= 1):
-        raise LeakyStageError(f"remaining release count m must be an integer >= 1 (got {m!r})")
-    if not (math.isfinite(a) and a >= 0.0):
-        raise LeakyStageError(f"current level a must be finite and >= 0 (got {a!r})")
-    if not (math.isfinite(Q) and Q >= 0.0):
-        raise LeakyStageError(f"remaining load Q must be finite and >= 0 (got {Q!r})")
-    _validate_lam(lam)
-    return max(a, (a + Q) / peak_capacity(m, lam))
+    return _state_target(m, a, Q, lam)[1]
+
+
+def _state_target(m: int, a: float, Q: float, lam: float) -> tuple[float, float]:
+    """``c_m(lam)`` and :func:`state_value`, after checking the arguments."""
+    _count(m, "remaining release count m")
+    _number(a, "current level a")
+    _number(Q, "remaining load Q")
+    capacity = _peak_capacity(m, _lam(lam))
+    return capacity, max(a, (a + Q) / capacity)
 
 
 def state_peak_plan(m: int, a: float, Q: float, lam: float) -> PeakPlan:
@@ -223,30 +216,23 @@ def state_peak_plan(m: int, a: float, Q: float, lam: float) -> PeakPlan:
     start level already dominates (``a > (a + Q)/c_m``) the minimiser is not
     unique; this is one optimal choice.
     """
-    target = state_value(m, a, Q, lam)
-    releases = []
-    level = a
-    remaining = Q
-    for k in range(m):
-        decayed = lam * level if k else a
+    capacity, target = _state_target(m, a, Q, lam)
+    # the first release fills from ``a`` itself, and only it can come out an int (Q)
+    q = float(min(Q, max(0.0, target - a)))
+    level, remaining = a + q, Q - q
+    releases, levels = [q], [level]
+    for _ in range(m - 1):
+        decayed = lam * level
         q = min(remaining, max(0.0, target - decayed))
         releases.append(q)
         level = decayed + q
+        levels.append(level)
         remaining -= q
     if remaining > 1e-9 * max(1.0, Q):
         raise LeakyStageError(
             f"greedy fill left {remaining!r} of the load unabsorbed; target peak inconsistent"
         )
-    config = RecoveryConfig(lam=lam, n=m, Q=Q, a0=a)
-    plan = simulate_recurrence(config, tuple(releases))
-    return PeakPlan(
-        releases=plan.releases,
-        post_levels=plan.post_levels,
-        peak=target,
-        capacity_multiplier=plan.capacity_multiplier,
-        capacity_residual=plan.capacity_residual,
-        degenerate=Q == 0.0,
-    )
+    return _plan(releases, levels, a, lam, target, capacity, degenerate=Q == 0.0)
 
 
 def safe_count_fixed_lambda(Q: float, lam: float, params: ModelParams) -> int:
@@ -256,15 +242,14 @@ def safe_count_fixed_lambda(Q: float, lam: float, params: ModelParams) -> int:
     with ``r = Q / delta_c``; equivalently the smallest ``n`` with
     ``r <= c_n(lam)``.
     """
-    if not (math.isfinite(Q) and Q > 0.0):
-        raise LeakyStageError(f"total load Q must be finite and > 0 (got {Q!r})")
-    _validate_lam(lam)
+    _number(Q, "total load Q", strict=True)
+    _lam(lam)
     r = Q / derive(params).delta_c
     excess = max(0.0, r - 1.0)
     if excess == 0.0:
         return 1
     stages = excess / (1.0 - lam)
-    if not math.isfinite(stages):
+    if stages == math.inf:
         raise LeakyStageError(f"total load Q={Q!r} overflows (Q / delta_c - 1) / (1 - lam)")
     return 1 + max(0, guarded_ceil(stages))
 
@@ -275,10 +260,11 @@ def horizon_capacity(n: int, h: float) -> float:
     ``B_1 = 1`` and ``B_n(h) = 1 + (n-1)(1 - exp(-h/(n-1)))`` for ``n >= 2``;
     increasing in ``n`` and strictly below the supremum ``1 + h``.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise LeakyStageError(f"release count n must be an integer >= 1 (got {n!r})")
-    if not (math.isfinite(h) and h >= 0.0):
-        raise LeakyStageError(f"horizon h must be finite and >= 0 (got {h!r})")
+    return _horizon_capacity(_count(n, "release count n"), _number(h, "horizon h"))
+
+
+def _horizon_capacity(n: int, h: float) -> float:
+    """:func:`horizon_capacity` of arguments already checked."""
     if n == 1:
         return 1.0
     # -expm1 keeps full precision when h/(n-1) is tiny (large n).
@@ -295,11 +281,9 @@ def horizon_feasibility(
     ``r = 1 + h`` (within ``eps_thr``) the capacity is only supremal; above
     it no finite schedule is safe.
     """
-    if not (math.isfinite(r) and r > 0.0):
-        raise LeakyStageError(f"dimensionless load r must be finite and > 0 (got {r!r})")
-    if not (math.isfinite(h) and h >= 0.0):
-        raise LeakyStageError(f"horizon h must be finite and >= 0 (got {h!r})")
-    if r <= 1.0 + eps_thr:
+    _number(r, "dimensionless load r", strict=True)
+    _number(h, "horizon h")
+    if r <= 1.0 + _number(eps_thr, "tolerance eps_thr"):
         return HorizonFeasibility(HorizonRegime.SAFE_WITH_ONE_RELEASE)
     if abs(r - (1.0 + h)) <= eps_thr:
         return HorizonFeasibility(HorizonRegime.SUPREMAL_BOUNDARY)
@@ -307,12 +291,12 @@ def horizon_feasibility(
         return HorizonFeasibility(HorizonRegime.INFEASIBLE)
     # B_n(h) increases to 1 + h, so doubling then bisecting terminates.
     hi = 2
-    while horizon_capacity(hi, h) < r:
+    while _horizon_capacity(hi, h) < r:
         hi *= 2
     lo = max(2, hi // 2)
     while lo < hi:
         mid = (lo + hi) // 2
-        if horizon_capacity(mid, h) >= r:
+        if _horizon_capacity(mid, h) >= r:
             hi = mid
         else:
             lo = mid + 1
@@ -326,13 +310,10 @@ def unequal_spacing_capacity(taus, rho: float) -> float:
     a threshold unit that recovers during it.  Equal gaps with the same total
     time maximise this, matching ``B_n``.
     """
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise LeakyStageError(f"recovery rate rho must be > 0 (got {rho!r})")
+    _number(rho, "recovery rate rho", strict=True)
     import numpy as np
 
-    taus = np.asarray(taus, dtype=float)
-    if taus.size and (not np.all(np.isfinite(taus)) or np.any(taus < 0.0)):
-        raise LeakyStageError("every inter-release time must be finite and >= 0")
+    taus = _numbers(taus, "inter-release times")
     return 1.0 + float(np.sum(-np.expm1(-rho * taus)))
 
 
@@ -346,20 +327,15 @@ def capacity_report(
     eps_thr: float = EPS_THR,
 ) -> CapacityReport:
     """Assemble the safe-capacity numbers for one configuration."""
+    _number(Q, "total load Q", strict=True)
+    c_n = peak_capacity(n, lam)
     d = derive(params)
-    r = Q / d.delta_c
-    feasibility = horizon_feasibility(r, h, eps_thr=eps_thr)
-    if feasibility.regime is HorizonRegime.SAFE_WITH_ONE_RELEASE:
-        n_horizon: int | CountBound = 1
-    elif feasibility.regime is HorizonRegime.SAFE_WITH_N:
-        n_horizon = feasibility.n  # type: ignore[assignment]
-    else:
-        n_horizon = UNBOUNDED
+    feasibility = horizon_feasibility(Q / d.delta_c, h, eps_thr=eps_thr)
     return CapacityReport(
-        c_n=peak_capacity(n, lam),
-        B_n=horizon_capacity(n, h),
-        Q_max_safe=d.delta_c * peak_capacity(n, lam),
+        c_n=c_n,
+        B_n=_horizon_capacity(n, h),
+        Q_max_safe=d.delta_c * c_n,
         Q_sup_safe=d.delta_c * (1.0 + h),
         N_safe_lambda=safe_count_fixed_lambda(Q, lam, params),
-        N_safe_horizon=n_horizon,
+        N_safe_horizon=_safe_count_within(feasibility),
     )

@@ -370,6 +370,14 @@ class TestMain:
         assert "RK4 overflowed at step 2.5; reduce the step" in err
         assert "Traceback" not in err
 
+    def test_unallocatable_step_exits_1(self, capsys):
+        # 1e-300 asks for some 1e300 nodes: numpy refuses before allocating anything
+        code = main(["simulate", "--preset", "fig-envelope", "--step", "1e-300", "--no-meta-time"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: step size 1e-300 needs more samples" in err
+        assert "Traceback" not in err
+
     def test_config_errors_name_the_path_as_typed(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.yaml").write_text("params: [unclosed\n", encoding="utf-8")

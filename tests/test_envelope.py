@@ -78,6 +78,15 @@ class TestSimulateEnvelope:
         with pytest.raises(LeakyStageError):
             simulate_envelope(FIG_SCHEDULE, figure_params, 5.0, 0.01)
 
+    @pytest.mark.parametrize("simulate", [
+        lambda schedule, params, T, step: simulate_envelope(schedule, params, T, step),
+        lambda schedule, params, T, step: simulate_full(schedule, params, 0.1, 0.0, T, step),
+    ], ids=["envelope", "full"])
+    def test_unallocatable_step_names_the_step(self, figure_params, simulate):
+        # 1e-300 asks for some 1e300 nodes: numpy refuses before allocating anything
+        with pytest.raises(LeakyStageError, match=r"step size 1e-300 needs more samples"):
+            simulate(FIG_SCHEDULE, figure_params, 8.0, 1e-300)
+
     def test_recurrence_consistency_random(self):
         rng = np.random.default_rng(97)
         for _ in range(50):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakystage import (
     UNBOUNDED,
@@ -24,8 +26,11 @@ from util import (
     bellman_descent_3,
     bellman_state_value,
     bellman_tables,
+    min_peak_plan_oracle,
     random_params,
     recurrence_peaks,
+    simulate_recurrence_oracle,
+    state_peak_plan_oracle,
 )
 
 LAM1 = math.exp(-1.0)
@@ -311,3 +316,46 @@ class TestCapacityReport:
         report = capacity_report(figure_params, Q=3.5 * d.delta_c, n=3, lam=LAM1, h=2.0)
         assert report.N_safe_horizon is UNBOUNDED
         assert isinstance(report.N_safe_lambda, int)
+
+
+def _outcome(function, *args) -> str:
+    """The exact text of a result (repr keeps every bit, int/float and -0.0), or of its error."""
+    try:
+        return repr(function(*args))
+    except LeakyStageError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_LOADS = st.one_of(st.floats(0.0, 60.0), st.integers(0, 60), st.just(-0.0))
+_LAMS = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.just(0))
+
+
+class TestOnePassPlans:
+    """The one-pass plans against the two-pass composition they replace (tests/util.py)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 40), _LOADS, _LOADS, _LAMS)
+    def test_state_peak_plan_matches_two_pass_oracle(self, m, a, Q, lam):
+        assert _outcome(state_peak_plan, m, a, Q, lam) == \
+            _outcome(state_peak_plan_oracle, m, a, Q, lam)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 40), _LOADS, _LAMS, st.sampled_from([0.0, 0, -0.0]))
+    def test_min_peak_plan_matches_two_pass_oracle(self, n, Q, lam, a0):
+        config = RecoveryConfig(lam=lam, n=n, Q=Q, a0=a0)
+        assert _outcome(min_peak_plan, config) == _outcome(min_peak_plan_oracle, config)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_simulate_recurrence_matches_oracle(self, n, data):
+        releases = data.draw(st.lists(_LOADS, min_size=n, max_size=n))
+        config = RecoveryConfig(lam=data.draw(_LAMS), n=n, Q=1.0, a0=data.draw(_LOADS))
+        assert _outcome(simulate_recurrence, config, releases) == \
+            _outcome(simulate_recurrence_oracle, config, releases)
+
+    def test_large_plan_matches_two_pass_oracle(self):
+        # the benchmark's scale: m = 1e5 releases with a start level that decays away
+        args = (100_000, 0.7, 0.9 * 100_000 * (1.0 - 0.35), 0.35)
+        assert repr(state_peak_plan(*args)) == repr(state_peak_plan_oracle(*args))
+        config = RecoveryConfig(lam=0.35, n=100_000, Q=1234.5)
+        assert repr(min_peak_plan(config)) == repr(min_peak_plan_oracle(config))

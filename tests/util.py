@@ -6,8 +6,8 @@ searches for the allocation optimum, a one-dimensional Bellman grid recursion
 for the minimax peak value, plain enumeration for the overhead trade-off
 and its frontier ``k_safe``, numpy's ``linspace`` for the phase grids, the
 plain per-step loops of the envelope integrator and path exposure, the
-per-cell CSV and ``json.dumps`` emit path for the CLI's output bytes, and frozen
-dataclasses for the package's records.
+two-pass peak plans, the per-cell CSV and ``json.dumps`` emit path for the CLI's
+output bytes, and frozen dataclasses for the package's records.
 """
 from __future__ import annotations
 
@@ -21,11 +21,16 @@ from leakystage import (
     ImpulseSchedule,
     LeakyStageError,
     ModelParams,
+    PeakPlan,
+    RecoveryConfig,
+    ScheduleError,
     derive,
     excess_exposure,
     exposure_batch,
     growth_pressure,
     normalized_factor,
+    peak_capacity,
+    state_value,
 )
 from leakystage.envelope import Trajectory, _segment_nodes
 from leakystage.model import guarded_ceil
@@ -279,6 +284,95 @@ def bellman_descent_3(
         H2 = np.min(np.maximum(A2, H1), axis=1)
         best = min(best, float(np.max([A1[start : start + chunk], H2], axis=0).min()))
     return best
+
+
+# ---------------------------------------------------------------------------
+# peak-plan oracles
+#
+# The plans as they were built in two passes: the releases run through
+# ``RecoveryConfig`` and the checked recurrence, then a second ``PeakPlan`` is
+# assembled from the result.  The package builds each plan in one pass and
+# must give the same bits.
+
+
+def simulate_recurrence_oracle(config: RecoveryConfig, releases) -> PeakPlan:
+    releases = tuple(float(q) for q in releases)
+    if len(releases) != config.n:
+        raise ScheduleError(
+            f"expected {config.n} releases, got {len(releases)}"
+        )
+    for j, q in enumerate(releases):
+        if not (math.isfinite(q) and q >= 0.0):
+            raise ScheduleError(f"release {j + 1} must be finite and >= 0 (got {q!r})")
+    levels = []
+    level = config.a0
+    for q in releases:
+        level = config.lam * level + q if levels else config.a0 + q
+        levels.append(level)
+    total = math.fsum(releases)
+    identity = levels[-1] + (1.0 - config.lam) * math.fsum(levels[:-1]) - config.a0
+    return PeakPlan(
+        releases=releases,
+        post_levels=tuple(levels),
+        peak=max(levels) if levels else config.a0,
+        capacity_multiplier=peak_capacity(config.n, config.lam),
+        capacity_residual=total - identity,
+        degenerate=total == 0.0,
+    )
+
+
+def min_peak_plan_oracle(config: RecoveryConfig) -> PeakPlan:
+    if config.a0 != 0.0:
+        raise LeakyStageError(
+            "min_peak_plan assumes an empty start (a0 = 0); use state_peak_plan for a0 > 0"
+        )
+    if config.Q == 0.0:
+        zeros = (0.0,) * config.n
+        return PeakPlan(
+            releases=zeros,
+            post_levels=zeros,
+            peak=0.0,
+            capacity_multiplier=peak_capacity(config.n, config.lam),
+            capacity_residual=0.0,
+            degenerate=True,
+        )
+    peak = config.Q / peak_capacity(config.n, config.lam)
+    releases = (peak,) + ((1.0 - config.lam) * peak,) * (config.n - 1)
+    simulated = simulate_recurrence_oracle(config, releases)
+    return PeakPlan(
+        releases=releases,
+        post_levels=simulated.post_levels,
+        peak=peak,
+        capacity_multiplier=simulated.capacity_multiplier,
+        capacity_residual=simulated.capacity_residual,
+    )
+
+
+def state_peak_plan_oracle(m: int, a: float, Q: float, lam: float) -> PeakPlan:
+    target = state_value(m, a, Q, lam)
+    releases = []
+    level = a
+    remaining = Q
+    for k in range(m):
+        decayed = lam * level if k else a
+        q = min(remaining, max(0.0, target - decayed))
+        releases.append(q)
+        level = decayed + q
+        remaining -= q
+    if remaining > 1e-9 * max(1.0, Q):
+        raise LeakyStageError(
+            f"greedy fill left {remaining!r} of the load unabsorbed; target peak inconsistent"
+        )
+    config = RecoveryConfig(lam=lam, n=m, Q=Q, a0=a)
+    plan = simulate_recurrence_oracle(config, tuple(releases))
+    return PeakPlan(
+        releases=plan.releases,
+        post_levels=plan.post_levels,
+        peak=target,
+        capacity_multiplier=plan.capacity_multiplier,
+        capacity_residual=plan.capacity_residual,
+        degenerate=Q == 0.0,
+    )
 
 
 # ---------------------------------------------------------------------------
