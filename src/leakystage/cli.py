@@ -39,6 +39,8 @@ from .model import (
     DimensionlessPoint,
     FrozenRecord,
     ModelParams,
+    _count,
+    _number,
     derive,
     growth_pressure,
 )
@@ -60,7 +62,7 @@ class _Field(FrozenRecord):
     ``counts`` (nonempty lists), ``range`` (``[min, max, count]``), ``schedule`` (a list
     of ``[time, size]`` pairs), ``enum`` (one of ``choices``), ``bool``, or ``object`` (a
     mapping of ``fields`` holding exactly one member of each ``one_of`` group).  Numbers
-    and counts are >= ``minimum`` (> when ``strict``) and < ``below`` if set.  An absent
+    and counts are >= ``minimum`` (> when ``strict``); numbers are < ``below``.  An absent
     field fails when ``required``, else takes ``default`` unless that is None.  ``help``
     is its flag help and schema description; flags are ``--name`` (``_`` as ``-``)."""
 
@@ -68,7 +70,7 @@ class _Field(FrozenRecord):
     help: str = ""
     minimum: float = 0.0
     strict: bool = False
-    below: float | None = None
+    below: float = math.inf
     required: bool = False
     default: Any = None
     flag: bool = True
@@ -184,41 +186,15 @@ def _as_mapping(value: Any, context: str) -> dict[str, Any]:
     return dict(value)
 
 
-def _finite(value: Any, what: str, minimum: float, strict: bool = False,
-            below: float | None = None) -> float:
-    """``value`` as a float; ``what`` names it in the error if it is not a finite
-    number at or above ``minimum`` (above it when ``strict``) and below ``below``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number (got {value!r})")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{what} must be finite (got {value!r})")
-    if number < minimum or (strict and number == minimum):
-        raise ConfigError(f"{what} must be {'>' if strict else '>='} {minimum} (got {number!r})")
-    if below is not None and number >= below:
-        raise ConfigError(f"{what} must be < {below} (got {number!r})")
-    return number
-
-
-def _count(value: Any, what: str, minimum: int) -> int:
-    """``value`` as an int, an integral float included; ``what`` names it in the
-    error if it is not an integer >= ``minimum``."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what} must be an integer (got {value!r})")
-    if value < minimum:
-        raise ConfigError(f"{what} must be >= {minimum} (got {value!r})")
-    return value
-
-
-def _scalar(field: _Field, value: Any, what: str) -> float | int:
+def _scalar(value: Any, what: str, field: _Field) -> float | int:
+    """``value`` of the number or count ``field``, named ``what`` in errors, by the package's
+    one rule (:func:`~leakystage.model._number`, :func:`~leakystage.model._count`).  As in
+    JSON Schema, an integral float is an integer; a number is echoed as a float."""
     if field.kind == "count":
-        return _count(value, what, field.minimum)
-    return _finite(value, what, field.minimum, field.strict, field.below)
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        return _count(value, what, field.minimum, ConfigError)
+    return float(_number(value, what, field.minimum, field.strict, field.below, ConfigError))
 
 
 def _check(field: _Field, value: Any, where: str, name: str) -> Any:
@@ -228,7 +204,7 @@ def _check(field: _Field, value: Any, where: str, name: str) -> Any:
         path = name if where == "config document" else f"{where}.{name}"  # params, phase.panel_c
         return _check_object(field, value, path)
     if kind in ("number", "count"):
-        return _scalar(field, value, what)
+        return _scalar(value, what, field)
     if kind == "enum" and value not in field.choices:
         raise ConfigError(f"{what} must be one of {'/'.join(field.choices)} (got {value!r})")
     if kind == "bool" and not isinstance(value, bool):
@@ -238,7 +214,7 @@ def _check(field: _Field, value: Any, where: str, name: str) -> Any:
     if kind == "range":
         if not (isinstance(value, (list, tuple)) and len(value) == 3):
             raise ConfigError(f"{what} must be a [min, max, count] triple")
-        return [_scalar(item, v, f"{what} {label}")
+        return [_scalar(v, f"{what} {label}", item)
                 for (label, item), v in zip(_RANGE_ITEMS.items(), value)]
     if kind == "schedule":
         if not isinstance(value, (list, tuple)):
@@ -247,15 +223,14 @@ def _check(field: _Field, value: Any, where: str, name: str) -> Any:
     if not (isinstance(value, (list, tuple)) and value):
         raise ConfigError(f"{what} must be a nonempty list of "
                           + ("numbers" if kind == "numbers" else "integers"))
-    return _each(_finite if kind == "numbers" else _count, value, f"{where}: {name}",
-                 field.minimum)
+    return _each(_scalar, value, f"{where}: {name}", _Field(kind[:-1], minimum=field.minimum))
 
 
 def _pair(pair: Any, what: str) -> list[float]:
     """A ``[time, size]`` schedule event, named ``what`` in errors."""
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
         raise ConfigError(f"{what} must be a [time, size] pair")
-    return [_scalar(item, v, f"{what} {label}")
+    return [_scalar(v, f"{what} {label}", item)
             for (label, item), v in zip(_PAIR_ITEMS.items(), pair)]
 
 
@@ -382,7 +357,7 @@ def _schema(field: _Field) -> dict[str, Any]:
     elif kind in ("number", "count"):
         out["type"] = "integer" if kind == "count" else "number"
         out["exclusiveMinimum" if field.strict else "minimum"] = field.minimum
-        if field.below is not None:
+        if field.below < math.inf:
             out["exclusiveMaximum"] = field.below
     elif kind in ("numbers", "counts"):
         item = _Field(kind[:-1], minimum=field.minimum)  # kind "number" or "count"

@@ -48,20 +48,15 @@ class ExposureValue(FrozenRecord):
     active_duration: float
 
     def __post_init__(self) -> None:
-        _check_exposure(_number(self.value, "exposure value"),
-                        _number(self.active_duration, "active duration"))
+        _check_exposure(self.value, self.active_duration)
 
 
 def _check_exposure(value: float, active_duration: float) -> None:
-    """The invariant of :class:`ExposureValue` that ties its two (checked, nonnegative)
-    fields together; :func:`exposure_table` checks it on each row."""
-    if (value == 0.0) != (active_duration == 0.0):
+    """The checks of :class:`ExposureValue`, which :func:`exposure_table` makes on each row:
+    both fields finite and nonnegative, and zero together."""
+    if (_number(value, "exposure value") == 0.0) != (
+            _number(active_duration, "active duration") == 0.0):
         raise LeakyStageError("exposure is zero exactly when the active duration is zero")
-
-
-def _log_ratio(q: float, delta_c: float) -> float:
-    """log(q / delta_c); near the threshold ``q - delta_c`` is exact, so no digits are lost."""
-    return math.log1p((q - delta_c) / delta_c)
 
 
 def _onset(x):
@@ -98,11 +93,14 @@ def _release(
     and :func:`exposure_table`, so all three give the same bits.  It checks ``q``;
     the callers check ``eps_thr``.
     """
-    if _number(q, "release size q") <= d.delta_c + eps_thr:
+    delta_c = d.delta_c
+    if _number(q, "release size q") <= delta_c + eps_thr:
         return 0.0, 0.0, 0.0
-    scale = d.alpha / rho
-    return (scale * exposure_bracket(q, d.delta_c), scale * (1.0 - d.delta_c / q),
-            _log_ratio(q, d.delta_c) / rho)
+    scale, x = d.alpha / rho, (q - delta_c) / delta_c
+    # log(q / delta_c): log1p keeps every digit near the threshold, where q - delta_c is
+    # exact; the difference of logarithms stands in only where x overflows
+    log_ratio = math.log1p(x) if x < math.inf else math.log(q) - math.log(delta_c)
+    return scale * exposure_bracket(q, delta_c), scale * (1.0 - delta_c / q), log_ratio / rho
 
 
 def exposure_closed_form(

@@ -102,40 +102,63 @@ class FrozenRecord:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` has a numeric type: ``int`` or ``float``, never ``bool``."""
+    return isinstance(value, (int, float)) and value.__class__ is not bool
+
+
 def _number(value, what: str, minimum=0, strict: bool = False, below=math.inf,
             error: type[LeakyStageError] = LeakyStageError):
     """``value``, as given, if it is a finite number at or above ``minimum`` (above it
-    when ``strict``) and below ``below``; else ``error`` naming it ``what``.  The one
-    rule for the numeric arguments of the package's public functions and records."""
+    when ``strict``) and below ``below``; else ``error`` naming it ``what``.
+
+    The one rule for the numeric arguments of the package's public functions and
+    records, and for the number fields of a CLI config.  A number is an ``int`` or a
+    ``float``, subclasses such as ``numpy.float64`` included, but never a ``bool``;
+    ``Decimal``, ``Fraction``, ``numpy.float32`` and ``numpy.int64`` are not numbers.
+    ``minimum`` is finite.
+    """
     try:
-        if math.isfinite(value) and (value > minimum if strict else value >= minimum) \
-                and value < below:
+        # a float needs no isfinite: NaN fails both comparisons, and infinities one of them
+        if (value.__class__ is float or _is_number(value) and math.isfinite(value)) \
+                and (value > minimum if strict else value >= minimum) and value < below:
             return value
-    except (OverflowError, TypeError):  # an integer beyond the float range, a non-number
-        pass
+        finite = _is_number(value) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
     rule = f"{'>' if strict else '>='} {minimum}" + ("" if below == math.inf else f" and < {below}")
-    raise error(f"{what} must be finite and {rule} (got {value!r})")
+    raise error(f"{what} must be {'' if finite else 'finite and '}{rule} (got {value!r})")
 
 
 def _count(value, what: str, minimum: int = 1,
            error: type[LeakyStageError] = LeakyStageError) -> int:
-    """``value`` if it is an integer at or above ``minimum`` within the float range,
-    which the counts enter through float arithmetic; else ``error`` naming it ``what``."""
-    try:
-        if isinstance(value, int) and value >= minimum and math.isfinite(value):
-            return value
-    except OverflowError:
-        raise error(f"{what} must be an integer below 2**1024 (got {value!r})") from None
+    """``value`` if it is an ``int`` (never a ``bool``) at or above ``minimum`` within
+    the float range, which the counts enter through float arithmetic; else ``error``
+    naming it ``what``.  A CLI config reads an integral float as an integer first."""
+    if isinstance(value, int) and value.__class__ is not bool:
+        if value < minimum:
+            raise error(f"{what} must be >= {minimum} (got {value!r})")
+        try:
+            math.isfinite(value)
+        except OverflowError:
+            raise error(f"{what} must be an integer below 2**1024 (got {value!r})") from None
+        return value
     raise error(f"{what} must be an integer >= {minimum} (got {value!r})")
 
 
 def _numbers(values, what: str):
-    """:func:`_number` for an array: ``values`` as floats if all are finite and >= 0."""
+    """:func:`_number` for an array: ``values`` as floats if all are finite and >= 0.
+
+    An array of integers or floats passes, one of bools does not, nor does a
+    sequence holding a ``bool``, which numpy would read as 0 or 1.
+    """
     import numpy as np
 
-    try:  # strings, None and integers beyond int64 give non-numeric dtypes
+    try:  # strings, None, Decimals and integers beyond int64 give non-numeric dtypes
         array = np.asarray(values)
-        if array.dtype.kind in "biuf" and (
+        bools = array is not values and {bool, np.bool_} & set(
+            map(type, np.asarray(values, dtype=object).flat))  # read as 0 and 1 among numbers
+        if array.dtype.kind in "iuf" and not bools and (
                 not array.size or array.min() >= 0.0 and array.max() < math.inf):
             return array.astype(float, copy=False)
     except ValueError:  # a ragged nesting
@@ -169,10 +192,7 @@ class ModelParams(FrozenRecord):
 
     def __post_init__(self) -> None:
         for name in ("beta", "mu", "delta", "rho"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)):  # a Decimal rate would fail in float arithmetic
-                raise ParameterError(f"{name} must be a number (got {value!r})")
-            _number(value, name, strict=True, error=ParameterError)
+            _number(getattr(self, name), name, strict=True, error=ParameterError)
         if not self.beta < self.mu < self.delta:
             raise ParameterError("shock-sensitive ordering violated: requires beta < mu < delta "
                                  f"(got beta={self.beta!r}, mu={self.mu!r}, delta={self.delta!r})")

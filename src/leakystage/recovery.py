@@ -185,7 +185,10 @@ def min_peak_plan(config: RecoveryConfig) -> PeakPlan:
     lam, a0 = config.lam, config.a0
     capacity = _peak_capacity(config.n, lam)
     peak = (config.Q + 0.0) / capacity  # + 0.0: a load of -0.0 releases +0.0, as Q = 0 does
-    releases = (peak,) + ((1.0 - lam) * peak,) * (config.n - 1)
+    try:
+        releases = (peak,) + ((1.0 - lam) * peak,) * (config.n - 1)
+    except (OverflowError, MemoryError):  # more releases than can be allocated
+        raise LeakyStageError("release count n must be small enough to allocate its plan") from None
     return _plan(releases, _levels(releases, a0, lam), a0, lam, peak, capacity, config.Q == 0.0)
 
 

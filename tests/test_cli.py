@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +13,8 @@ from hypothesis import strategies as st
 
 from leakystage import ConfigError, LeakyStageError, derive
 from leakystage.cli import (
-    _DOCUMENT, _FIELDS, _PARAMS, COMMANDS, _check, _count, _Field, _finite, main, parse_config,
-    run, schema, to_csv, to_json,
+    _DOCUMENT, _FIELDS, _PARAMS, COMMANDS, _check, _Field, _scalar, main, parse_config, run,
+    schema, to_csv, to_json,
 )
 from leakystage.presets import PRESETS, preset
 
@@ -91,8 +93,7 @@ class TestParseConfig:
     def test_list_items_match_the_item_by_item_check(self, kind, minimum, value):
         # each list item checked on its own and labelled with its index, as before the
         # labels were formatted only for a failing item
-        field = _Field(kind, minimum=minimum)
-        item = _finite if kind == "numbers" else _count
+        field, item = _Field(kind, minimum=minimum), _Field(kind[:-1], minimum=minimum)
 
         def outcome(check):
             try:
@@ -101,7 +102,7 @@ class TestParseConfig:
                 return str(exc)
 
         assert outcome(lambda: _check(field, value, "w", "x")) == outcome(
-            lambda: [item(v, f"w: x[{i}]", minimum) for i, v in enumerate(value)])
+            lambda: [_scalar(v, f"w: x[{i}]", item) for i, v in enumerate(value)])
 
     def test_release_sizes_must_be_a_list(self):
         with pytest.raises(ConfigError, match="nonempty list"):
@@ -124,6 +125,14 @@ class TestParseConfig:
     def test_counts_must_be_integers(self, n):
         with pytest.raises(ConfigError, match="split: field 'n' must be an integer"):
             parse_config({"params": FIG, "split": {"Q": 1.0, "n": n}})
+
+    @pytest.mark.parametrize("value", [True, Decimal("1"), Fraction(1, 2)])
+    @pytest.mark.parametrize("name", ["Q", "n"])
+    def test_non_numbers_name_the_field(self, name, value):
+        # the library's rule: a bool, a Decimal or a Fraction is neither a number nor a count
+        block = dict({"Q": 1.0, "n": 2}, **{name: value})
+        with pytest.raises(ConfigError, match=f"split: field '{name}' must be "):
+            parse_config({"params": FIG, "split": block})
 
     def test_range_ends_name_the_field(self):
         with pytest.raises(ConfigError, match=r"phase: field 'r_range' min must be >= 0\.0"):

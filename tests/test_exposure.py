@@ -15,6 +15,7 @@ from leakystage import (
     exposure_near_threshold,
 )
 from leakystage.cli import parse_config, run
+from leakystage.exposure import exposure_table
 from util import exposure_quadrature, exposure_spectral_form, random_params
 
 #: Rate sets in the shock-sensitive regime, drawn like ``util.random_params``.
@@ -266,3 +267,20 @@ class TestCliTable:
             assert duration.hex() == expected.active_duration.hex()
             assert derivative.hex() == exposure_derivative(q, params, eps_thr=eps_thr).hex()
             assert (value == 0.0) == (duration == 0.0) == (q <= edge)
+
+    def test_overflowing_rows_fail_as_the_scalar_path_does(self, figure_params):
+        # an exposure of inf was written into the row [1e308, inf, 2.4, inf]
+        for call in (lambda: exposure_closed_form(1e308, figure_params),
+                     lambda: exposure_table([1e308], figure_params)):
+            with pytest.raises(LeakyStageError, match=r"exposure value must be finite and >= 0 "
+                                                      r"\(got inf\)"):
+                call()
+
+    def test_duration_stays_finite_where_the_ratio_overflows(self, figure_params):
+        # q / delta_c overflows at q = 7e307, where the duration log(q / delta_c) / rho is
+        # finite; both paths raised on an infinite duration
+        q, d = 7e307, derive(figure_params)
+        expected = (math.log(q) - math.log(d.delta_c)) / figure_params.rho
+        [row] = exposure_table([q], figure_params)
+        assert row[3] == exposure_closed_form(q, figure_params).active_duration == expected
+        assert row[3] == pytest.approx(1419.876, abs=1e-3)

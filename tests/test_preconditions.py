@@ -11,6 +11,8 @@ else.  Names served from ``envelope`` are in the table too.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,6 +52,7 @@ from leakystage import (
     horizon_feasibility,
     k_safe,
     min_exposure,
+    min_peak_plan,
     minimal_safe_count,
     normalized_factor,
     optimal_split,
@@ -74,7 +77,9 @@ SCHEDULE = ImpulseSchedule(((0.0, 0.4), (0.5, 0.3)))
 POS, NONNEG, UNIT, COUNT, COUNT2, FREE = "pos", "nonneg", "unit", "count", "count2", "free"
 
 #: Hostile for every domain; 0 is added where the domain excludes it, 2.5 for counts.
-HOSTILE = [math.nan, math.inf, -math.inf, -1.0, 10**400, "1", None]
+#: A bool, a Decimal and a Fraction are not numbers, whatever their value.
+HOSTILE = [math.nan, math.inf, -math.inf, -1.0, 10**400, "1", None, True, Decimal("1"),
+           Fraction(1, 2)]
 
 
 def hostile_values(domain: str) -> list:
@@ -213,7 +218,10 @@ def test_table_covers_every_numeric_public_callable():
     lambda: RecoveryConfig(lam=0.5, n=3, Q=10**400),
     lambda: excess_exposure(3.0, 0),
     lambda: panel_c_comparison(path_points=3.5),
-], ids=["horizon_capacity", "k_safe", "RecoveryConfig", "excess_exposure", "panel_c"])
+    lambda: k_safe(Decimal("3.5")),
+    lambda: min_peak_plan(RecoveryConfig(0.5, 10**300, 1.0)),
+], ids=["horizon_capacity", "k_safe", "RecoveryConfig", "excess_exposure", "panel_c",
+        "k_safe-Decimal", "min_peak_plan"])
 def test_former_raw_errors_name_the_argument(call):
     # each of these raised OverflowError, ZeroDivisionError or TypeError
     with pytest.raises(LeakyStageError, match=r"\b(h|r|Q|n|path_points) must be"):
@@ -221,9 +229,26 @@ def test_former_raw_errors_name_the_argument(call):
 
 
 def test_exposure_batch_rejects_non_finite_sizes():
-    # exposure_batch([nan, inf]) returned [0.0, nan]
-    for sizes in ([math.nan, math.inf], [0.5, math.nan], [math.inf], [-math.inf, 1.0], [-0.5]):
+    # exposure_batch([nan, inf]) returned [0.0, nan], and bools passed as 0 and 1
+    for sizes in ([math.nan, math.inf], [0.5, math.nan], [math.inf], [-math.inf, 1.0], [-0.5],
+                  np.array([True, False]), [0.2, True], [[0.2], [np.True_]]):
         with pytest.raises(LeakyStageError, match="release sizes must be finite and >= 0"):
             exposure_batch(sizes, P)
     assert exposure_batch([], P).shape == (0,)
     assert exposure_batch(np.zeros((0, 3)), P).shape == (0, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: exposure_closed_form(Decimal("0.7"), P),
+    lambda: k_safe(np.float32(3.5)),
+    lambda: horizon_capacity(np.int64(3), 1.0),
+], ids=["exposure-Decimal", "k_safe-float32", "horizon_capacity-int64"])
+def test_only_ints_and_floats_are_numbers(call):
+    # the Decimal ended in a raw TypeError, and k_safe returned a float32
+    with pytest.raises(LeakyStageError, match=r"\b(q|r|n) must be (finite|an integer)"):
+        call()
+
+
+def test_numpy_float64_is_a_number():
+    assert k_safe(np.float64(4.5)) == k_safe(4.5)
+    assert horizon_capacity(3, np.float64(2.0)) == horizon_capacity(3, 2.0)
