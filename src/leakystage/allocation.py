@@ -74,7 +74,8 @@ class AllocationResult(FrozenRecord):
 class OverheadResult(FrozenRecord):
     """Outcome of the overhead/exposure stage-count minimisation.
 
-    ``ties`` lists every cost-optimal count (smallest first); ``n_star`` is
+    ``ties`` lists the cost-optimal counts, smallest first: one count, or two
+    consecutive ones whose costs agree within a relative 1e-12; ``n_star`` is
     the smallest.  At the frontier the safe count and one unsafe count are
     co-optimal, and both appear in ``ties``.
     """
@@ -121,23 +122,19 @@ def optimal_split(problem: SplitProblem, *, eps_thr: float = EPS_THR) -> Allocat
     eps_thr = _number(eps_thr, "tolerance eps_thr")
     d = derive(params)
     cap = n * d.delta_c
-    if Q >= cap - eps_thr:
-        # equal split; unique whenever the average is at or above threshold
-        releases = (Q / n,) * n
-        return AllocationResult(
-            releases=releases,
-            total_exposure=_split_exposure(Q, cap, d.alpha / params.rho, eps_thr),
-            is_safe=Q <= cap + eps_thr,
-            unique_minimizer=True,
-        )
-    full = int(Q // d.delta_c)  # < n here, since Q < n * delta_c
-    remainder = max(0.0, Q - full * d.delta_c)
-    releases = [d.delta_c] * full + [remainder] + [0.0] * (n - full - 1)
+    equal = Q >= cap - eps_thr  # the equal split, unique when the average is at or above threshold
+    full = 0 if equal else int(Q // d.delta_c)  # < n here, since Q < n * delta_c
+    try:
+        releases = (Q / n,) * n if equal else (
+            (d.delta_c,) * full + (max(0.0, Q - full * d.delta_c),) + (0.0,) * (n - full - 1))
+    except (OverflowError, MemoryError):  # more releases than can be allocated
+        raise LeakyStageError("release count n must be small enough to allocate its split") \
+            from None
     return AllocationResult(
-        releases=tuple(releases),
-        total_exposure=0.0,
-        is_safe=True,
-        unique_minimizer=False,
+        releases=releases,
+        total_exposure=_split_exposure(Q, cap, d.alpha / params.rho, eps_thr) if equal else 0.0,
+        is_safe=not equal or Q <= cap + eps_thr,
+        unique_minimizer=equal,
     )
 
 
@@ -163,35 +160,25 @@ def overhead_optimal_count(r: float, k: float) -> OverheadResult:
     """Cost-optimal release count for load ``r`` with per-release overhead ``k``.
 
     Minimises ``n * k + excess(r, n)`` over ``n in {1, ..., ceil(r)}`` (larger
-    counts only add overhead).  The cost is convex, so only the floor and ceiling
-    of :func:`continuous_relaxed_count` and the run of counts tying the minimum
-    within a relative 1e-12 are evaluated; ``n_star`` is the smallest tie.
+    counts only add overhead).  The cost is convex with relaxed minimiser
+    :func:`continuous_relaxed_count`, so only the floor and the ceiling of that
+    point, clamped to ``[1, ceil(r)]``, are evaluated.  Those whose cost is within
+    a relative 1e-12 of the smaller one tie, and ``n_star`` is the smallest tie.
     """
     relaxed = continuous_relaxed_count(r, k)  # checks r and k
     n_safe = _safe_count(r)
-    costs: dict[int, float] = {}
-
-    def cost(n: int) -> float:
-        value = costs.get(n)
-        if value is None:
-            value = costs[n] = n * k + excess_exposure(r, n)
-        return value
-
-    lo = hi = min((min(max(1, f(relaxed)), n_safe) for f in (math.floor, math.ceil)), key=cost)
-    bound = cost(lo) + _TIE_REL * max(1.0, cost(lo))
-    while lo > 1 and cost(lo - 1) <= bound:
-        lo -= 1
-    while hi < n_safe and cost(hi + 1) <= bound:
-        hi += 1
-    best = min(map(cost, range(lo, hi + 1)))
-    ties = tuple(n for n in range(lo, hi + 1) if cost(n) <= best + _TIE_REL * max(1.0, best))
-    n_star = ties[0]
-    residual = excess_exposure(r, n_star)
+    lo, hi = (min(max(1, f(relaxed)), n_safe) for f in (math.floor, math.ceil))
+    counts = range(lo, hi + 1)  # the floor and the ceiling, or the one count both clamp to
+    excess = [excess_exposure(r, n) for n in counts]
+    cost = [n * k + e for n, e in zip(counts, excess)]
+    best = min(cost)
+    ties = tuple(n for n, c in zip(counts, cost) if c <= best + _TIE_REL * max(1.0, best))
+    i = ties[0] - lo  # n_star's place among the counts
     return OverheadResult(
-        n_star=n_star,
-        cost=cost(n_star),
-        residual_exposure=residual,
-        is_fully_safe=residual == 0.0,
+        n_star=ties[0],
+        cost=cost[i],
+        residual_exposure=excess[i],
+        is_fully_safe=excess[i] == 0.0,
         ties=ties,
     )
 

@@ -41,6 +41,7 @@ from .model import (
     ModelParams,
     _count,
     _number,
+    _shown,
     derive,
     growth_pressure,
 )
@@ -206,9 +207,9 @@ def _check(field: _Field, value: Any, where: str, name: str) -> Any:
     if kind in ("number", "count"):
         return _scalar(value, what, field)
     if kind == "enum" and value not in field.choices:
-        raise ConfigError(f"{what} must be one of {'/'.join(field.choices)} (got {value!r})")
+        raise ConfigError(f"{what} must be one of {'/'.join(field.choices)} (got {_shown(value)})")
     if kind == "bool" and not isinstance(value, bool):
-        raise ConfigError(f"{what} must be a boolean (got {value!r})")
+        raise ConfigError(f"{what} must be a boolean (got {_shown(value)})")
     if kind in ("enum", "bool"):
         return value
     if kind == "range":
@@ -253,7 +254,7 @@ def _check_object(field: _Field, value: Any, where: str) -> dict[str, Any]:
     block = _as_mapping(value, where)
     unknown = sorted(set(block) - set(field.fields))
     if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(map(_shown, unknown))}")
     for group in field.one_of:
         present = [name for name in group if name in block]
         if len(present) != 1:
@@ -301,6 +302,8 @@ def _load_yaml(path: str | Path) -> dict[str, Any]:
         loaded = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {str(path)!r} is not valid YAML: {exc}") from exc
+    except ValueError as exc:  # an integer too long to convert, or a date such as 2020-02-30
+        raise ConfigError(f"config file {str(path)!r} has a value YAML cannot read: {exc}") from exc
     return _as_mapping(loaded, "config document")
 
 

@@ -102,6 +102,19 @@ class FrozenRecord:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, or ``<int with N digits>`` for an integer
+    too long for ``repr`` (``sys.get_int_max_str_digits``, 4300 by default)."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):  # a container of such an integer
+            return f"<{type(value).__name__}>"
+        size = abs(value)
+        digits = int(size.bit_length() * math.log10(2))  # the count or one short of it
+        return f"<int with {digits + (size >= 10**digits)} digits>"
+
+
 def _is_number(value) -> bool:
     """Whether ``value`` has a numeric type: ``int`` or ``float``, never ``bool``."""
     return isinstance(value, (int, float)) and value.__class__ is not bool
@@ -127,7 +140,7 @@ def _number(value, what: str, minimum=0, strict: bool = False, below=math.inf,
     except OverflowError:  # an integer beyond the float range
         finite = False
     rule = f"{'>' if strict else '>='} {minimum}" + ("" if below == math.inf else f" and < {below}")
-    raise error(f"{what} must be {'' if finite else 'finite and '}{rule} (got {value!r})")
+    raise error(f"{what} must be {'' if finite else 'finite and '}{rule} (got {_shown(value)})")
 
 
 def _count(value, what: str, minimum: int = 1,
@@ -137,13 +150,13 @@ def _count(value, what: str, minimum: int = 1,
     naming it ``what``.  A CLI config reads an integral float as an integer first."""
     if isinstance(value, int) and value.__class__ is not bool:
         if value < minimum:
-            raise error(f"{what} must be >= {minimum} (got {value!r})")
+            raise error(f"{what} must be >= {minimum} (got {_shown(value)})")
         try:
             math.isfinite(value)
         except OverflowError:
-            raise error(f"{what} must be an integer below 2**1024 (got {value!r})") from None
+            raise error(f"{what} must be an integer below 2**1024 (got {_shown(value)})") from None
         return value
-    raise error(f"{what} must be an integer >= {minimum} (got {value!r})")
+    raise error(f"{what} must be an integer >= {minimum} (got {_shown(value)})")
 
 
 def _numbers(values, what: str):
@@ -267,7 +280,7 @@ def growth_pressure(A, params: ModelParams):
     try:
         return (params.beta - params.mu) + (params.delta - params.beta) * A
     except (OverflowError, TypeError):
-        raise LeakyStageError(f"level A must be a number or numbers (got {A!r})") from None
+        raise LeakyStageError(f"level A must be a number or numbers (got {_shown(A)})") from None
 
 
 def normalized_factor(A, params: ModelParams):
@@ -279,4 +292,4 @@ def normalized_factor(A, params: ModelParams):
     try:
         return ((1.0 - A) * params.beta + params.delta * A) / params.mu
     except (OverflowError, TypeError):
-        raise LeakyStageError(f"level A must be a number or numbers (got {A!r})") from None
+        raise LeakyStageError(f"level A must be a number or numbers (got {_shown(A)})") from None

@@ -294,8 +294,12 @@ def horizon_feasibility(
         return HorizonFeasibility(HorizonRegime.INFEASIBLE)
     # B_n(h) increases to 1 + h, so doubling then bisecting terminates.
     hi = 2
-    while _horizon_capacity(hi, h) < r:
-        hi *= 2
+    try:
+        while _horizon_capacity(hi, h) < r:
+            hi *= 2
+    except OverflowError:  # at hi = 2**1024, as B_n takes n - 1 as a float
+        raise LeakyStageError(f"load r={r!r} needs more than 2**1023 releases within "
+                              f"horizon h={h!r}, past the count rule") from None
     lo = max(2, hi // 2)
     while lo < hi:
         mid = (lo + hi) // 2

@@ -19,7 +19,13 @@ from leakystage import (
     optimal_split,
     overhead_optimal_count,
 )
-from util import enumerate_k_safe, enumerate_overhead, grid_min_split_2, random_params
+from util import (
+    enumerate_k_safe,
+    enumerate_overhead,
+    grid_min_split_2,
+    mpmath_overhead_optimum,
+    random_params,
+)
 
 
 class TestOptimalSplit:
@@ -226,16 +232,32 @@ class TestOverheadOptimalCount:
             result = overhead_optimal_count(r, k)
             assert set(result.ties) <= counts
             assert len(counts) <= len(result.ties) + 2
+            assert len(counts) <= 2
 
     def test_large_load_ties_around_relaxed_point(self):
         # the cost is about 3.9e8 here, so the relative tie tolerance admits
-        # about 4e-4 and the tie run spans some 1400 counts; n_star is its
-        # smallest, and the relaxed point's floor or ceiling lies inside it
+        # about 4e-4: the relaxed point's floor and ceiling tie, and n_star is
+        # the floor
         relaxed = 1e9 * math.exp(-0.5)
         result = overhead_optimal_count(1e9, 0.5)
         assert {math.floor(relaxed), math.ceil(relaxed)} & set(result.ties)
         assert result.ties == tuple(range(result.n_star, result.ties[-1] + 1))
         assert not result.is_fully_safe
+
+    @pytest.mark.parametrize("r, k", [(1e9, 0.5), (1e7, 0.3), (123456.7, 1.1), (1e12, 0.2)])
+    def test_large_load_ties_hold_the_mpmath_optimum(self, r, k):
+        # at these costs the relative tie bound admits a run of many counts, yet
+        # only the floor and the ceiling of r e^-k can hold the optimum
+        pytest.importorskip("mpmath")
+        ties = overhead_optimal_count(r, k).ties
+        assert mpmath_overhead_optimum(r, k) in ties
+        assert len(ties) <= 2
+
+    def test_load_at_the_float_limit_returns(self):
+        # near 1e300 neighbouring counts round to one double, so every cost ties
+        result = overhead_optimal_count(1e300, 0.0)
+        assert result.ties == (result.n_star,) == (int(1e300),)
+        assert result.is_fully_safe
 
     def test_tie_at_frontier_contains_safe_count(self):
         rng = np.random.default_rng(47)

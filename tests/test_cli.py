@@ -134,6 +134,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"split: field '{name}' must be "):
             parse_config({"params": FIG, "split": block})
 
+    @pytest.mark.parametrize("name", ["panel", "resolve_integers"])
+    def test_integer_past_repr_digits_is_shown_by_length(self, name):
+        # repr refuses integers past 4300 digits
+        with pytest.raises(ConfigError, match=rf"phase: field '{name}' must be .* "
+                                              r"\(got <int with 5001 digits>\)"):
+            parse_config({"params": FIG, "phase": {name: 10**5000}})
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) <int with 5001 digits>"):
+            parse_config({"params": FIG, "phase": {10**5000: name}})
+
     def test_range_ends_name_the_field(self):
         with pytest.raises(ConfigError, match=r"phase: field 'r_range' min must be >= 0\.0"):
             parse_config({"params": FIG, "phase": {"r_range": [-1.0, 2.0, 5]}})
@@ -196,6 +205,13 @@ class TestRun:
         assert verdicts == {"SafeWithN(3)"}
         b3 = [row[1] for row in envelope.payload["rows"] if row[0] == 3]
         assert b3[0] == pytest.approx(2.264, abs=1e-3)
+
+    def test_phase_loads_up_to_1e300_finish(self):
+        # near r = 1e300 neighbouring counts round to one double, so every cost ties
+        envelope = run(parse_config(
+            {"params": FIG, "phase": {"panel": "b", "r_range": [1.0, 1e300, 3]}}))
+        assert envelope.exit_code == 0
+        assert len(envelope.payload["rows"]) == 3 + 3 * 7
 
     def test_exposure_table(self):
         config = parse_config({"params": FIG, "exposure": {"q": [0.2, 1.0]}})
@@ -385,6 +401,28 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 1
         assert "error: step size 1e-300 needs more samples" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("block, message", [
+        ("{Q: 1.0, n: " + "1" * 5000 + "}", "has a value YAML cannot read"),
+        ("{Q: 1.0, n: 1.0e+300}", "release count n must be small enough to allocate its split"),
+    ], ids=["5000-digit-count", "unallocatable-count"])
+    def test_unreadable_or_unallocatable_count_exits_1(self, tmp_path, capsys, block, message):
+        # YAML's int() refuses more than 4300 digits, and 1e300 releases cannot be
+        # allocated
+        path = tmp_path / "run.yaml"
+        path.write_text(f"params: {json.dumps(FIG)}\nsplit: {block}\n", encoding="utf-8")
+        code = main(["split", "--config", str(path), "--no-meta-time"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_horizon_past_the_count_rule_exits_1(self, capsys):
+        code = main(["horizon", "--r", "9.99999999999999e299", "--h", "1e300", *FIG_FLAGS])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "needs more than 2**1023 releases" in err
         assert "Traceback" not in err
 
     def test_config_errors_name_the_path_as_typed(self, tmp_path, monkeypatch, capsys):

@@ -14,7 +14,7 @@ from leakystage import (
     growth_pressure,
     normalized_factor,
 )
-from leakystage.model import guarded_ceil
+from leakystage.model import _shown, guarded_ceil
 from util import random_params
 
 
@@ -131,6 +131,19 @@ class TestValidation:
         # math.isfinite raises OverflowError on such an int; the field must be named instead
         with pytest.raises(ParameterError, match="beta"):
             ModelParams(10**400, 1.0, 1.8, 0.5)
+
+    def test_integer_past_repr_digits_is_shown_by_length(self):
+        # repr refuses integers past 4300 digits
+        with pytest.raises(ParameterError, match=r"beta must be .* \(got <int with 5001 digits>\)"):
+            ModelParams(10**5000, 1.0, 1.8, 0.5)
+
+    @pytest.mark.parametrize("value, shown", [
+        (10**4300 - 1, None), (10**4300, "<int with 4301 digits>"),
+        (-(10**5000), "<int with 5001 digits>"), (10**5000 - 1, "<int with 5000 digits>"),
+        ([10**5000], "<list>"), (0.5, "0.5"), ("1", "'1'")],
+        ids=["4300-digits", "4301-digits", "negative", "5000-digits", "list", "float", "str"])
+    def test_shown_is_repr_or_the_digit_count(self, value, shown):
+        assert _shown(value) == (repr(value) if shown is None else shown)
 
     def test_derived_constants_guarded(self):
         with pytest.raises(ParameterError):

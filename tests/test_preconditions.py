@@ -68,6 +68,7 @@ from leakystage import (
     unequal_spacing_capacity,
     verify_envelope_dominance,
 )
+from leakystage.model import _shown
 
 P = ModelParams(beta=0.6, mu=1.0, delta=1.8, rho=0.5)
 SCHEDULE = ImpulseSchedule(((0.0, 0.4), (0.5, 0.3)))
@@ -78,7 +79,8 @@ POS, NONNEG, UNIT, COUNT, COUNT2, FREE = "pos", "nonneg", "unit", "count", "coun
 
 #: Hostile for every domain; 0 is added where the domain excludes it, 2.5 for counts.
 #: A bool, a Decimal and a Fraction are not numbers, whatever their value.
-HOSTILE = [math.nan, math.inf, -math.inf, -1.0, 10**400, "1", None, True, Decimal("1"),
+#: 10**5000 is past the digits ``repr`` writes, so its messages show it by its length.
+HOSTILE = [math.nan, math.inf, -math.inf, -1.0, 10**400, 10**5000, "1", None, True, Decimal("1"),
            Fraction(1, 2)]
 
 
@@ -174,7 +176,7 @@ CASES = [
 
 HOSTILE_CALLS = [
     pytest.param(call, args[:i] + (value,) + args[i + 1:], domain,
-                 id=f"{label}[{i}]={value!r:.12}")
+                 id=f"{label}[{i}]={_shown(value):.12}")
     for label, call, args, domains in CASES
     for i, domain in enumerate(domains)
     for value in hostile_values(domain)
@@ -220,11 +222,25 @@ def test_table_covers_every_numeric_public_callable():
     lambda: panel_c_comparison(path_points=3.5),
     lambda: k_safe(Decimal("3.5")),
     lambda: min_peak_plan(RecoveryConfig(0.5, 10**300, 1.0)),
+    lambda: optimal_split(SplitProblem(1.0, 10**300, P)),
+    lambda: optimal_split(SplitProblem(1e308, 10**300, P)),
+    lambda: k_safe(10**5000),
+    lambda: horizon_capacity(10**5000, 1.0),
 ], ids=["horizon_capacity", "k_safe", "RecoveryConfig", "excess_exposure", "panel_c",
-        "k_safe-Decimal", "min_peak_plan"])
+        "k_safe-Decimal", "min_peak_plan", "optimal_split-zero-fill", "optimal_split-equal",
+        "k_safe-5000-digits", "horizon_capacity-5000-digits"])
 def test_former_raw_errors_name_the_argument(call):
-    # each of these raised OverflowError, ZeroDivisionError or TypeError
+    # each of these raised OverflowError, ZeroDivisionError, TypeError or ValueError
     with pytest.raises(LeakyStageError, match=r"\b(h|r|Q|n|path_points) must be"):
+        call()
+
+
+@pytest.mark.parametrize("call", [lambda: growth_pressure(10**5000, P),
+                                  lambda: normalized_factor(10**5000, P)],
+                         ids=["growth_pressure", "normalized_factor"])
+def test_level_past_repr_digits_is_shown_by_length(call):
+    # repr refuses integers past 4300 digits
+    with pytest.raises(LeakyStageError, match=r"\(got <int with 5001 digits>\)"):
         call()
 
 

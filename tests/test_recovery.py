@@ -271,6 +271,13 @@ class TestHorizonFeasibility:
             assert horizon_capacity(verdict.n - 1, h) < r
 
 
+    def test_count_past_the_float_range_names_r_and_h(self):
+        # the count is about h**2 / (2 (1 + h - r)), some 5e314, and B_n takes
+        # n - 1 as a float
+        with pytest.raises(LeakyStageError, match=r"r=9\.99999999999999e\+299 .* h=1e\+300"):
+            horizon_feasibility(9.99999999999999e299, 1e300)
+
+
 class TestUnequalSpacing:
     def test_no_gaps_is_one_threshold_unit(self):
         assert unequal_spacing_capacity([], 0.5) == 1.0

@@ -4,7 +4,8 @@ The oracles here are deliberately independent of the closed forms they check:
 adaptive quadrature of the single-release exposure (two routes), grid/simplex
 searches for the allocation optimum, a one-dimensional Bellman grid recursion
 for the minimax peak value, plain enumeration for the overhead trade-off
-and its frontier ``k_safe``, numpy's ``linspace`` for the phase grids, the
+and its frontier ``k_safe`` (with a 50-digit optimum where r is too large to
+enumerate), numpy's ``linspace`` for the phase grids, the
 plain per-step loops of the envelope integrator and path exposure, the
 two-pass peak plans, the per-cell CSV and ``json.dumps`` emit path for the CLI's
 output bytes, and frozen dataclasses for the package's records.
@@ -178,6 +179,26 @@ def enumerate_overhead(r: float, k: float, extra: int = 3):
     best = min(costs.values())
     ties = [n for n, c in costs.items() if c <= best + 1e-12 * max(1.0, best)]
     return best, ties[0], ties
+
+
+def mpmath_overhead_optimum(r: float, k: float) -> int:
+    """The cost-optimal overhead count at 50 digits: the cheaper of the floor and
+    the ceiling of ``r * e^{-k}`` (at least 1), the smaller on an exact tie.
+
+    Where enumeration is too long (large r), this checks the floor/ceiling rule
+    against a cost free of float rounding; it needs mpmath.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        R, K = mpmath.mpf(r), mpmath.mpf(k)
+
+        def cost(n: int):
+            n = mpmath.mpf(n)
+            return n * K + (R - n - n * mpmath.log(R / n) if R > n else 0)
+
+        low = max(1, int(mpmath.floor(R * mpmath.exp(-K))))
+        return min((low, low + 1), key=cost)
 
 
 def enumerate_k_safe(r: float) -> float:
