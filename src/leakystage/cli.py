@@ -190,12 +190,32 @@ def _as_mapping(value: Any, context: str) -> dict[str, Any]:
 def _scalar(value: Any, what: str, field: _Field) -> float | int:
     """``value`` of the number or count ``field``, named ``what`` in errors, by the package's
     one rule (:func:`~leakystage.model._number`, :func:`~leakystage.model._count`).  As in
-    JSON Schema, an integral float is an integer; a number is echoed as a float."""
-    if field.kind == "count":
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-        return _count(value, what, field.minimum, ConfigError)
-    return float(_number(value, what, field.minimum, field.strict, field.below, ConfigError))
+    JSON Schema, an integral float is an integer; a number is echoed as a float.  The error
+    for text that reads as a finite number says so: YAML 1.1 reads ``1e300`` as text."""
+    try:
+        if field.kind == "count":
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
+            return _count(value, what, field.minimum, ConfigError)
+        return float(_number(value, what, field.minimum, field.strict, field.below, ConfigError))
+    except ConfigError as exc:
+        spelled = _yaml_float(value)
+        if spelled is None:
+            raise
+        raise ConfigError(f"{exc}; the value was read as text: write it as {spelled}") from None
+
+
+def _yaml_float(value: Any) -> str | None:
+    """``value`` spelled as YAML 1.1 reads a float (with a dot, and a sign on the exponent)
+    if it is a string that ``float`` reads as a finite number, else None."""
+    try:
+        number = float(value) if isinstance(value, str) else math.nan
+    except ValueError:
+        return None
+    if not math.isfinite(number):  # no spelling makes a non-finite value valid
+        return None
+    mantissa, e, exponent = repr(number).partition("e")
+    return mantissa + ("" if "." in mantissa else ".0") + e + exponent
 
 
 def _check(field: _Field, value: Any, where: str, name: str) -> Any:
@@ -252,7 +272,9 @@ def _check_object(field: _Field, value: Any, where: str) -> dict[str, Any]:
     """The mapping ``value``, named ``where`` in errors, checked against the object
     ``field``: each present field checked, each absent one given its default."""
     block = _as_mapping(value, where)
-    unknown = sorted(set(block) - set(field.fields))
+    # keys of different types never compare: a YAML block may hold an int key beside str ones
+    unknown = sorted(set(block) - set(field.fields), key=lambda key: (
+        type(key).__name__, key if isinstance(key, (str, int, float)) else _shown(key)))
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(map(_shown, unknown))}")
     for group in field.one_of:

@@ -16,9 +16,12 @@ the dissipation identity of the balance functional ``Phi = S + (alpha/delta) A``
 and the bound of the log-growth of ``S`` by the integrated positive growth
 pressure.
 
-Between events the envelope uses the exact exponential (no integrator error);
-only the full system is integrated, with classical fixed-step RK4 on a
-per-interval grid chosen so that every event time is a grid node bit-exactly.
+Both simulators walk the events with one private loop, which lays out the
+samples around each jump (see :class:`Trajectory`); each says only how to
+advance between two events.  Between events the envelope uses the exact
+exponential (no integrator error); only the full system is integrated, with
+classical fixed-step RK4 on a per-interval grid chosen so that every event
+time is a grid node bit-exactly.
 ``S`` is advanced in log space, so it can never cross zero; ``S = 0`` is an
 invariant manifold and is held exactly.  The RK4 loop spells out the
 right-hand side in each stage instead of calling a function per stage, and
@@ -127,13 +130,48 @@ def _segment_nodes(t0: float, t1: float, h_step: float) -> np.ndarray:
     return nodes
 
 
-def _check_run_args(schedule: ImpulseSchedule, T: float, h_step: float) -> None:
+def _walk(
+    schedule: ImpulseSchedule, T: float, h_step: float, start, advance
+) -> tuple[list[list[float]], dict[str, np.ndarray]]:
+    """Lay out a sampled path on the event-aligned grid (see :class:`Trajectory`).
+
+    ``start()`` checks the caller's initial values and returns the initial state,
+    a tuple whose last entry is the reservoir level that the jumps add to.
+    ``advance(state, t0, t1)`` returns the node times on ``(t0, t1]`` and one
+    list of node samples per state entry.  Returns the samples per state entry
+    and the :class:`Trajectory` fields of the layout.
+    """
     _number(T, "horizon T")
     if schedule.events and schedule.events[-1][0] > T:
         raise LeakyStageError(
             f"horizon T={T!r} lies before the last event at {schedule.events[-1][0]!r}"
         )
     _number(h_step, "step size", strict=True)
+    state = start()
+    times: list[float] = [0.0]
+    columns = [[x] for x in state]
+    jump_indices: list[int] = []
+    current_t = 0.0
+    for event_t, size in (*schedule.events, (T, None)):
+        if event_t > current_t:
+            nodes, segments = advance(state, current_t, event_t)
+            times.extend(nodes)
+            for column, segment in zip(columns, segments):
+                column.extend(segment)
+            state = tuple(segment[-1] for segment in segments)
+            current_t = event_t
+        if size is None:
+            continue
+        jump_indices.append(len(times) - 1)
+        state = (*state[:-1], state[-1] + size)
+        times.append(event_t)
+        for column, x in zip(columns, state):
+            column.append(x)
+    return columns, {
+        "t": np.asarray(times),
+        "jump_indices": np.asarray(jump_indices, dtype=int),
+        "jump_sizes": np.asarray(schedule.sizes, dtype=float),
+    }
 
 
 def simulate_envelope(
@@ -150,32 +188,15 @@ def simulate_envelope(
     is evaluated on the grid; jumps are applied exactly at event times, with
     pre- and post-jump samples both stored.
     """
-    _check_run_args(schedule, T, h_step)
-    _number(a0, "initial level a0")
-    times: list[float] = [0.0]
-    levels: list[float] = [a0]
-    jump_indices: list[int] = []
-    current_t, current_a = 0.0, a0
-    for event_t, size in list(schedule.events) + [(T, None)]:
-        if event_t > current_t:
-            nodes = _segment_nodes(current_t, event_t, h_step)
-            decayed = current_a * np.exp(-params.rho * (nodes - current_t))
-            times.extend(nodes.tolist())
-            levels.extend(decayed.tolist())
-            current_t, current_a = event_t, float(decayed[-1])
-        if size is None:
-            continue
-        jump_indices.append(len(times) - 1)
-        current_a += size
-        times.append(event_t)
-        levels.append(current_a)
-    return Trajectory(
-        t=np.asarray(times),
-        A=np.asarray(levels),
-        S=None,
-        jump_indices=np.asarray(jump_indices, dtype=int),
-        jump_sizes=np.asarray(schedule.sizes, dtype=float),
+
+    def decay(state, t0, t1):
+        nodes = _segment_nodes(t0, t1, h_step)
+        return nodes.tolist(), [(state[0] * np.exp(-params.rho * (nodes - t0))).tolist()]
+
+    (levels,), layout = _walk(
+        schedule, T, h_step, lambda: (_number(a0, "initial level a0"),), decay
     )
+    return Trajectory(A=np.asarray(levels), S=None, **layout)
 
 
 def _rk4_segment(
@@ -230,45 +251,25 @@ def simulate_full(
     land on grid nodes.  ``S`` is integrated in log space; a start at
     ``S0 = 0`` stays on the invariant manifold ``S = 0`` exactly.
     """
-    _check_run_args(schedule, T, h_step)
-    _number(S0, "S0")
-    _number(A0, "A0")
-    u = math.log(S0) if S0 > 0.0 else -math.inf
-    times: list[float] = [0.0]
-    us: list[float] = [u]
-    levels: list[float] = [A0]
-    jump_indices: list[int] = []
+
+    def start():
+        _number(S0, "S0")
+        return math.log(S0) if S0 > 0.0 else -math.inf, _number(A0, "A0")
+
     clamp_count = 0
-    current_t, current_a = 0.0, A0
-    for event_t, size in list(schedule.events) + [(T, None)]:
-        if event_t > current_t:
-            try:
-                ts, seg_us, seg_As, clamped = _rk4_segment(
-                    u, current_a, current_t, event_t, h_step, params
-                )
-            except OverflowError:
-                raise LeakyStageError(
-                    f"RK4 overflowed at step {h_step!r}; reduce the step"
-                ) from None
-            times.extend(ts)
-            us.extend(seg_us)
-            levels.extend(seg_As)
-            clamp_count += clamped
-            current_t, u, current_a = event_t, seg_us[-1], seg_As[-1]
-        if size is None:
-            continue
-        jump_indices.append(len(times) - 1)
-        current_a += size
-        times.append(event_t)
-        us.append(u)
-        levels.append(current_a)
+
+    def rk4(state, t0, t1):
+        nonlocal clamp_count
+        try:
+            nodes, us, levels, clamped = _rk4_segment(*state, t0, t1, h_step, params)
+        except OverflowError:
+            raise LeakyStageError(f"RK4 overflowed at step {h_step!r}; reduce the step") from None
+        clamp_count += clamped
+        return nodes, [us, levels]
+
+    (us, levels), layout = _walk(schedule, T, h_step, start, rk4)
     return Trajectory(
-        t=np.asarray(times),
-        A=np.asarray(levels),
-        S=np.exp(np.asarray(us)),
-        jump_indices=np.asarray(jump_indices, dtype=int),
-        jump_sizes=np.asarray(schedule.sizes, dtype=float),
-        clamp_count=clamp_count,
+        A=np.asarray(levels), S=np.exp(np.asarray(us)), clamp_count=clamp_count, **layout
     )
 
 
@@ -347,25 +348,17 @@ def verify_envelope_dominance(
     )
 
 
-def _smooth_pieces(trajectory: Trajectory) -> list[tuple[int, int]]:
-    """Index ranges [start, end] of the smooth pieces between jumps."""
-    breaks = sorted(int(i) for i in trajectory.jump_indices)
-    pieces = []
-    start = 0
-    for b in breaks:
-        pieces.append((start, b))
-        start = b + 1
-    pieces.append((start, len(trajectory.t) - 1))
-    return [(s, e) for s, e in pieces if e > s]
+def _balance(trajectory: Trajectory, params: ModelParams) -> tuple[float, np.ndarray]:
+    """``alpha/delta`` and the samples of ``Phi = S + (alpha/delta) A``."""
+    if trajectory.S is None:
+        raise LeakyStageError("balance checks need a full-system trajectory with S samples")
+    ratio = derive(params).alpha / params.delta
+    return ratio, trajectory.S + ratio * trajectory.A
 
 
 def balance_jump_residuals(trajectory: Trajectory, params: ModelParams) -> np.ndarray:
     """Per-jump defect of the balance increment ``Delta Phi = (alpha/delta) q``."""
-    if trajectory.S is None:
-        raise LeakyStageError("balance checks need a full-system trajectory with S samples")
-    d = derive(params)
-    ratio = d.alpha / params.delta
-    phi = trajectory.S + ratio * trajectory.A
+    ratio, phi = _balance(trajectory, params)
     idx = trajectory.jump_indices
     return np.abs((phi[idx + 1] - phi[idx]) - ratio * trajectory.jump_sizes)
 
@@ -374,28 +367,21 @@ def verify_balance_identity(trajectory: Trajectory, params: ModelParams) -> floa
     """Max defect of the balance dissipation identity between jumps.
 
     Differentiates ``Phi = S + (alpha/delta) A`` by central differences
-    inside each smooth piece and compares with
+    at the samples inside the smooth pieces (neither an end of the path nor
+    beside a jump) and compares with
     ``-gamma S - beta S^2 - (alpha rho / delta) A``.  The defect converges
     at second order in the sampling step.  Jump increments are checked
     separately by :func:`balance_jump_residuals`.
     """
-    if trajectory.S is None:
-        raise LeakyStageError("balance checks need a full-system trajectory with S samples")
-    d = derive(params)
-    ratio = d.alpha / params.delta
+    ratio, phi = _balance(trajectory, params)
     t, S, A = trajectory.t, trajectory.S, trajectory.A
-    phi = S + ratio * A
-    rhs = -d.gamma * S - params.beta * S**2 - ratio * params.rho * A
-    worst = 0.0
-    for start, end in _smooth_pieces(trajectory):
-        if end - start < 2:
-            continue
-        inner = slice(start + 1, end)
-        dphi = (phi[start + 2 : end + 1] - phi[start : end - 1]) / (
-            t[start + 2 : end + 1] - t[start : end - 1]
-        )
-        worst = max(worst, float(np.max(np.abs(dphi - rhs[inner]))))
-    return worst
+    rhs = -derive(params).gamma * S - params.beta * S**2 - ratio * params.rho * A
+    interior = np.ones(len(t), dtype=bool)
+    interior[[0, -1]] = False
+    interior[trajectory.jump_indices] = interior[trajectory.jump_indices + 1] = False
+    dphi = (phi[2:] - phi[:-2]) / (t[2:] - t[:-2])
+    defects = np.abs(dphi - rhs[1:-1])[interior[1:-1]]
+    return float(np.max(defects)) if defects.size else 0.0
 
 
 def _log_growth(trajectory: Trajectory) -> float:

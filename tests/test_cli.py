@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -44,6 +45,29 @@ class TestParseConfig:
     def test_unknown_block_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config({"params": FIG, "split": {"Q": 1.0, "n": 2, "mode": "x"}})
+
+    def test_unknown_keys_of_mixed_types_are_named(self):
+        # an int key beside str keys: the names are ordered without comparing the two
+        with pytest.raises(ConfigError, match=r"^split: unknown key\(s\) 1, 'x'$"):
+            parse_config({"params": FIG, "split": {"Q": 1.0, "n": 2, 1: 2, "x": 3}})
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) None, 2\.5, 'a', 'b'$"):
+            parse_config({"params": FIG, "split": {"Q": 1.0, "n": 2, "b": 1, 2.5: 1, None: 1,
+                                                    "a": 1}})
+
+    @pytest.mark.parametrize("value, spelled", [
+        ("1e300", "1.0e+300"), ("-2e-5", "-2.0e-05"), ("0.5", "0.5"), ("3", "3.0")])
+    def test_number_read_as_text_is_named_as_text(self, value, spelled):
+        # YAML 1.1 reads 1e300 (no dot, no exponent sign) as a string
+        message = (f"phase: field 'r_range' max must be finite and >= 0.0 (got '{value}'); "
+                   f"the value was read as text: write it as {spelled}")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config({"params": FIG, "phase": {"panel": "b", "r_range": [1.0, value, 3]}})
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e300x", "x"])
+    def test_other_text_keeps_the_number_message(self, value):
+        with pytest.raises(ConfigError, match=(
+                rf"^split: field 'Q' must be finite and > 0\.0 \(got '{value}'\)$")):
+            parse_config({"params": FIG, "split": {"Q": value, "n": 2}})
 
     def test_exactly_one_command_block(self):
         with pytest.raises(ConfigError, match="exactly one command block"):
@@ -413,6 +437,20 @@ class TestMain:
         path = tmp_path / "run.yaml"
         path.write_text(f"params: {json.dumps(FIG)}\nsplit: {block}\n", encoding="utf-8")
         code = main(["split", "--config", str(path), "--no-meta-time"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, block, message", [
+        ("split", "{Q: 1.0, n: 2, 1: 2, x: 3}", "split: unknown key(s) 1, 'x'"),
+        ("phase", "{panel: b, r_range: [1.0, 1e300, 3]}",
+         "(got '1e300'); the value was read as text: write it as 1.0e+300"),
+    ], ids=["mixed-key-types", "number-read-as-text"])
+    def test_yaml_key_and_value_types_exit_1(self, tmp_path, capsys, command, block, message):
+        path = tmp_path / "run.yaml"
+        path.write_text(f"params: {json.dumps(FIG)}\n{command}: {block}\n", encoding="utf-8")
+        code = main([command, "--config", str(path), "--no-meta-time"])
         err = capsys.readouterr().err
         assert code == 1
         assert message in err

@@ -27,7 +27,9 @@ from leakystage import (
 )
 from leakystage import envelope
 from leakystage.cli import main, parse_config, run, to_csv
-from util import path_exposure_loop, random_params, random_schedule, rk4_segment_loop
+from util import (
+    balance_identity_pieces, path_exposure_loop, random_params, random_schedule, rk4_segment_loop,
+)
 
 FIG_SCHEDULE = ImpulseSchedule(
     ((0.0, 0.46), (2.0, 0.24), (4.0, 0.24), (6.0, 0.24), (8.0, 0.24))
@@ -288,11 +290,53 @@ class TestLoopOracles:
             assert _same_bits(getattr(full, name), getattr(oracle, name)), name
         assert full.clamp_count == oracle.clamp_count
         red = simulate_envelope(schedule, p, T, step)
+        assert _same_bits(red.t, full.t) and _same_bits(red.jump_indices, full.jump_indices)
         for trajectory in (full, red):
             value = path_exposure(trajectory, p, exact_decay=exact_decay)
             expected = path_exposure_loop(trajectory, p, exact_decay=exact_decay)
             assert value == expected
             assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(-2.5, -1.0),
+        st.sampled_from(["random", "event at 0", "event at T", "empty"]),
+        st.booleans(),
+    )
+    def test_layout_and_balance_identity(self, seed, log_step, edge, zero_start):
+        # both simulators lay out the same samples; the masked balance check
+        # equals the piece-by-piece loop
+        rng = np.random.default_rng(seed)
+        p = random_params(rng)
+        events = random_schedule(rng).events
+        if edge == "event at 0":
+            events = ((0.0, 0.5),) + tuple(e for e in events if e[0] > 0.0)
+        elif edge == "empty":
+            events = ()
+        schedule = ImpulseSchedule(events)
+        T = (events[-1][0] if events else 3.0) + (0.0 if edge == "event at T" else 2.0)
+        step = 10.0**log_step
+        S0 = 0.0 if zero_start else float(rng.uniform(1e-3, 0.5))
+        full = simulate_full(schedule, p, S0, 0.0, T, step)
+        red = simulate_envelope(schedule, p, T, step)
+        assert _same_bits(red.t, full.t) and _same_bits(red.jump_indices, full.jump_indices)
+        value, expected = verify_balance_identity(full, p), balance_identity_pieces(full, p)
+        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize("events, T, interior", [
+        ((), 0.0, False), (((0.0, 0.4),), 0.0, False), (((0.0, 0.4),), 0.05, False),
+        (((0.0, 0.4), (0.3, 0.2)), 0.3, True),
+    ], ids=["one-sample", "jump-only", "one-node", "event-at-T"])
+    def test_short_paths(self, figure_params, events, T, interior):
+        # a path with no sample between two others of its smooth piece has no defect
+        schedule = ImpulseSchedule(events)
+        full = simulate_full(schedule, figure_params, 0.1, 0.0, T, 0.1)
+        red = simulate_envelope(schedule, figure_params, T, 0.1)
+        assert _same_bits(red.t, full.t) and _same_bits(red.jump_indices, full.jump_indices)
+        value = verify_balance_identity(full, figure_params)
+        assert value == balance_identity_pieces(full, figure_params)
+        assert (value > 0.0) == interior
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -7,7 +7,7 @@ for the minimax peak value, plain enumeration for the overhead trade-off
 and its frontier ``k_safe`` (with a 50-digit optimum where r is too large to
 enumerate), numpy's ``linspace`` for the phase grids, the
 plain per-step loops of the envelope integrator and path exposure, the
-two-pass peak plans, the per-cell CSV and ``json.dumps`` emit path for the CLI's
+piece-by-piece balance check, the two-pass peak plans, the per-cell CSV and ``json.dumps`` emit path for the CLI's
 output bytes, and frozen dataclasses for the package's records.
 """
 from __future__ import annotations
@@ -409,10 +409,11 @@ def linspace_oracle(lo: float, hi: float, count: int, endpoint: bool = True) -> 
 # ---------------------------------------------------------------------------
 # envelope oracles
 #
-# The straightforward loops that ``envelope._rk4_segment`` and
-# ``envelope.path_exposure`` replace: one call of ``deriv`` per RK4 stage, and
-# one trapezoid interval at a time.  The production code must match them bit
-# for bit.
+# The straightforward loops that ``envelope._rk4_segment``,
+# ``envelope.path_exposure`` and ``envelope.verify_balance_identity`` replace:
+# one call of ``deriv`` per RK4 stage, one trapezoid interval at a time, and one
+# smooth piece between jumps at a time.  The production code must match them
+# bit for bit.
 
 
 def rk4_segment_loop(
@@ -446,6 +447,36 @@ def rk4_segment_loop(
         us.append(u)
         As.append(A)
     return ts, us, As, clamped
+
+
+def balance_identity_pieces(trajectory: Trajectory, params: ModelParams) -> float:
+    """Max defect of the balance dissipation identity, one smooth piece at a time.
+
+    The path is split at its jumps into index ranges ``[start, end]``; inside
+    each, ``Phi = S + (alpha/delta) A`` is differentiated by central differences
+    and compared with ``-gamma S - beta S^2 - (alpha rho / delta) A``.
+    """
+    d = derive(params)
+    ratio = d.alpha / params.delta
+    t, S, A = trajectory.t, trajectory.S, trajectory.A
+    phi = S + ratio * A
+    rhs = -d.gamma * S - params.beta * S**2 - ratio * params.rho * A
+    pieces = []
+    start = 0
+    for b in sorted(int(i) for i in trajectory.jump_indices):
+        pieces.append((start, b))
+        start = b + 1
+    pieces.append((start, len(t) - 1))
+    worst = 0.0
+    for start, end in pieces:
+        if end - start < 2:
+            continue
+        inner = slice(start + 1, end)
+        dphi = (phi[start + 2 : end + 1] - phi[start : end - 1]) / (
+            t[start + 2 : end + 1] - t[start : end - 1]
+        )
+        worst = max(worst, float(np.max(np.abs(dphi - rhs[inner]))))
+    return worst
 
 
 def path_exposure_loop(
