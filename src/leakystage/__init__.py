@@ -43,8 +43,6 @@ from .model import (
 from .phase import (
     PanelC,
     PhaseGrid,
-    PhaseTables,
-    build_phase_tables,
     feasibility_curves,
     panel_c_comparison,
     sawtooth_frontier,
@@ -91,13 +89,11 @@ __all__ = [
     "ParameterError",
     "PeakPlan",
     "PhaseGrid",
-    "PhaseTables",
     "RecoveryConfig",
     "ScheduleError",
     "SplitProblem",
     "Trajectory",
     "balance_jump_residuals",
-    "build_phase_tables",
     "capacity_report",
     "continuous_relaxed_count",
     "derive",

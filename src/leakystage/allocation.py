@@ -28,9 +28,10 @@ _EXACT_INTEGERS = 2.0**53
 def excess_exposure(r: float, n: int) -> float:
     """Dimensionless minimal exposure of load ``r`` over ``n`` releases.
 
-    Zero for ``r <= n``; otherwise ``r - n - n log(r/n)``, evaluated via
-    log1p near the kink to limit cancellation.  This is the exposure term of
-    the overhead objective, in units of one-shock exposure.
+    Zero for ``r <= n``; otherwise ``r - n - n log(r/n)``, evaluated near the
+    kink (``r/n - 1 < 1e-4``) by the series of
+    :func:`~leakystage.exposure.exposure_bracket`.  This is the exposure term
+    of the overhead objective, in units of one-shock exposure.
     """
     return _excess(_number(r, "dimensionless load r"), _count(n, "release count n"))
 
@@ -41,7 +42,7 @@ def _excess(r: float, n: int) -> float:
         return 0.0
     x = r / n - 1.0
     if x < 1e-4:
-        return n * (x - math.log1p(x))
+        return exposure_bracket(r, n)
     return r - n - n * (math.log(r) - math.log(n))
 
 

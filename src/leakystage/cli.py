@@ -45,7 +45,7 @@ from .model import (
     derive,
     growth_pressure,
 )
-from .phase import PanelC, PhaseGrid, build_phase_tables
+from .phase import PhaseGrid, feasibility_curves, panel_c_comparison, sawtooth_frontier
 from .presets import PRESETS, preset
 from .recovery import (
     UNBOUNDED,
@@ -569,52 +569,30 @@ def _run_simulate(config: RunConfig) -> tuple[dict, list[str], int]:
 def _run_phase(config: RunConfig) -> tuple[dict, list[str], int]:
     opts = config.options
     panel = opts["panel"]
-    panels = ("a", "b", "c") if panel == "all" else (panel,)
-    grid = PhaseGrid(
-        r_range=tuple(opts["r_range"]),
-        h_range=tuple(opts["h_range"]),
-        k_range=tuple(opts["k_range"]),
-        n_curves=tuple(opts["n_curves"]),
-    )
-    tables = build_phase_tables(
-        grid,
-        panels=panels,
-        panel_c_args=opts["panel_c"],
-        resolve_integers=opts["resolve_integers"],
-    )
-    rows: list[list[Any]] = []
-
-    def row(panel_id: str, series: str, *, n=None, r=None, h=None, k=None, stage=None,
-            x=None, value=None) -> list[Any]:
-        return [panel_id, series, n, r, h, k, stage, x, value]
-
-    rows.extend(row("a", "B_n", n=n, h=h, value=b) for h, n, b in tables.feasibility)
-    rows.extend(row("a", "frontier", h=h, value=b) for h, b in tables.frontier)
-    rows.extend(row("b", "k_safe", r=r, value=v) for r, v in tables.sawtooth_ksafe)
-    rows.extend(row("b", "n_star", r=r, k=k, value=n) for r, k, n in tables.sawtooth_nstar)
-    if tables.panel_c is not None:
-        pc: PanelC = tables.panel_c
-        for series, level_rows in (
-            ("uniform_level", pc.uniform_levels),
-            ("front_level", pc.front_levels),
-        ):
-            rows.extend(
-                row("c", series, r=pc.r, h=pc.h, stage=stage, x=x, value=level)
-                for stage, x, level in level_rows
-            )
-        for series, releases in (
-            ("uniform_release", pc.uniform_releases),
-            ("front_release", pc.front_releases),
-        ):
-            rows.extend(
-                row("c", series, r=pc.r, h=pc.h, stage=i + 1, value=q)
-                for i, q in enumerate(releases)
-            )
-        for series, path in (("uniform_path", pc.uniform_path), ("front_path", pc.front_path)):
-            rows.extend(
-                row("c", series, r=pc.r, h=pc.h, x=x, value=level) for x, level in path
-            )
+    grid = PhaseGrid(*(tuple(opts[name])
+                       for name in ("r_range", "h_range", "k_range", "n_curves")))
     columns = ["panel", "series", "n", "r", "h", "k", "stage", "x", "value"]
+    rows: list[list[Any]] = []
+    if panel in ("a", "all"):
+        feasibility, frontier = feasibility_curves(grid)
+        rows.extend(["a", "B_n", n, None, h, None, None, None, b] for h, n, b in feasibility)
+        rows.extend(["a", "frontier", None, None, h, None, None, None, b] for h, b in frontier)
+    if panel in ("b", "all"):
+        ksafe, nstar = sawtooth_frontier(grid, resolve_integers=opts["resolve_integers"])
+        rows.extend(["b", "k_safe", None, r, None, None, None, None, v] for r, v in ksafe)
+        rows.extend(["b", "n_star", None, r, None, k, None, None, n] for r, k, n in nstar)
+    if panel in ("c", "all"):
+        pc = panel_c_comparison(**opts["panel_c"])
+        r, h = pc.r, pc.h
+        for series, levels in (("uniform_level", pc.uniform_levels),
+                               ("front_level", pc.front_levels)):
+            rows.extend(["c", series, None, r, h, None, i, x, level] for i, x, level in levels)
+        for series, releases in (("uniform_release", pc.uniform_releases),
+                                 ("front_release", pc.front_releases)):
+            rows.extend(["c", series, None, r, h, None, i, None, q]
+                        for i, q in enumerate(releases, 1))
+        for series, path in (("uniform_path", pc.uniform_path), ("front_path", pc.front_path)):
+            rows.extend(["c", series, None, r, h, None, None, x, level] for x, level in path)
     return {"columns": columns, "rows": rows}, [], 0
 
 
@@ -822,11 +800,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _int_list(text: str) -> list[int]:
-    """Parse a ``counts`` flag value: comma-separated integers, empty parts skipped."""
+def _count_flag(text: str) -> int | float:
+    """Read a ``count`` flag value: an integer literal is an ``int``, any other number a
+    ``float``, which :func:`_scalar` then takes as it takes a document's (``2.0`` is 2)."""
+    for read in (int, float):
+        try:
+            return read(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"expected an integer (got {text!r})")
+
+
+def _count_list(text: str) -> list[int | float]:
+    """Read a ``counts`` flag value: comma-separated counts, empty parts skipped."""
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
+        return [_count_flag(part) for part in text.split(",") if part.strip()]
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers (got {text!r})"
         ) from None
@@ -834,9 +823,9 @@ def _int_list(text: str) -> list[int]:
 
 #: The argparse keywords of each field kind that has a flag.
 _FLAG_KWARGS: dict[str, dict[str, Any]] = {
-    "number": {"type": float}, "count": {"type": int}, "enum": {},
+    "number": {"type": float}, "count": {"type": _count_flag}, "enum": {},
     "numbers": {"action": "append", "type": float},
-    "counts": {"type": _int_list, "metavar": "N,N,..."},
+    "counts": {"type": _count_list, "metavar": "N,N,..."},
     "bool": {"action": "store_true", "default": None},
 }
 

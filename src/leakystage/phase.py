@@ -75,16 +75,6 @@ class PanelC(FrozenRecord):
     front_path: tuple[tuple[float, float], ...]
 
 
-class PhaseTables(FrozenRecord):
-    """The assembled phase tables; unrequested parts stay empty/None."""
-
-    feasibility: tuple[tuple[float, int, float], ...] = ()
-    frontier: tuple[tuple[float, float], ...] = ()
-    sawtooth_ksafe: tuple[tuple[float, float], ...] = ()
-    sawtooth_nstar: tuple[tuple[float, float, int], ...] = ()
-    panel_c: PanelC | None = None
-
-
 def _linspace(lo: float, hi: float, count: int, endpoint: bool = True) -> list[float]:
     """``np.linspace(lo, hi, count, endpoint=endpoint)`` as a list, bit for bit.
 
@@ -106,34 +96,6 @@ def _linspace(lo: float, hi: float, count: int, endpoint: bool = True) -> list[f
     if endpoint and count > 1:
         xs[-1] = hi
     return xs
-
-
-def build_phase_tables(
-    grid: PhaseGrid,
-    *,
-    panels: tuple[str, ...] = ("a", "b", "c"),
-    panel_c_args: dict | None = None,
-    resolve_integers: bool = False,
-) -> PhaseTables:
-    """Assemble the requested phase tables into one container."""
-    feasibility: tuple = ()
-    frontier: tuple = ()
-    ksafe: tuple = ()
-    nstar: tuple = ()
-    panel_c = None
-    if "a" in panels:
-        feasibility, frontier = feasibility_curves(grid)
-    if "b" in panels:
-        ksafe, nstar = sawtooth_frontier(grid, resolve_integers=resolve_integers)
-    if "c" in panels:
-        panel_c = panel_c_comparison(**(panel_c_args or {}))
-    return PhaseTables(
-        feasibility=feasibility,
-        frontier=frontier,
-        sawtooth_ksafe=ksafe,
-        sawtooth_nstar=nstar,
-        panel_c=panel_c,
-    )
 
 
 def feasibility_curves(

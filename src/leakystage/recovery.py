@@ -119,7 +119,7 @@ class CapacityReport(FrozenRecord):
     B_n: float
     Q_max_safe: float
     Q_sup_safe: float
-    N_safe_lambda: int | CountBound
+    N_safe_lambda: int
     N_safe_horizon: int | CountBound
 
 

@@ -23,6 +23,7 @@ from util import (
     enumerate_k_safe,
     enumerate_overhead,
     grid_min_split_2,
+    mpmath_excess,
     mpmath_overhead_optimum,
     random_params,
 )
@@ -103,6 +104,17 @@ class TestOptimalSplit:
             SplitProblem(Q=0.0, n=3, params=figure_params)
         with pytest.raises(LeakyStageError):
             SplitProblem(Q=1.0, n=0, params=figure_params)
+
+
+class TestExcessExposure:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 10**6, 2**40])
+    @pytest.mark.parametrize("x", [1e-15, 1e-13, 1e-11, 1e-9, 1e-7, 1e-5, 9e-5])
+    def test_near_kink_matches_mpmath(self, n, x):
+        # just past r = n the excess is about n x**2 / 2 with x = r/n - 1, far below
+        # the terms that x - log1p(x) subtracts; the switch to the log form is at 1e-4
+        pytest.importorskip("mpmath")
+        r = n * (1 + x)
+        assert excess_exposure(r, n) == pytest.approx(mpmath_excess(r, n), rel=1e-15, abs=0.0)
 
 
 class TestMinExposure:
@@ -309,6 +321,13 @@ class TestKSafe:
             m = mpmath.mpf(int(r) - 1)
             expected = float(1 - m * mpmath.log1p(1 / m))
         assert k_safe(r) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("r", [1e12, 1e12 + 0.5, 1e15])
+    def test_large_loads_below_2_53_match_mpmath(self, r):
+        # at n = ceil(r) - 1 the ratio r / n - 1 is rounded, while r - n is exact
+        pytest.importorskip("mpmath")
+        n = math.ceil(r) - 1
+        assert k_safe(r) == pytest.approx(mpmath_excess(r, n), rel=1e-15, abs=0.0)
 
     def test_frontier_splits_regimes(self):
         rng = np.random.default_rng(53)

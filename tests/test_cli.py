@@ -237,6 +237,16 @@ class TestRun:
         assert envelope.exit_code == 0
         assert len(envelope.payload["rows"]) == 3 + 3 * 7
 
+    def test_phase_all_panels_are_the_panel_presets_in_order(self):
+        # the defaults of a phase block are the ranges of the three panel presets
+        rows = run(parse_config({"params": FIG, "phase": {}})).payload["rows"]
+        panels = [run(parse_config(preset(name))).payload["rows"]
+                  for name in ("panel-a", "panel-b", "panel-c")]
+        assert rows == panels[0] + panels[1] + panels[2]
+        series = list(dict.fromkeys(row[1] for row in rows))
+        assert series == ["B_n", "frontier", "k_safe", "n_star", "uniform_level", "front_level",
+                          "uniform_release", "front_release", "uniform_path", "front_path"]
+
     def test_exposure_table(self):
         config = parse_config({"params": FIG, "exposure": {"q": [0.2, 1.0]}})
         envelope = run(config)
@@ -511,6 +521,31 @@ class TestMain:
         assert exit_info.value.code == 1
         err = capsys.readouterr().err
         assert "--n-list" in err and "'2,x'" in err
+
+    @pytest.mark.parametrize("integral, literal", [
+        (["split", "--Q", "1.0", "--n", "2.0"], ["split", "--Q", "1.0", "--n", "2"]),
+        (["peak", "--preset", "peak-c", "--n", "4.0"],
+         ["peak", "--preset", "peak-c", "--n", "4"]),
+        (["horizon", "--r", "2.0", "--h", "1.0", "--n-list", "2.0,3e0"],
+         ["horizon", "--r", "2.0", "--h", "1.0", "--n-list", "2,3"]),
+    ])
+    def test_integral_float_count_flags_are_integers(self, capsys, integral, literal):
+        # a count flag follows the document's rule: 2.0 is 2, in the payload and the echo
+        outputs = []
+        for argv in (integral, literal):
+            assert main([*argv, *FIG_FLAGS, "--no-meta-time"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_fractional_count_flag_names_the_field(self, capsys):
+        assert main(["split", "--Q", "1.0", "--n", "2.5", *FIG_FLAGS]) == 1
+        assert "field 'n'" in capsys.readouterr().err
+
+    def test_non_numeric_count_flag_names_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["split", "--Q", "1.0", "--n", "x", *FIG_FLAGS])
+        assert exit_info.value.code == 1
+        assert "argument --n: expected an integer (got 'x')" in capsys.readouterr().err
 
     def test_repeated_q_flags(self, capsys):
         code = main(["exposure", "--q", "0.2", "--q", "1.0",

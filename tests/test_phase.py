@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from leakystage import (
     LeakyStageError,
     PhaseGrid,
-    build_phase_tables,
     feasibility_curves,
     horizon_capacity,
     k_safe,
@@ -133,21 +132,6 @@ class TestPanelC:
     def test_single_release_rejected(self):
         with pytest.raises(LeakyStageError):
             panel_c_comparison(r=2.1, n=1, h=2.0)
-
-
-class TestBuildPhaseTables:
-    def test_requested_panels_only(self):
-        tables = build_phase_tables(GRID, panels=("a",))
-        assert tables.feasibility and tables.frontier
-        assert tables.sawtooth_ksafe == () and tables.panel_c is None
-
-    def test_all_panels(self):
-        tables = build_phase_tables(
-            GRID, panels=("a", "b", "c"), panel_c_args={"r": 2.1, "n": 3, "h": 2.0}
-        )
-        assert tables.panel_c is not None
-        assert tables.panel_c.capacity == pytest.approx(2.264, abs=1e-3)
-        assert tables.sawtooth_nstar
 
 
 class TestPhaseGrid:

@@ -34,11 +34,9 @@ from leakystage import (
     PanelC,
     PeakPlan,
     PhaseGrid,
-    PhaseTables,
     RecoveryConfig,
     SplitProblem,
     Trajectory,
-    build_phase_tables,
     capacity_report,
     continuous_relaxed_count,
     dominance_tolerance,
@@ -150,16 +148,10 @@ CASES = [
     ("PhaseGrid r_range", lambda lo, hi, count: PhaseGrid(r_range=(lo, hi, count)),
      (0.5, 3.0, 5), (NONNEG, POS, COUNT2)),
     ("PhaseGrid n_curves", lambda n: PhaseGrid(n_curves=(2, n)), (3,), (COUNT,)),
-    ("build_phase_tables panel c",
-     lambda r, n, h, points: build_phase_tables(
-         PhaseGrid(), panels=("c",),
-         panel_c_args={"r": r, "n": n, "h": h, "path_points": points}),
-     (2.1, 3, 2.0, 5), (POS, COUNT2, POS, COUNT2)),
     ("panel_c_comparison",
      lambda r, n, h, points: panel_c_comparison(r, n, h, path_points=points),
      (2.1, 3, 2.0, 5), (POS, COUNT2, POS, COUNT2)),
     ("PanelC", lambda r: PanelC(r, 3, 2.0, 0.4, 2.0, (), (), (), (), (), ()), (2.1,), (FREE,)),
-    ("PhaseTables", lambda: PhaseTables(), (), ()),
     ("ImpulseSchedule", lambda t, q: ImpulseSchedule(((t, q),)), (0.5, 0.3), (NONNEG, NONNEG)),
     ("dominance_tolerance", dominance_tolerance, (2.0, 0.1), (NONNEG, POS)),
     ("simulate_envelope",

@@ -22,7 +22,6 @@ from leakystage import (
     PhaseGrid,
     RecoveryConfig,
     SplitProblem,
-    build_phase_tables,
     capacity_report,
     cli,
     derive,
@@ -63,8 +62,7 @@ def _examples() -> dict[type, FrozenRecord]:
         optimal_split(SplitProblem(Q=1.0, n=3, params=params)), overhead_optimal_count(4.5, 0.3),
         horizon_feasibility(2.1, 2.0), recovery, min_peak_plan(recovery),
         capacity_report(params, 0.7, 3, 0.5, 2.0), grid, panel_c_comparison(path_points=3),
-        build_phase_tables(grid, panels=("a", "b")), schedule,
-        simulate_envelope(schedule, params, 3.0, 0.5),
+        schedule, simulate_envelope(schedule, params, 3.0, 0.5),
         verify_envelope_dominance(schedule, params, 0.1, 3.0, 0.5),
         cli._Field("number", "a number", minimum=1.0), config, cli.run(config, meta_time=False),
     ]
@@ -93,7 +91,7 @@ def outcome(action):
 
 
 def test_every_record_class_is_covered():
-    assert len(RECORDS) == 20
+    assert len(RECORDS) == 19
     assert set(EXAMPLES) == set(RECORDS)
     assert not any(dataclasses.is_dataclass(cls) for cls in RECORDS)
 

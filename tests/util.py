@@ -181,6 +181,16 @@ def enumerate_overhead(r: float, k: float, extra: int = 3):
     return best, ties[0], ties
 
 
+def mpmath_excess(r: float, n: int) -> float:
+    """The excess ``r - n - n log(r/n)`` of load ``r`` over ``n`` releases at 50
+    digits, rounded once to a float; it needs mpmath."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        R, N = mpmath.mpf(r), mpmath.mpf(n)
+        return float(R - N - N * mpmath.log(R / N)) if R > N else 0.0
+
+
 def mpmath_overhead_optimum(r: float, k: float) -> int:
     """The cost-optimal overhead count at 50 digits: the cheaper of the floor and
     the ceiling of ``r * e^{-k}`` (at least 1), the smaller on an exact tie.
