@@ -1,9 +1,9 @@
 """Command-line front-end: config ingestion, dispatch, and deterministic output.
 
 Subcommands: ``exposure``, ``split``, ``overhead``, ``peak``, ``horizon``,
-``simulate``, ``phase``.  A run is configured by a YAML document, by a named
-preset, or by flags; flags override document values.  Unknown keys are hard
-errors.  The config contract is the field table ``_FIELDS`` (with ``_PARAMS``
+``simulate``, ``phase``.  A run is configured by a YAML or JSON document, by a
+named preset, or by flags; flags override document values.  Unknown keys are
+hard errors.  The config contract is the field table ``_FIELDS`` (with ``_PARAMS``
 and ``eps_thr`` in ``_DOCUMENT``): it declares every flag, drives the one
 validator, and builds :func:`schema`, whose output is ``config.schema.json``
 at the repo root.  As in JSON Schema, an integral float such as ``2.0`` counts
@@ -312,25 +312,34 @@ def _check_cross_fields(command: str, options: dict[str, Any]) -> None:
         PhaseGrid(*(tuple(options[name]) for name in ("r_range", "h_range", "k_range")))
 
 
-def _load_yaml(path: str | Path) -> dict[str, Any]:
-    """Read a YAML config document; errors name ``path`` as the caller gave it."""
-    import yaml  # only config files need it, so preset and flag runs skip the import
-
+def _load_document(path: str | Path) -> dict[str, Any]:
+    """Read a config document, a ``.json`` file as JSON and any other as YAML; errors
+    name ``path`` as the caller gave it."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {str(path)!r}: {exc}") from exc
+    if Path(path).suffix.lower() == ".json":  # JSON reads 1e300 as a number, YAML 1.1 as text
+        try:
+            loaded = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # bad syntax, a long integer, deep nesting
+            raise ConfigError(f"config file {str(path)!r} is not valid JSON: {exc}") from exc
+        return _as_mapping(loaded, "config document")
+    import yaml  # only YAML files need it, so preset, flag and JSON runs skip the import
+
     try:
         loaded = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {str(path)!r} is not valid YAML: {exc}") from exc
-    except ValueError as exc:  # an integer too long to convert, or a date such as 2020-02-30
+    # an integer too long to convert, a date such as 2020-02-30, or nesting past the stack
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {str(path)!r} has a value YAML cannot read: {exc}") from exc
     return _as_mapping(loaded, "config document")
 
 
 def parse_config(source: Mapping[str, Any] | str | Path, *, command: str | None = None) -> RunConfig:
-    """Validate a config document (or YAML file path) into a :class:`RunConfig`.
+    """Validate a config document (or the path of a YAML or ``.json`` file) into a
+    :class:`RunConfig`.
 
     Exactly one command block must be present; every validation error names
     the offending field and the violated constraint.  Unknown keys are hard
@@ -338,7 +347,7 @@ def parse_config(source: Mapping[str, Any] | str | Path, *, command: str | None 
     that :func:`schema` rejects always fails with :class:`ConfigError`.
     """
     if isinstance(source, (str, Path)):
-        document = _load_yaml(source)
+        document = _load_document(source)
     else:
         document = _as_mapping(source, "config document")
 
@@ -839,7 +848,8 @@ def _add_field_flags(sub: argparse.ArgumentParser, fields: dict[str, _Field], **
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="PATH", help="YAML config document")
+    sub.add_argument("--config", metavar="PATH",
+                     help="config document: a .json file is read as JSON, any other as YAML")
     sub.add_argument("--preset", metavar="NAME",
                      help=f"built-in preset ({', '.join(sorted(PRESETS))})")
     sub.add_argument("--out", metavar="PATH", help="output file (default stdout)")
@@ -874,7 +884,7 @@ def _assemble_document(args: argparse.Namespace) -> dict[str, Any]:
             )
         document = preset(args.preset)
     elif args.config:
-        document = _load_yaml(args.config)
+        document = _load_document(args.config)
     else:
         document = {}
 

@@ -481,6 +481,43 @@ class TestMain:
         assert main(["split", "--config", "./absent.yaml"]) == 1
         assert "cannot read config file './absent.yaml'" in capsys.readouterr().err
 
+    def test_json_file_reads_1e300_as_a_number(self, tmp_path, capsys):
+        # YAML 1.1 reads 1e300 as text, JSON as a number: a .json file is read as JSON
+        ranges = {"yaml": "[1.0, 1.0e+300, 3]", "json": "[1.0, 1e300, 3]"}
+        outputs = {}
+        for suffix, text in [("yaml", ranges["yaml"]), ("json", ranges["json"])]:
+            path = tmp_path / f"p.{suffix}"
+            path.write_text(f'{{"params": {json.dumps(FIG)}, "phase": {{"panel": "b", '
+                            f'"r_range": {text}}}}}', encoding="utf-8")
+            assert main(["phase", "--config", str(path), "--no-meta-time"]) == 0
+            outputs[suffix] = capsys.readouterr().out
+        assert outputs["json"] == outputs["yaml"]
+        # the same JSON text under a YAML name is read as YAML
+        (tmp_path / "p.json").rename(tmp_path / "q.yaml")
+        assert main(["phase", "--config", str(tmp_path / "q.yaml"), "--no-meta-time"]) == 1
+        assert "the value was read as text" in capsys.readouterr().err
+
+    def test_deeply_nested_yaml_file_exits_1(self, tmp_path, capsys):
+        # the YAML composer recursed past the stack and the CLI printed a traceback
+        path = tmp_path / "deep.yaml"
+        path.write_text("[" * 10**5, encoding="utf-8")
+        assert main(["split", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "has a value YAML cannot read" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        '{"params": {"beta": 0.6,', "params: {beta: 0.6}", "[" * 10**5,
+        '{"split": {"n": ' + "1" * 5000 + "}}",
+    ], ids=["truncated", "yaml", "deep", "5000-digit-count"])
+    def test_malformed_json_file_exits_1(self, tmp_path, monkeypatch, capsys, text):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text(text, encoding="utf-8")
+        assert main(["split", "--config", "./bad.json"]) == 1
+        err = capsys.readouterr().err
+        assert "config file './bad.json' is not valid JSON" in err
+        assert "Traceback" not in err
+
     def test_tol_flag_overrides_threshold_tolerance(self, capsys):
         # within --tol of the supremal frontier r = 1 + h, the verdict is
         # the boundary classification instead of SafeWithN

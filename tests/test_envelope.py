@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -258,8 +260,12 @@ class TestPathExposure:
 
 
 def _simulate_full_loop(*args) -> envelope.Trajectory:
-    """``simulate_full`` driven by the plain per-stage RK4 loop of ``tests/util``."""
-    with mock.patch.object(envelope, "_rk4_segment", rk4_segment_loop):
+    """``simulate_full`` driven by the plain per-stage RK4 loop of ``tests/util``.
+
+    It runs past the memo of the last result, which it neither reads nor fills.
+    """
+    with mock.patch.object(envelope, "_rk4_segment", rk4_segment_loop), \
+            mock.patch.object(envelope, "_last_full", (None, lambda: None)):
         return simulate_full(*args)
 
 
@@ -370,6 +376,105 @@ class TestLoopOracles:
         full = simulate_full(FIG_SCHEDULE, figure_params, 0.08, 0.0, 12.0, 0.01)
         assert (check.log_growth, check.log_bound) == verify_log_growth_bound(full, figure_params)
         assert check.log_bound == check.exposure_full
+
+
+class TestMemo:
+    """A repeated call returns the live result of the previous call for the same bits only."""
+
+    ARGS = (FIG_SCHEDULE, 0.08, 0.0, 12.0, 0.01)  # schedule, S0, A0, T, step
+
+    @staticmethod
+    def _variant(name, schedule, p, S0, T, step):
+        """The arguments of a call that differs from ``(schedule, p, S0, 0.0, T, step)``."""
+        if name == "A0 -0.0":
+            return schedule, p, S0, -0.0, T, step
+        if name == "size -0.0":
+            (t, _), *rest = schedule.events
+            return ImpulseSchedule(((t, -0.0), *rest)), p, S0, 0.0, T, step
+        if name == "int A0":
+            return schedule, p, S0, 0, T, step
+        if name == "float64 params":
+            return schedule, type(p)(*map(np.float64, p._values())), S0, 0.0, T, step
+        return schedule, p, S0, 0.0, T, math.nextafter(step, math.inf)  # "step ulp"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["A0 -0.0", "size -0.0", "int A0", "float64 params", "step ulp"]),
+        st.booleans(),
+    )
+    def test_near_identical_inputs_integrate_again(self, seed, variant, zero_start):
+        rng = np.random.default_rng(seed)
+        p = random_params(rng)
+        schedule = random_schedule(rng)
+        T = schedule.events[-1][0] + 2.0
+        S0 = 0.0 if zero_start else float(rng.uniform(1e-3, 0.5))
+        step = 10.0 ** float(rng.uniform(-2.5, -1.5))
+        primed = simulate_full(schedule, p, S0, 0.0, T, step)
+        args = self._variant(variant, schedule, p, S0, T, step)
+        full, oracle = simulate_full(*args), _simulate_full_loop(*args)
+        assert full is not primed
+        for name in ("t", "A", "S", "jump_indices", "jump_sizes"):
+            assert _same_bits(getattr(full, name), getattr(oracle, name)), name
+        assert full.clamp_count == oracle.clamp_count
+
+    @pytest.mark.parametrize("first, second", [(1, 1.0), (1.0, 1), (0.0, -0.0), (-0.0, 0.0)])
+    def test_one_sample_path_keeps_the_start_type(self, figure_params, first, second):
+        # an int start on a path with no node gives an int column, as without the memo
+        empty = ImpulseSchedule(())
+        primed = simulate_full(empty, figure_params, 0.1, first, 0.0, 0.1)
+        full = simulate_full(empty, figure_params, 0.1, second, 0.0, 0.1)
+        oracle = _simulate_full_loop(empty, figure_params, 0.1, second, 0.0, 0.1)
+        assert full is not primed and _same_bits(full.A, oracle.A)
+
+    def test_live_result_is_returned_again(self, figure_params):
+        schedule, S0, A0, T, step = self.ARGS
+        args = (schedule, figure_params, S0, A0, T, step)
+        with mock.patch.object(envelope, "_rk4_segment", wraps=envelope._rk4_segment) as spy:
+            first = simulate_full(*args)
+            segments = spy.call_count
+            assert segments == len(schedule.events)
+            assert simulate_full(*args) is first
+            assert spy.call_count == segments
+            alive = weakref.ref(first)
+            del first
+            gc.collect()
+            assert alive() is None  # the memo holds no reference
+            again = simulate_full(*args)
+            assert spy.call_count == 2 * segments
+        oracle = _simulate_full_loop(*args)
+        for name in ("t", "A", "S", "jump_indices", "jump_sizes"):
+            assert _same_bits(getattr(again, name), getattr(oracle, name)), name
+
+    def test_loop_oracle_runs_past_the_memo(self, figure_params):
+        schedule, S0, A0, T, step = self.ARGS
+        args = (schedule, figure_params, S0, A0, T, step)
+        first = simulate_full(*args)
+        assert _simulate_full_loop(*args) is not first
+        assert simulate_full(*args) is first
+
+    def test_writeable_result_is_not_returned(self, figure_params):
+        schedule, S0, A0, T, step = self.ARGS
+        args = (schedule, figure_params, S0, A0, T, step)
+        first = simulate_full(*args)
+        first.A.setflags(write=True)
+        first.A[1] = 5.0
+        again = simulate_full(*args)
+        assert again is not first and not again.A.flags.writeable
+        assert _same_bits(again.A, _simulate_full_loop(*args).A)
+
+    def test_dominance_reuses_the_live_full_path(self, figure_params):
+        schedule, S0, _, T, step = self.ARGS
+        full = simulate_full(schedule, figure_params, S0, 0.0, T, step)
+        with mock.patch.object(envelope, "_rk4_segment", wraps=envelope._rk4_segment) as spy:
+            check = verify_envelope_dominance(schedule, figure_params, S0, T, step)
+        assert spy.call_count == 0
+        del full
+        gc.collect()
+        with mock.patch.object(envelope, "_rk4_segment", wraps=envelope._rk4_segment) as spy:
+            fresh = verify_envelope_dominance(schedule, figure_params, S0, T, step)
+        assert spy.call_count == len(schedule.events)
+        assert repr(check) == repr(fresh)
 
 
 class TestClamp:

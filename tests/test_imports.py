@@ -1,8 +1,8 @@
 """The production path imports neither scipy nor PyYAML, and numpy only for arrays.
 
-scipy serves only the quadrature oracles in ``util`` and PyYAML only
-``--config`` files, so importing the package and running a preset must load
-neither; jsonschema serves only the tests (``cli.schema()`` builds its dict
+scipy serves only the quadrature oracles in ``util`` and PyYAML only YAML
+``--config`` files, so importing the package and running a preset or a ``.json``
+config file must load neither; jsonschema serves only the tests (``cli.schema()`` builds its dict
 without it), so neither loads anything beyond the standard-library modules
 the package imports itself.  numpy is loaded only by ``simulate`` (through
 ``envelope``), ``exposure_batch`` and ``unequal_spacing_capacity``; the
@@ -114,6 +114,21 @@ def test_preset_runs_with_scipy_and_yaml_blocked():
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.startswith("# tool=leakystage")
+
+
+def test_json_config_file_runs_without_yaml(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"params": {"beta": 0.6, "mu": 1.0, "delta": 1.8, "rho": 0.5},
+                                "split": {"Q": 1.0, "n": 3}}), encoding="utf-8")
+    child = run_child(
+        "import sys\n"
+        "from leakystage.cli import main\n"
+        f"code = main(['split', '--config', {str(path)!r}, '--no-meta-time'])\n"
+        "print('yaml' in sys.modules)\n"
+        "raise SystemExit(code)\n"
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "False"
 
 
 def test_numpy_loads_only_with_the_envelope_names():

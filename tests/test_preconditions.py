@@ -193,6 +193,17 @@ def test_hostile_argument_raises_a_package_error(call, args, domain):
             call(*args)
 
 
+@pytest.mark.parametrize("call, args, domain", [
+    pytest.param(*case.values, id=f"primed-{case.id}") for case in HOSTILE_CALLS
+    if case.id.startswith(("simulate_full[", "verify_envelope_dominance["))
+])
+def test_hostile_argument_raises_with_a_live_full_path(call, args, domain):
+    # simulate_full returns a live earlier result for the same inputs: it checks first
+    primed = simulate_full(SCHEDULE, P, 0.1, 0.0, 2.0, 0.1)
+    test_hostile_argument_raises_a_package_error(call, args, domain)
+    assert primed is simulate_full(SCHEDULE, P, 0.1, 0.0, 2.0, 0.1)
+
+
 def test_table_covers_every_numeric_public_callable():
     # the callables of __all__ that take no number, only records or arrays of them
     numberless = {"derive", "min_peak_plan", "feasibility_curves", "sawtooth_frontier",
