@@ -215,8 +215,8 @@ def simulate_envelope(
 
 def _rk4_segment(
     u: float, A: float, t0: float, t1: float, h_step: float, params: ModelParams
-) -> tuple[list[float], list[float], list[float], int]:
-    """Advance (log S, A) over [t0, t1] with fixed-step RK4; return node samples."""
+) -> tuple[np.ndarray, list[float], list[float], int]:
+    """Advance (log S, A) over [t0, t1] with fixed-step RK4; return node times and samples."""
     beta, mu, delta, rho = params.beta, params.mu, params.delta, params.rho
     alpha = delta - beta
     growth = beta - mu
@@ -247,7 +247,7 @@ def _rk4_segment(
             clamped += 1
         us[i] = u
         As[i] = A
-    return nodes.tolist(), us, As, clamped
+    return nodes, us, As, clamped
 
 
 #: The last :func:`simulate_full` call: a key of its inputs and a weak reference
@@ -301,7 +301,7 @@ def simulate_full(
             raise LeakyStageError(f"RK4 overflowed at step {h_step!r}; reduce the step") from None
         clamp_count += clamped
         # fromiter reads a list of floats about twice as fast as concatenate would
-        return [np.fromiter(x, float, len(x)) for x in (nodes, us, levels)]
+        return [nodes, *(np.fromiter(x, float, len(x)) for x in (us, levels))]
 
     u0 = math.log(S0) if S0 > 0.0 else -math.inf
     (us, levels), layout = _walk(schedule, T, (u0, A0), rk4)

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
+from itertools import accumulate, cycle, islice, repeat
 
 from .errors import LeakyStageError, ScheduleError
 from .model import EPS_THR, FrozenRecord, ModelParams, _count, _number, _numbers, derive
@@ -218,19 +220,67 @@ def state_peak_plan(m: int, a: float, Q: float, lam: float) -> PeakPlan:
     smaller of the remaining load and the headroom left by decay.  When the
     start level already dominates (``a > (a + Q)/c_m``) the minimiser is not
     unique; this is one optimal choice.
+
+    The plan is computed by runs and is bit-identical to the per-stage
+    recurrence.  Once the level repeats bit for bit (rounding can make it
+    alternate between two values), the releases repeat with it until the load
+    runs short: a fill run.  Once the load is spent the level only decays: the
+    decay tail.  Each run is one :mod:`itertools` pass over its stages, so the
+    cost is linear in ``m`` but takes O(1) Python steps per run; only the stages
+    before the level repeats and the partial release go one at a time.
     """
     capacity, target = _state_target(m, a, Q, lam)
     # the first release fills from ``a`` itself, and only it can come out an int (Q)
     q = float(min(Q, max(0.0, target - a)))
     level, remaining = a + q, Q - q
-    releases, levels = [q], [level]
-    for _ in range(m - 1):
+    try:  # both lists at full length at once, so that a huge m fails here
+        releases, levels = [q] * m, [level] * m
+    except (OverflowError, MemoryError):
+        raise LeakyStageError(
+            "remaining release count m must be small enough to allocate its plan") from None
+    i = 1  # the stage computed next
+    seen = {}  # level after each of the latest unbroken full fills -> the stage after it
+    while i < m:
+        if remaining == 0.0 and 1.0 == math.copysign(1.0, remaining) == \
+                math.copysign(1.0, lam) == math.copysign(1.0, level):
+            # decay tail: each release is +0.0 and each level lam times the last; with
+            # no -0.0 among lam, level and remaining, decayed + 0.0 is decayed bit for
+            # bit, and the first level's sum gives every level the loop's type
+            releases[i:] = [remaining] * (m - i)
+            levels[i:] = accumulate(repeat(lam, m - i - 1), operator.mul,
+                                    initial=lam * level + remaining)
+            break
         decayed = lam * level
         q = min(remaining, max(0.0, target - decayed))
-        releases.append(q)
+        full = 0.0 < q < remaining  # the release is the whole headroom, with load to spare
         level = decayed + q
-        levels.append(level)
+        releases[i], levels[i] = q, level
         remaining -= q
+        i += 1
+        if not full:
+            seen.clear()
+            continue
+        start = seen.setdefault(level, i)
+        if start < i < m:
+            # fill run: the level is back where it was after stage start - 1, so stages
+            # start..i-1 repeat (rounding can make two levels alternate) while more than
+            # the largest of their releases is left.  ``loads`` holds the load left
+            # before each next stage, subtracted in the loop's order, a few stages past
+            # where it runs short (the estimate divides Python floats, as numpy scalars
+            # would warn when it overflows); those stages come off its end.
+            qs, ls = releases[start:i], levels[start:i]
+            top, p = max(qs), len(qs)
+            n = int(min(m - i, float(remaining) / float(min(qs)) + 2.0))
+            loads = list(accumulate(islice(cycle(qs), n - 1), operator.sub, initial=remaining))
+            while loads and not top < loads[-1]:
+                loads.pop()
+            k = len(loads)
+            if k:
+                releases[i:i + k] = (qs * (k // p + 1))[:k]
+                levels[i:i + k] = (ls * (k // p + 1))[:k]
+                level, remaining = ls[(k - 1) % p], loads[-1] - qs[(k - 1) % p]
+                i += k
+            seen.clear()
     if remaining > 1e-9 * max(1.0, Q):
         raise LeakyStageError(
             f"greedy fill left {remaining!r} of the load unabsorbed; target peak inconsistent"

@@ -362,7 +362,8 @@ class TestLoopOracles:
             with pytest.raises(OverflowError):
                 envelope._rk4_segment(*args)
             return
-        assert envelope._rk4_segment(*args) == expected
+        nodes, *samples = envelope._rk4_segment(*args)
+        assert _same_bits(nodes, np.array(expected[0])) and samples == list(expected[1:])
 
     def test_one_sample_path_has_zero_exposure(self, figure_params):
         red = simulate_envelope(ImpulseSchedule(()), figure_params, 0.0, 0.1)

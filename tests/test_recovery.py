@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leakystage import (
@@ -366,3 +366,38 @@ class TestOnePassPlans:
         assert repr(state_peak_plan(*args)) == repr(state_peak_plan_oracle(*args))
         config = RecoveryConfig(lam=0.35, n=100_000, Q=1234.5)
         assert repr(min_peak_plan(config)) == repr(min_peak_plan_oracle(config))
+
+
+@st.composite
+def _run_plans(draw):
+    """Plans long enough for fill runs and decay tails, with start levels on both sides
+    of the target, the zero and subnormal carry-overs and the zero and subnormal loads."""
+    m = draw(st.integers(1, 3000))
+    lam = draw(st.sampled_from([0, 0.0, -0.0, 5e-324, 1e-9, 0.5, 1 - 1e-9])
+               | st.floats(0.0, 1.0, exclude_max=True))
+    a = draw(st.sampled_from([0, -0.0, 5e-324]) | st.floats(0.0, 2.0))
+    # a fill fraction f: the start level dominates for a > f * m / (m - 1)
+    Q = draw(st.sampled_from([0, -0.0, 1e-320])
+             | st.floats(0.0, 2.0).map(lambda f: f * m * (1.0 - lam)))
+    return m, a, Q, lam
+
+
+class TestPlanRuns:
+    """``state_peak_plan`` by runs against the per-stage loop, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_run_plans())
+    # two levels that alternate by an ulp through the fill
+    @example((118, 0.87, 0.81 * 118 * (1.0 - 0.218), 0.218))
+    @example((2660, 0.71, 0.89 * 2660 * (1.0 - 0.422), 0.422))
+    # a decay tail that stops at a subnormal level, and the signed zeros
+    @example((3000, 5e-324, 0.0, 1 - 1e-9))
+    @example((2, -0.0, -0.0, 0))
+    @example((50, 0.5, 1.0, -0.0))
+    def test_matches_per_stage_oracle(self, args):
+        assert _outcome(state_peak_plan, *args) == _outcome(state_peak_plan_oracle, *args)
+
+    @pytest.mark.parametrize("m", [10**300, 2**62])
+    def test_unallocatable_count_raises(self, m):
+        with pytest.raises(LeakyStageError, match="remaining release count m"):
+            state_peak_plan(m, 0.2, 1.0, 0.5)
