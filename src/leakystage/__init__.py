@@ -131,20 +131,9 @@ __all__ = [
 ]
 
 #: Names served from ``envelope`` on first access (PEP 562), so that importing
-#: the package, and every command but ``simulate``, never loads numpy.
-_ENVELOPE_NAMES = frozenset({
-    "EnvelopeCheck",
-    "ImpulseSchedule",
-    "Trajectory",
-    "balance_jump_residuals",
-    "dominance_tolerance",
-    "path_exposure",
-    "simulate_envelope",
-    "simulate_full",
-    "verify_balance_identity",
-    "verify_envelope_dominance",
-    "verify_log_growth_bound",
-})
+#: the package, and every command but ``simulate``, never loads numpy: the
+#: public names not imported above.
+_ENVELOPE_NAMES = frozenset(__all__).difference(globals())
 
 
 def __getattr__(name: str):

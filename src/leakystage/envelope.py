@@ -31,9 +31,9 @@ time is a grid node bit-exactly.
 ``S`` is advanced in log space, so it can never cross zero; ``S = 0`` is an
 invariant manifold and is held exactly.  The RK4 loop spells out the
 right-hand side in each stage instead of calling a function per stage, and
-:func:`path_exposure` forms its trapezoid terms with numpy, running scalar code
-only on the intervals where the growth pressure changes sign; both keep the
-operation order of the plain loops, so results are the same bits.
+:func:`path_exposure` forms its trapezoid terms with numpy, the crossing
+intervals included; both keep the operation order of the plain loops, so
+results are the same bits.
 """
 from __future__ import annotations
 
@@ -68,10 +68,6 @@ class ImpulseSchedule(FrozenRecord):
     @property
     def total(self) -> float:
         return math.fsum(q for _, q in self.events)
-
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.events)
 
     @property
     def sizes(self) -> tuple[float, ...]:
@@ -310,39 +306,29 @@ def simulate_full(
     return trajectory
 
 
-def path_exposure(
-    trajectory: Trajectory, params: ModelParams, *, exact_decay: bool = False
-) -> float:
+def path_exposure(trajectory: Trajectory, params: ModelParams) -> float:
     """Integral of the positive growth pressure along a sampled path.
 
     Composite trapezoid with kink refinement: where the pressure changes
     sign inside a sample interval, the crossing time is inserted as a
-    breakpoint, solved analytically when the path is a pure decay segment
-    (``exact_decay``), by linear interpolation otherwise.  Duplicated jump
-    samples contribute nothing (zero width).  The terms are summed left to
-    right, as a running total would be.
+    breakpoint by linear interpolation of the pressure, the one rule for the
+    full system and the envelope alike.  Duplicated jump samples contribute
+    nothing (zero width).  The terms are summed left to right, as a running
+    total would be.
     """
-    t, A = trajectory.t, trajectory.A
-    g = growth_pressure(A, params)
+    t = trajectory.t
+    g = growth_pressure(trajectory.A, params)
     dt = np.diff(t)
     gi, gj = g[:-1], g[1:]
     live = dt > 0.0
     active = (gi >= 0.0) & (gj >= 0.0)
     terms = np.where(live & active, 0.5 * (gi + gj) * dt, 0.0)
-    crossing = live & ~active & ~((gi <= 0.0) & (gj <= 0.0))
-    delta_c, rho = derive(params).delta_c, params.rho
-    jumps = set(trajectory.jump_indices.tolist())
-    for i in np.flatnonzero(crossing).tolist():
-        # one endpoint active: split at the threshold crossing
-        if exact_decay and i not in jumps and A[i] > 0.0:
-            t_cross = t[i] + math.log(A[i] / delta_c) / rho
-            t_cross = min(max(t_cross, t[i]), t[i + 1])
-        else:
-            t_cross = t[i] + dt[i] * g[i] / (g[i] - g[i + 1])
-        if g[i] > 0.0:
-            terms[i] = 0.5 * g[i] * (t_cross - t[i])
-        else:
-            terms[i] = 0.5 * g[i + 1] * (t[i + 1] - t_cross)
+    # one endpoint active: split at the crossing; g[i] and g[i + 1] have strictly
+    # opposite signs there, so neither branch divides by zero
+    i = np.flatnonzero(live & ~active & ~((gi <= 0.0) & (gj <= 0.0)))
+    t0, t1, g0, g1 = t[i], t[i + 1], gi[i], gj[i]
+    t_cross = t0 + dt[i] * g0 / (g0 - g1)
+    terms[i] = np.where(g0 > 0.0, 0.5 * g0 * (t_cross - t0), 0.5 * g1 * (t1 - t_cross))
     # not np.sum, which adds pairwise: cumsum from 0.0 is the running total
     return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
@@ -438,5 +424,7 @@ def verify_log_growth_bound(
 
     Returns ``(log(S(T)/S(0)), integral of [g(A)]_+ dt)`` computed on the
     sample grid; the first never exceeds the second beyond quadrature error.
+    :func:`verify_envelope_dominance` integrates the full path once and already
+    returns this pair as ``EnvelopeCheck.log_growth`` and ``log_bound``.
     """
     return _log_growth(trajectory), path_exposure(trajectory, params)

@@ -162,8 +162,16 @@ def panel_c_comparison(
     _count(path_points, "path_points", 2)
     spacing = h / (n - 1)
     lam = math.exp(-spacing)
+    if not lam < 1.0:
+        raise LeakyStageError(f"release count n={n} and horizon h={h!r} give a carry-over "
+                              "exp(-h/(n-1)) that rounds to 1")
     config = RecoveryConfig(lam=lam, n=n, Q=r)
-    uniform = simulate_recurrence(config, (r / n,) * n)
+    try:
+        uniform_releases = (r / n,) * n
+    except (OverflowError, MemoryError):  # more releases than can be allocated
+        raise LeakyStageError(
+            f"release count n={n} must be small enough to allocate its plan") from None
+    uniform = simulate_recurrence(config, uniform_releases)
     front = min_peak_plan(config)
 
     def levels(plan) -> tuple[tuple[int, float, float], ...]:

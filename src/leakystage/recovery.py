@@ -199,18 +199,21 @@ def state_value(m: int, a: float, Q: float, lam: float) -> float:
 
     Closed form ``max(a, (a + Q) / c_m(lam))``; satisfies the minimax
     recursion ``H_m(a, Q) = min_q max(a + q, H_{m-1}(lam (a + q), Q - q))``
-    with ``H_1(a, Q) = a + Q``.
+    with ``H_1(a, Q) = a + Q``.  The value is a plain ``float`` for ``int``,
+    ``float`` and ``numpy.float64`` arguments alike.
     """
     return _state_target(m, a, Q, lam)[1]
 
 
-def _state_target(m: int, a: float, Q: float, lam: float) -> tuple[float, float]:
-    """``c_m(lam)`` and :func:`state_value`, after checking the arguments."""
+def _state_target(m: int, a: float, Q: float, lam: float) -> tuple[float, ...]:
+    """``c_m(lam)``, :func:`state_value`, and ``a``, ``Q`` and ``lam`` as plain
+    floats, after checking the arguments; ``lam`` has no sign on zero."""
     _count(m, "remaining release count m")
-    _number(a, "current level a")
-    _number(Q, "remaining load Q")
-    capacity = _peak_capacity(m, _lam(lam))
-    return capacity, max(a, (a + Q) / capacity)
+    a = float(_number(a, "current level a"))
+    Q = float(_number(Q, "remaining load Q"))
+    lam = float(_lam(lam)) + 0.0
+    capacity = _peak_capacity(m, lam)
+    return capacity, max(a, (a + Q) / capacity), a, Q, lam
 
 
 def state_peak_plan(m: int, a: float, Q: float, lam: float) -> PeakPlan:
@@ -227,11 +230,12 @@ def state_peak_plan(m: int, a: float, Q: float, lam: float) -> PeakPlan:
     runs short: a fill run.  Once the load is spent the level only decays: the
     decay tail.  Each run is one :mod:`itertools` pass over its stages, so the
     cost is linear in ``m`` but takes O(1) Python steps per run; only the stages
-    before the level repeats and the partial release go one at a time.
+    before the level repeats and the partial release go one at a time.  The plan
+    holds plain floats for ``int``, ``float`` and ``numpy.float64`` arguments alike.
     """
-    capacity, target = _state_target(m, a, Q, lam)
-    # the first release fills from ``a`` itself, and only it can come out an int (Q)
-    q = float(min(Q, max(0.0, target - a)))
+    capacity, target, a, Q, lam = _state_target(m, a, Q, lam)
+    # the first release fills from ``a`` itself
+    q = min(Q, max(0.0, target - a))
     level, remaining = a + q, Q - q
     try:  # both lists at full length at once, so that a huge m fails here
         releases, levels = [q] * m, [level] * m
@@ -241,11 +245,9 @@ def state_peak_plan(m: int, a: float, Q: float, lam: float) -> PeakPlan:
     i = 1  # the stage computed next
     seen = {}  # level after each of the latest unbroken full fills -> the stage after it
     while i < m:
-        if remaining == 0.0 and 1.0 == math.copysign(1.0, remaining) == \
-                math.copysign(1.0, lam) == math.copysign(1.0, level):
-            # decay tail: each release is +0.0 and each level lam times the last; with
-            # no -0.0 among lam, level and remaining, decayed + 0.0 is decayed bit for
-            # bit, and the first level's sum gives every level the loop's type
+        if remaining == 0.0 and math.copysign(1.0, remaining) == math.copysign(1.0, level) == 1.0:
+            # decay tail: each release is +0.0 and each level lam times the last; with no
+            # -0.0 among lam (never), level and remaining, decayed + 0.0 is decayed exactly
             releases[i:] = [remaining] * (m - i)
             levels[i:] = accumulate(repeat(lam, m - i - 1), operator.mul,
                                     initial=lam * level + remaining)

@@ -466,6 +466,18 @@ class TestMain:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("h", ["1000.0", "2.0"])
+    def test_huge_panel_c_count_exits_1(self, tmp_path, capsys, h):
+        path = tmp_path / "run.yaml"
+        path.write_text(f"params: {json.dumps(FIG)}\n"
+                        f"phase: {{panel: c, panel_c: {{r: 2.1, n: {2**62}, h: {h}}}}}\n",
+                        encoding="utf-8")
+        code = main(["phase", "--config", str(path), "--no-meta-time"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: release count n={2**62} " in err
+        assert "Traceback" not in err
+
     def test_horizon_past_the_count_rule_exits_1(self, capsys):
         code = main(["horizon", "--r", "9.99999999999999e299", "--h", "1e300", *FIG_FLAGS])
         err = capsys.readouterr().err

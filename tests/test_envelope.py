@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from leakystage import (
     ImpulseSchedule,
     LeakyStageError,
+    ModelParams,
     RecoveryConfig,
     ScheduleError,
     balance_jump_residuals,
@@ -52,7 +53,7 @@ class TestSchedule:
 
 
 class TestSimulateEnvelope:
-    def test_single_impulse_exact_decay(self, figure_params):
+    def test_single_impulse_decays_exactly(self, figure_params):
         schedule = ImpulseSchedule(((0.0, 0.8),))
         trajectory = simulate_envelope(schedule, figure_params, 6.0, 0.01)
         expected = 0.8 * np.exp(-figure_params.rho * trajectory.t)
@@ -254,7 +255,7 @@ class TestPathExposure:
         schedule = ImpulseSchedule(((0.0, 1.0),))
         # long horizon so the tail above threshold is fully inside
         trajectory = simulate_envelope(schedule, figure_params, 30.0, 0.005)
-        numeric = path_exposure(trajectory, figure_params, exact_decay=True)
+        numeric = path_exposure(trajectory, figure_params)
         closed = exposure_closed_form(1.0, figure_params).value
         assert numeric == pytest.approx(closed, abs=5e-6)
 
@@ -281,9 +282,8 @@ class TestLoopOracles:
         st.integers(0, 2**32 - 1),
         st.floats(-3.0, -1.0),
         st.booleans(),
-        st.booleans(),
     )
-    def test_full_and_envelope_paths(self, seed, log_step, zero_start, exact_decay):
+    def test_full_and_envelope_paths(self, seed, log_step, zero_start):
         rng = np.random.default_rng(seed)
         p = random_params(rng)
         schedule = random_schedule(rng)
@@ -298,8 +298,8 @@ class TestLoopOracles:
         red = simulate_envelope(schedule, p, T, step)
         assert _same_bits(red.t, full.t) and _same_bits(red.jump_indices, full.jump_indices)
         for trajectory in (full, red):
-            value = path_exposure(trajectory, p, exact_decay=exact_decay)
-            expected = path_exposure_loop(trajectory, p, exact_decay=exact_decay)
+            value = path_exposure(trajectory, p)
+            expected = path_exposure_loop(trajectory, p)
             assert value == expected
             assert np.float64(value).tobytes() == np.float64(expected).tobytes()
 
@@ -364,6 +364,33 @@ class TestLoopOracles:
             return
         nodes, *samples = envelope._rk4_segment(*args)
         assert _same_bits(nodes, np.array(expected[0])) and samples == list(expected[1:])
+
+    # g(A) = A - 0.5 at these rates, so the pressure is exactly zero at A = 0.5
+    @pytest.mark.parametrize("t, A, jumps", [
+        ((0.0, 1.0), (0.0, 1.0), ()),
+        ((0.0, 1.0, 2.0, 3.0, 4.0), (0.5, 0.8, 0.5, 0.2, 0.5), ()),
+        ((0.0, 0.5, 1.5, 2.0, 3.0), (0.2, 0.9, 0.1, 0.7, 0.3), ()),
+        ((0.0, 1.0, 1.0, 2.0), (0.1, 0.05, 0.9, 0.3), (1,)),
+        ((0.0, 1.0, 1.0, 2.0, 2.0, 3.0), (0.9, 0.4, 0.7, 0.3, 0.6, 0.2), (1, 3)),
+        ((0.0,), (0.7,), ()),
+    ], ids=["one-crossing", "zero-at-ends", "up-and-down", "after-jump", "zero-width", "one-sample"])
+    def test_crossings_by_hand(self, t, A, jumps):
+        p = ModelParams(beta=0.5, mu=1.0, delta=1.5, rho=0.5)
+        trajectory = envelope.Trajectory(
+            t=np.array(t), A=np.array(A), S=None,
+            jump_indices=np.array(jumps, dtype=int), jump_sizes=np.ones(len(jumps)),
+        )
+        value, expected = path_exposure(trajectory, p), path_exposure_loop(trajectory, p)
+        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+        if t == (0.0, 1.0):  # crosses at t = 0.5 and rises to 0.5 at t = 1
+            assert value == 0.125
+
+    def test_empty_schedule_decays_through_threshold(self, figure_params):
+        red = simulate_envelope(ImpulseSchedule(()), figure_params, 4.0, 0.03, a0=0.6)
+        value = path_exposure(red, figure_params)
+        assert value > 0.0
+        assert np.float64(value).tobytes() == \
+            np.float64(path_exposure_loop(red, figure_params)).tobytes()
 
     def test_one_sample_path_has_zero_exposure(self, figure_params):
         red = simulate_envelope(ImpulseSchedule(()), figure_params, 0.0, 0.1)

@@ -176,6 +176,24 @@ def test_every_public_name_resolves():
     assert set(leakystage.__all__) <= set(namespace)
 
 
+#: The public names the package serves lazily from ``envelope``: the ones it
+#: does not import when it loads.
+ENVELOPE_NAMES = frozenset({
+    "EnvelopeCheck", "ImpulseSchedule", "Trajectory", "balance_jump_residuals",
+    "dominance_tolerance", "path_exposure", "simulate_envelope", "simulate_full",
+    "verify_balance_identity", "verify_envelope_dominance", "verify_log_growth_bound",
+})
+
+
+def test_lazy_names_are_the_envelope_names():
+    from leakystage import envelope
+
+    assert leakystage._ENVELOPE_NAMES == ENVELOPE_NAMES
+    assert ENVELOPE_NAMES.isdisjoint(vars(leakystage))
+    for name in ENVELOPE_NAMES:
+        assert getattr(leakystage, name) is getattr(envelope, name), name
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         leakystage.no_such_name  # noqa: B018

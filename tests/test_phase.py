@@ -133,6 +133,15 @@ class TestPanelC:
         with pytest.raises(LeakyStageError):
             panel_c_comparison(r=2.1, n=1, h=2.0)
 
+    @pytest.mark.parametrize("h, message", [
+        (1000.0, "release count n=4611686018427387904 must be small enough to allocate"),
+        (2.0, "release count n=4611686018427387904 and horizon h=2.0 give a carry-over"),
+    ], ids=["unallocatable", "carry-over-rounds-to-1"])
+    def test_huge_count_rejected(self, h, message):
+        # 2**62 releases fail Python's size check before anything is allocated
+        with pytest.raises(LeakyStageError, match=message):
+            panel_c_comparison(r=2.1, n=2**62, h=h)
+
 
 class TestPhaseGrid:
     def test_bad_count_rejected(self):

@@ -397,6 +397,21 @@ class TestPlanRuns:
     def test_matches_per_stage_oracle(self, args):
         assert _outcome(state_peak_plan, *args) == _outcome(state_peak_plan_oracle, *args)
 
+    @pytest.mark.parametrize("typed", ["a", "Q", "lam", "float"])
+    def test_plain_floats_for_any_number_type(self, typed):
+        # numpy.float64 and int arguments give the plain floats of float arguments
+        args = {"a": 0.2, "Q": 1.0, "lam": 0.5}
+        if typed != "float":
+            args[typed] = np.float64(args[typed])
+        plan = state_peak_plan(40, **args)
+        numbers = (*plan.releases, *plan.post_levels, plan.peak,
+                   plan.capacity_multiplier, plan.capacity_residual)
+        assert {type(x) for x in numbers} == {float}
+        assert type(plan.degenerate) is bool
+        assert type(state_value(40, **args)) is float
+        assert repr(plan) == repr(state_peak_plan(40, 0.2, 1.0, 0.5))
+        assert repr(state_peak_plan(40, 0, 1, 0)) == repr(state_peak_plan(40, 0.0, 1.0, 0.0))
+
     @pytest.mark.parametrize("m", [10**300, 2**62])
     def test_unallocatable_count_raises(self, m):
         with pytest.raises(LeakyStageError, match="remaining release count m"):

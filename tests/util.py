@@ -489,23 +489,17 @@ def balance_identity_pieces(trajectory: Trajectory, params: ModelParams) -> floa
     return worst
 
 
-def path_exposure_loop(
-    trajectory: Trajectory, params: ModelParams, *, exact_decay: bool = False
-) -> float:
+def path_exposure_loop(trajectory: Trajectory, params: ModelParams) -> float:
     """Integral of the positive growth pressure along a sampled path.
 
     Composite trapezoid with kink refinement: where the pressure changes
     sign inside a sample interval, the crossing time is inserted as a
-    breakpoint, solved analytically when the path is a pure decay segment
-    (``exact_decay``), by linear interpolation otherwise.  Duplicated jump
-    samples contribute nothing (zero width).
+    breakpoint by linear interpolation.  Duplicated jump samples contribute
+    nothing (zero width).
     """
-    t, A = trajectory.t, trajectory.A
-    d = derive(params)
-    g = growth_pressure(A, params)
+    t = trajectory.t
+    g = growth_pressure(trajectory.A, params)
     total = 0.0
-    rho = params.rho
-    jumps = set(int(i) for i in trajectory.jump_indices)
     for i in range(len(t) - 1):
         dt = t[i + 1] - t[i]
         if dt <= 0.0:
@@ -517,11 +511,7 @@ def path_exposure_loop(
             continue
         else:
             # one endpoint active: split at the threshold crossing
-            if exact_decay and i not in jumps and A[i] > 0.0:
-                t_cross = t[i] + math.log(A[i] / d.delta_c) / rho
-                t_cross = min(max(t_cross, t[i]), t[i + 1])
-            else:
-                t_cross = t[i] + dt * gi / (gi - gj)
+            t_cross = t[i] + dt * gi / (gi - gj)
             if gi > 0.0:
                 total += 0.5 * gi * (t_cross - t[i])
             else:
