@@ -11,129 +11,26 @@ nonlinear two-variable system.
 
 __version__ = "0.1.0"
 
-from .allocation import (
-    AllocationResult,
-    OverheadResult,
-    SplitProblem,
-    continuous_relaxed_count,
-    excess_exposure,
-    k_safe,
-    min_exposure,
-    minimal_safe_count,
-    optimal_split,
-    overhead_optimal_count,
-)
-from .errors import ConfigError, LeakyStageError, ParameterError, ScheduleError
-from .exposure import (
-    ExposureValue,
-    exposure_batch,
-    exposure_closed_form,
-    exposure_derivative,
-    exposure_near_threshold,
-)
-from .model import (
-    EPS_THR,
-    DerivedConstants,
-    DimensionlessPoint,
-    ModelParams,
-    derive,
-    growth_pressure,
-    normalized_factor,
-)
-from .phase import (
-    PanelC,
-    PhaseGrid,
-    feasibility_curves,
-    panel_c_comparison,
-    sawtooth_frontier,
-)
-from .recovery import (
-    UNBOUNDED,
-    CapacityReport,
-    CountBound,
-    HorizonFeasibility,
-    HorizonRegime,
-    PeakPlan,
-    RecoveryConfig,
-    capacity_report,
-    horizon_capacity,
-    horizon_feasibility,
-    min_peak_plan,
-    peak_capacity,
-    safe_count_fixed_lambda,
-    simulate_recurrence,
-    state_peak_plan,
-    state_value,
-    unequal_spacing_capacity,
-)
-
-__all__ = [
-    "__version__",
-    "EPS_THR",
-    "UNBOUNDED",
-    "AllocationResult",
-    "CapacityReport",
-    "ConfigError",
-    "CountBound",
-    "DerivedConstants",
-    "DimensionlessPoint",
-    "EnvelopeCheck",
-    "ExposureValue",
-    "HorizonFeasibility",
-    "HorizonRegime",
-    "ImpulseSchedule",
-    "LeakyStageError",
-    "ModelParams",
-    "OverheadResult",
-    "PanelC",
-    "ParameterError",
-    "PeakPlan",
-    "PhaseGrid",
-    "RecoveryConfig",
-    "ScheduleError",
-    "SplitProblem",
-    "Trajectory",
-    "balance_jump_residuals",
-    "capacity_report",
-    "continuous_relaxed_count",
-    "derive",
-    "dominance_tolerance",
-    "excess_exposure",
-    "exposure_batch",
-    "exposure_closed_form",
-    "exposure_derivative",
-    "exposure_near_threshold",
-    "feasibility_curves",
-    "growth_pressure",
-    "horizon_capacity",
-    "horizon_feasibility",
-    "k_safe",
-    "min_exposure",
-    "min_peak_plan",
-    "minimal_safe_count",
-    "normalized_factor",
-    "optimal_split",
-    "overhead_optimal_count",
-    "panel_c_comparison",
-    "path_exposure",
-    "peak_capacity",
-    "safe_count_fixed_lambda",
-    "sawtooth_frontier",
-    "simulate_envelope",
-    "simulate_full",
-    "simulate_recurrence",
-    "state_peak_plan",
-    "state_value",
-    "unequal_spacing_capacity",
-    "verify_balance_identity",
-    "verify_envelope_dominance",
-    "verify_log_growth_bound",
-]
+# each module's __all__ declares its public names
+from . import allocation, errors, exposure, model, phase, recovery
+from .allocation import *
+from .errors import *
+from .exposure import *
+from .model import *
+from .phase import *
+from .recovery import *
 
 #: Names served from ``envelope`` on first access (PEP 562), so that importing
-#: the package, and every command but ``simulate``, never loads numpy: the
-#: public names not imported above.
-_ENVELOPE_NAMES = frozenset(__all__).difference(globals())
+#: the package, and every command but ``simulate``, never loads numpy.  They are
+#: listed here, not in an ``envelope.__all__``, as reading that would load numpy.
+_ENVELOPE_NAMES = frozenset({
+    "EnvelopeCheck", "ImpulseSchedule", "Trajectory", "balance_jump_residuals",
+    "dominance_tolerance", "path_exposure", "simulate_envelope", "simulate_full",
+    "verify_balance_identity", "verify_envelope_dominance", "verify_log_growth_bound",
+})
+
+__all__ = ["__version__", *allocation.__all__, *errors.__all__, *exposure.__all__,
+           *model.__all__, *phase.__all__, *recovery.__all__, *sorted(_ENVELOPE_NAMES)]
 
 
 def __getattr__(name: str):

@@ -18,6 +18,10 @@ from .errors import LeakyStageError
 from .exposure import _onset, exposure_bracket
 from .model import EPS_THR, FrozenRecord, ModelParams, _count, _number, derive, guarded_ceil
 
+__all__ = ["AllocationResult", "OverheadResult", "SplitProblem", "continuous_relaxed_count",
+           "excess_exposure", "k_safe", "min_exposure", "minimal_safe_count", "optimal_split",
+           "overhead_optimal_count"]
+
 #: Candidate costs within this relative distance of the minimum are ties.
 _TIE_REL = 1e-12
 

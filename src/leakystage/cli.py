@@ -436,12 +436,15 @@ def _dimensionless(config: RunConfig) -> dict[str, float | None]:
 
     Each is taken as given or derived from its dimensional field by
     :meth:`DimensionlessPoint.from_dimensional`; a schedule's load is the sum
-    of its releases.
+    of its releases, below the float range by the schedule's check.
     """
     opts = config.options
     given = {dim: opts[dim] for dim in _COORDINATES.values() if dim in opts}
     if "schedule" in opts:
         given["Q"] = math.fsum(q for _, q in opts["schedule"])
+        if given["Q"] / derive(config.params).delta_c == math.inf:
+            raise ConfigError(f"{config.command}: the total of field 'schedule' "
+                              f"({given['Q']!r}) overflows r = Q / delta_c")
     point = DimensionlessPoint.from_dimensional(config.params, **given)
     return {
         name: opts[name] if name in opts else getattr(point, name) if dim in given else None
@@ -618,6 +621,7 @@ _RUNNERS = {
 
 def run(config: RunConfig, *, meta_time: bool = True) -> OutputEnvelope:
     """Execute a validated run and assemble the output envelope."""
+    dimensionless = _dimensionless(config)  # fails on an overflowing input before the solve
     payload, warnings, exit_code = _RUNNERS[config.command](config)
     d = derive(config.params)
     metadata: dict[str, Any] = {
@@ -627,7 +631,7 @@ def run(config: RunConfig, *, meta_time: bool = True) -> OutputEnvelope:
         "delta_c": d.delta_c,
         "alpha": d.alpha,
         "gamma": d.gamma,
-        "dimensionless": _dimensionless(config),
+        "dimensionless": dimensionless,
         "config": config.echo(),
     }
     if meta_time:

@@ -30,10 +30,9 @@ classical fixed-step RK4 on a per-interval grid chosen so that every event
 time is a grid node bit-exactly.
 ``S`` is advanced in log space, so it can never cross zero; ``S = 0`` is an
 invariant manifold and is held exactly.  The RK4 loop spells out the
-right-hand side in each stage instead of calling a function per stage, and
-:func:`path_exposure` forms its trapezoid terms with numpy, the crossing
-intervals included; both keep the operation order of the plain loops, so
-results are the same bits.
+right-hand side in each stage, and :func:`path_exposure` forms its trapezoid
+terms with numpy, the crossing intervals included; both keep the operation
+order of the plain loops, so results are the same bits.
 """
 from __future__ import annotations
 
@@ -63,6 +62,11 @@ class ImpulseSchedule(FrozenRecord):
                 raise ScheduleError(f"event times must be strictly increasing (event {i} at {t!r})")
             events.append((t, float(_number(q, f"event {i} size", error=ScheduleError))))
             previous = t
+        try:
+            math.fsum(q for _, q in events)
+        except OverflowError:
+            raise ScheduleError(
+                "the schedule's event sizes must sum below the float range") from None
         object.__setattr__(self, "events", tuple(events))
 
     @property

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = ["ConfigError", "LeakyStageError", "ParameterError", "ScheduleError"]
+
 
 class LeakyStageError(Exception):
     """Base class for every error raised by this package."""

@@ -23,6 +23,9 @@ from .model import derive
 if TYPE_CHECKING:
     import numpy as np
 
+__all__ = ["ExposureValue", "exposure_batch", "exposure_closed_form", "exposure_derivative",
+           "exposure_near_threshold"]
+
 #: Below this relative overshoot ``x = q/delta_c - 1`` the exposure bracket
 #: ``q - delta_c - delta_c log(q/delta_c) = delta_c (x - log1p(x))`` is summed
 #: from its Taylor series.  The bracket is about ``delta_c x**2 / 2`` while the

@@ -17,6 +17,9 @@ import math
 
 from .errors import LeakyStageError, ParameterError
 
+__all__ = ["EPS_THR", "DerivedConstants", "DimensionlessPoint", "ModelParams", "derive",
+           "growth_pressure", "normalized_factor"]
+
 #: Absolute tolerance for floating comparisons against the critical level.
 #: Inputs exactly at the threshold are classified as safe (closed interval).
 EPS_THR = 1e-12
@@ -256,7 +259,13 @@ class DimensionlessPoint(FrozenRecord):
         for name, value in (("Q", Q), ("T", T), ("K", K)):
             _number(value, name, error=ParameterError)
         d = derive(params)
-        return cls(r=Q / d.delta_c, h=params.rho * T, k=K * params.rho / d.gamma)
+        r, h, k = Q / d.delta_c, params.rho * T, K * params.rho / d.gamma
+        for name, value, coordinate, formula in (("Q", Q, r, "r = Q / delta_c"),
+                                                 ("T", T, h, "h = rho * T"),
+                                                 ("K", K, k, "k = K * rho / gamma")):
+            if coordinate == math.inf:  # finite inputs whose product passes the float range
+                raise ParameterError(f"{name}={value!r} overflows {formula}")
+        return cls(r=r, h=h, k=k)
 
 
 def derive(params: ModelParams) -> DerivedConstants:

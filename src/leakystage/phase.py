@@ -24,6 +24,8 @@ from .errors import LeakyStageError
 from .model import FrozenRecord, _count, _number
 from .recovery import RecoveryConfig, _horizon_capacity, min_peak_plan, simulate_recurrence
 
+__all__ = ["PanelC", "PhaseGrid", "feasibility_curves", "panel_c_comparison", "sawtooth_frontier"]
+
 #: Offset applied on request to r-samples that sit on an integer, exposing
 #: both sides of the sawtooth drop.
 _INTEGER_NUDGE = 1e-6
@@ -75,24 +77,31 @@ class PanelC(FrozenRecord):
     front_path: tuple[tuple[float, float], ...]
 
 
-def _linspace(lo: float, hi: float, count: int, endpoint: bool = True) -> list[float]:
+def _linspace(lo: float, hi: float, count: int, endpoint: bool = True,
+              what: str = "count") -> list[float]:
     """``np.linspace(lo, hi, count, endpoint=endpoint)`` as a list, bit for bit.
 
     The same steps as numpy 2.x in the same order: ``i * step + lo``, or
     ``i / div * delta + lo`` when the step is zero (equal endpoints, or a
     difference so small that the step underflows), with the last sample set
-    to ``hi`` when the endpoint is included.
+    to ``hi`` when the endpoint is included.  A count too large to allocate
+    raises :class:`LeakyStageError` naming it ``what``.
     """
     lo, hi = float(lo), float(hi)
     div = count - 1 if endpoint else count
     delta = hi - lo
-    if div <= 0:
-        return [i * delta + lo for i in range(count)]
-    step = delta / div
-    if step == 0:
-        xs = [i / div * delta + lo for i in range(count)]
+    try:
+        xs = [lo] * count  # at full length first, so that a count beyond memory fails at once
+    except (OverflowError, MemoryError):
+        raise LeakyStageError(
+            f"{what} must be small enough to allocate its grid (got {count})") from None
+    if div > 0 and delta / div == 0:
+        for i in range(count):
+            xs[i] = i / div * delta + lo
     else:
-        xs = [i * step + lo for i in range(count)]
+        step = delta / div if div > 0 else delta  # numpy scales by delta itself when div <= 0
+        for i in range(count):
+            xs[i] = i * step + lo
     if endpoint and count > 1:
         xs[-1] = hi
     return xs
@@ -108,7 +117,7 @@ def feasibility_curves(
     """
     if grid.h_range is None or not grid.n_curves:
         raise LeakyStageError("feasibility curves need h_range and n_curves")
-    hs = _linspace(*grid.h_range)  # the grid's checks cover every n and h
+    hs = _linspace(*grid.h_range, what="h_range count")  # the grid's checks cover every n and h
     feasibility = tuple((h, n, _horizon_capacity(n, h)) for n in grid.n_curves for h in hs)
     frontier = tuple((h, 1.0 + h) for h in hs)
     return feasibility, frontier
@@ -127,7 +136,7 @@ def sawtooth_frontier(
     if grid.r_range is None:
         raise LeakyStageError("the sawtooth frontier needs r_range")
     rs: list[float] = []
-    for r in _linspace(*grid.r_range):
+    for r in _linspace(*grid.r_range, what="r_range count"):
         nearest = round(r)
         if resolve_integers and nearest >= 2 and abs(r - nearest) < _INTEGER_NUDGE:
             rs.extend([nearest - _INTEGER_NUDGE, nearest + _INTEGER_NUDGE])
@@ -136,7 +145,7 @@ def sawtooth_frontier(
     ksafe_rows = tuple((r, k_safe(r)) for r in rs if r > 0.0)
     nstar_rows: tuple[tuple[float, float, int], ...] = ()
     if grid.k_range is not None:
-        ks = _linspace(*grid.k_range)
+        ks = _linspace(*grid.k_range, what="k_range count")
         nstar_rows = tuple(
             (r, k, overhead_optimal_count(r, k).n_star)
             for r in rs
@@ -183,7 +192,7 @@ def panel_c_comparison(
         rows: list[tuple[float, float]] = []
         for k, level in enumerate(plan.post_levels):
             last = k == len(plan.post_levels) - 1
-            xs = _linspace(0.0, spacing, path_points, endpoint=last)
+            xs = _linspace(0.0, spacing, path_points, last, "path_points")
             rows.extend((k * spacing + x, level * math.exp(-x)) for x in xs)
         return tuple(rows)
 

@@ -24,6 +24,11 @@ from .errors import LeakyStageError, ScheduleError
 from .model import EPS_THR, FrozenRecord, ModelParams, _count, _number, _numbers, derive
 from .model import guarded_ceil
 
+__all__ = ["UNBOUNDED", "CapacityReport", "CountBound", "HorizonFeasibility", "HorizonRegime",
+           "PeakPlan", "RecoveryConfig", "capacity_report", "horizon_capacity",
+           "horizon_feasibility", "min_peak_plan", "peak_capacity", "safe_count_fixed_lambda",
+           "simulate_recurrence", "state_peak_plan", "state_value", "unequal_spacing_capacity"]
+
 
 class CountBound(enum.Enum):
     """Marker for a release count that no finite number attains."""
@@ -94,7 +99,11 @@ class RecoveryConfig(FrozenRecord):
     ) -> "RecoveryConfig":
         _number(rho, "recovery rate rho", strict=True)
         _number(tau, "inter-release time tau", strict=True)
-        return cls(lam=math.exp(-rho * tau), n=n, Q=Q, a0=a0)
+        lam = math.exp(-rho * tau)
+        if not lam < 1.0:
+            raise LeakyStageError(f"recovery rate rho={rho!r} and inter-release time tau={tau!r} "
+                                  "give a carry-over exp(-rho*tau) that rounds to 1")
+        return cls(lam=lam, n=n, Q=Q, a0=a0)
 
 
 class PeakPlan(FrozenRecord):

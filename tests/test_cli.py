@@ -485,6 +485,46 @@ class TestMain:
         assert "needs more than 2**1023 releases" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field", ["r_range", "h_range", "k_range"])
+    def test_unallocatable_phase_count_exits_1(self, tmp_path, capsys, field):
+        # 2**62 samples fail Python's size check before anything is allocated
+        block = {"panel": "a" if field == "h_range" else "b", field: [0.0, 4.0, 2**62]}
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump({"params": FIG, "phase": block}), encoding="utf-8")
+        code = main(["phase", "--config", str(path), "--no-meta-time"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {field} count must be small enough to allocate its grid" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["overhead", "--Q", "1e308", "--k", "0.5"], "Q=1e+308 overflows r = Q / delta_c"),
+        (["horizon", "--Q", "0.7", "--T", "1e308"], "T=1e+308 overflows h = rho * T"),
+        (["overhead", "--r", "3", "--K", "1e308"], "K=1e+308 overflows k = K * rho / gamma"),
+        (["peak", "--Q", "0.7", "--n", "3", "--tau", "1e-17"],
+         "recovery rate rho=4.0 and inter-release time tau=1e-17 give a carry-over"),
+    ], ids=["Q", "T", "K", "tau"])
+    def test_errors_name_the_input_not_its_derived_value(self, capsys, argv, message):
+        code = main([*argv, "--beta", "0.6", "--mu", "1.0", "--delta", "1.8", "--rho", "4"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("last, message", [
+        (1e308, "simulate: invalid schedule: the schedule's event sizes must sum below"),
+        (5e307, "simulate: the total of field 'schedule' (1.5e+308) overflows r = Q / delta_c"),
+    ], ids=["total", "load"])
+    def test_overflowing_schedule_total_exits_1(self, tmp_path, capsys, last, message):
+        block = {"schedule": [[0.0, 1e308], [1.0, last]], "S0": 0.0, "T": 2.0, "step": 0.01}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"params": FIG, "simulate": block}), encoding="utf-8")
+        code = main(["simulate", "--config", str(path), "--no-meta-time"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
     def test_config_errors_name_the_path_as_typed(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.yaml").write_text("params: [unclosed\n", encoding="utf-8")

@@ -51,6 +51,10 @@ class TestSchedule:
         with pytest.raises(ScheduleError):
             ImpulseSchedule(((0.0, -0.1),))
 
+    def test_overflowing_total_rejected(self):
+        with pytest.raises(ScheduleError, match="schedule's event sizes must sum below the float"):
+            ImpulseSchedule(((0.0, 1e308), (1.0, 1e308)))
+
 
 class TestSimulateEnvelope:
     def test_single_impulse_decays_exactly(self, figure_params):

@@ -10,6 +10,7 @@ package serves the ``envelope`` names lazily, so every other command runs
 without it.  Each check runs in a fresh interpreter, since this test process
 has imported all three already.
 """
+import importlib
 import json
 import os
 import subprocess
@@ -174,6 +175,56 @@ def test_every_public_name_resolves():
     namespace: dict = {}
     exec("from leakystage import *", namespace)
     assert set(leakystage.__all__) <= set(namespace)
+
+
+#: The package's public names: ``__version__``, each library module's ``__all__``
+#: and the lazy ``envelope`` names.
+PUBLIC_NAMES = frozenset({
+    "__version__", "EPS_THR", "UNBOUNDED", "AllocationResult", "CapacityReport", "ConfigError",
+    "CountBound", "DerivedConstants", "DimensionlessPoint", "EnvelopeCheck", "ExposureValue",
+    "HorizonFeasibility", "HorizonRegime", "ImpulseSchedule", "LeakyStageError", "ModelParams",
+    "OverheadResult", "PanelC", "ParameterError", "PeakPlan", "PhaseGrid", "RecoveryConfig",
+    "ScheduleError", "SplitProblem", "Trajectory", "balance_jump_residuals", "capacity_report",
+    "continuous_relaxed_count", "derive", "dominance_tolerance", "excess_exposure",
+    "exposure_batch", "exposure_closed_form", "exposure_derivative", "exposure_near_threshold",
+    "feasibility_curves", "growth_pressure", "horizon_capacity", "horizon_feasibility", "k_safe",
+    "min_exposure", "min_peak_plan", "minimal_safe_count", "normalized_factor", "optimal_split",
+    "overhead_optimal_count", "panel_c_comparison", "path_exposure", "peak_capacity",
+    "safe_count_fixed_lambda", "sawtooth_frontier", "simulate_envelope", "simulate_full",
+    "simulate_recurrence", "state_peak_plan", "state_value", "unequal_spacing_capacity",
+    "verify_balance_identity", "verify_envelope_dominance", "verify_log_growth_bound",
+})
+
+#: The modules whose ``__all__`` the package re-exports when it loads.
+EAGER_MODULES = ("allocation", "errors", "exposure", "model", "phase", "recovery")
+
+
+def test_public_names_are_pinned():
+    assert len(leakystage.__all__) == len(PUBLIC_NAMES)  # each declared once
+    assert set(leakystage.__all__) == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", EAGER_MODULES)
+def test_module_declares_names_it_defines_and_the_package_serves(name):
+    module = importlib.import_module(f"leakystage.{name}")
+    for public in module.__all__:
+        value = vars(module)[public]
+        assert getattr(value, "__module__", module.__name__) == module.__name__, public
+        assert getattr(leakystage, public) is value, public
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace: dict = {}
+    exec("from leakystage import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(leakystage.__all__)
+
+
+@pytest.mark.parametrize("name", ["exposure_bracket", "exposure_table", "FrozenRecord",
+                                  "guarded_ceil", "TOL_DOM", "_number"])
+def test_module_helpers_stay_out_of_the_package(name):
+    assert not hasattr(leakystage, name)
+    assert name not in dir(leakystage)
 
 
 #: The public names the package serves lazily from ``envelope``: the ones it

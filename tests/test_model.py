@@ -157,6 +157,15 @@ class TestDimensionlessPoint:
         assert point.h == pytest.approx(2.0, abs=1e-15)
         assert point.k == pytest.approx(0.8 * 0.5 / 0.4, abs=1e-12)
 
+    @pytest.mark.parametrize("given, message", [
+        ({"Q": 1e308}, r"Q=1e\+308 overflows r = Q / delta_c"),
+        ({"T": 1e308}, r"T=1e\+308 overflows h = rho \* T"),
+        ({"K": 1e308}, r"K=1e\+308 overflows k = K \* rho / gamma"),
+    ], ids=["Q", "T", "K"])
+    def test_overflowing_coordinate_names_the_input(self, given, message):
+        with pytest.raises(ParameterError, match=message):
+            DimensionlessPoint.from_dimensional(ModelParams(0.6, 1.0, 1.8, 4.0), **given)
+
     def test_negative_rejected(self):
         with pytest.raises(ParameterError, match="r"):
             DimensionlessPoint(r=-0.1, h=0.0, k=0.0)

@@ -142,6 +142,11 @@ class TestPanelC:
         with pytest.raises(LeakyStageError, match=message):
             panel_c_comparison(r=2.1, n=2**62, h=h)
 
+    def test_unallocatable_path_rejected(self):
+        # 2**62 path samples fail Python's size check before anything is allocated
+        with pytest.raises(LeakyStageError, match="path_points must be small enough to allocate"):
+            panel_c_comparison(2.1, 3, 2.0, path_points=2**62)
+
 
 class TestPhaseGrid:
     def test_bad_count_rejected(self):
@@ -153,6 +158,15 @@ class TestPhaseGrid:
             PhaseGrid(h_range=(2.0, 1.0, 10))
         with pytest.raises(LeakyStageError):
             PhaseGrid(h_range=(-1.0, 1.0, 10))
+
+    @pytest.mark.parametrize("field", ["r_range", "h_range", "k_range"])
+    def test_unallocatable_count_names_the_range(self, field):
+        # 2**62 samples fail Python's size check before anything is allocated
+        ranges = {"r_range": (1.0, 4.0, 3), "h_range": (0.0, 4.0, 3), "k_range": (0.0, 1.0, 3)}
+        grid = PhaseGrid(**{**ranges, field: (0.0, 4.0, 2**62)}, n_curves=(2,))
+        table = feasibility_curves if field == "h_range" else sawtooth_frontier
+        with pytest.raises(LeakyStageError, match=f"{field} count must be small enough"):
+            table(grid)
 
 
 # Finite endpoints anywhere in the float range, with subnormal and signed-zero

@@ -80,6 +80,12 @@ class TestRecurrence:
         config = RecoveryConfig.from_interval(rho=0.5, tau=2.0, n=3, Q=1.0)
         assert abs(-math.log(config.lam) - 1.0) <= 1e-15
 
+    def test_interval_too_short_to_decay_names_rho_and_tau(self):
+        # exp(-4e-17) rounds to 1, a carry-over the recurrence does not accept
+        with pytest.raises(LeakyStageError, match="recovery rate rho=4.0 and inter-release time "
+                           r"tau=1e-17 give a carry-over exp\(-rho\*tau\) that rounds to 1"):
+            RecoveryConfig.from_interval(rho=4.0, tau=1e-17, n=3, Q=0.7)
+
 
 class TestPeakCapacity:
     def test_single_release(self):
