@@ -298,6 +298,13 @@ def simulate_full(
         try:
             nodes, us, levels, clamped = _rk4_segment(*state, t0, t1, h_step, params)
         except OverflowError:
+            level = state[1]
+            if (params.delta - params.beta) * level * math.ulp(t1) > 1.0:
+                # the step that resolves the growth rate alpha * A, about 1 / (alpha * A),
+                # is finer than the float spacing of the times up to t1
+                raise LeakyStageError(
+                    f"RK4 overflowed on the level A={level!r} at t={t0!r}, whose growth "
+                    "rate no step resolves; reduce the release") from None
             raise LeakyStageError(f"RK4 overflowed at step {h_step!r}; reduce the step") from None
         clamp_count += clamped
         # fromiter reads a list of floats about twice as fast as concatenate would

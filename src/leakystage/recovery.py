@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
-from itertools import accumulate, cycle, islice, repeat
 
 from .errors import LeakyStageError, ScheduleError
 from .model import EPS_THR, FrozenRecord, ModelParams, _count, _number, _numbers, derive
@@ -160,10 +158,20 @@ def _levels(releases: tuple[float, ...], a0: float, lam: float) -> list[float]:
 
 
 def _plan(releases, levels, a0: float, lam: float, peak, capacity, degenerate) -> PeakPlan:
-    """The :class:`PeakPlan` of checked ``releases`` with their post-release ``levels``."""
-    identity = levels[-1] + (1.0 - lam) * math.fsum(levels[:-1]) - a0
-    return PeakPlan(tuple(releases), tuple(levels), peak, capacity,
-                    math.fsum(releases) - identity, degenerate)
+    """The :class:`PeakPlan` of checked ``releases`` with their finite post-release ``levels``."""
+    try:
+        identity = levels[-1] + (1.0 - lam) * math.fsum(levels[:-1]) - a0
+        residual = math.fsum(releases) - identity
+    except OverflowError:
+        residual = math.inf
+    if not math.isfinite(residual):
+        # the sums pass the float range: add the terms stage by stage instead, so that
+        # the running sum is the current level less a0, finite with the levels
+        decay = lam - 1.0
+        terms = [x for q, level in zip(releases, levels) for x in (q, decay * level)]
+        terms[-1] = -levels[-1]
+        residual = math.fsum(terms + [a0])
+    return PeakPlan(tuple(releases), tuple(levels), peak, capacity, residual, degenerate)
 
 
 def simulate_recurrence(config: RecoveryConfig, releases) -> PeakPlan:
@@ -177,6 +185,9 @@ def simulate_recurrence(config: RecoveryConfig, releases) -> PeakPlan:
     releases = tuple([float(_number(q, f"release {j}", error=ScheduleError))
                       for j, q in enumerate(releases, 1)])
     levels = _levels(releases, config.a0, config.lam)
+    if not math.isfinite(levels[-1]):  # an inf level stays inf, or turns nan at lam = 0
+        j = next(j for j, level in enumerate(levels, 1) if not math.isfinite(level))
+        raise ScheduleError(f"release {j} lifts the level past the float range")
     return _plan(releases, levels, config.a0, config.lam, max(levels),
                  _peak_capacity(config.n, config.lam), not any(releases))
 
@@ -184,23 +195,17 @@ def simulate_recurrence(config: RecoveryConfig, releases) -> PeakPlan:
 def min_peak_plan(config: RecoveryConfig) -> PeakPlan:
     """Peak-minimising release profile from an empty reservoir.
 
-    The optimal peak is ``Q / c_n(lam)`` and the profile is front-loaded:
-    the first release fills to the peak, each later one replenishes the
-    decayed fraction ``1 - lam``, and all post-release levels are equal.
+    The optimal peak is ``Q / c_n(lam)``; the profile is the one
+    :func:`state_peak_plan` builds from level 0: the first release fills to
+    the peak and each later one replenishes the decayed fraction ``1 - lam``.
     For a nonzero starting level use :func:`state_peak_plan`.
     """
     if config.a0 != 0.0:
         raise LeakyStageError(
             "min_peak_plan assumes an empty start (a0 = 0); use state_peak_plan for a0 > 0"
         )
-    lam, a0 = config.lam, config.a0
-    capacity = _peak_capacity(config.n, lam)
-    peak = (config.Q + 0.0) / capacity  # + 0.0: a load of -0.0 releases +0.0, as Q = 0 does
-    try:
-        releases = (peak,) + ((1.0 - lam) * peak,) * (config.n - 1)
-    except (OverflowError, MemoryError):  # more releases than can be allocated
-        raise LeakyStageError("release count n must be small enough to allocate its plan") from None
-    return _plan(releases, _levels(releases, a0, lam), a0, lam, peak, capacity, config.Q == 0.0)
+    # from +0.0 whatever the zero a0 is, so that a load of -0.0 releases +0.0
+    return _constant_peak_plan(config.n, 0.0, config.Q, config.lam, "release count n")
 
 
 def state_value(m: int, a: float, Q: float, lam: float) -> float:
@@ -211,92 +216,59 @@ def state_value(m: int, a: float, Q: float, lam: float) -> float:
     with ``H_1(a, Q) = a + Q``.  The value is a plain ``float`` for ``int``,
     ``float`` and ``numpy.float64`` arguments alike.
     """
-    return _state_target(m, a, Q, lam)[1]
+    _, fill, a, _, _ = _state_target(m, a, Q, lam)
+    return max(a, fill)
 
 
 def _state_target(m: int, a: float, Q: float, lam: float) -> tuple[float, ...]:
-    """``c_m(lam)``, :func:`state_value`, and ``a``, ``Q`` and ``lam`` as plain
-    floats, after checking the arguments; ``lam`` has no sign on zero."""
+    """``c_m(lam)``, the fill peak ``(a + Q) / c_m(lam)``, and ``a``, ``Q`` and
+    ``lam`` as plain floats, after checking the arguments; ``lam`` has no sign on
+    zero."""
     _count(m, "remaining release count m")
     a = float(_number(a, "current level a"))
     Q = float(_number(Q, "remaining load Q"))
     lam = float(_lam(lam)) + 0.0
     capacity = _peak_capacity(m, lam)
-    return capacity, max(a, (a + Q) / capacity), a, Q, lam
+    fill = (a + Q) / capacity
+    if fill == math.inf:  # a + Q overflows, which the peak need not
+        fill = a / capacity + Q / capacity
+        if fill == math.inf:
+            raise LeakyStageError(f"remaining load Q={Q!r} from current level a={a!r} "
+                                  "overflows the peak (a + Q) / c_m(lam)")
+    return capacity, fill, a, Q, lam
 
 
 def state_peak_plan(m: int, a: float, Q: float, lam: float) -> PeakPlan:
     """A feasible profile achieving :func:`state_value` from level ``a``.
 
-    Fills greedily up to the target peak at every stage: each release is the
-    smaller of the remaining load and the headroom left by decay.  When the
-    start level already dominates (``a > (a + Q)/c_m``) the minimiser is not
-    unique; this is one optimal choice.
-
-    The plan is computed by runs and is bit-identical to the per-stage
-    recurrence.  Once the level repeats bit for bit (rounding can make it
-    alternate between two values), the releases repeat with it until the load
-    runs short: a fill run.  Once the load is spent the level only decays: the
-    decay tail.  Each run is one :mod:`itertools` pass over its stages, so the
-    cost is linear in ``m`` but takes O(1) Python steps per run; only the stages
-    before the level repeats and the partial release go one at a time.  The plan
-    holds plain floats for ``int``, ``float`` and ``numpy.float64`` arguments alike.
+    The closed-form constant-peak profile.  When the fill peak ``(a + Q)/c_m``
+    is at least ``a``, the first release lifts the level to it and every later
+    one tops up the decayed fraction ``(1 - lam)`` of it.  When the start level
+    dominates, the peak is ``a``, the minimiser is not unique, and this plan
+    releases nothing first, then tops up ``(1 - lam) * a`` while the load
+    lasts, then releases the rest and nothing more.  The post-release levels
+    are the recurrence of the releases, as :func:`simulate_recurrence` computes
+    it.  The plan holds plain floats for ``int``, ``float`` and
+    ``numpy.float64`` arguments alike.
     """
-    capacity, target, a, Q, lam = _state_target(m, a, Q, lam)
-    # the first release fills from ``a`` itself
-    q = min(Q, max(0.0, target - a))
-    level, remaining = a + q, Q - q
-    try:  # both lists at full length at once, so that a huge m fails here
-        releases, levels = [q] * m, [level] * m
-    except (OverflowError, MemoryError):
-        raise LeakyStageError(
-            "remaining release count m must be small enough to allocate its plan") from None
-    i = 1  # the stage computed next
-    seen = {}  # level after each of the latest unbroken full fills -> the stage after it
-    while i < m:
-        if remaining == 0.0 and math.copysign(1.0, remaining) == math.copysign(1.0, level) == 1.0:
-            # decay tail: each release is +0.0 and each level lam times the last; with no
-            # -0.0 among lam (never), level and remaining, decayed + 0.0 is decayed exactly
-            releases[i:] = [remaining] * (m - i)
-            levels[i:] = accumulate(repeat(lam, m - i - 1), operator.mul,
-                                    initial=lam * level + remaining)
-            break
-        decayed = lam * level
-        q = min(remaining, max(0.0, target - decayed))
-        full = 0.0 < q < remaining  # the release is the whole headroom, with load to spare
-        level = decayed + q
-        releases[i], levels[i] = q, level
-        remaining -= q
-        i += 1
-        if not full:
-            seen.clear()
-            continue
-        start = seen.setdefault(level, i)
-        if start < i < m:
-            # fill run: the level is back where it was after stage start - 1, so stages
-            # start..i-1 repeat (rounding can make two levels alternate) while more than
-            # the largest of their releases is left.  ``loads`` holds the load left
-            # before each next stage, subtracted in the loop's order, a few stages past
-            # where it runs short (the estimate divides Python floats, as numpy scalars
-            # would warn when it overflows); those stages come off its end.
-            qs, ls = releases[start:i], levels[start:i]
-            top, p = max(qs), len(qs)
-            n = int(min(m - i, float(remaining) / float(min(qs)) + 2.0))
-            loads = list(accumulate(islice(cycle(qs), n - 1), operator.sub, initial=remaining))
-            while loads and not top < loads[-1]:
-                loads.pop()
-            k = len(loads)
-            if k:
-                releases[i:i + k] = (qs * (k // p + 1))[:k]
-                levels[i:i + k] = (ls * (k // p + 1))[:k]
-                level, remaining = ls[(k - 1) % p], loads[-1] - qs[(k - 1) % p]
-                i += k
-            seen.clear()
-    if remaining > 1e-9 * max(1.0, Q):
-        raise LeakyStageError(
-            f"greedy fill left {remaining!r} of the load unabsorbed; target peak inconsistent"
-        )
-    return _plan(releases, levels, a, lam, target, capacity, degenerate=Q == 0.0)
+    return _constant_peak_plan(m, a, Q, lam, "remaining release count m")
+
+
+def _constant_peak_plan(m: int, a: float, Q: float, lam: float, count: str) -> PeakPlan:
+    """The :func:`state_peak_plan` profile; ``count`` names ``m`` in the error of a
+    plan too long to allocate."""
+    capacity, fill, a, Q, lam = _state_target(m, a, Q, lam)
+    target = max(a, fill)
+    step = (1.0 - lam) * target + 0.0  # + 0.0: a target of -0.0 tops up +0.0
+    try:
+        if a <= fill:
+            releases = [target - a] + [step] * (m - 1)
+        else:  # step is 0.0 only for a subnormal a, whose load then goes at once
+            k = int(min(m - 2, Q // step)) if step else 0
+            releases = [0.0] + [step] * k + [max(0.0, Q - k * step)] + [0.0] * (m - 2 - k)
+    except (OverflowError, MemoryError):  # more releases than can be allocated
+        raise LeakyStageError(f"{count} must be small enough to allocate its plan") from None
+    return _plan(releases, _levels(releases, a, lam), a, lam, target, capacity, Q == 0.0)
 
 
 def safe_count_fixed_lambda(Q: float, lam: float, params: ModelParams) -> int:
@@ -398,7 +370,10 @@ def capacity_report(
     _number(Q, "total load Q", strict=True)
     c_n = peak_capacity(n, lam)
     d = derive(params)
-    feasibility = horizon_feasibility(Q / d.delta_c, h, eps_thr=eps_thr)
+    r = Q / d.delta_c
+    if r == math.inf:
+        raise LeakyStageError(f"total load Q={Q!r} overflows Q / delta_c")
+    feasibility = horizon_feasibility(r, h, eps_thr=eps_thr)
     return CapacityReport(
         c_n=c_n,
         B_n=_horizon_capacity(n, h),

@@ -429,6 +429,19 @@ class TestMain:
         assert "RK4 overflowed at step 2.5; reduce the step" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("step", [0.0001, 0.1])
+    def test_overflowing_release_exits_1(self, tmp_path, capsys, step):
+        # no step resolves a growth rate alpha * A of about 1.2e300
+        path = tmp_path / "run.yaml"
+        block = {"schedule": [[0.0, 1e300]], "S0": 0.08, "T": 2.0, "step": step}
+        path.write_text(yaml.safe_dump({"params": FIG, "simulate": block}), encoding="utf-8")
+        code = main(["simulate", "--config", str(path), "--no-meta-time"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "RK4 overflowed on the level A=1e+300 at t=0.0" in err
+        assert "reduce the step" not in err
+        assert "Traceback" not in err
+
     def test_unallocatable_step_exits_1(self, capsys):
         # 1e-300 asks for some 1e300 nodes: numpy refuses before allocating anything
         code = main(["simulate", "--preset", "fig-envelope", "--step", "1e-300", "--no-meta-time"])

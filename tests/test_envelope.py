@@ -120,6 +120,13 @@ class TestSimulateFull:
         # with S = 0 the reservoir obeys pure decay, up to RK4 error
         assert np.max(np.abs(full.A - red.A)) <= 1e-10
 
+    @pytest.mark.parametrize("step", [1e-4, 0.1])
+    def test_overflowing_release_names_the_release(self, figure_params, step):
+        # alpha * A is about 1.2e300: the step it needs is below the spacing of t
+        with pytest.raises(LeakyStageError,
+                           match=r"level A=1e\+300 at t=0\.0, .* reduce the release"):
+            simulate_full(ImpulseSchedule(((0.0, 1e300),)), figure_params, 0.08, 0.0, 2.0, step)
+
     def test_richardson_order_at_least_3_5(self, figure_params):
         terminal = []
         for h in (0.08, 0.04, 0.02):

@@ -7,7 +7,8 @@ for the minimax peak value, plain enumeration for the overhead trade-off
 and its frontier ``k_safe`` (with a 50-digit optimum where r is too large to
 enumerate), numpy's ``linspace`` for the phase grids, the
 plain per-step loops of the envelope integrator and path exposure, the
-piece-by-piece balance check, the two-pass peak plans, the per-cell CSV and ``json.dumps`` emit path for the CLI's
+piece-by-piece balance check, the two-pass peak plans and the greedy
+per-stage fill, the per-cell CSV and ``json.dumps`` emit path for the CLI's
 output bytes, and frozen dataclasses for the package's records.
 """
 from __future__ import annotations
@@ -323,7 +324,9 @@ def bellman_descent_3(
 # The plans as they were built in two passes: the releases run through
 # ``RecoveryConfig`` and the checked recurrence, then a second ``PeakPlan`` is
 # assembled from the result.  The package builds each plan in one pass and
-# must give the same bits.
+# must give the same bits.  ``state_peak_plan_oracle`` is the greedy per-stage
+# fill that ``state_peak_plan`` used to replay bit for bit; it now checks the
+# closed-form plan of ``constant_peak_plan_oracle`` to within rounding.
 
 
 def simulate_recurrence_oracle(config: RecoveryConfig, releases) -> PeakPlan:
@@ -396,6 +399,45 @@ def state_peak_plan_oracle(m: int, a: float, Q: float, lam: float) -> PeakPlan:
         )
     config = RecoveryConfig(lam=lam, n=m, Q=Q, a0=a)
     plan = simulate_recurrence_oracle(config, tuple(releases))
+    return PeakPlan(
+        releases=plan.releases,
+        post_levels=plan.post_levels,
+        peak=target,
+        capacity_multiplier=plan.capacity_multiplier,
+        capacity_residual=plan.capacity_residual,
+        degenerate=Q == 0.0,
+    )
+
+
+def constant_peak_plan_oracle(m: int, a: float, Q: float, lam: float) -> PeakPlan:
+    """``state_peak_plan`` one stage at a time, from the closed-form definition.
+
+    With the fill peak ``(a + Q) / c_m`` at least ``a``, the first release lifts
+    the level to it and each later one tops up ``step = (1 - lam) * peak``.  When
+    the start dominates, the peak is ``a``: nothing is released first, then
+    ``step`` for each of the ``k = min(m - 2, Q // step)`` whole top-ups of the
+    load, then what is left, then nothing.
+    """
+    target = state_value(m, a, Q, lam)
+    a, Q, lam = float(a), float(Q), float(lam) + 0.0
+    capacity = peak_capacity(m, lam)
+    fill = (a + Q) / capacity
+    if fill == math.inf:
+        fill = a / capacity + Q / capacity
+    step = (1.0 - lam) * target + 0.0
+    k = int(min(m - 2, Q // step)) if step else 0
+    releases = []
+    for stage in range(m):
+        if stage == 0:
+            q = target - a
+        elif a <= fill or stage <= k:
+            q = step
+        elif stage == k + 1:
+            q = max(0.0, Q - k * step)
+        else:
+            q = 0.0
+        releases.append(q)
+    plan = simulate_recurrence_oracle(RecoveryConfig(lam=lam, n=m, Q=Q, a0=a), releases)
     return PeakPlan(
         releases=plan.releases,
         post_levels=plan.post_levels,
