@@ -31,13 +31,17 @@ __all__ = ["ExposureValue", "exposure_batch", "exposure_closed_form", "exposure_
 #: from its Taylor series.  The bracket is about ``delta_c x**2 / 2`` while the
 #: terms it subtracts are of order ``delta_c``, so evaluating it directly leaves
 #: a relative error of about 1e-16/x**2: 1e-2 at x = 1e-7, and below x = 1e-9
-#: the sign can flip.  Above the switch that error stays under 1e-13, even
-#: where numpy's and the math module's logarithms differ in the last bit.
+#: the sign can flip.  Above the switch that error stays under
+#: ``5e-14 * max(1, |log q|)``, as does the gap that a last-bit difference
+#: between numpy's and the math module's logarithms makes.
 _SERIES_SWITCH = 0.1
 
 #: Coefficients of ``(x - log1p(x)) / x**2 = 1/2 - x/3 + x**2/4 - ...``; the
 #: first omitted term is below 1e-17 relative for ``x <= _SERIES_SWITCH``.
 _ONSET_SERIES = tuple((-1.0) ** k / k for k in range(2, 18))
+
+#: Elements per block of :func:`exposure_batch`: its 0.8 MB of sizes, values and scratch stay in L2.
+_BLOCK = 1 << 15
 
 
 class ExposureValue(FrozenRecord):
@@ -143,20 +147,48 @@ def exposure_batch(
 
     Same piecewise formula as :func:`exposure_closed_form`, with the same
     series switch near the threshold; plateau entries are exact zeros.
-    Intended for grid searches over many candidate splits.
+    Intended for grid searches over many candidate splits.  The result is a
+    C-ordered float array of the shape of ``q``.
+
+    On the plateau and below the series switch each value is bit-equal to
+    :func:`exposure_closed_form`.  Above the switch the two agree within
+    ``5e-14 * max(1, |log q|)`` relative: ``np.log`` and ``math.log`` can
+    differ in the last bit, which the bracket's cancellation magnifies.
     """
     import numpy as np
 
     q = _numbers(q, "release sizes")
     d = derive(params)
-    out = np.zeros_like(q)
-    active = q > d.delta_c + _number(eps_thr, "tolerance eps_thr")
-    qa = q[active]
-    bracket = qa - d.delta_c - d.delta_c * (np.log(qa) - math.log(d.delta_c))
-    onset = np.flatnonzero(qa < d.delta_c * (1.0 + _SERIES_SWITCH))
-    x = (qa[onset] - d.delta_c) / d.delta_c
-    bracket[onset] = d.delta_c * x * x * _onset(x)
-    out[active] = (d.alpha / params.rho) * bracket
+    delta_c, scale = d.delta_c, d.alpha / params.rho
+    log_delta_c, edge = math.log(delta_c), delta_c + _number(eps_thr, "tolerance eps_thr")
+    switch = delta_c * (1.0 + _SERIES_SWITCH)
+    out = np.empty(q.shape)
+    # np.log can round a size read at a negative stride differently, so the sizes are
+    # read contiguously; out is C-ordered, so its reshape is a view
+    sizes, values = q.ravel(), out.reshape(-1)
+    n = min(sizes.size, _BLOCK)
+    scratch, active, mask = np.empty(n), np.empty(n, bool), np.empty(n, bool)
+    for start in range(0, sizes.size, _BLOCK):
+        qb, ob = sizes[start:start + _BLOCK], values[start:start + _BLOCK]
+        t, a, m = scratch[:qb.size], active[:qb.size], mask[:qb.size]
+        if not np.greater(qb, edge, out=a).any():  # wholly on the plateau, as grids from 0 start
+            ob.fill(0.0)
+            continue
+        # q - delta_c - delta_c * (log q - log delta_c), in exposure_bracket's order
+        with np.errstate(divide="ignore"):  # log(0.0) on the plateau, zeroed below
+            np.log(qb, out=t)
+        t -= log_delta_c
+        t *= delta_c
+        np.subtract(qb, delta_c, out=ob)
+        ob -= t
+        ob[np.logical_not(a, out=m)] = 0.0  # the plateau, inf where q is 0.0
+        ob *= scale
+        np.less(qb, switch, out=m)
+        m &= a
+        onset = np.flatnonzero(m)
+        if onset.size:  # most blocks have none, and the series is 33 array operations
+            x = (qb[onset] - delta_c) / delta_c
+            ob[onset] = scale * (delta_c * x * x * _onset(x))
     return out
 
 

@@ -159,8 +159,8 @@ def _levels(releases: tuple[float, ...], a0: float, lam: float) -> list[float]:
 
 def _plan(releases, levels, a0: float, lam: float, peak, capacity, degenerate) -> PeakPlan:
     """The :class:`PeakPlan` of checked ``releases`` with their finite post-release ``levels``."""
-    try:
-        identity = levels[-1] + (1.0 - lam) * math.fsum(levels[:-1]) - a0
+    try:  # a zero level adds nothing to the sum but costs fsum a walk over its partials
+        identity = levels[-1] + (1.0 - lam) * math.fsum(filter(None, levels[:-1])) - a0
         residual = math.fsum(releases) - identity
     except OverflowError:
         residual = math.inf
@@ -204,8 +204,10 @@ def min_peak_plan(config: RecoveryConfig) -> PeakPlan:
         raise LeakyStageError(
             "min_peak_plan assumes an empty start (a0 = 0); use state_peak_plan for a0 > 0"
         )
-    # from +0.0 whatever the zero a0 is, so that a load of -0.0 releases +0.0
-    return _constant_peak_plan(config.n, 0.0, config.Q, config.lam, "release count n")
+    # from +0.0 whatever the zero a0 is, so that a load of -0.0 releases +0.0; the
+    # record has checked n, Q and lam
+    state = _target(config.n, 0.0, float(config.Q), float(config.lam) + 0.0)
+    return _constant_peak_plan(config.n, state, "release count n")
 
 
 def state_value(m: int, a: float, Q: float, lam: float) -> float:
@@ -221,13 +223,16 @@ def state_value(m: int, a: float, Q: float, lam: float) -> float:
 
 
 def _state_target(m: int, a: float, Q: float, lam: float) -> tuple[float, ...]:
-    """``c_m(lam)``, the fill peak ``(a + Q) / c_m(lam)``, and ``a``, ``Q`` and
-    ``lam`` as plain floats, after checking the arguments; ``lam`` has no sign on
-    zero."""
+    """:func:`_target` after checking the arguments and making them plain floats;
+    ``lam`` has no sign on zero."""
     _count(m, "remaining release count m")
-    a = float(_number(a, "current level a"))
-    Q = float(_number(Q, "remaining load Q"))
-    lam = float(_lam(lam)) + 0.0
+    return _target(m, float(_number(a, "current level a")), float(_number(Q, "remaining load Q")),
+                   float(_lam(lam)) + 0.0)
+
+
+def _target(m: int, a: float, Q: float, lam: float) -> tuple[float, ...]:
+    """``c_m(lam)``, the fill peak ``(a + Q) / c_m(lam)``, ``a``, ``Q`` and ``lam``
+    for checked plain-float arguments."""
     capacity = _peak_capacity(m, lam)
     fill = (a + Q) / capacity
     if fill == math.inf:  # a + Q overflows, which the peak need not
@@ -251,13 +256,13 @@ def state_peak_plan(m: int, a: float, Q: float, lam: float) -> PeakPlan:
     it.  The plan holds plain floats for ``int``, ``float`` and
     ``numpy.float64`` arguments alike.
     """
-    return _constant_peak_plan(m, a, Q, lam, "remaining release count m")
+    return _constant_peak_plan(m, _state_target(m, a, Q, lam), "remaining release count m")
 
 
-def _constant_peak_plan(m: int, a: float, Q: float, lam: float, count: str) -> PeakPlan:
-    """The :func:`state_peak_plan` profile; ``count`` names ``m`` in the error of a
-    plan too long to allocate."""
-    capacity, fill, a, Q, lam = _state_target(m, a, Q, lam)
+def _constant_peak_plan(m: int, state: tuple[float, ...], count: str) -> PeakPlan:
+    """The :func:`state_peak_plan` profile of ``m`` releases from the :func:`_target`
+    ``state``; ``count`` names ``m`` in the error of a plan too long to allocate."""
+    capacity, fill, a, Q, lam = state
     target = max(a, fill)
     step = (1.0 - lam) * target + 0.0  # + 0.0: a target of -0.0 tops up +0.0
     try:

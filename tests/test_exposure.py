@@ -15,8 +15,9 @@ from leakystage import (
     exposure_near_threshold,
 )
 from leakystage.cli import parse_config, run
-from leakystage.exposure import exposure_table
-from util import exposure_quadrature, exposure_spectral_form, random_params
+from leakystage.exposure import _BLOCK, _SERIES_SWITCH, exposure_table
+from util import (exposure_batch_masked, exposure_quadrature, exposure_spectral_form,
+                  random_params)
 
 #: Rate sets in the shock-sensitive regime, drawn like ``util.random_params``.
 rate_sets = st.builds(
@@ -118,6 +119,73 @@ class TestClosedForm:
             scalar = exposure_closed_form(float(q), params)
             assert (value == 0.0) == (scalar.active_duration == 0.0)
             assert abs(value - scalar.value) <= 1e-12 * scalar.value
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=rate_sets, overshoots=st.lists(
+        st.floats(0.1, 0.12) | st.floats(0.12, 10.0), min_size=1, max_size=8))
+    def test_batch_matches_scalar_above_the_switch(self, params, overshoots):
+        # a last-bit gap between np.log and math.log, magnified by the bracket's
+        # cancellation, which is largest just above the series switch
+        qs = derive(params).delta_c * (1.0 + np.array(overshoots))
+        for q, value in zip(qs, exposure_batch(qs, params)):
+            scalar = exposure_closed_form(float(q), params).value
+            assert abs(value - scalar) <= 5e-14 * max(1.0, abs(math.log(q))) * scalar
+
+
+class TestBlockedBatch:
+    """``exposure_batch`` against the masked whole-array kernel (tests/util.py), bit for bit."""
+
+    @staticmethod
+    def _same_bits(q, params, **kwargs):
+        got = exposure_batch(q, params, **kwargs)
+        expected = exposure_batch_masked(q, params, **kwargs)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    def test_block_edges(self, figure_params, size):
+        # plateau, onset and log-form entries in every block, then, sorted, whole
+        # blocks of each
+        d = derive(figure_params)
+        q = np.random.default_rng(size).uniform(0.0, 3.0 * d.delta_c, size)
+        self._same_bits(q, figure_params)
+        self._same_bits(np.sort(q), figure_params)
+        self._same_bits(np.sort(q)[::-1], figure_params)
+
+    def test_layouts(self, figure_params):
+        q = np.linspace(0.0, 1.5, 3 * 1001).reshape(3, 1001)
+        for sizes in (np.float64(0.5), np.array(0.1), q, q.T, np.asfortranarray(q),
+                      q.reshape(-1)[::3], q.reshape(-1)[::-1], q[:, ::-2],
+                      np.arange(4).reshape(2, 2),
+                      [0.2, 0.4, 1.0], [[1, 2], [3, 0]], 1, np.zeros((0, 3)), []):
+            self._same_bits(sizes, figure_params)
+            assert exposure_batch(sizes, figure_params).flags.c_contiguous
+
+    @pytest.mark.parametrize("eps_thr", [0.0, 1e-12, 1e-6, 0.1])
+    def test_ulp_steps_across_the_edges(self, figure_params, eps_thr):
+        # 64 sizes an ulp apart on each side of the plateau edge and of the series switch
+        d = derive(figure_params)
+        sizes = []
+        for edge in (d.delta_c + eps_thr, d.delta_c * (1.0 + _SERIES_SWITCH)):
+            down, up = [edge], [edge]
+            for _ in range(64):
+                down.append(math.nextafter(down[-1], 0.0))
+                up.append(math.nextafter(up[-1], math.inf))
+            sizes += down[::-1] + up[1:]
+        self._same_bits(np.array(sizes), figure_params, eps_thr=eps_thr)
+
+    @settings(max_examples=100, deadline=None)
+    @given(params=rate_sets, eps_thr=st.sampled_from([0.0, 1e-12, 1e-3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_rates(self, params, eps_thr, seed):
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([10.0 ** rng.uniform(-14.0, 1.0, 500), rng.uniform(-1.0, 0.0, 100)])
+        self._same_bits(derive(params).delta_c * (1.0 + x), params, eps_thr=eps_thr)
+
+    def test_wide_plateau_stays_zero(self, figure_params):
+        # every size is on a plateau this wide, where the scaled bracket overflows
+        self._same_bits([1e308, 0.0], figure_params, eps_thr=1.5e308)
+        assert not exposure_batch([1e308, 0.0], figure_params, eps_thr=1.5e308).any()
 
 
 class TestQuadratureOracle:

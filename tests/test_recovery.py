@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -425,12 +426,28 @@ class TestOnePassPlans:
         assert _outcome(simulate_recurrence, config, releases) == \
             _outcome(simulate_recurrence_oracle, config, releases)
 
-    def test_large_plan_matches_two_pass_oracle(self):
-        # the benchmark's scale: m = 1e5 releases with a start level that decays away
-        args = (100_000, 0.7, 0.9 * 100_000 * (1.0 - 0.35), 0.35)
+    @pytest.mark.parametrize("Q", [0.9 * 100_000 * (1.0 - 0.35), 13650.0])
+    def test_large_plan_matches_two_pass_oracle(self, Q):
+        # the benchmark's scale: m = 1e5 releases with a start level that decays away,
+        # and one that dominates, whose levels decay to 69,289 zeros
+        args = (100_000, 0.7, Q, 0.35)
         assert repr(state_peak_plan(*args)) == repr(constant_peak_plan_oracle(*args))
         config = RecoveryConfig(lam=0.35, n=100_000, Q=1234.5)
         assert repr(min_peak_plan(config)) == repr(min_peak_plan_oracle(config))
+
+    @pytest.mark.parametrize("lam", [0.0, -0.0, 5e-324, 0.5])
+    @pytest.mark.parametrize("a0", [0.0, -0.0, 5e-324])
+    def test_zero_levels_keep_the_residual_bits(self, lam, a0):
+        # the level sum leaves the zero levels out, signed or not; the oracle sums them
+        for releases in itertools.product([0.0, -0.0, 5e-324], repeat=3):
+            config = RecoveryConfig(lam=lam, n=3, Q=1.0, a0=a0)
+            assert _outcome(simulate_recurrence, config, releases) == \
+                _outcome(simulate_recurrence_oracle, config, releases)
+
+    @pytest.mark.parametrize("typed", [int, np.float64])
+    def test_min_peak_plan_holds_plain_floats(self, typed):
+        plan = min_peak_plan(RecoveryConfig(lam=typed(0), n=40, Q=typed(3)))
+        assert repr(plan) == repr(min_peak_plan(RecoveryConfig(lam=0.0, n=40, Q=3.0)))
 
 
 @st.composite

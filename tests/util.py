@@ -1,15 +1,15 @@
 """Shared helpers for the test suite: random instances and brute-force oracles.
 
 The oracles here are deliberately independent of the closed forms they check:
-adaptive quadrature of the single-release exposure (two routes), grid/simplex
-searches for the allocation optimum, a one-dimensional Bellman grid recursion
-for the minimax peak value, plain enumeration for the overhead trade-off
-and its frontier ``k_safe`` (with a 50-digit optimum where r is too large to
-enumerate), numpy's ``linspace`` for the phase grids, the
-plain per-step loops of the envelope integrator and path exposure, the
-piece-by-piece balance check, the two-pass peak plans and the greedy
-per-stage fill, the per-cell CSV and ``json.dumps`` emit path for the CLI's
-output bytes, and frozen dataclasses for the package's records.
+adaptive quadrature of the single-release exposure (two routes), the masked
+whole-array exposure batch, grid/simplex searches for the allocation optimum, a
+one-dimensional Bellman grid recursion for the minimax peak value, plain
+enumeration for the overhead trade-off and its frontier ``k_safe`` (with a
+50-digit optimum where r is too large to enumerate), numpy's ``linspace`` for
+the phase grids, the plain per-step loops of the envelope integrator and path
+exposure, the piece-by-piece balance check, the two-pass peak plans and the
+greedy per-stage fill, the per-cell CSV and ``json.dumps`` emit path for the
+CLI's output bytes, and frozen dataclasses for the package's records.
 """
 from __future__ import annotations
 
@@ -126,6 +126,27 @@ def exposure_spectral_form(
         limit=200,
     )
     return params.mu * value
+
+
+def exposure_batch_masked(q, params: ModelParams, *, eps_thr: float = EPS_THR) -> np.ndarray:
+    """The masked whole-array ``exposure_batch``: the active entries gathered,
+    their brackets formed in full-length temporaries and scattered back.
+    The blocked kernel runs the same operations in the same order and must
+    give the same bits."""
+    from leakystage.exposure import _SERIES_SWITCH, _onset
+    from leakystage.model import _number, _numbers
+
+    q = _numbers(q, "release sizes")
+    d = derive(params)
+    out = np.zeros_like(q)
+    active = q > d.delta_c + _number(eps_thr, "tolerance eps_thr")
+    qa = q[active]
+    bracket = qa - d.delta_c - d.delta_c * (np.log(qa) - math.log(d.delta_c))
+    onset = np.flatnonzero(qa < d.delta_c * (1.0 + _SERIES_SWITCH))
+    x = (qa[onset] - d.delta_c) / d.delta_c
+    bracket[onset] = d.delta_c * x * x * _onset(x)
+    out[active] = (d.alpha / params.rho) * bracket
+    return out
 
 
 # ---------------------------------------------------------------------------
