@@ -17,7 +17,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .errors import LeakyStageError
-from .model import EPS_THR, DerivedConstants, FrozenRecord, ModelParams, _number, _numbers
+from .model import EPS_THR, DerivedConstants, FrozenRecord, ModelParams, _float_array, _number
 from .model import derive
 
 if TYPE_CHECKING:
@@ -69,8 +69,8 @@ def _check_exposure(value: float, active_duration: float) -> None:
 def _onset(x):
     """``(x - log1p(x)) / x**2`` by Horner's rule on its Taylor series.
 
-    Accurate to rounding for ``0 <= x <= _SERIES_SWITCH``.  Works elementwise
-    on arrays with the same operations in the same order, so the scalar and
+    Accurate to rounding for ``0 <= x <= _SERIES_SWITCH``.  :func:`exposure_batch`
+    runs the same operations in the same order, in place, so the scalar and
     vectorised exposures agree bit for bit below the switch.
     """
     acc = 0.0
@@ -154,10 +154,15 @@ def exposure_batch(
     :func:`exposure_closed_form`.  Above the switch the two agree within
     ``5e-14 * max(1, |log q|)`` relative: ``np.log`` and ``math.log`` can
     differ in the last bit, which the bracket's cancellation magnifies.
+
+    The sizes are checked block by block, each block read, checked and finished
+    while it sits in cache: a NaN, negative or infinite size raises
+    :class:`LeakyStageError`, and so does an exposure past the float range, as
+    on the scalar path, naming the first such index.  No numpy warning escapes.
     """
     import numpy as np
 
-    q = _numbers(q, "release sizes")
+    q = _float_array(q, "release sizes")
     d = derive(params)
     delta_c, scale = d.delta_c, d.alpha / params.rho
     log_delta_c, edge = math.log(delta_c), delta_c + _number(eps_thr, "tolerance eps_thr")
@@ -168,27 +173,43 @@ def exposure_batch(
     sizes, values = q.ravel(), out.reshape(-1)
     n = min(sizes.size, _BLOCK)
     scratch, active, mask = np.empty(n), np.empty(n, bool), np.empty(n, bool)
-    for start in range(0, sizes.size, _BLOCK):
-        qb, ob = sizes[start:start + _BLOCK], values[start:start + _BLOCK]
-        t, a, m = scratch[:qb.size], active[:qb.size], mask[:qb.size]
-        if not np.greater(qb, edge, out=a).any():  # wholly on the plateau, as grids from 0 start
-            ob.fill(0.0)
-            continue
-        # q - delta_c - delta_c * (log q - log delta_c), in exposure_bracket's order
-        with np.errstate(divide="ignore"):  # log(0.0) on the plateau, zeroed below
+    # log(0.0) on the plateau is zeroed below; an overflow, and the plateau's 0 * inf where
+    # alpha / rho overflows, are checked per block
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, sizes.size, _BLOCK):
+            qb, ob = sizes[start:start + _BLOCK], values[start:start + _BLOCK]
+            low, top = qb.min(), qb.max()
+            if not (low >= 0.0 and top < math.inf):  # NaN fails both tests
+                raise LeakyStageError("release sizes must be finite and >= 0")
+            if top <= edge:  # all on the plateau, as the first blocks of a grid from 0 are
+                ob.fill(0.0)
+                continue
+            t, a, m = scratch[:qb.size], active[:qb.size], mask[:qb.size]
+            # q - delta_c - delta_c * (log q - log delta_c), in exposure_bracket's order
             np.log(qb, out=t)
-        t -= log_delta_c
-        t *= delta_c
-        np.subtract(qb, delta_c, out=ob)
-        ob -= t
-        ob[np.logical_not(a, out=m)] = 0.0  # the plateau, inf where q is 0.0
-        ob *= scale
-        np.less(qb, switch, out=m)
-        m &= a
-        onset = np.flatnonzero(m)
-        if onset.size:  # most blocks have none, and the series is 33 array operations
-            x = (qb[onset] - delta_c) / delta_c
-            ob[onset] = scale * (delta_c * x * x * _onset(x))
+            t -= log_delta_c
+            t *= delta_c
+            np.subtract(qb, delta_c, out=ob)
+            ob -= t
+            if low <= edge:  # the plateau, inf where q is 0.0
+                ob[np.less_equal(qb, edge, out=m)] = 0.0
+            ob *= scale
+            if low < switch:  # edge < q < switch takes the series; most blocks have no such q
+                np.logical_and(np.less(qb, switch, out=m), np.greater(qb, edge, out=a), out=m)
+                onset = np.flatnonzero(m)
+                x = (qb[onset] - delta_c) / delta_c
+                # _onset in place: x * acc and c + acc commute exactly, so the bits stay
+                acc = np.full(x.size, _ONSET_SERIES[-1])
+                for c in _ONSET_SERIES[-2::-1]:
+                    acc *= x
+                    acc += c
+                ob[onset] = scale * (delta_c * x * x * acc)
+            # the bracket is below q, so only a size near the float range over scale overflows
+            if top * scale >= 1e307 and not ob.max() < math.inf:
+                i = start + int(np.argmax(ob == math.inf))
+                at = f"[{', '.join(map(str, np.unravel_index(i, q.shape)))}]" if q.ndim else ""
+                raise LeakyStageError(f"exposure value of release sizes{at} = {float(sizes[i])!r} "
+                                      "must be finite and >= 0 (got inf)")
     return out
 
 

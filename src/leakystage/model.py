@@ -162,11 +162,13 @@ def _count(value, what: str, minimum: int = 1,
     raise error(f"{what} must be an integer >= {minimum} (got {_shown(value)})")
 
 
-def _numbers(values, what: str):
-    """:func:`_number` for an array: ``values`` as floats if all are finite and >= 0.
+def _float_array(values, what: str):
+    """``values`` as a float array if they are numbers, with no check of their range.
 
     An array of integers or floats passes, one of bools does not, nor does a
-    sequence holding a ``bool``, which numpy would read as 0 or 1.
+    sequence holding a ``bool``, which numpy would read as 0 or 1.  The first
+    half of :func:`_numbers`, for a caller that checks the range itself, block
+    by block as :func:`~leakystage.exposure.exposure_batch` does.
     """
     import numpy as np
 
@@ -174,11 +176,22 @@ def _numbers(values, what: str):
         array = np.asarray(values)
         bools = array is not values and {bool, np.bool_} & set(
             map(type, np.asarray(values, dtype=object).flat))  # read as 0 and 1 among numbers
-        if array.dtype.kind in "iuf" and not bools and (
-                not array.size or array.min() >= 0.0 and array.max() < math.inf):
+        if array.dtype.kind in "iuf" and not bools:
             return array.astype(float, copy=False)
     except ValueError:  # a ragged nesting
         pass
+    raise LeakyStageError(f"{what} must be finite and >= 0")
+
+
+def _numbers(values, what: str):
+    """:func:`_number` for an array: ``values`` as floats if all are finite and >= 0.
+
+    :func:`_float_array`'s type check, then the range check over the whole array,
+    by its minimum and maximum; NaN fails both.
+    """
+    array = _float_array(values, what)
+    if not array.size or array.min() >= 0.0 and array.max() < math.inf:
+        return array
     raise LeakyStageError(f"{what} must be finite and >= 0")
 
 

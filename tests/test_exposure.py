@@ -173,6 +173,7 @@ class TestBlockedBatch:
                 up.append(math.nextafter(up[-1], math.inf))
             sizes += down[::-1] + up[1:]
         self._same_bits(np.array(sizes), figure_params, eps_thr=eps_thr)
+        self._same_bits(np.array(sizes[64:]), figure_params, eps_thr=eps_thr)  # from the edge
 
     @settings(max_examples=100, deadline=None)
     @given(params=rate_sets, eps_thr=st.sampled_from([0.0, 1e-12, 1e-3]),
@@ -181,6 +182,31 @@ class TestBlockedBatch:
         rng = np.random.default_rng(seed)
         x = np.concatenate([10.0 ** rng.uniform(-14.0, 1.0, 500), rng.uniform(-1.0, 0.0, 100)])
         self._same_bits(derive(params).delta_c * (1.0 + x), params, eps_thr=eps_thr)
+
+    def test_onset_entries_in_one_block(self, figure_params):
+        # plateau and log-form sizes in every block, onset sizes in the second block only
+        d = derive(figure_params)
+        q = np.where(np.arange(4 * _BLOCK) % 2, 2.0 * d.delta_c, 0.5 * d.delta_c)
+        q[_BLOCK + 100:_BLOCK + 200] = np.linspace(d.delta_c, d.delta_c * 1.1, 100)
+        self._same_bits(q, figure_params)
+
+    def test_onset_run_across_a_block_edge(self, figure_params):
+        # the onset band of a sorted grid, plateau edge to series switch, spans a block edge
+        d = derive(figure_params)
+        q = np.linspace(0.99 * d.delta_c, 1.12 * d.delta_c, 2 * _BLOCK)
+        lo, hi = np.searchsorted(q, [d.delta_c, d.delta_c * (1.0 + _SERIES_SWITCH)])
+        assert lo < _BLOCK < hi
+        self._same_bits(q, figure_params)
+        self._same_bits(q[::-1].copy(), figure_params)
+
+    def test_int64_sizes(self, figure_params):
+        q = np.arange(3 * _BLOCK + 7, dtype=np.int64) % 5
+        self._same_bits(q, figure_params)
+
+    def test_descending_split_grid(self, figure_params):
+        # the benchmark's second release of a two-way split: Q - q1 on 1e6 points
+        Q = 4.0 * derive(figure_params).delta_c
+        self._same_bits(np.clip(Q - np.linspace(0.0, Q, 10**6), 0.0, None), figure_params)
 
     def test_wide_plateau_stays_zero(self, figure_params):
         # every size is on a plateau this wide, where the scaled bracket overflows

@@ -66,7 +66,8 @@ from leakystage import (
     unequal_spacing_capacity,
     verify_envelope_dominance,
 )
-from leakystage.model import _shown
+from leakystage.exposure import _BLOCK
+from leakystage.model import EPS_THR, _shown
 
 P = ModelParams(beta=0.6, mu=1.0, delta=1.8, rho=0.5)
 SCHEDULE = ImpulseSchedule(((0.0, 0.4), (0.5, 0.3)))
@@ -255,6 +256,39 @@ def test_exposure_batch_rejects_non_finite_sizes():
             exposure_batch(sizes, P)
     assert exposure_batch([], P).shape == (0,)
     assert exposure_batch(np.zeros((0, 3)), P).shape == (0, 3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.5, math.inf])
+def test_exposure_batch_checks_the_last_block(bad):
+    # the range is checked block by block; a bad size past the first block still fails
+    sizes = np.linspace(0.0, 1.0, 3 * _BLOCK + 7)
+    sizes[-1] = bad
+    with pytest.raises(LeakyStageError, match="release sizes must be finite and >= 0"):
+        exposure_batch(sizes, P)
+
+
+@pytest.mark.parametrize("eps_thr", [EPS_THR, 1.7e308])
+def test_exposure_batch_rejects_inf_beside_the_plateau(eps_thr):
+    # inf is the only size above the plateau edge and its bracket is inf - inf = nan, so
+    # neither the block minimum nor the output alone shows it
+    with pytest.raises(LeakyStageError, match="release sizes must be finite and >= 0"):
+        exposure_batch([0.0] * 5 + [math.inf], P, eps_thr=eps_thr)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exposure_batch_names_an_overflowing_exposure():
+    # returned inf with a numpy overflow warning, where exposure_closed_form raises
+    with pytest.raises(LeakyStageError, match=r"release sizes\[0\] = 1e\+308 must be finite"):
+        exposure_batch([1e308, 0.5], P)
+    with pytest.raises(LeakyStageError, match="must be finite"):
+        exposure_closed_form(1e308, P)
+    sizes = np.full((2, 2 * _BLOCK), 0.5)
+    sizes[1, -3:] = 1e308
+    with pytest.raises(LeakyStageError, match=rf"release sizes\[1, {2 * _BLOCK - 3}\] = 1e\+308"):
+        exposure_batch(sizes, P)
+    # alpha / rho itself overflows: the plateau's 0 * inf is nan, the first inf is named
+    with pytest.raises(LeakyStageError, match=r"release sizes\[1\] = 0.5 must be finite"):
+        exposure_batch([0.0, 0.5], ModelParams(beta=0.6, mu=1.0, delta=1.8, rho=1e-310))
 
 
 @pytest.mark.parametrize("call", [
