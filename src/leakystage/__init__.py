@@ -22,7 +22,8 @@ from .recovery import *
 
 #: Names served from ``envelope`` on first access (PEP 562), so that importing
 #: the package, and every command but ``simulate``, never loads numpy.  They are
-#: listed here, not in an ``envelope.__all__``, as reading that would load numpy.
+#: listed here, and ``envelope.__all__`` is taken from here, since reading them from
+#: ``envelope`` would load numpy.
 _ENVELOPE_NAMES = frozenset({
     "EnvelopeCheck", "ImpulseSchedule", "Trajectory", "balance_jump_residuals",
     "dominance_tolerance", "path_exposure", "simulate_envelope", "simulate_full",

@@ -107,10 +107,16 @@ def min_exposure(Q: float, n: int, params: ModelParams, *, eps_thr: float = EPS_
 
 
 def _split_exposure(Q: float, cap: float, scale: float, eps_thr: float) -> float:
-    """:func:`min_exposure` of a checked load ``Q`` at capacity ``cap``; ``scale = alpha / rho``."""
+    """:func:`min_exposure` of a checked load ``Q`` at capacity ``cap``; ``scale = alpha / rho``.
+
+    An exposure past the float range raises :class:`LeakyStageError` naming ``Q``.
+    """
     if Q <= cap + eps_thr:
         return 0.0
-    return scale * exposure_bracket(Q, cap)
+    exposure = scale * exposure_bracket(Q, cap)
+    if not exposure < math.inf:
+        raise LeakyStageError(f"exposure of total load Q={Q!r} must be finite (got {exposure!r})")
+    return exposure
 
 
 def optimal_split(problem: SplitProblem, *, eps_thr: float = EPS_THR) -> AllocationResult:

@@ -36,6 +36,7 @@ from .errors import ConfigError, LeakyStageError
 from .exposure import exposure_table
 from .model import (
     EPS_THR,
+    DerivedConstants,
     DimensionlessPoint,
     FrozenRecord,
     ModelParams,
@@ -51,8 +52,8 @@ from .recovery import (
     UNBOUNDED,
     HorizonRegime,
     RecoveryConfig,
+    _horizon_capacity,
     _safe_count_within,
-    horizon_capacity,
     horizon_feasibility,
     min_peak_plan,
 )
@@ -431,7 +432,7 @@ def schema() -> dict[str, Any]:
 _COORDINATES = {"r": "Q", "h": "T", "k": "K"}
 
 
-def _dimensionless(config: RunConfig) -> dict[str, float | None]:
+def _dimensionless(config: RunConfig, d: DerivedConstants) -> dict[str, float | None]:
     """The run's ``r``, ``h`` and ``k``, or None where its command has no such coordinate.
 
     Each is taken as given or derived from its dimensional field by
@@ -442,7 +443,7 @@ def _dimensionless(config: RunConfig) -> dict[str, float | None]:
     given = {dim: opts[dim] for dim in _COORDINATES.values() if dim in opts}
     if "schedule" in opts:
         given["Q"] = math.fsum(q for _, q in opts["schedule"])
-        if given["Q"] / derive(config.params).delta_c == math.inf:
+        if given["Q"] / d.delta_c == math.inf:
             raise ConfigError(f"{config.command}: the total of field 'schedule' "
                               f"({given['Q']!r}) overflows r = Q / delta_c")
     point = DimensionlessPoint.from_dimensional(config.params, **given)
@@ -452,12 +453,12 @@ def _dimensionless(config: RunConfig) -> dict[str, float | None]:
     }
 
 
-def _run_exposure(config: RunConfig) -> tuple[dict, list[str], int]:
+def _run_exposure(config: RunConfig, *_) -> tuple[dict, list[str], int]:
     rows = exposure_table(config.options["q"], config.params, eps_thr=config.eps_thr)
     return {"columns": ["q", "exposure", "derivative", "active_duration"], "rows": rows}, [], 0
 
 
-def _run_split(config: RunConfig) -> tuple[dict, list[str], int]:
+def _run_split(config: RunConfig, *_) -> tuple[dict, list[str], int]:
     problem = SplitProblem(Q=config.options["Q"], n=config.options["n"], params=config.params)
     result = optimal_split(problem, eps_thr=config.eps_thr)
     warnings = []
@@ -474,8 +475,7 @@ def _run_split(config: RunConfig) -> tuple[dict, list[str], int]:
     return {"columns": columns, "rows": rows}, warnings, 0
 
 
-def _run_overhead(config: RunConfig) -> tuple[dict, list[str], int]:
-    dim = _dimensionless(config)
+def _run_overhead(config: RunConfig, d: DerivedConstants, dim: dict) -> tuple[dict, list[str], int]:
     r, k = dim["r"], dim["k"]
     result = overhead_optimal_count(r, k)
     frontier = k_safe(r)
@@ -500,14 +500,13 @@ def _run_overhead(config: RunConfig) -> tuple[dict, list[str], int]:
     return {"columns": columns, "rows": rows}, warnings, 0
 
 
-def _run_peak(config: RunConfig) -> tuple[dict, list[str], int]:
+def _run_peak(config: RunConfig, d: DerivedConstants, dim: dict) -> tuple[dict, list[str], int]:
     opts = config.options
     if "tau" in opts:
         rc = RecoveryConfig.from_interval(config.params.rho, opts["tau"], opts["n"], opts["Q"])
     else:
         rc = RecoveryConfig(lam=opts["lam"], n=opts["n"], Q=opts["Q"])
     plan = min_peak_plan(rc)
-    d = derive(config.params)
     is_safe = plan.peak <= d.delta_c + config.eps_thr
     warnings = []
     if plan.degenerate:
@@ -525,17 +524,14 @@ def _run_peak(config: RunConfig) -> tuple[dict, list[str], int]:
     return {"columns": columns, "rows": rows}, warnings, 0
 
 
-def _run_horizon(config: RunConfig) -> tuple[dict, list[str], int]:
-    opts = config.options
-    d = derive(config.params)
-    dim = _dimensionless(config)
+def _run_horizon(config: RunConfig, d: DerivedConstants, dim: dict) -> tuple[dict, list[str], int]:
     r, h = dim["r"], dim["h"]
     verdict = horizon_feasibility(r, h, eps_thr=config.eps_thr)
     n_safe = _safe_count_within(verdict)
     n_safe = UNBOUNDED.value if n_safe is UNBOUNDED else n_safe
     rows = []
-    for n in opts["n_list"]:
-        capacity = horizon_capacity(n, h)
+    for n in config.options["n_list"]:  # h was checked by horizon_feasibility
+        capacity = _horizon_capacity(n, h)
         rows.append([
             n,
             capacity,
@@ -559,7 +555,7 @@ def _run_horizon(config: RunConfig) -> tuple[dict, list[str], int]:
     return {"columns": columns, "rows": rows}, warnings, exit_code
 
 
-def _run_simulate(config: RunConfig) -> tuple[dict, list[str], int]:
+def _run_simulate(config: RunConfig, *_) -> tuple[dict, list[str], int]:
     from .envelope import ImpulseSchedule, simulate_envelope, simulate_full
 
     opts = config.options
@@ -578,7 +574,7 @@ def _run_simulate(config: RunConfig) -> tuple[dict, list[str], int]:
     return {"columns": columns, "rows": rows}, warnings, 0
 
 
-def _run_phase(config: RunConfig) -> tuple[dict, list[str], int]:
+def _run_phase(config: RunConfig, *_) -> tuple[dict, list[str], int]:
     opts = config.options
     panel = opts["panel"]
     grid = PhaseGrid(*(tuple(opts[name])
@@ -608,6 +604,8 @@ def _run_phase(config: RunConfig) -> tuple[dict, list[str], int]:
     return {"columns": columns, "rows": rows}, [], 0
 
 
+#: Each command's runner, called with the run, its derived constants and its ``r``, ``h``
+#: and ``k``; it returns the payload, the warnings and the exit code.
 _RUNNERS = {
     "exposure": _run_exposure,
     "split": _run_split,
@@ -621,9 +619,9 @@ _RUNNERS = {
 
 def run(config: RunConfig, *, meta_time: bool = True) -> OutputEnvelope:
     """Execute a validated run and assemble the output envelope."""
-    dimensionless = _dimensionless(config)  # fails on an overflowing input before the solve
-    payload, warnings, exit_code = _RUNNERS[config.command](config)
     d = derive(config.params)
+    dimensionless = _dimensionless(config, d)  # fails on an overflowing input before the solve
+    payload, warnings, exit_code = _RUNNERS[config.command](config, d, dimensionless)
     metadata: dict[str, Any] = {
         "tool": "leakystage",
         "version": __version__,
@@ -652,16 +650,20 @@ def run(config: RunConfig, *, meta_time: bool = True) -> OutputEnvelope:
 # emission
 
 
+#: The %-conversion of the CSV text of each type, the package's one rule for it: ``%s``
+#: writes an exact int as ``%d`` would and a subclass by its own ``str``, and ``%.0s``
+#: consumes a None and writes nothing.
+_CSV_SLOTS = {float: "%.17g", int: "%s", str: "%s", type(None): "%.0s"}
+
+
 def _format_cell(value: Any) -> str:
-    """CSV text of a metadata value, or of a cell whose type ``_CSV_SLOTS`` lacks."""
-    if value is None:
-        return ""
+    """CSV text of a value: ``true`` or ``false`` for a bool, else the slot of the first
+    ``_CSV_SLOTS`` type it is an instance of, else ``str``."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.17g}"
+    for kind, slot in _CSV_SLOTS.items():
+        if isinstance(value, kind):
+            return slot % (value,)
     return str(value)
 
 
@@ -676,14 +678,15 @@ def _json_safe(value: Any) -> Any:
     return value
 
 
-#: The %-conversion that writes a CSV cell of each type as ``_format_cell`` does;
-#: ``%.0s`` consumes a None and writes nothing.  Cells of other types, bools
-#: included, are converted by ``_format_cell`` first and written by ``%s``.
-_CSV_SLOTS = {float: "%.17g", int: "%d", str: "%s", type(None): "%.0s"}
+#: The ``#`` lines that lead a CSV file, in order: the metadata mapping each line reads
+#: (None for the top level) and its keys, each written ``key=value``.
+_CSV_META = ((None, ("tool", "version", "command")), (None, ("delta_c", "alpha", "gamma")),
+             ("dimensionless", ("r", "h", "k")))
 
 
 def _csv_lines(rows: list) -> list[str]:
-    """The CSV line of each row, through one %-template per row type signature."""
+    """The CSV line of each row, through one %-template per row type signature; a cell of
+    a type ``_CSV_SLOTS`` lacks, bools included, goes through ``_format_cell``."""
     templates: dict[tuple[type, ...], tuple[str, tuple[int, ...]]] = {}
     lines = []
     for row in rows:
@@ -707,18 +710,9 @@ def to_csv(envelope: OutputEnvelope) -> str:
     """Render the envelope as CSV: metadata in '#' comments, then the table."""
     lines = []
     meta = envelope.metadata
-    lines.append(f"# tool={meta['tool']} version={meta['version']} command={meta['command']}")
-    lines.append(
-        "# delta_c={} alpha={} gamma={}".format(
-            _format_cell(meta["delta_c"]), _format_cell(meta["alpha"]), _format_cell(meta["gamma"])
-        )
-    )
-    dim = meta["dimensionless"]
-    lines.append(
-        "# r={} h={} k={}".format(
-            _format_cell(dim["r"]), _format_cell(dim["h"]), _format_cell(dim["k"])
-        )
-    )
+    for source, keys in _CSV_META:
+        values = meta if source is None else meta[source]
+        lines.append("# " + " ".join(f"{key}={_format_cell(values[key])}" for key in keys))
     try:  # a checked config's echo is all finite: _json_safe's copy is rarely needed
         echo = json.dumps(meta["config"], sort_keys=True, separators=(",", ":"), allow_nan=False)
     except ValueError:

@@ -41,8 +41,11 @@ import weakref
 
 import numpy as np
 
+from . import _ENVELOPE_NAMES
 from .errors import LeakyStageError, ScheduleError
 from .model import FrozenRecord, ModelParams, _number, derive, growth_pressure
+
+__all__ = sorted(_ENVELOPE_NAMES)
 
 #: Base absolute tolerance for the dominance check; see dominance_tolerance.
 TOL_DOM = 1e-9

@@ -69,14 +69,21 @@ def _check_exposure(value: float, active_duration: float) -> None:
 def _onset(x):
     """``(x - log1p(x)) / x**2`` by Horner's rule on its Taylor series.
 
-    Accurate to rounding for ``0 <= x <= _SERIES_SWITCH``.  :func:`exposure_batch`
-    runs the same operations in the same order, in place, so the scalar and
-    vectorised exposures agree bit for bit below the switch.
+    Accurate to rounding for ``0 <= x <= _SERIES_SWITCH``.  ``x`` is a float or an
+    array, and each element of an array gets the bits of its float.
     """
-    acc = 0.0
-    for c in reversed(_ONSET_SERIES):
-        acc = c + x * acc
+    acc = x * 0.0 + _ONSET_SERIES[-1]
+    for c in _ONSET_SERIES[-2::-1]:
+        acc *= x
+        acc += c
     return acc
+
+
+def _onset_bracket(q, delta_c: float):
+    """:func:`exposure_bracket` of ``delta_c < q < delta_c * (1 + _SERIES_SWITCH)`` by its
+    series; ``q`` is a float or an array."""
+    x = (q - delta_c) / delta_c  # the numerator is exact here
+    return delta_c * x * x * _onset(x)
 
 
 def exposure_bracket(q: float, delta_c: float) -> float:
@@ -86,8 +93,7 @@ def exposure_bracket(q: float, delta_c: float) -> float:
     replaced by the capacity ``n * delta_c``, is this times ``alpha / rho``.
     """
     if q < delta_c * (1.0 + _SERIES_SWITCH):
-        x = (q - delta_c) / delta_c  # the numerator is exact here
-        return delta_c * x * x * _onset(x)
+        return _onset_bracket(q, delta_c)
     return q - delta_c - delta_c * (math.log(q) - math.log(delta_c))
 
 
@@ -150,7 +156,8 @@ def exposure_batch(
     Intended for grid searches over many candidate splits.  The result is a
     C-ordered float array of the shape of ``q``.
 
-    On the plateau and below the series switch each value is bit-equal to
+    On the plateau and below the series switch, which gathers a block's sizes
+    for the scalar path's own :func:`_onset_bracket`, each value is bit-equal to
     :func:`exposure_closed_form`.  Above the switch the two agree within
     ``5e-14 * max(1, |log q|)`` relative: ``np.log`` and ``math.log`` can
     differ in the last bit, which the bracket's cancellation magnifies.
@@ -197,13 +204,7 @@ def exposure_batch(
             if low < switch:  # edge < q < switch takes the series; most blocks have no such q
                 np.logical_and(np.less(qb, switch, out=m), np.greater(qb, edge, out=a), out=m)
                 onset = np.flatnonzero(m)
-                x = (qb[onset] - delta_c) / delta_c
-                # _onset in place: x * acc and c + acc commute exactly, so the bits stay
-                acc = np.full(x.size, _ONSET_SERIES[-1])
-                for c in _ONSET_SERIES[-2::-1]:
-                    acc *= x
-                    acc += c
-                ob[onset] = scale * (delta_c * x * x * acc)
+                ob[onset] = scale * _onset_bracket(qb[onset], delta_c)
             # the bracket is below q, so only a size near the float range over scale overflows
             if top * scale >= 1e307 and not ob.max() < math.inf:
                 i = start + int(np.argmax(ob == math.inf))

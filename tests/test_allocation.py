@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from leakystage import (
     LeakyStageError,
+    ModelParams,
     SplitProblem,
     allocation,
     continuous_relaxed_count,
@@ -158,6 +159,16 @@ class TestMinExposure:
             exact = scale * (q - c - c * mpmath.log(q / c))
             error = abs(mpmath.mpf(min_exposure(Q, n, figure_params)) - exact) / exact
         assert error <= 1e-14
+
+
+    def test_exposure_past_the_float_range_names_the_load(self):
+        # alpha / rho = 1.2e300, so the exposure of a load of 1e10 passes the float range
+        params = ModelParams(beta=0.6, mu=1.0, delta=1.8, rho=1e-300)
+        message = r"exposure of total load Q=10000000000\.0 must be finite \(got inf\)"
+        with pytest.raises(LeakyStageError, match=message):
+            min_exposure(1e10, 2, params)
+        with pytest.raises(LeakyStageError, match=message):
+            optimal_split(SplitProblem(Q=1e10, n=2, params=params))
 
 
 class TestMinimalSafeCount:

@@ -524,6 +524,15 @@ class TestMain:
         assert f"error: {message}" in err
         assert "Traceback" not in err
 
+    def test_split_exposure_past_the_float_range_exits_1(self, capsys):
+        code = main(["split", "--Q", "1e10", "--n", "2", "--beta", "0.6", "--mu", "1.0",
+                     "--delta", "1.8", "--rho", "1e-300", "--no-meta-time"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert "error: exposure of total load Q=10000000000.0 must be finite (got inf)" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("last, message", [
         (1e308, "simulate: invalid schedule: the schedule's event sizes must sum below"),
         (5e307, "simulate: the total of field 'schedule' (1.5e+308) overflows r = Q / delta_c"),

@@ -21,16 +21,36 @@ EDGE_FLOATS = (math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 2.2250738585072
 EDGE_STRINGS = ('say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f", "café ≤ \U0001f600",
                 "inf", "", ",", "%s %d %%")
 
+
+class _Int(int):
+    """An int whose ``str`` is not its digits, as an ``IntEnum``'s may be."""
+
+    def __str__(self) -> str:
+        return f"Int({int(self)})"
+
+
+class _Str(str):
+    """A str whose ``str`` is not its characters."""
+
+    def __str__(self) -> str:
+        return f"Str({str.__str__(self)})"
+
+
 _floats = st.floats() | st.sampled_from(EDGE_FLOATS)
+_texts = st.text() | st.sampled_from(EDGE_STRINGS)
 _cells = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
     st.integers(min_value=2**63 - 2, max_value=2**80) | st.sampled_from([2**70, -(2**64)]),
+    st.integers().map(_Int),
     _floats,
     _floats.map(np.float64),
-    st.text() | st.sampled_from(EDGE_STRINGS),
+    _texts,
+    _texts.map(_Str),
 )
+#: Cells that only the CSV writes: JSON cannot encode numpy bools and integers.
+_csv_cells = _cells | st.booleans().map(np.bool_) | st.integers(-2**63, 2**63 - 1).map(np.int64)
 _keys = st.text() | st.sampled_from(EDGE_STRINGS)
 #: Nested config echoes: dicts with string keys, lists and tuples, empty ones included.
 _echo = st.recursive(
@@ -45,11 +65,13 @@ _other = st.dictionaries(st.integers() | st.booleans() | st.none(), _echo, max_s
 
 
 @st.composite
-def _envelopes(draw) -> OutputEnvelope:
+def _envelopes(draw, cells=_cells) -> OutputEnvelope:
+    """An envelope whose metadata values and rows hold ``cells``."""
+    texts = st.text() | st.text().map(_Str)
     metadata = {
-        "tool": draw(st.text()), "version": draw(st.text()), "command": draw(st.text()),
-        **{name: draw(_cells) for name in ("delta_c", "alpha", "gamma")},
-        "dimensionless": {name: draw(_cells) for name in "rhk"},
+        "tool": draw(texts), "version": draw(texts), "command": draw(texts),
+        **{name: draw(cells) for name in ("delta_c", "alpha", "gamma")},
+        "dimensionless": {name: draw(cells) for name in "rhk"},
         "config": draw(st.dictionaries(_keys, _echo, max_size=4)),
     }
     if draw(st.booleans()):
@@ -57,7 +79,7 @@ def _envelopes(draw) -> OutputEnvelope:
     if draw(st.booleans()):
         metadata["other"] = draw(_other)  # JSON only: the CSV echoes only the config
     width = draw(st.integers(0, 6))
-    rows = st.lists(_cells, min_size=width, max_size=width) | st.lists(_cells, max_size=8)
+    rows = st.lists(cells, min_size=width, max_size=width) | st.lists(cells, max_size=8)
     payload = {"columns": draw(st.lists(st.text(), max_size=6)),
                "rows": draw(st.lists(rows, max_size=12))}
     return OutputEnvelope(metadata=metadata, payload=payload,
@@ -69,6 +91,12 @@ def _envelopes(draw) -> OutputEnvelope:
 def test_emitters_match_the_oracles(envelope):
     assert to_csv(envelope) == to_csv_oracle(envelope)
     assert to_json(envelope) == to_json_oracle(envelope)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_envelopes(_csv_cells))
+def test_csv_matches_the_oracle_on_numpy_bools_and_integers(envelope):
+    assert to_csv(envelope) == to_csv_oracle(envelope)
 
 
 def test_edge_payload_matches_the_oracles():

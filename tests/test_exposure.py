@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leakystage import (
@@ -15,7 +15,7 @@ from leakystage import (
     exposure_near_threshold,
 )
 from leakystage.cli import parse_config, run
-from leakystage.exposure import _BLOCK, _SERIES_SWITCH, exposure_table
+from leakystage.exposure import _BLOCK, _SERIES_SWITCH, _onset, exposure_table
 from util import (exposure_batch_masked, exposure_quadrature, exposure_spectral_form,
                   random_params)
 
@@ -130,6 +130,20 @@ class TestClosedForm:
         for q, value in zip(qs, exposure_batch(qs, params)):
             scalar = exposure_closed_form(float(q), params).value
             assert abs(value - scalar) <= 5e-14 * max(1.0, abs(math.log(q))) * scalar
+
+
+class TestOnsetSeries:
+    """``_onset`` is one body for floats and arrays: each element gets its float's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, _SERIES_SWITCH), min_size=1, max_size=64))
+    @example([0.0, 5e-324, _SERIES_SWITCH])
+    def test_array_matches_each_scalar(self, xs):
+        scalars = np.array([_onset(x) for x in xs])
+        assert _onset(np.array(xs)).tobytes() == scalars.tobytes()
+        numpy_scalars = [_onset(np.float64(x)) for x in xs]
+        assert all(type(value) is np.float64 for value in numpy_scalars)
+        assert np.array(numpy_scalars).tobytes() == scalars.tobytes()
 
 
 class TestBlockedBatch:

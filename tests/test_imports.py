@@ -245,6 +245,19 @@ def test_lazy_names_are_the_envelope_names():
         assert getattr(leakystage, name) is getattr(envelope, name), name
 
 
+def test_envelope_star_import_binds_exactly_the_envelope_names():
+    # envelope.__all__ is read from the package, whose import still loads no numpy
+    child = run_child(
+        "import json, sys, leakystage\n"
+        "before = 'numpy' in sys.modules\n"
+        "namespace = {}\n"
+        "exec('from leakystage.envelope import *', namespace)\n"
+        "print(json.dumps([before, sorted(set(namespace) - {'__builtins__'})]))\n"
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == [False, sorted(ENVELOPE_NAMES)]
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         leakystage.no_such_name  # noqa: B018
