@@ -241,11 +241,12 @@ def _check(field: _Field, value: Any, where: str, name: str) -> Any:
     if kind == "schedule":
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{what} must be a list of [time, size] pairs")
-        return _each(_pair, value, f"{where}: {name}")
+        return [_pair(v, f"{where}: {name}[{i}]") for i, v in enumerate(value)]
     if not (isinstance(value, (list, tuple)) and value):
         raise ConfigError(f"{what} must be a nonempty list of "
                           + ("numbers" if kind == "numbers" else "integers"))
-    return _each(_scalar, value, f"{where}: {name}", _Field(kind[:-1], minimum=field.minimum))
+    item = _Field(kind[:-1], minimum=field.minimum)
+    return [_scalar(v, f"{where}: {name}[{i}]", item) for i, v in enumerate(value)]
 
 
 def _pair(pair: Any, what: str) -> list[float]:
@@ -254,19 +255,6 @@ def _pair(pair: Any, what: str) -> list[float]:
         raise ConfigError(f"{what} must be a [time, size] pair")
     return [_scalar(v, f"{what} {label}", item)
             for (label, item), v in zip(_PAIR_ITEMS.items(), pair)]
-
-
-def _each(check, items: list | tuple, what: str, *args) -> list:
-    """``check(item, what[i], *args)`` of each item.  Items are checked unlabelled, and
-    the label ``what[i]`` is formatted only to check a failing item again and name it."""
-    checked = []
-    for i, item in enumerate(items):
-        try:
-            checked.append(check(item, "", *args))
-        except ConfigError:
-            check(item, f"{what}[{i}]", *args)
-            raise
-    return checked
 
 
 def _check_object(field: _Field, value: Any, where: str) -> dict[str, Any]:

@@ -37,7 +37,7 @@ __all__ = ["ExposureValue", "exposure_batch", "exposure_closed_form", "exposure_
 _SERIES_SWITCH = 0.1
 
 #: Coefficients of ``(x - log1p(x)) / x**2 = 1/2 - x/3 + x**2/4 - ...``; the
-#: first omitted term is below 1e-17 relative for ``x <= _SERIES_SWITCH``.
+#: omitted terms are below 2e-17 relative for ``|x| <= _SERIES_SWITCH``.
 _ONSET_SERIES = tuple((-1.0) ** k / k for k in range(2, 18))
 
 #: Elements per block of :func:`exposure_batch`: its 0.8 MB of sizes, values and scratch stay in L2.
@@ -69,7 +69,7 @@ def _check_exposure(value: float, active_duration: float) -> None:
 def _onset(x):
     """``(x - log1p(x)) / x**2`` by Horner's rule on its Taylor series.
 
-    Accurate to rounding for ``0 <= x <= _SERIES_SWITCH``.  ``x`` is a float or an
+    Accurate to rounding for ``|x| <= _SERIES_SWITCH``.  ``x`` is a float or an
     array, and each element of an array gets the bits of its float.
     """
     acc = x * 0.0 + _ONSET_SERIES[-1]
@@ -116,6 +116,11 @@ def _release(
     return scale * exposure_bracket(q, delta_c), scale * (1.0 - delta_c / q), log_ratio / rho
 
 
+def _overflow(release: str) -> LeakyStageError:
+    """The error for an exposure of ``release`` past the float range."""
+    return LeakyStageError(f"exposure value of release {release} must be finite and >= 0 (got inf)")
+
+
 def exposure_closed_form(
     q: float, params: ModelParams, *, eps_thr: float = EPS_THR
 ) -> ExposureValue:
@@ -127,6 +132,8 @@ def exposure_closed_form(
     """
     eps_thr = _number(eps_thr, "tolerance eps_thr")
     value, _, active_duration = _release(q, derive(params), params.rho, eps_thr)
+    if value == math.inf:
+        raise _overflow(f"q={q!r}")
     return ExposureValue(value=value, active_duration=active_duration)
 
 
@@ -139,8 +146,10 @@ def exposure_table(sizes, params: ModelParams, *, eps_thr: float = EPS_THR) -> l
     """
     d, rho, eps_thr = derive(params), params.rho, _number(eps_thr, "tolerance eps_thr")
     rows = []
-    for q in sizes:
+    for i, q in enumerate(sizes):
         value, derivative, active_duration = _release(q, d, rho, eps_thr)
+        if value == math.inf:
+            raise _overflow(f"sizes[{i}] = {q!r}")
         _check_exposure(value, active_duration)
         rows.append([q, value, derivative, active_duration])
     return rows
@@ -178,8 +187,6 @@ def exposure_batch(
     # np.log can round a size read at a negative stride differently, so the sizes are
     # read contiguously; out is C-ordered, so its reshape is a view
     sizes, values = q.ravel(), out.reshape(-1)
-    n = min(sizes.size, _BLOCK)
-    scratch, active, mask = np.empty(n), np.empty(n, bool), np.empty(n, bool)
     # log(0.0) on the plateau is zeroed below; an overflow, and the plateau's 0 * inf where
     # alpha / rho overflows, are checked per block
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -191,26 +198,23 @@ def exposure_batch(
             if top <= edge:  # all on the plateau, as the first blocks of a grid from 0 are
                 ob.fill(0.0)
                 continue
-            t, a, m = scratch[:qb.size], active[:qb.size], mask[:qb.size]
             # q - delta_c - delta_c * (log q - log delta_c), in exposure_bracket's order
-            np.log(qb, out=t)
+            t = np.log(qb)
             t -= log_delta_c
             t *= delta_c
             np.subtract(qb, delta_c, out=ob)
             ob -= t
             if low <= edge:  # the plateau, inf where q is 0.0
-                ob[np.less_equal(qb, edge, out=m)] = 0.0
+                ob[qb <= edge] = 0.0
             ob *= scale
             if low < switch:  # edge < q < switch takes the series; most blocks have no such q
-                np.logical_and(np.less(qb, switch, out=m), np.greater(qb, edge, out=a), out=m)
-                onset = np.flatnonzero(m)
+                onset = np.flatnonzero((qb < switch) & (qb > edge))
                 ob[onset] = scale * _onset_bracket(qb[onset], delta_c)
             # the bracket is below q, so only a size near the float range over scale overflows
             if top * scale >= 1e307 and not ob.max() < math.inf:
                 i = start + int(np.argmax(ob == math.inf))
                 at = f"[{', '.join(map(str, np.unravel_index(i, q.shape)))}]" if q.ndim else ""
-                raise LeakyStageError(f"exposure value of release sizes{at} = {float(sizes[i])!r} "
-                                      "must be finite and >= 0 (got inf)")
+                raise _overflow(f"sizes{at} = {float(sizes[i])!r}")
     return out
 
 

@@ -19,6 +19,7 @@ import enum
 import math
 
 from .errors import LeakyStageError, ScheduleError
+from .exposure import _SERIES_SWITCH, _onset
 from .model import EPS_THR, FrozenRecord, ModelParams, _count, _number, _numbers, derive
 from .model import guarded_ceil
 
@@ -321,6 +322,10 @@ def horizon_feasibility(
     equally spaced count works and the smallest is returned; at
     ``r = 1 + h`` (within ``eps_thr``) the capacity is only supremal; above
     it no finite schedule is safe.
+
+    The count is the first ``n`` whose deficit ``1 + h - B_n(h)`` is at most ``1 + h - r``,
+    both free of cancellation.  It is exact except within a few ulps of a deficit, where
+    rounding decides: ``r = 3`` and ``h = 100`` give 3, as ``B_3(100) = 3 - 2e^{-50}`` rounds to 3.
     """
     _number(r, "dimensionless load r", strict=True)
     _number(h, "horizon h")
@@ -330,18 +335,20 @@ def horizon_feasibility(
         return HorizonFeasibility(HorizonRegime.SUPREMAL_BOUNDARY)
     if r > 1.0 + h:
         return HorizonFeasibility(HorizonRegime.INFEASIBLE)
-    # B_n(h) increases to 1 + h, so doubling then bisecting terminates.
-    hi = 2
-    try:
-        while _horizon_capacity(hi, h) < r:
-            hi *= 2
-    except OverflowError:  # at hi = 2**1024, as B_n takes n - 1 as a float
+    gap = math.fsum((1.0, h, -r))  # > 0, as r lies below 1 + h rounded
+    # the deficit 1 + h - B_n(h) is (n-1)(x + y) = (n-1)(y - log1p(y)) at x = h/(n-1) and
+    # y = expm1(-x), the exposure bracket at a negative argument, by its series for small y;
+    # it falls as n grows and is below h**2 / (2(n-1)), so hi passes
+    bound = h / gap * h / 2.0
+    if bound == math.inf:
         raise LeakyStageError(f"load r={r!r} needs more than 2**1023 releases within "
-                              f"horizon h={h!r}, past the count rule") from None
-    lo = max(2, hi // 2)
+                              f"horizon h={h!r}, past the count rule")
+    lo, hi = 2, 2 + int(bound)
     while lo < hi:
         mid = (lo + hi) // 2
-        if _horizon_capacity(mid, h) >= r:
+        x = h / (mid - 1)
+        y = math.expm1(-x)
+        if (mid - 1) * (y * y * _onset(y) if y > -_SERIES_SWITCH else x + y) <= gap:
             hi = mid
         else:
             lo = mid + 1

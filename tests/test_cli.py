@@ -533,6 +533,17 @@ class TestMain:
         assert "error: exposure of total load Q=10000000000.0 must be finite (got inf)" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("sizes, at", [(["1e308", "0.5"], 0), (["0.5", "1e308"], 1)])
+    def test_exposure_past_the_float_range_names_the_release(self, capsys, sizes, at):
+        flags = [flag for q in sizes for flag in ("--q", q)]
+        code = main(["exposure", *flags, *FIG_FLAGS, "--no-meta-time"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert (f"error: exposure value of release sizes[{at}] = 1e+308 must be finite and >= 0 "
+                "(got inf)") in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("last, message", [
         (1e308, "simulate: invalid schedule: the schedule's event sizes must sum below"),
         (5e307, "simulate: the total of field 'schedule' (1.5e+308) overflows r = Q / delta_c"),

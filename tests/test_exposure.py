@@ -146,6 +146,24 @@ class TestOnsetSeries:
         assert np.array(numpy_scalars).tobytes() == scalars.tobytes()
 
 
+class TestOnsetAgainstMpmath:
+    """``_onset`` is the series of ``(x - log1p(x)) / x**2`` on both sides of 0: the exposure
+    bracket takes ``x >= 0``, the horizon count's capacity deficit ``x < 0``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-_SERIES_SWITCH, _SERIES_SWITCH).filter(lambda x: x != 0.0))
+    @example(-_SERIES_SWITCH)
+    @example(-5e-324)
+    @example(_SERIES_SWITCH)
+    def test_within_one_eps(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        # x - log1p(x) cancels to about x**2 / 2, so the reference keeps twice x's digits more
+        with mpmath.workdps(50 + 2 * max(0, -math.floor(math.log10(abs(x))))):
+            X = mpmath.mpf(x)
+            exact = (X - mpmath.log1p(X)) / (X * X)
+            assert abs(mpmath.mpf(_onset(x)) - exact) <= 2.0**-52 * exact
+
+
 class TestBlockedBatch:
     """``exposure_batch`` against the masked whole-array kernel (tests/util.py), bit for bit."""
 
@@ -377,12 +395,17 @@ class TestCliTable:
             assert (value == 0.0) == (duration == 0.0) == (q <= edge)
 
     def test_overflowing_rows_fail_as_the_scalar_path_does(self, figure_params):
-        # an exposure of inf was written into the row [1e308, inf, 2.4, inf]
-        for call in (lambda: exposure_closed_form(1e308, figure_params),
-                     lambda: exposure_table([1e308], figure_params)):
-            with pytest.raises(LeakyStageError, match=r"exposure value must be finite and >= 0 "
-                                                      r"\(got inf\)"):
+        # an exposure of inf was written into the row [1e308, inf, 2.4, inf]; each path names
+        # the release in one text
+        for call, release in ((lambda: exposure_closed_form(1e308, figure_params), "q=1e+308"),
+                              (lambda: exposure_table([0.5, 1e308], figure_params),
+                               "sizes[1] = 1e+308"),
+                              (lambda: exposure_batch([0.5, 1e308], figure_params),
+                               "sizes[1] = 1e+308")):
+            with pytest.raises(LeakyStageError) as info:
                 call()
+            assert str(info.value) == (f"exposure value of release {release} must be finite "
+                                       "and >= 0 (got inf)")
 
     def test_duration_stays_finite_where_the_ratio_overflows(self, figure_params):
         # q / delta_c overflows at q = 7e307, where the duration log(q / delta_c) / rho is

@@ -213,6 +213,37 @@ def mpmath_excess(r: float, n: int) -> float:
         return float(R - N - N * mpmath.log(R / N)) if R > N else 0.0
 
 
+def mpmath_deficit_excess(r: float, h: float, n: int) -> float:
+    """``(D_n - gap) / gap`` at 50 digits, rounded once to a float: how far the capacity
+    deficit ``D_n = 1 + h - B_n(h) = (n-1)(x + expm1(-x))``, ``x = h/(n-1)``, of ``n >= 2``
+    releases exceeds ``gap = 1 + h - r``; ``n`` reaches ``r`` where it is ``<= 0``.  It
+    needs mpmath."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        R, H, m = mpmath.mpf(r), mpmath.mpf(h), mpmath.mpf(n - 1)
+        gap = 1 + H - R
+        return float((m * (H / m + mpmath.expm1(-H / m)) - gap) / gap)
+
+
+def mpmath_horizon_count(r: float, h: float) -> int:
+    """The smallest ``n >= 2`` whose capacity ``B_n(h)`` reaches ``1 < r < 1 + h`` at 50
+    digits: a bisection on :func:`mpmath_deficit_excess` below the closed-form bound
+    ``n - 1 <= h**2 / (2 (1 + h - r))``; it needs mpmath."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        H = mpmath.mpf(h)
+        lo, hi = 2, 2 + int(mpmath.floor(H * H / (2 * (1 + H - mpmath.mpf(r)))))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mpmath_deficit_excess(r, h, mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
 def mpmath_overhead_optimum(r: float, k: float) -> int:
     """The cost-optimal overhead count at 50 digits: the cheaper of the floor and
     the ceiling of ``r * e^{-k}`` (at least 1), the smaller on an exact tie.
