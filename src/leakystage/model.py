@@ -59,22 +59,23 @@ class FrozenRecord:
         super().__init_subclass__(**kwargs)
         own = [name for name in cls.__annotations__ if name not in cls._fields]  # its own only
         cls._fields = cls.__match_args__ = fields = (*cls._fields, *own)
-        namespace: dict = {"_set": object.__setattr__}
+        namespace: dict = {}
         params = []
         for name in fields:
             default = getattr(cls, name, _NO_DEFAULT)
             if default is not _NO_DEFAULT:
                 namespace["_default_" + name] = default
                 params.append(f"{name}=_default_{name}")
-            elif len(namespace) > 1:  # holds a default already
+            elif namespace:  # holds a default already
                 raise TypeError(f"non-default field {name!r} follows a field with a default")
             else:
                 params.append(name)
-        body = [f"    _set(self, {name!r}, {name})" for name in fields]
+        # the fields go straight into the instance dict, past the raising __setattr__
+        body = ["    __fields = self.__dict__"]
+        body += [f"    __fields[{name!r}] = {name}" for name in fields]
         if hasattr(cls, "__post_init__"):
             body.append("    self.__post_init__()")
-        exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body or ["    pass"]),
-             namespace)
+        exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body), namespace)
         init = namespace["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         cls.__init__ = init
@@ -166,16 +167,23 @@ def _float_array(values, what: str):
     """``values`` as a float array if they are numbers, with no check of their range.
 
     An array of integers or floats passes, one of bools does not, nor does a
-    sequence holding a ``bool``, which numpy would read as 0 or 1.  The first
-    half of :func:`_numbers`, for a caller that checks the range itself, block
-    by block as :func:`~leakystage.exposure.exposure_batch` does.
+    sequence holding a ``bool``, which numpy would read as 0 or 1.  A flat list
+    or tuple shows its element types itself; a nested one is read through an
+    object array.  The first half of :func:`_numbers`, for a caller that checks
+    the range itself, block by block as
+    :func:`~leakystage.exposure.exposure_batch` does.
     """
     import numpy as np
 
     try:  # strings, None, Decimals and integers beyond int64 give non-numeric dtypes
         array = np.asarray(values)
-        bools = array is not values and {bool, np.bool_} & set(
-            map(type, np.asarray(values, dtype=object).flat))  # read as 0 and 1 among numbers
+        if array is values:
+            elements = ()
+        elif isinstance(values, (list, tuple)) and array.ndim == 1:
+            elements = values
+        else:
+            elements = np.asarray(values, dtype=object).flat
+        bools = {bool, np.bool_} & set(map(type, elements))  # read as 0 and 1 among numbers
         if array.dtype.kind in "iuf" and not bools:
             return array.astype(float, copy=False)
     except ValueError:  # a ragged nesting

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+from itertools import chain, repeat
 
 from .errors import LeakyStageError, ScheduleError
 from .exposure import _SERIES_SWITCH, _onset
@@ -110,8 +111,10 @@ class PeakPlan(FrozenRecord):
 
     ``capacity_residual`` is the defect of the budget identity
     ``sum(q) = A_n + (1-lam) * sum(A_k, k<n) - a0`` and should be at floating
-    noise level for any plan produced here.  ``degenerate`` marks the Q = 0
-    plan, which releases nothing.
+    noise level for any plan produced here.  For the closed-form plans of
+    :func:`min_peak_plan` and :func:`state_peak_plan` it is exact over the
+    plan's floats and rounded once; :func:`simulate_recurrence` sums it with
+    ``math.fsum``.  ``degenerate`` marks the Q = 0 plan, which releases nothing.
     """
 
     releases: tuple[float, ...]
@@ -199,7 +202,8 @@ def min_peak_plan(config: RecoveryConfig) -> PeakPlan:
     The optimal peak is ``Q / c_n(lam)``; the profile is the one
     :func:`state_peak_plan` builds from level 0: the first release fills to
     the peak and each later one replenishes the decayed fraction ``1 - lam``.
-    For a nonzero starting level use :func:`state_peak_plan`.
+    Every post-release level is the peak itself.  For a nonzero starting level
+    use :func:`state_peak_plan`.
     """
     if config.a0 != 0.0:
         raise LeakyStageError(
@@ -252,29 +256,112 @@ def state_peak_plan(m: int, a: float, Q: float, lam: float) -> PeakPlan:
     one tops up the decayed fraction ``(1 - lam)`` of it.  When the start level
     dominates, the peak is ``a``, the minimiser is not unique, and this plan
     releases nothing first, then tops up ``(1 - lam) * a`` while the load
-    lasts, then releases the rest and nothing more.  The post-release levels
-    are the recurrence of the releases, as :func:`simulate_recurrence` computes
-    it.  The plan holds plain floats for ``int``, ``float`` and
-    ``numpy.float64`` arguments alike.
+    lasts, then releases the rest and nothing more.
+
+    The post-release levels are the closed form's too: the peak at every stage
+    of a fill, and ``a`` through the top-ups of a dominating start, then the
+    level after the last partial release, never above ``a``, then its float
+    decay ``lam * level`` stage by stage.  So ``max(post_levels) == peak``
+    exactly.  They lie within ``4 m eps max(1, Q, a)`` of the recurrence of the
+    releases, which :func:`simulate_recurrence` computes, but need not equal it.
+    ``capacity_residual`` is summed exactly over the runs of equal releases and
+    levels and rounded once.  The plan holds plain floats for ``int``,
+    ``float`` and ``numpy.float64`` arguments alike.
     """
     return _constant_peak_plan(m, _state_target(m, a, Q, lam), "remaining release count m")
 
 
 def _constant_peak_plan(m: int, state: tuple[float, ...], count: str) -> PeakPlan:
     """The :func:`state_peak_plan` profile of ``m`` releases from the :func:`_target`
-    ``state``; ``count`` names ``m`` in the error of a plan too long to allocate."""
+    ``state``, written in runs of equal releases and levels; ``count`` names ``m`` in the
+    error of a plan too long to allocate."""
     capacity, fill, a, Q, lam = state
     target = max(a, fill)
     step = (1.0 - lam) * target + 0.0  # + 0.0: a target of -0.0 tops up +0.0
     try:
-        if a <= fill:
-            releases = [target - a] + [step] * (m - 1)
+        if a <= fill:  # every level is the target
+            first, level = target - a, target + 0.0
+            releases, levels = (first,) + (step,) * (m - 1), (level,) * m
+            # a + (first - target) is first - (target - a) exactly, as target >= a
+            runs = [(a + (first - target), 1, 0), (step, m - 1, 0), (level, 0, m - 1)]
         else:  # step is 0.0 only for a subnormal a, whose load then goes at once
             k = int(min(m - 2, Q // step)) if step else 0
-            releases = [0.0] + [step] * k + [max(0.0, Q - k * step)] + [0.0] * (m - 2 - k)
+            rest = max(0.0, Q - k * step)
+            releases = (0.0,) + (step,) * k + (rest,) + (0.0,) * (m - 2 - k)
+            # the level holds at a through the top-ups, and rounding may not lift the
+            # partial one above it; then it decays to a fixed point of lam * x, zero or a
+            # subnormal, at j, which the rest of the plan repeats
+            tail, j = _decay(min(a, lam * a + rest), lam, m - 1 - k)
+            last = float(tail[-1])
+            # one pass with no partial tuples; it grows with no length known, safe once the
+            # releases, as long, are allocated
+            levels = tuple(chain(repeat(a, k + 1), tail[:j].tolist(), repeat(last, m - 1 - k - j)))
+            # the decay before its fixed point counts in units of 5e-324 = 2**-1074
+            runs = [(step, k, 0), (rest, 1, 0), (last, -1, m - 2 - k - j), (a, 1, k + 1),
+                    (5e-324, 0, _units(tail[:j]))]
     except (OverflowError, MemoryError):  # more releases than can be allocated
         raise LeakyStageError(f"{count} must be small enough to allocate its plan") from None
-    return _plan(releases, _levels(releases, a, lam), a, lam, target, capacity, Q == 0.0)
+    return PeakPlan(releases, levels, target, capacity, _residual(runs, lam), Q == 0.0)
+
+
+def _decay(level: float, lam: float, count: int):
+    """The ``count`` levels ``level, lam * level, ...`` of the recurrence with no release, as
+    a float array, and the index of the first level that ``lam * x`` keeps.
+
+    numpy's product accumulation rounds stage by stage, as the recurrence does.  The
+    levels never rise and reach a fixed point, zero or a subnormal, within about
+    1500 / -log(lam) stages, unless lam is near 1.  The pass runs in chunks of 4096
+    stages and stops at the first chunk that ends there, since products of subnormals
+    are slow: the rest repeats the fixed point.
+    """
+    import numpy as np
+
+    levels = np.full(count, lam)
+    levels[0] = level
+    done = 1
+    while done < count:
+        end = min(count, done + 4096)
+        chunk = levels[done - 1:end]
+        np.multiply.accumulate(chunk, out=chunk)
+        if levels[end - 1] == levels[end - 2]:
+            levels[end:] = levels[end - 1]
+            break
+        done = end
+    return levels, int(np.argmax(levels == levels[-1]))
+
+
+def _units(values) -> int:
+    """The exact sum of the finite nonnegative float array ``values`` in units of 2**-1074,
+    the spacing of the subnormals, of which every float is a whole number.  Each stretch
+    of values in one binade adds up as whole numbers of its own spacing, below 2**53, so
+    the Python loop runs once a binade, not once a value."""
+    import numpy as np
+
+    exp = np.maximum(np.frexp(values)[1], -1021)  # the subnormals share the spacing 2**-1074
+    units = np.ldexp(values, 53 - exp).astype(np.int64)
+    starts = np.flatnonzero(np.diff(exp, prepend=exp[:1] - 1))
+    # 27 and 26 bit halves, whose sums over a stretch stay exact in int64
+    high = np.add.reduceat(units >> 26, starts).tolist()
+    low = np.add.reduceat(units & (2**26 - 1), starts).tolist()
+    return sum([((h << 26) + lo) << shift
+                for h, lo, shift in zip(high, low, (exp[starts] + 1021).tolist())])
+
+
+def _residual(runs, lam: float) -> float:
+    """The defect ``sum(q) - A_n + a0 - (1 - lam) * sum(A_k, k < n)`` of the budget identity,
+    exact over the floats and rounded once.  Each run ``(value, count, held)`` adds
+    ``value`` ``count`` times to ``sum(q) - A_n + a0`` and ``held`` times to
+    ``sum(A_k, k < n)``.  Integer ratios need no module and cannot overflow, and
+    ``int / int`` rounds correctly."""
+    ln, ld = lam.as_integer_ratio()
+    n, d = 0, 1  # the sum so far is n / (d * ld), d a power of two
+    for value, count, held in runs:
+        if value:  # a zero adds nothing
+            vn, vd = value.as_integer_ratio()
+            if vd > d:
+                n, d = n * (vd // d), vd
+            n += (count * ld + (ln - ld) * held) * vn * (d // vd)
+    return n / (d * ld)
 
 
 def safe_count_fixed_lambda(Q: float, lam: float, params: ModelParams) -> int:
@@ -313,6 +400,15 @@ def _horizon_capacity(n: int, h: float) -> float:
     return 1.0 - (n - 1) * math.expm1(-h / (n - 1))
 
 
+def _deficit_fits(n: int, h: float, gap: float) -> bool:
+    """Whether the capacity deficit 1 + h - B_n(h) = (n-1)(x + y) = (n-1)(y - log1p(y)), at
+    x = h/(n-1) and y = expm1(-x), is at most ``gap``: the exposure bracket at a negative
+    argument, by its series for small y."""
+    x = h / (n - 1)
+    y = math.expm1(-x)
+    return (n - 1) * (y * y * _onset(y) if y > -_SERIES_SWITCH else x + y) <= gap
+
+
 def horizon_feasibility(
     r: float, h: float, *, eps_thr: float = EPS_THR
 ) -> HorizonFeasibility:
@@ -336,19 +432,25 @@ def horizon_feasibility(
     if r > 1.0 + h:
         return HorizonFeasibility(HorizonRegime.INFEASIBLE)
     gap = math.fsum((1.0, h, -r))  # > 0, as r lies below 1 + h rounded
-    # the deficit 1 + h - B_n(h) is (n-1)(x + y) = (n-1)(y - log1p(y)) at x = h/(n-1) and
-    # y = expm1(-x), the exposure bracket at a negative argument, by its series for small y;
-    # it falls as n grows and is below h**2 / (2(n-1)), so hi passes
+    # the deficit falls as n grows and is below h**2 / (2m), m = n - 1, so hi fits.  It is
+    # above h**2 / (2m) - h**3 / (6 m**2), which exceeds the gap below the larger root of
+    # gap m**2 - h**2 m / 2 + h**3 / 6, so lo - 1 does not fit, as a test confirms.  Near
+    # 1e15 counts one more count moves the deficit by less than its rounding and the test
+    # is no longer monotone in n: from a bound of 2**44 the bisection keeps its bracket
+    # from 2, and so its count
     bound = h / gap * h / 2.0
     if bound == math.inf:
         raise LeakyStageError(f"load r={r!r} needs more than 2**1023 releases within "
                               f"horizon h={h!r}, past the count rule")
     lo, hi = 2, 2 + int(bound)
+    discriminant = 1.0 - 8.0 / 3.0 * (gap / h)
+    if discriminant > 0.0 and bound < 2.0**44:
+        lo = 2 + int(bound / 2.0 * (1.0 + math.sqrt(discriminant)) * (1.0 - 1e-9))
+        if lo > 2 and _deficit_fits(lo - 1, h, gap):  # rounding moved the root: bisect from 2
+            lo = 2
     while lo < hi:
         mid = (lo + hi) // 2
-        x = h / (mid - 1)
-        y = math.expm1(-x)
-        if (mid - 1) * (y * y * _onset(y) if y > -_SERIES_SWITCH else x + y) <= gap:
+        if _deficit_fits(mid, h, gap):
             hi = mid
         else:
             lo = mid + 1

@@ -1,7 +1,8 @@
-"""Accuracy contracts against 50-digit mpmath references (``tests/util.py``).
+"""Accuracy contracts against exact references (``tests/util.py``): 50-digit mpmath,
+or exact rationals where the result is a rounded sum of floats.
 
 Each class is one public scalar function: a sampler that reaches the hard regimes,
-the mpmath reference, and the bound its docstring states.
+the reference, and the bound its docstring states.
 """
 import math
 
@@ -10,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leakystage import HorizonRegime, horizon_feasibility
-from util import mpmath_deficit_excess, mpmath_horizon_count
+from leakystage import (
+    HorizonRegime, RecoveryConfig, horizon_feasibility, min_peak_plan, state_peak_plan,
+    state_value,
+)
+from util import exact_budget_residual, mpmath_deficit_excess, mpmath_horizon_count
 
 pytest.importorskip("mpmath")
 
@@ -87,3 +91,41 @@ class TestHorizonCount:
             return
         count = mpmath_horizon_count(r, h)
         assert abs(verdict.n - count) <= 1 + 4 * EPS * count, (r, h, verdict.n, count)
+
+
+class TestPeakPlan:
+    """``state_peak_plan`` and ``min_peak_plan``: ``peak == state_value == max(post_levels)``,
+    exactly, and ``capacity_residual`` is the budget defect
+    ``sum(q) - A_n + a0 - (1 - lam) * sum(A_k, k < n)`` over the plan's floats, exact and
+    rounded once; the reference sums it in ``fractions.Fraction``."""
+
+    @staticmethod
+    def _check(plan, m, a, Q, lam):
+        assert plan.peak == state_value(m, a, Q, lam) == max(plan.post_levels)
+        reference = exact_budget_residual(plan.releases, plan.post_levels, a, lam)
+        assert repr(plan.capacity_residual) == repr(reference)
+
+    @pytest.mark.parametrize("m, a, Q, lam", [
+        (5, 1e308, 0.0, 0.9),                # levels whose sum passes the float range
+        (3, 1e308, 1e308, 0.5),              # a + Q overflows, the peak does not
+        (5, 0.0, 1.7e308, 0.5),
+        (3000, 5e-324, 0.0, 1 - 1e-9),       # a decay that stops at the smallest subnormal
+        (100_000, 0.7, 13650.0, 0.35),       # a decay to 69,289 zeros
+        (100_000, 0.7, 0.9 * 100_000 * 0.65, 0.35),
+        (1493, 34618.031773854185, 1.3582287989763895, 0.999999999),
+    ])
+    def test_float_range_rows(self, m, a, Q, lam):
+        self._check(state_peak_plan(m, a, Q, lam), m, a, Q, lam)
+
+    def test_seeded_plans_are_exact(self):
+        # counts up to 1e4, start levels on both sides of the fill peak, and the carry-overs
+        # whose decay tails end in zeros (lam <= 1/2), in a subnormal (lam > 1/2), or not at all
+        rng = np.random.default_rng(31)
+        for _ in range(150):
+            m = int(10.0 ** rng.uniform(0.0, 4.0))
+            lam = float(rng.choice([0.0, 1e-9, 1.0 - 1e-9, rng.uniform(0.0, 1.0)]))
+            a = float(rng.choice([0.0, 5e-324, rng.uniform(0.0, 2.0),
+                                  10.0 ** rng.uniform(-300.0, 300.0)]))
+            Q = float(rng.uniform(0.0, 2.0)) * m * (1.0 - lam) * max(a, 1.0)
+            self._check(state_peak_plan(m, a, Q, lam), m, a, Q, lam)
+            self._check(min_peak_plan(RecoveryConfig(lam=lam, n=m, Q=Q)), m, 0.0, Q, lam)

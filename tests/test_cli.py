@@ -377,6 +377,18 @@ class TestMain:
         assert '"n":4' in text.splitlines()[3]  # config echo carries the override
         assert len([l for l in text.splitlines() if not l.startswith("#")]) == 5  # header + 4 stages
 
+    def test_peak_prints_no_level_above_the_peak(self, capsys):
+        # the recurrence of the releases settled an ulp above the closed-form peak, and
+        # printed it so on 1396 of these 1397 rows
+        code = main(["peak", "--lam", "0.03709543994381185", "--n", "1397",
+                     "--Q", "1012.2854405333443", *FIG_FLAGS, "--no-meta-time"])
+        assert code == 0
+        header, *rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+                         if not line.startswith("#")]
+        level, peak = header.index("post_level"), header.index("peak")
+        assert len(rows) == 1397
+        assert all(float(row[level]) <= float(row[peak]) for row in rows)
+
     def test_error_exit_code(self, capsys):
         code = main(["split", "--Q", "1.0"])  # params missing entirely
         assert code == 1

@@ -5,9 +5,10 @@ scipy serves only the quadrature oracles in ``util`` and PyYAML only YAML
 config file must load neither; jsonschema serves only the tests (``cli.schema()`` builds its dict
 without it), so neither loads anything beyond the standard-library modules
 the package imports itself.  numpy is loaded only by ``simulate`` (through
-``envelope``), ``exposure_batch`` and ``unequal_spacing_capacity``; the
-package serves the ``envelope`` names lazily, so every other command runs
-without it.  Each check runs in a fresh interpreter, since this test process
+``envelope``), ``exposure_batch``, ``unequal_spacing_capacity`` and the decay
+tail of a ``state_peak_plan`` whose start level dominates, which no command
+reaches; the package serves the ``envelope`` names lazily, so every other
+command runs without it.  Each check runs in a fresh interpreter, since this test process
 has imported all three already.
 """
 import importlib

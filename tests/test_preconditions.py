@@ -258,6 +258,16 @@ def test_exposure_batch_rejects_non_finite_sizes():
     assert exposure_batch(np.zeros((0, 3)), P).shape == (0, 3)
 
 
+def test_flat_sequences_of_sizes_show_their_bools():
+    # a flat list or tuple is read by its own element types, with no object array; a bool
+    # among numbers fails there as in a nested list
+    for sizes in ([0.2, True], (0.2, np.False_), [1, 2, np.True_], [[0.2, 0.3], [True, 0.1]],
+                  ((0.2,), (np.True_,))):
+        with pytest.raises(LeakyStageError, match="release sizes must be finite and >= 0"):
+            exposure_batch(sizes, P)
+    assert exposure_batch((0.2, 1), P).tolist() == exposure_batch(np.array([0.2, 1.0]), P).tolist()
+
+
 @pytest.mark.parametrize("bad", [math.nan, -0.5, math.inf])
 def test_exposure_batch_checks_the_last_block(bad):
     # the range is checked block by block; a bad size past the first block still fails

@@ -30,6 +30,7 @@ from util import (
     bellman_state_value,
     bellman_tables,
     constant_peak_plan_oracle,
+    horizon_count_bisected_from_2,
     min_peak_plan_oracle,
     random_params,
     recurrence_peaks,
@@ -281,6 +282,18 @@ class TestHorizonFeasibility:
             assert horizon_capacity(verdict.n - 1, h) < r
 
 
+    def test_lower_end_keeps_the_count_of_the_bisection_from_2(self):
+        # loads near the frontier, counts log-uniform up to 1e15, where the float test stops
+        # being monotone in n
+        rng = np.random.default_rng(97)
+        for _ in range(3000):
+            h = float(10.0 ** rng.uniform(-3.0, 9.0))
+            n = 10.0 ** rng.uniform(0.3, 15.0)
+            r = 1.0 + h - min(h, h * h / (2.0 * n)) * float(rng.uniform(0.3, 1.0))
+            verdict = horizon_feasibility(r, h)
+            if verdict.regime is HorizonRegime.SAFE_WITH_N:
+                assert verdict.n == horizon_count_bisected_from_2(r, h), (r, h)
+
     def test_count_past_the_float_range_names_r_and_h(self):
         # the count is about h**2 / (2 (1 + h - r)), some 5e314, and B_n takes
         # n - 1 as a float
@@ -386,15 +399,17 @@ def _outcome(function, *args) -> str:
 
 
 def _check_constant_peak_plan(m, a, Q, lam):
-    """The exact properties of a closed-form plan, and its distance from the greedy fill."""
+    """The exact properties of a closed-form plan, and its distance from the recurrence of
+    its releases and from the greedy fill."""
     plan = state_peak_plan(m, a, Q, lam)
     assert plan.peak == state_value(m, a, Q, lam)
-    assert plan.post_levels == simulate_recurrence(
-        RecoveryConfig(lam=lam, n=m, Q=Q, a0=a), plan.releases).post_levels
+    assert max(plan.post_levels) == plan.peak
     assert all(q >= 0.0 for q in plan.releases)
+    recurrence = simulate_recurrence(RecoveryConfig(lam=lam, n=m, Q=Q, a0=a), plan.releases)
     greedy = state_peak_plan_oracle(m, a, Q, lam)
     tol = 4 * m * sys.float_info.epsilon * max(1.0, Q, a)
-    for ours, theirs in ((plan.releases, greedy.releases), (plan.post_levels, greedy.post_levels)):
+    for ours, theirs in ((plan.post_levels, recurrence.post_levels),
+                         (plan.releases, greedy.releases), (plan.post_levels, greedy.post_levels)):
         assert max(abs(x - y) for x, y in zip(ours, theirs)) <= tol
 
 
@@ -462,6 +477,44 @@ def _run_plans(draw):
     Q = draw(st.sampled_from([0, -0.0, 1e-320])
              | st.floats(0.0, 2.0).map(lambda f: f * m * (1.0 - lam)))
     return m, a, Q, lam
+
+
+@st.composite
+def _edge_plans(draw):
+    """Plans at the float edges: the signed zeros, the smallest subnormal, carry-overs at 0
+    and within 1e-9 of 0 and 1, and loads a few ulps below k + 1 whole top-ups, whose
+    partial top-up rounds to near the start level."""
+    m = draw(st.integers(1, 400))
+    lam = draw(st.sampled_from([0, 0.0, -0.0, 5e-324, 1e-9, 1 - 1e-9])
+               | st.floats(0.0, 1.0, exclude_max=True))
+    a = draw(st.sampled_from([0, 0.0, -0.0, 5e-324, 1e-300]) | st.floats(0.0, 2.0))
+    step = (1.0 - float(lam)) * float(a)
+    Q = (draw(st.integers(0, m)) + 1) * step
+    for _ in range(draw(st.integers(0, 3))):
+        Q = math.nextafter(Q, 0.0)
+    Q = draw(st.sampled_from([Q, 0, -0.0, 5e-324]))
+    return m, a, Q, lam
+
+
+class TestLevelsAtThePeak:
+    """No level of a plan lies above its peak, which the largest level equals."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_edge_plans())
+    # levels an ulp or two above the peak, where the recurrence settled above it
+    @example((1220, 0.1961909317171504, 660.2379826163583, 0.4344880796711648))
+    @example((1397, 0.0, 1012.2854405333443, 0.03709543994381185))
+    # a partial top-up that lam * a + rest rounds above a
+    @example((2870, 0.47912792365904666, 116.20525476116951, 0.43987315372099933))
+    def test_no_level_above_the_peak(self, args):
+        assert _outcome(state_peak_plan, *args) == _outcome(constant_peak_plan_oracle, *args)
+        _check_constant_peak_plan(*args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 400), st.floats(0.0, 1e6), _LAMS)
+    def test_min_peak_plan_levels_are_the_peak(self, n, Q, lam):
+        plan = min_peak_plan(RecoveryConfig(lam=lam, n=n, Q=Q))
+        assert set(plan.post_levels) == {plan.peak}
 
 
 class TestPlanRuns:

@@ -7,14 +7,17 @@ one-dimensional Bellman grid recursion for the minimax peak value, plain
 enumeration for the overhead trade-off and its frontier ``k_safe`` (with a
 50-digit optimum where r is too large to enumerate), numpy's ``linspace`` for
 the phase grids, the plain per-step loops of the envelope integrator and path
-exposure, the piece-by-piece balance check, the two-pass peak plans and the
-greedy per-stage fill, the per-cell CSV and ``json.dumps`` emit path for the
-CLI's output bytes, and frozen dataclasses for the package's records.
+exposure, the piece-by-piece balance check, the per-stage peak plans with their
+budget residual in exact rationals and the greedy per-stage fill, the per-cell
+CSV and ``json.dumps`` emit path for the CLI's output bytes, and frozen
+dataclasses for the package's records.
 """
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from leakystage import (
 )
 from leakystage.envelope import Trajectory, _segment_nodes
 from leakystage.model import guarded_ceil
+from leakystage.recovery import _deficit_fits
 
 
 def random_params(rng: np.random.Generator) -> ModelParams:
@@ -244,6 +248,21 @@ def mpmath_horizon_count(r: float, h: float) -> int:
     return hi
 
 
+def horizon_count_bisected_from_2(r: float, h: float) -> int:
+    """The count of ``horizon_feasibility``'s float deficit test bisected on
+    ``[2, 2 + h**2 / (2 gap)]``, the bracket it had before its lower end, which must keep
+    this count."""
+    gap = math.fsum((1.0, h, -r))
+    lo, hi = 2, 2 + int(h / gap * h / 2.0)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _deficit_fits(mid, h, gap):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
 def mpmath_overhead_optimum(r: float, k: float) -> int:
     """The cost-optimal overhead count at 50 digits: the cheaper of the floor and
     the ceiling of ``r * e^{-k}`` (at least 1), the smaller on an exact tie.
@@ -373,12 +392,24 @@ def bellman_descent_3(
 # ---------------------------------------------------------------------------
 # peak-plan oracles
 #
-# The plans as they were built in two passes: the releases run through
-# ``RecoveryConfig`` and the checked recurrence, then a second ``PeakPlan`` is
-# assembled from the result.  The package builds each plan in one pass and
-# must give the same bits.  ``state_peak_plan_oracle`` is the greedy per-stage
-# fill that ``state_peak_plan`` used to replay bit for bit; it now checks the
-# closed-form plan of ``constant_peak_plan_oracle`` to within rounding.
+# ``simulate_recurrence_oracle`` runs the checked recurrence and assembles the
+# ``PeakPlan`` in a second pass.  ``min_peak_plan_oracle`` and
+# ``constant_peak_plan_oracle`` write the closed-form plans one stage at a time,
+# levels included, with the budget residual summed in exact rationals
+# (``exact_budget_residual``); the package writes them in runs and must give the
+# same bits.  ``state_peak_plan_oracle`` is the greedy per-stage fill that
+# ``state_peak_plan`` used to replay bit for bit; it now checks the closed-form
+# plan to within rounding.
+
+
+def exact_budget_residual(releases, levels, a0: float, lam: float) -> float:
+    """The defect ``sum(q) - A_n + a0 - (1 - lam) * sum(A_k, k < n)`` of the budget
+    identity in exact rationals over the floats, rounded once."""
+    def total(values):  # the repeated values of a plan add up as multiples
+        return sum(Fraction(x) * count for x, count in Counter(values).items())
+
+    return float(total(releases) - Fraction(levels[-1]) + Fraction(a0)
+                 - (1 - Fraction(lam)) * total(levels[:-1]))
 
 
 def simulate_recurrence_oracle(config: RecoveryConfig, releases) -> PeakPlan:
@@ -424,13 +455,13 @@ def min_peak_plan_oracle(config: RecoveryConfig) -> PeakPlan:
         )
     peak = config.Q / peak_capacity(config.n, config.lam)
     releases = (peak,) + ((1.0 - config.lam) * peak,) * (config.n - 1)
-    simulated = simulate_recurrence_oracle(config, releases)
+    levels = (peak,) * config.n
     return PeakPlan(
         releases=releases,
-        post_levels=simulated.post_levels,
+        post_levels=levels,
         peak=peak,
-        capacity_multiplier=simulated.capacity_multiplier,
-        capacity_residual=simulated.capacity_residual,
+        capacity_multiplier=peak_capacity(config.n, config.lam),
+        capacity_residual=exact_budget_residual(releases, levels, 0.0, config.lam),
     )
 
 
@@ -465,10 +496,12 @@ def constant_peak_plan_oracle(m: int, a: float, Q: float, lam: float) -> PeakPla
     """``state_peak_plan`` one stage at a time, from the closed-form definition.
 
     With the fill peak ``(a + Q) / c_m`` at least ``a``, the first release lifts
-    the level to it and each later one tops up ``step = (1 - lam) * peak``.  When
-    the start dominates, the peak is ``a``: nothing is released first, then
-    ``step`` for each of the ``k = min(m - 2, Q // step)`` whole top-ups of the
-    load, then what is left, then nothing.
+    the level to it and each later one tops up ``step = (1 - lam) * peak``, and
+    every level is the peak.  When the start dominates, the peak is ``a``:
+    nothing is released first, then ``step`` for each of the
+    ``k = min(m - 2, Q // step)`` whole top-ups of the load, at level ``a``, then
+    what is left, at ``lam * a`` plus that but never above ``a``, then nothing,
+    while the level decays by ``lam`` a stage.
     """
     target = state_value(m, a, Q, lam)
     a, Q, lam = float(a), float(Q), float(lam) + 0.0
@@ -478,24 +511,25 @@ def constant_peak_plan_oracle(m: int, a: float, Q: float, lam: float) -> PeakPla
         fill = a / capacity + Q / capacity
     step = (1.0 - lam) * target + 0.0
     k = int(min(m - 2, Q // step)) if step else 0
-    releases = []
+    releases, levels = [], []
     for stage in range(m):
-        if stage == 0:
-            q = target - a
-        elif a <= fill or stage <= k:
-            q = step
+        if a <= fill:
+            q, level = (target - a if stage == 0 else step), target + 0.0
+        elif stage <= k:
+            q, level = (0.0 if stage == 0 else step), a
         elif stage == k + 1:
             q = max(0.0, Q - k * step)
+            level = min(a, lam * a + q)
         else:
-            q = 0.0
+            q, level = 0.0, lam * level
         releases.append(q)
-    plan = simulate_recurrence_oracle(RecoveryConfig(lam=lam, n=m, Q=Q, a0=a), releases)
+        levels.append(level)
     return PeakPlan(
-        releases=plan.releases,
-        post_levels=plan.post_levels,
+        releases=tuple(releases),
+        post_levels=tuple(levels),
         peak=target,
-        capacity_multiplier=plan.capacity_multiplier,
-        capacity_residual=plan.capacity_residual,
+        capacity_multiplier=capacity,
+        capacity_residual=exact_budget_residual(releases, levels, a, lam),
         degenerate=Q == 0.0,
     )
 
