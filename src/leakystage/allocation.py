@@ -177,21 +177,33 @@ def overhead_optimal_count(r: float, k: float) -> OverheadResult:
     a relative 1e-12 of the smaller one tie, and ``n_star`` is the smallest tie.
     """
     relaxed = continuous_relaxed_count(r, k)  # checks r and k
-    n_safe = _safe_count(r)
-    lo, hi = (min(max(1, f(relaxed)), n_safe) for f in (math.floor, math.ceil))
-    counts = range(lo, hi + 1)  # the floor and the ceiling, or the one count both clamp to
-    excess = [excess_exposure(r, n) for n in counts]
-    cost = [n * k + e for n, e in zip(counts, excess)]
-    best = min(cost)
-    ties = tuple(n for n, c in zip(counts, cost) if c <= best + _TIE_REL * max(1.0, best))
-    i = ties[0] - lo  # n_star's place among the counts
+    ties, cost, excess = _optimal_counts(r, k, relaxed, _safe_count(r))
     return OverheadResult(
         n_star=ties[0],
-        cost=cost[i],
-        residual_exposure=excess[i],
-        is_fully_safe=excess[i] == 0.0,
+        cost=cost,
+        residual_exposure=excess,
+        is_fully_safe=excess == 0.0,
         ties=ties,
     )
+
+
+def _optimal_counts(r: float, k: float, relaxed: float,
+                    n_safe: int) -> tuple[tuple[int, ...], float, float]:
+    """:func:`overhead_optimal_count` of checked ``r`` and ``k``, at their relaxed count
+    ``relaxed`` and safe count ``n_safe``: the ties, and the cost and excess of the first."""
+    lo = min(max(1, math.floor(relaxed)), n_safe)
+    hi = min(max(1, math.ceil(relaxed)), n_safe)
+    excess_lo = _excess(r, lo)
+    cost_lo = lo * k + excess_lo
+    if hi == lo:  # the floor and the ceiling are one count
+        return (lo,), cost_lo, excess_lo
+    excess_hi = _excess(r, hi)
+    cost_hi = hi * k + excess_hi
+    best = min(cost_lo, cost_hi)
+    tie = best + _TIE_REL * max(1.0, best)
+    if cost_lo > tie:
+        return (hi,), cost_hi, excess_hi
+    return ((lo, hi) if cost_hi <= tie else (lo,)), cost_lo, excess_lo
 
 
 def k_safe(r: float) -> float:
@@ -201,7 +213,11 @@ def k_safe(r: float) -> float:
     exposure ``excess(r, ceil(r) - 1)`` removed by the last stage, by convexity
     the least per extra stage.  Full safety is optimal exactly when ``k <= k_safe(r)``.
     """
-    n_safe = _safe_count(_number(r, "dimensionless load r", strict=True))
+    return _k_safe(r, _safe_count(_number(r, "dimensionless load r", strict=True)))
+
+
+def _k_safe(r: float, n_safe: int) -> float:
+    """:func:`k_safe` of a checked load ``r`` whose safe count is ``n_safe``."""
     if n_safe <= 1:
         return math.inf
     if r >= _EXACT_INTEGERS:

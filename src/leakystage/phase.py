@@ -12,14 +12,16 @@ horizon ``h``, overhead ``k``):
 * post-release levels of the uniform versus the front-loaded allocation for
   one finite-recovery configuration, with the decay path between releases.
 
-Every row is a pure function of the grid and reproducible by calling the
-underlying solvers directly.  Rows are emitted in deterministic grid order.
+Every row is a pure function of the grid and equal, bit for bit, to the public
+per-point call (``horizon_capacity``, ``k_safe``, ``overhead_optimal_count``),
+though the grids share the per-load and per-overhead work among their rows.
+Rows are emitted in deterministic grid order.
 """
 from __future__ import annotations
 
 import math
 
-from .allocation import k_safe, overhead_optimal_count
+from .allocation import _k_safe, _optimal_counts, _safe_count
 from .errors import LeakyStageError
 from .model import FrozenRecord, _count, _number
 from .recovery import RecoveryConfig, _horizon_capacity, min_peak_plan, simulate_recurrence
@@ -118,9 +120,11 @@ def feasibility_curves(
     if grid.h_range is None or not grid.n_curves:
         raise LeakyStageError("feasibility curves need h_range and n_curves")
     hs = _linspace(*grid.h_range, what="h_range count")  # the grid's checks cover every n and h
-    feasibility = tuple((h, n, _horizon_capacity(n, h)) for n in grid.n_curves for h in hs)
+    feasibility: list[tuple[float, int, float]] = []
+    for n in grid.n_curves:
+        feasibility += [(h, n, _horizon_capacity(n, h)) for h in hs]
     frontier = tuple((h, 1.0 + h) for h in hs)
-    return feasibility, frontier
+    return tuple(feasibility), frontier
 
 
 def sawtooth_frontier(
@@ -129,9 +133,11 @@ def sawtooth_frontier(
     """Tabulate ``k_safe(r)`` and the cost-optimal count at sampled overheads.
 
     Returns ``(ksafe_rows, nstar_rows)`` with rows ``(r, k_safe(r))`` and
-    ``(r, k, n_star)``.  With ``resolve_integers`` every r-sample within
-    1e-6 of an integer >= 2 is replaced by a pair straddling it, exposing
-    the drop on both sides.
+    ``(r, k, n_star)``, each equal bit for bit to :func:`~leakystage.allocation.k_safe`
+    and ``overhead_optimal_count(r, k).n_star``.  With ``resolve_integers`` every
+    r-sample within 1e-6 of an integer >= 2 is replaced by a pair straddling it,
+    exposing the drop on both sides, where the floats resolve it: from about 1.7e10
+    on, ``integer ± 1e-6`` rounds back to the integer and the one sample is kept.
     """
     if grid.r_range is None:
         raise LeakyStageError("the sawtooth frontier needs r_range")
@@ -139,18 +145,23 @@ def sawtooth_frontier(
     for r in _linspace(*grid.r_range, what="r_range count"):
         nearest = round(r)
         if resolve_integers and nearest >= 2 and abs(r - nearest) < _INTEGER_NUDGE:
-            rs.extend([nearest - _INTEGER_NUDGE, nearest + _INTEGER_NUDGE])
-        else:
+            below, above = nearest - _INTEGER_NUDGE, nearest + _INTEGER_NUDGE
+            if below != nearest != above:
+                rs.extend([below, above])
+                continue
+        if r > 0.0:
             rs.append(r)
-    ksafe_rows = tuple((r, k_safe(r)) for r in rs if r > 0.0)
+    n_safes = [_safe_count(r) for r in rs]
+    ksafe_rows = tuple((r, _k_safe(r, n_safe)) for r, n_safe in zip(rs, n_safes))
     nstar_rows: tuple[tuple[float, float, int], ...] = ()
     if grid.k_range is not None:
         ks = _linspace(*grid.k_range, what="k_range count")
+        # r * exp(-k) is continuous_relaxed_count(r, k), bit for bit
+        decays = [(k, math.exp(-k)) for k in ks]
         nstar_rows = tuple(
-            (r, k, overhead_optimal_count(r, k).n_star)
-            for r in rs
-            if r > 0.0
-            for k in ks
+            (r, k, _optimal_counts(r, k, r * decay, n_safe)[0][0])
+            for r, n_safe in zip(rs, n_safes)
+            for k, decay in decays
         )
     return ksafe_rows, nstar_rows
 

@@ -422,6 +422,10 @@ def horizon_feasibility(
     The count is the first ``n`` whose deficit ``1 + h - B_n(h)`` is at most ``1 + h - r``,
     both free of cancellation.  It is exact except within a few ulps of a deficit, where
     rounding decides: ``r = 3`` and ``h = 100`` give 3, as ``B_3(100) = 3 - 2e^{-50}`` rounds to 3.
+    Near 1e15 counts one more count can move the deficit by less than its rounding, and the
+    float test is no longer monotone in ``n``.  From a count bound
+    ``h**2 / (2 (1 + h - r))`` of 2**44 on, the count lies within ``1 + 4 eps n`` of the
+    exact count, and can depend on the bracket the bisection starts from.
     """
     _number(r, "dimensionless load r", strict=True)
     _number(h, "horizon h")

@@ -1,8 +1,9 @@
 """Accuracy contracts against exact references (``tests/util.py``): 50-digit mpmath,
 or exact rationals where the result is a rounded sum of floats.
 
-Each class is one public scalar function: a sampler that reaches the hard regimes,
-the reference, and the bound its docstring states.
+Each class is one public function: a sampler that reaches the hard regimes, the
+reference, and the bound its docstring states.  The batch exposure's reference is the
+scalar closed form, whose bits it keeps except above the series switch.
 """
 import math
 
@@ -12,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakystage import (
-    HorizonRegime, RecoveryConfig, horizon_feasibility, min_peak_plan, state_peak_plan,
-    state_value,
+    HorizonRegime, RecoveryConfig, derive, exposure_batch, exposure_closed_form,
+    horizon_feasibility, min_peak_plan, overhead_optimal_count, state_peak_plan, state_value,
 )
-from util import exact_budget_residual, mpmath_deficit_excess, mpmath_horizon_count
+from strategies import rate_sets
+from util import (exact_budget_residual, mpmath_deficit_excess, mpmath_horizon_count,
+                  mpmath_overhead_optimum)
 
 pytest.importorskip("mpmath")
 
@@ -129,3 +132,32 @@ class TestPeakPlan:
             Q = float(rng.uniform(0.0, 2.0)) * m * (1.0 - lam) * max(a, 1.0)
             self._check(state_peak_plan(m, a, Q, lam), m, a, Q, lam)
             self._check(min_peak_plan(RecoveryConfig(lam=lam, n=m, Q=Q)), m, 0.0, Q, lam)
+
+
+class TestOverheadOptimum:
+    """``overhead_optimal_count``: the 50-digit optimum over all counts is among the ties,
+    which are the floor and the ceiling of ``r e^-k`` at most."""
+
+    @pytest.mark.parametrize("r, k", [(1e9, 0.5), (1e7, 0.3), (123456.7, 1.1), (1e12, 0.2)])
+    def test_large_load_ties_hold_the_mpmath_optimum(self, r, k):
+        # at these costs the relative tie bound admits a run of many counts, yet
+        # only the floor and the ceiling of r e^-k can hold the optimum
+        ties = overhead_optimal_count(r, k).ties
+        assert mpmath_overhead_optimum(r, k) in ties
+        assert len(ties) <= 2
+
+
+class TestExposureBatch:
+    """``exposure_batch`` against the scalar ``exposure_closed_form``: within
+    ``5e-14 max(1, |log q|)`` relative above the series switch."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=rate_sets, overshoots=st.lists(
+        st.floats(0.1, 0.12) | st.floats(0.12, 10.0), min_size=1, max_size=8))
+    def test_batch_matches_scalar_above_the_switch(self, params, overshoots):
+        # a last-bit gap between np.log and math.log, magnified by the bracket's
+        # cancellation, which is largest just above the series switch
+        qs = derive(params).delta_c * (1.0 + np.array(overshoots))
+        for q, value in zip(qs, exposure_batch(qs, params)):
+            scalar = exposure_closed_form(float(q), params).value
+            assert abs(value - scalar) <= 5e-14 * max(1.0, abs(math.log(q))) * scalar

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from leakystage import (
     LeakyStageError,
-    ModelParams,
     derive,
     exposure_batch,
     exposure_closed_form,
@@ -16,19 +15,9 @@ from leakystage import (
 )
 from leakystage.cli import parse_config, run
 from leakystage.exposure import _BLOCK, _SERIES_SWITCH, _onset, exposure_table
+from strategies import rate_sets
 from util import (exposure_batch_masked, exposure_quadrature, exposure_spectral_form,
                   random_params)
-
-#: Rate sets in the shock-sensitive regime, drawn like ``util.random_params``.
-rate_sets = st.builds(
-    lambda beta, gap_mu, gap_delta, rho: ModelParams(
-        beta=beta, mu=beta + gap_mu, delta=beta + gap_mu + gap_delta, rho=rho
-    ),
-    st.floats(0.05, 1.5),
-    st.floats(0.02, 1.5),
-    st.floats(0.02, 2.0),
-    st.floats(0.1, 3.0),
-)
 
 
 class TestClosedForm:
@@ -119,17 +108,6 @@ class TestClosedForm:
             scalar = exposure_closed_form(float(q), params)
             assert (value == 0.0) == (scalar.active_duration == 0.0)
             assert abs(value - scalar.value) <= 1e-12 * scalar.value
-
-    @settings(max_examples=300, deadline=None)
-    @given(params=rate_sets, overshoots=st.lists(
-        st.floats(0.1, 0.12) | st.floats(0.12, 10.0), min_size=1, max_size=8))
-    def test_batch_matches_scalar_above_the_switch(self, params, overshoots):
-        # a last-bit gap between np.log and math.log, magnified by the bracket's
-        # cancellation, which is largest just above the series switch
-        qs = derive(params).delta_c * (1.0 + np.array(overshoots))
-        for q, value in zip(qs, exposure_batch(qs, params)):
-            scalar = exposure_closed_form(float(q), params).value
-            assert abs(value - scalar) <= 5e-14 * max(1.0, abs(math.log(q))) * scalar
 
 
 class TestOnsetSeries:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leakystage import (
@@ -24,6 +24,26 @@ GRID = PhaseGrid(
     k_range=(0.0, 1.5, 7),
     n_curves=(1, 2, 3, 4, 6),
 )
+
+
+def _range(lo: float, hi: float, count: int) -> tuple[float, float, int]:
+    return (min(lo, hi), max(lo, hi), count)
+
+
+# Loads and horizons across the float range: small values, integers (on which
+# resolve_integers acts), both sides of 2**53 (where k_safe changes its formula) and
+# up to 1e300.
+_VALUES = st.one_of(
+    st.floats(0.0, 50.0),
+    st.integers(0, 10**7).map(float),
+    st.floats(2.0**52, 2.0**54),
+    st.floats(0.0, 1e300),
+)
+_RANGES = st.builds(_range, _VALUES, _VALUES, st.integers(2, 12)).filter(
+    lambda rng: rng[0] < rng[1])
+# overheads below 1e-9, where r e^-k lies within rounding of r
+_TINY_RANGES = st.builds(_range, st.just(0.0), st.floats(5e-324, 1e-9), st.integers(2, 4))
+_COUNTS = st.one_of(st.integers(1, 50), st.integers(1, 2**62))
 
 
 class TestFeasibilityCurves:
@@ -53,14 +73,18 @@ class TestFeasibilityCurves:
             for a, b in zip(ns, ns[1:]):
                 assert curves[a] < curves[b]
 
-    def test_rows_reproducible(self):
-        feasibility, frontier = feasibility_curves(GRID)
-        rng = np.random.default_rng(107)
-        for idx in rng.choice(len(feasibility), size=10, replace=False):
-            h, n, value = feasibility[idx]
-            assert value == horizon_capacity(n, h)
-        for h, value in frontier[:5]:
-            assert value == 1.0 + h
+    @settings(max_examples=150, deadline=None)
+    @given(h_range=_RANGES, n_curves=st.lists(_COUNTS, max_size=4))
+    @example(h_range=GRID.h_range, n_curves=list(GRID.n_curves))
+    def test_rows_reproducible(self, h_range, n_curves):
+        # every row is the public per-point call, bit for bit
+        grid = PhaseGrid(h_range=h_range, n_curves=(1, *n_curves, 10**6))
+        feasibility, frontier = feasibility_curves(grid)
+        assert len(feasibility) == len(grid.n_curves) * len(frontier)
+        for h, n, value in feasibility:
+            assert repr(value) == repr(horizon_capacity(n, h))
+        for h, value in frontier:
+            assert repr(value) == repr(1.0 + h)
 
     def test_missing_range_rejected(self):
         with pytest.raises(LeakyStageError):
@@ -74,13 +98,21 @@ class TestSawtoothFrontier:
         for r, value in ksafe_rows:
             assert value == pytest.approx(r - 1 - math.log(r), rel=1e-12)
 
-    def test_rows_reproducible(self):
-        ksafe_rows, nstar_rows = sawtooth_frontier(GRID)
-        assert all(value == k_safe(r) for r, value in ksafe_rows)
-        rng = np.random.default_rng(109)
-        for idx in rng.choice(len(nstar_rows), size=15, replace=False):
-            r, k, n = nstar_rows[idx]
-            assert n == overhead_optimal_count(r, k).n_star
+    @settings(max_examples=150, deadline=None)
+    @given(r_range=_RANGES, k_range=_RANGES | _TINY_RANGES, resolve_integers=st.booleans())
+    @example(r_range=GRID.r_range, k_range=GRID.k_range, resolve_integers=False)
+    @example(r_range=(2.0, 2.0**54, 5), k_range=(0.0, 40.0, 9), resolve_integers=True)
+    @example(r_range=(0.0, 1e300, 4), k_range=(0.0, 1e-10, 3), resolve_integers=True)
+    def test_rows_reproducible(self, r_range, k_range, resolve_integers):
+        # every row is the public per-point call, bit for bit
+        grid = PhaseGrid(r_range=r_range, k_range=k_range)
+        ksafe_rows, nstar_rows = sawtooth_frontier(grid, resolve_integers=resolve_integers)
+        ks = _linspace(*k_range)
+        assert len(nstar_rows) == len(ksafe_rows) * len(ks)
+        for i, (r, value) in enumerate(ksafe_rows):
+            assert repr(value) == repr(k_safe(r))
+            for k, row in zip(ks, nstar_rows[i * len(ks):(i + 1) * len(ks)]):
+                assert repr(row) == repr((r, k, overhead_optimal_count(r, k).n_star))
 
     def test_safe_regime_below_frontier(self):
         _, nstar_rows = sawtooth_frontier(GRID)
@@ -97,6 +129,18 @@ class TestSawtoothFrontier:
         left = next(v for r, v in ksafe_rows if abs(r - (3 - 1e-6)) < 1e-9)
         right = next(v for r, v in ksafe_rows if abs(r - (3 + 1e-6)) < 1e-9)
         assert left > 1000 * right  # the drop at the integer crossing
+
+    def test_integer_resolution_keeps_one_sample_where_floats_do_not_resolve(self):
+        # past about 1.7e10 the float spacing reaches 1e-6 and integer ± 1e-6 rounds back
+        # to the integer: the sample stays single, not printed twice
+        grid = PhaseGrid(r_range=(1e16, 3e16, 3), k_range=(0.0, 1.0, 2))
+        resolved = sawtooth_frontier(grid, resolve_integers=True)
+        assert [len(rows) for rows in resolved] == [3, 6]
+        assert resolved == sawtooth_frontier(grid)
+        # 1e10 still has floats 1e-6 either side, 2e10 does not
+        ksafe_rows, _ = sawtooth_frontier(PhaseGrid(r_range=(1e10, 2e10, 2)),
+                                          resolve_integers=True)
+        assert [r for r, _ in ksafe_rows] == [1e10 - 1e-6, 1e10 + 1e-6, 2e10]
 
 
 class TestPanelC:
