@@ -306,7 +306,7 @@ def _load_document(path: str | Path) -> dict[str, Any]:
     name ``path`` as the caller gave it."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # absent, unreadable, or not UTF-8
         raise ConfigError(f"cannot read config file {str(path)!r}: {exc}") from exc
     if Path(path).suffix.lower() == ".json":  # JSON reads 1e300 as a number, YAML 1.1 as text
         try:
@@ -914,10 +914,14 @@ def main(argv: list[str] | None = None) -> int:
         try:
             sys.stdout.write(text)
             sys.stdout.flush()
-        except BrokenPipeError:
-            # downstream consumer (head, less, ...) closed the pipe
+        except OSError as exc:
+            # a downstream consumer (head, less, ...) closed the pipe, or the write failed
+            # (a full disk); the rest goes to devnull, so that shutdown's flush cannot fail
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 0
+            if isinstance(exc, BrokenPipeError):
+                return 0
+            _diagnostic(f"error: cannot write to stdout: {exc}")
+            return 1
     for warning in envelope.warnings:
         _diagnostic(f"warning: {warning}")
     return envelope.exit_code

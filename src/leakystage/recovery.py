@@ -141,7 +141,9 @@ def peak_capacity(n: int, lam: float) -> float:
 
     Threshold units absorbable by ``n`` releases at fixed spacing without
     the peak exceeding one unit.  ``lam = 0`` is accepted as the
-    complete-relaxation limit, where the multiplier is ``n``.
+    complete-relaxation limit, where the multiplier is ``n``.  It lies within 2 eps
+    (2**-52) relative of the exact multiplier of its float arguments: three roundings, and
+    a fourth where ``n - 1`` passes 2**53.
     """
     return _peak_capacity(_count(n, "release count n"), _lam(lam))
 
@@ -149,33 +151,6 @@ def peak_capacity(n: int, lam: float) -> float:
 def _peak_capacity(n: int, lam: float) -> float:
     """:func:`peak_capacity` of arguments already checked."""
     return 1.0 + (n - 1) * (1.0 - lam)
-
-
-def _levels(releases: tuple[float, ...], a0: float, lam: float) -> list[float]:
-    """Post-release levels of checked ``releases`` from level ``a0``."""
-    level = a0 + releases[0]
-    levels = [level]
-    for q in releases[1:]:
-        level = lam * level + q
-        levels.append(level)
-    return levels
-
-
-def _plan(releases, levels, a0: float, lam: float, peak, capacity, degenerate) -> PeakPlan:
-    """The :class:`PeakPlan` of checked ``releases`` with their finite post-release ``levels``."""
-    try:  # a zero level adds nothing to the sum but costs fsum a walk over its partials
-        identity = levels[-1] + (1.0 - lam) * math.fsum(filter(None, levels[:-1])) - a0
-        residual = math.fsum(releases) - identity
-    except OverflowError:
-        residual = math.inf
-    if not math.isfinite(residual):
-        # the sums pass the float range: add the terms stage by stage instead, so that
-        # the running sum is the current level less a0, finite with the levels
-        decay = lam - 1.0
-        terms = [x for q, level in zip(releases, levels) for x in (q, decay * level)]
-        terms[-1] = -levels[-1]
-        residual = math.fsum(terms + [a0])
-    return PeakPlan(tuple(releases), tuple(levels), peak, capacity, residual, degenerate)
 
 
 def simulate_recurrence(config: RecoveryConfig, releases) -> PeakPlan:
@@ -188,12 +163,29 @@ def simulate_recurrence(config: RecoveryConfig, releases) -> PeakPlan:
         raise ScheduleError(f"expected {config.n} releases, got {len(releases)}")
     releases = tuple([float(_number(q, f"release {j}", error=ScheduleError))
                       for j, q in enumerate(releases, 1)])
-    levels = _levels(releases, config.a0, config.lam)
-    if not math.isfinite(levels[-1]):  # an inf level stays inf, or turns nan at lam = 0
+    a0, lam = config.a0, config.lam
+    level = a0 + releases[0]
+    levels = [level]
+    for q in releases[1:]:
+        level = lam * level + q
+        levels.append(level)
+    if not math.isfinite(level):  # an inf level stays inf, or turns nan at lam = 0
         j = next(j for j, level in enumerate(levels, 1) if not math.isfinite(level))
         raise ScheduleError(f"release {j} lifts the level past the float range")
-    return _plan(releases, levels, config.a0, config.lam, max(levels),
-                 _peak_capacity(config.n, config.lam), not any(releases))
+    try:  # a zero level adds nothing to the sum but costs fsum a walk over its partials
+        identity = level + (1.0 - lam) * math.fsum(filter(None, levels[:-1])) - a0
+        residual = math.fsum(releases) - identity
+    except OverflowError:
+        residual = math.inf
+    if not math.isfinite(residual):
+        # the sums pass the float range: add the terms stage by stage instead, so that
+        # the running sum is the current level less a0, finite with the levels
+        decay = lam - 1.0
+        terms = [x for q, level in zip(releases, levels) for x in (q, decay * level)]
+        terms[-1] = -levels[-1]
+        residual = math.fsum(terms + [a0])
+    return PeakPlan(releases, tuple(levels), max(levels), _peak_capacity(config.n, lam),
+                    residual, not any(releases))
 
 
 def min_peak_plan(config: RecoveryConfig) -> PeakPlan:
@@ -211,8 +203,8 @@ def min_peak_plan(config: RecoveryConfig) -> PeakPlan:
         )
     # from +0.0 whatever the zero a0 is, so that a load of -0.0 releases +0.0; the
     # record has checked n, Q and lam
-    state = _target(config.n, 0.0, float(config.Q), float(config.lam) + 0.0)
-    return _constant_peak_plan(config.n, state, "release count n")
+    return _constant_peak_plan(config.n, 0.0, float(config.Q), float(config.lam) + 0.0,
+                               "release count n")
 
 
 def state_value(m: int, a: float, Q: float, lam: float) -> float:
@@ -221,23 +213,25 @@ def state_value(m: int, a: float, Q: float, lam: float) -> float:
     Closed form ``max(a, (a + Q) / c_m(lam))``; satisfies the minimax
     recursion ``H_m(a, Q) = min_q max(a + q, H_{m-1}(lam (a + q), Q - q))``
     with ``H_1(a, Q) = a + Q``.  The value is a plain ``float`` for ``int``,
-    ``float`` and ``numpy.float64`` arguments alike.
+    ``float`` and ``numpy.float64`` arguments alike.  It lies within 4 eps (2**-52)
+    relative of the exact value of its float arguments, plus 2**-1074 absolute, the
+    spacing of the subnormals, where the peak is subnormal.
     """
-    _, fill, a, _, _ = _state_target(m, a, Q, lam)
-    return max(a, fill)
+    a, Q, lam = _state_target(m, a, Q, lam)
+    return max(a, _target(m, a, Q, lam)[1])
 
 
-def _state_target(m: int, a: float, Q: float, lam: float) -> tuple[float, ...]:
-    """:func:`_target` after checking the arguments and making them plain floats;
-    ``lam`` has no sign on zero."""
+def _state_target(m: int, a: float, Q: float, lam: float) -> tuple[float, float, float]:
+    """``a``, ``Q`` and ``lam`` after checking them and ``m``, as plain floats; ``lam`` has
+    no sign on zero."""
     _count(m, "remaining release count m")
-    return _target(m, float(_number(a, "current level a")), float(_number(Q, "remaining load Q")),
-                   float(_lam(lam)) + 0.0)
+    return (float(_number(a, "current level a")), float(_number(Q, "remaining load Q")),
+            float(_lam(lam)) + 0.0)
 
 
-def _target(m: int, a: float, Q: float, lam: float) -> tuple[float, ...]:
-    """``c_m(lam)``, the fill peak ``(a + Q) / c_m(lam)``, ``a``, ``Q`` and ``lam``
-    for checked plain-float arguments."""
+def _target(m: int, a: float, Q: float, lam: float) -> tuple[float, float]:
+    """``c_m(lam)`` and the fill peak ``(a + Q) / c_m(lam)`` for checked plain-float
+    arguments."""
     capacity = _peak_capacity(m, lam)
     fill = (a + Q) / capacity
     if fill == math.inf:  # a + Q overflows, which the peak need not
@@ -245,7 +239,7 @@ def _target(m: int, a: float, Q: float, lam: float) -> tuple[float, ...]:
         if fill == math.inf:
             raise LeakyStageError(f"remaining load Q={Q!r} from current level a={a!r} "
                                   "overflows the peak (a + Q) / c_m(lam)")
-    return capacity, fill, a, Q, lam
+    return capacity, fill
 
 
 def state_peak_plan(m: int, a: float, Q: float, lam: float) -> PeakPlan:
@@ -268,14 +262,14 @@ def state_peak_plan(m: int, a: float, Q: float, lam: float) -> PeakPlan:
     levels and rounded once.  The plan holds plain floats for ``int``,
     ``float`` and ``numpy.float64`` arguments alike.
     """
-    return _constant_peak_plan(m, _state_target(m, a, Q, lam), "remaining release count m")
+    return _constant_peak_plan(m, *_state_target(m, a, Q, lam), "remaining release count m")
 
 
-def _constant_peak_plan(m: int, state: tuple[float, ...], count: str) -> PeakPlan:
-    """The :func:`state_peak_plan` profile of ``m`` releases from the :func:`_target`
-    ``state``, written in runs of equal releases and levels; ``count`` names ``m`` in the
-    error of a plan too long to allocate."""
-    capacity, fill, a, Q, lam = state
+def _constant_peak_plan(m: int, a: float, Q: float, lam: float, count: str) -> PeakPlan:
+    """The :func:`state_peak_plan` profile of ``m`` releases from level ``a`` for checked
+    plain-float arguments, written in runs of equal releases and levels; ``count`` names
+    ``m`` in the error of a plan too long to allocate."""
+    capacity, fill = _target(m, a, Q, lam)
     target = max(a, fill)
     step = (1.0 - lam) * target + 0.0  # + 0.0: a target of -0.0 tops up +0.0
     try:
@@ -351,17 +345,16 @@ def _residual(runs, lam: float) -> float:
     """The defect ``sum(q) - A_n + a0 - (1 - lam) * sum(A_k, k < n)`` of the budget identity,
     exact over the floats and rounded once.  Each run ``(value, count, held)`` adds
     ``value`` ``count`` times to ``sum(q) - A_n + a0`` and ``held`` times to
-    ``sum(A_k, k < n)``.  Integer ratios need no module and cannot overflow, and
-    ``int / int`` rounds correctly."""
+    ``sum(A_k, k < n)``.  It counts in units of 2**-1074, as :func:`_units` does, over the
+    denominator of ``lam``: integers need no module and cannot overflow, and ``int / int``
+    rounds correctly."""
     ln, ld = lam.as_integer_ratio()
-    n, d = 0, 1  # the sum so far is n / (d * ld), d a power of two
+    total = 0
     for value, count, held in runs:
         if value:  # a zero adds nothing
-            vn, vd = value.as_integer_ratio()
-            if vd > d:
-                n, d = n * (vd // d), vd
-            n += (count * ld + (ln - ld) * held) * vn * (d // vd)
-    return n / (d * ld)
+            vn, vd = value.as_integer_ratio()  # vd is a power of two, at most 2**1074
+            total += (count * ld + (ln - ld) * held) * (vn << 1075 - vd.bit_length())
+    return total / (ld << 1074)
 
 
 def safe_count_fixed_lambda(Q: float, lam: float, params: ModelParams) -> int:
@@ -387,7 +380,8 @@ def horizon_capacity(n: int, h: float) -> float:
     """Safe capacity ``B_n(h)`` of ``n`` equally spaced releases in horizon ``h``.
 
     ``B_1 = 1`` and ``B_n(h) = 1 + (n-1)(1 - exp(-h/(n-1)))`` for ``n >= 2``;
-    increasing in ``n`` and strictly below the supremum ``1 + h``.
+    increasing in ``n`` and strictly below the supremum ``1 + h``.  The value lies within
+    2 eps (2**-52) relative of the exact capacity of its float arguments.
     """
     return _horizon_capacity(_count(n, "release count n"), _number(h, "horizon h"))
 
@@ -425,7 +419,7 @@ def horizon_feasibility(
     Near 1e15 counts one more count can move the deficit by less than its rounding, and the
     float test is no longer monotone in ``n``.  From a count bound
     ``h**2 / (2 (1 + h - r))`` of 2**44 on, the count lies within ``1 + 4 eps n`` of the
-    exact count, and can depend on the bracket the bisection starts from.
+    exact count.
     """
     _number(r, "dimensionless load r", strict=True)
     _number(h, "horizon h")
@@ -436,22 +430,14 @@ def horizon_feasibility(
     if r > 1.0 + h:
         return HorizonFeasibility(HorizonRegime.INFEASIBLE)
     gap = math.fsum((1.0, h, -r))  # > 0, as r lies below 1 + h rounded
-    # the deficit falls as n grows and is below h**2 / (2m), m = n - 1, so hi fits.  It is
-    # above h**2 / (2m) - h**3 / (6 m**2), which exceeds the gap below the larger root of
-    # gap m**2 - h**2 m / 2 + h**3 / 6, so lo - 1 does not fit, as a test confirms.  Near
-    # 1e15 counts one more count moves the deficit by less than its rounding and the test
-    # is no longer monotone in n: from a bound of 2**44 the bisection keeps its bracket
-    # from 2, and so its count
+    # the deficit falls as n grows and is below h**2 / (2m), m = n - 1, so hi fits.  Near
+    # 1e15 counts one more count moves the deficit by less than its rounding, and the test
+    # is no longer monotone in n: the count is then the one this bisection finds
     bound = h / gap * h / 2.0
     if bound == math.inf:
         raise LeakyStageError(f"load r={r!r} needs more than 2**1023 releases within "
                               f"horizon h={h!r}, past the count rule")
     lo, hi = 2, 2 + int(bound)
-    discriminant = 1.0 - 8.0 / 3.0 * (gap / h)
-    if discriminant > 0.0 and bound < 2.0**44:
-        lo = 2 + int(bound / 2.0 * (1.0 + math.sqrt(discriminant)) * (1.0 - 1e-9))
-        if lo > 2 and _deficit_fits(lo - 1, h, gap):  # rounding moved the root: bisect from 2
-            lo = 2
     while lo < hi:
         mid = (lo + hi) // 2
         if _deficit_fits(mid, h, gap):

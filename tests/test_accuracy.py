@@ -13,14 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakystage import (
-    HorizonRegime, RecoveryConfig, derive, exposure_batch, exposure_closed_form,
-    horizon_feasibility, min_peak_plan, overhead_optimal_count, state_peak_plan, state_value,
+    HorizonRegime, RecoveryConfig, derive, exposure_batch, exposure_closed_form, horizon_capacity,
+    horizon_feasibility, min_peak_plan, overhead_optimal_count, peak_capacity, state_peak_plan,
+    state_value,
 )
 from strategies import rate_sets
-from util import (exact_budget_residual, mpmath_deficit_excess, mpmath_horizon_count,
-                  mpmath_overhead_optimum)
+from util import (exact_budget_residual, mpmath_deficit_excess, mpmath_horizon_capacity,
+                  mpmath_horizon_count, mpmath_overhead_optimum, mpmath_peak_capacity,
+                  mpmath_state_value)
 
-pytest.importorskip("mpmath")
+mpmath = pytest.importorskip("mpmath")
 
 EPS = 2.0**-52
 
@@ -94,6 +96,91 @@ class TestHorizonCount:
             return
         count = mpmath_horizon_count(r, h)
         assert abs(verdict.n - count) <= 1 + 4 * EPS * count, (r, h, verdict.n, count)
+
+
+def _log_uniform(rng, low: float, high: float) -> float:
+    return float(10.0 ** rng.uniform(low, high))
+
+
+def _carry_over(rng) -> float:
+    """Carry-overs of every kind: zero, subnormal to tiny, below and above 1/2, and within
+    1e-16 of 1."""
+    return float(rng.choice([0.0, _log_uniform(rng, -323.0, 0.0), rng.uniform(0.0, 0.5),
+                             rng.uniform(0.0, 1.0), 1.0 - _log_uniform(rng, -16.0, 0.0)]))
+
+
+def _eps_off(value: float, reference) -> float:
+    """The relative error of ``value`` from a nonzero 50-digit ``reference``, in eps."""
+    return float(abs(mpmath.mpf(value) - reference) / reference) / EPS
+
+
+class TestHorizonCapacity:
+    """``horizon_capacity``: within 2 eps relative of ``B_n(h)`` at 50 digits."""
+
+    def test_seeded_capacities_within_2_eps(self):
+        # counts up to 1e18, past 2**53, and horizons from subnormal to 1e300, or a spacing
+        # h/(n-1) from 1e-20, where B_n sits at 1 + h, to 1e3, where it sits at n
+        rng = np.random.default_rng(41)
+        worst = 0.0
+        for _ in range(3000):
+            n = 1 + int(10.0 ** rng.uniform(0.0, 18.0))
+            if rng.random() < 0.5:
+                h = _log_uniform(rng, -323.0, 300.0)
+            else:
+                h = _log_uniform(rng, -20.0, 3.0) * max(1, n - 1)
+            off = _eps_off(horizon_capacity(n, h), mpmath_horizon_capacity(n, h))
+            assert off <= 2.0, (n, h, off)
+            worst = max(worst, off)
+        assert worst > 0.5  # the sampler reaches the rounding
+
+
+class TestPeakCapacity:
+    """``peak_capacity``: within 2 eps relative of ``c_n(lam)`` at 50 digits."""
+
+    def test_seeded_multipliers_within_2_eps(self):
+        rng = np.random.default_rng(43)
+        worst = 0.0
+        for _ in range(3000):
+            n, lam = 1 + int(10.0 ** rng.uniform(0.0, 18.0)), _carry_over(rng)
+            off = _eps_off(peak_capacity(n, lam), mpmath_peak_capacity(n, lam))
+            assert off <= 2.0, (n, lam, off)
+            worst = max(worst, off)
+        assert worst > 0.5
+
+
+class TestStateValue:
+    """``state_value``: within 4 eps relative of ``max(a, (a + Q) / c_m(lam))`` at 50 digits,
+    plus 2**-1074 absolute where the peak is subnormal."""
+
+    @pytest.mark.parametrize("m, a, Q, lam", [
+        (316_000_000_000_000, 0.0, 1.4e-300, 0.335),  # a subnormal peak, 4e5 eps off relative
+        (3, 1e308, 1e308, 0.5),                       # a + Q overflows, the peak does not
+        (2, 0.0, 5e-324, 0.0),                        # a peak of half a subnormal rounds to 0
+    ])
+    def test_float_range_rows(self, m, a, Q, lam):
+        reference = mpmath_state_value(m, a, Q, lam)
+        assert abs(mpmath.mpf(state_value(m, a, Q, lam)) - reference) <= (
+            4 * EPS * reference + 2.0**-1074)
+
+    def test_seeded_values_within_4_eps(self):
+        # counts up to 1e18 and levels and loads from zero and the subnormals up to 1e300, on
+        # both sides of the fill peak, and pairs whose sum a + Q overflows
+        rng = np.random.default_rng(47)
+        worst = 0.0
+        for _ in range(3000):
+            m, lam = 1 + int(10.0 ** rng.uniform(0.0, 18.0)), _carry_over(rng)
+            a = 0.0 if rng.random() < 0.2 else _log_uniform(rng, -323.0, 300.0)
+            Q = _log_uniform(rng, -323.0, 300.0)
+            if rng.random() < 0.3:
+                Q = a * _log_uniform(rng, -3.0, 3.0)
+            elif rng.random() < 0.1:
+                a, Q = _log_uniform(rng, 307.0, 308.2), _log_uniform(rng, 307.0, 308.2)
+            value, reference = state_value(m, a, Q, lam), mpmath_state_value(m, a, Q, lam)
+            assert abs(mpmath.mpf(value) - reference) <= 4 * EPS * reference + 2.0**-1074, (
+                m, a, Q, lam)
+            if value >= 2.0**-1022:
+                worst = max(worst, _eps_off(value, reference))
+        assert worst > 0.5
 
 
 class TestPeakPlan:

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +15,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leakystage
 from leakystage import ConfigError, LeakyStageError, derive
 from leakystage.cli import (
     _DOCUMENT, _FIELDS, _PARAMS, COMMANDS, _check, _Field, _scalar, main, parse_config, run,
@@ -577,6 +581,34 @@ class TestMain:
         assert "config file './bad.yaml' is not valid YAML" in capsys.readouterr().err
         assert main(["split", "--config", "./absent.yaml"]) == 1
         assert "cannot read config file './absent.yaml'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suffix", ["yaml", "json"])
+    def test_config_file_not_utf8_exits_1(self, tmp_path, monkeypatch, capsys, suffix):
+        # read_text's UnicodeDecodeError is no OSError, and escaped as a traceback
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / f"bad.{suffix}").write_bytes(b"\xff\xfe\x00bad")
+        assert main(["peak", "--config", f"./bad.{suffix}"]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot read config file './bad.{suffix}'" in err
+        assert "Traceback" not in err
+        with pytest.raises(ConfigError, match="can't decode"):
+            parse_config(tmp_path / f"bad.{suffix}")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_stdout_write_exits_1(self):
+        # a write to a full device raised OSError past main, and shutdown's flush raised again
+        src = str(Path(leakystage.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys\nfrom leakystage.cli import main\nsys.exit(main())\n"
+        with open("/dev/full", "w") as full:
+            child = subprocess.run(
+                [sys.executable, "-c", code, "peak", "--preset", "peak-c", "--no-meta-time"],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=path))
+        assert child.returncode == 1
+        assert child.stderr.startswith("error: cannot write to stdout: ")
+        assert "Traceback" not in child.stderr
+        assert "Exception ignored" not in child.stderr
 
     def test_json_file_reads_1e300_as_a_number(self, tmp_path, capsys):
         # YAML 1.1 reads 1e300 as text, JSON as a number: a .json file is read as JSON

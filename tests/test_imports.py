@@ -133,6 +133,19 @@ def test_json_config_file_runs_without_yaml(tmp_path):
     assert child.stdout.splitlines()[-1] == "False"
 
 
+def test_util_oracles_load_no_test_tool():
+    # the benchmark harness imports util into the process it measures, so a module-level
+    # import there counts in every workload's peak memory
+    tests = str(Path(__file__).resolve().parent)
+    child = run_child(
+        f"import sys\nsys.path.insert(0, {tests!r})\nimport util\n"
+        "print(sorted(name for name in ('hypothesis', 'scipy', 'mpmath', 'pytest', 'jsonschema')"
+        " if name in sys.modules))\n"
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
+
+
 def test_numpy_loads_only_with_the_envelope_names():
     child = run_child(
         "import sys, leakystage, leakystage.cli\n"

@@ -5,7 +5,8 @@ adaptive quadrature of the single-release exposure (two routes), the masked
 whole-array exposure batch, grid/simplex searches for the allocation optimum, a
 one-dimensional Bellman grid recursion for the minimax peak value, plain
 enumeration for the overhead trade-off and its frontier ``k_safe`` (with a
-50-digit optimum where r is too large to enumerate), numpy's ``linspace`` for
+50-digit optimum where r is too large to enumerate), the horizon count, the two
+capacities and the minimal peak at 50 digits, numpy's ``linspace`` for
 the phase grids, the plain per-step loops of the envelope integrator and path
 exposure, the piece-by-piece balance check, the per-stage peak plans with their
 budget residual in exact rationals and the greedy per-stage fill, the per-cell
@@ -250,8 +251,8 @@ def mpmath_horizon_count(r: float, h: float) -> int:
 
 def horizon_count_bisected_from_2(r: float, h: float) -> int:
     """The count of ``horizon_feasibility``'s float deficit test bisected on
-    ``[2, 2 + h**2 / (2 gap)]``, the bracket it had before its lower end, which must keep
-    this count."""
+    ``[2, 2 + h**2 / (2 gap)]``, spelled apart from it: the production bracket, which no
+    tighter lower end may change."""
     gap = math.fsum((1.0, h, -r))
     lo, hi = 2, 2 + int(h / gap * h / 2.0)
     while lo < hi:
@@ -261,6 +262,34 @@ def horizon_count_bisected_from_2(r: float, h: float) -> int:
         else:
             lo = mid + 1
     return hi
+
+
+def mpmath_horizon_capacity(n: int, h: float):
+    """``B_n(h) = 1 - (n-1) expm1(-h/(n-1))``, ``B_1 = 1``, at 50 digits as an mpmath number,
+    not rounded to a float; it needs mpmath."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        m = mpmath.mpf(n - 1)
+        return 1 - m * mpmath.expm1(-mpmath.mpf(h) / m) if n > 1 else mpmath.mpf(1)
+
+
+def mpmath_peak_capacity(n: int, lam: float):
+    """``c_n(lam) = 1 + (n-1)(1 - lam)`` at 50 digits as an mpmath number; it needs mpmath."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        return 1 + (n - 1) * (1 - mpmath.mpf(lam))
+
+
+def mpmath_state_value(m: int, a: float, Q: float, lam: float):
+    """The minimal peak ``max(a, (a + Q) / c_m(lam))`` at 50 digits as an mpmath number; it
+    needs mpmath."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        A = mpmath.mpf(a)
+        return max(A, (A + mpmath.mpf(Q)) / mpmath_peak_capacity(m, lam))
 
 
 def mpmath_overhead_optimum(r: float, k: float) -> int:
