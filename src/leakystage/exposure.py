@@ -129,6 +129,13 @@ def exposure_closed_form(
     Returns exactly 0.0 for ``q <= delta_c`` (within ``eps_thr``); above the
     threshold the value is ``(delta-beta)/rho * (q - delta_c - delta_c *
     log(q/delta_c))`` and the active duration is ``log(q/delta_c)/rho``.
+
+    From the float ``alpha`` and ``delta_c`` of :func:`~leakystage.model.derive`, the
+    value lies within ``2.5e-14 (1 + |log delta_c|)`` relative of the exact one and the
+    active duration within 2 eps (2**-52) relative.  The value's error peaks just above
+    the series switch, where the log difference cancels: in 100,000 sizes per
+    ``delta_c`` from the plateau's edge to 1e300, the worst seen was 3.1e-14, 5.4e-14 and
+    1.46e-13 at ``delta_c`` = 1/3, 0.06 and 1e-3, and 1.17 eps for the duration.
     """
     eps_thr = _number(eps_thr, "tolerance eps_thr")
     value, _, active_duration = _release(q, derive(params), params.rho, eps_thr)

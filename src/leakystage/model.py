@@ -292,11 +292,20 @@ class DimensionlessPoint(FrozenRecord):
 def derive(params: ModelParams) -> DerivedConstants:
     """Return the derived constants (alpha, gamma, delta_c) for ``params``.
 
-    Deterministic and pure: repeated calls are bit-identical.
+    The record is computed and checked once per :class:`ModelParams` object, on the
+    first call, and every later call returns that same record.  It is kept in the
+    object's instance dict under the key ``_derived``, which is no field, so ``==``,
+    ``hash`` and ``repr`` of the params do not see it.  Threads racing on the first
+    call each compute an equal record.  Repeated calls are bit-identical.
     """
-    alpha = params.delta - params.beta
-    gamma = params.mu - params.beta
-    return DerivedConstants(alpha=alpha, gamma=gamma, delta_c=gamma / alpha)
+    try:
+        return params._derived
+    except AttributeError:
+        alpha = params.delta - params.beta
+        gamma = params.mu - params.beta
+        # past the raising __setattr__, as FrozenRecord.__init__ writes the fields
+        d = params.__dict__["_derived"] = DerivedConstants(alpha, gamma, gamma / alpha)
+        return d
 
 
 def growth_pressure(A, params: ModelParams):

@@ -63,6 +63,13 @@ class HorizonFeasibility(FrozenRecord):
         return self.regime.value
 
 
+#: The verdicts that carry no count, one shared record each: records are immutable.
+_ONE_RELEASE, _SUPREMAL, _INFEASIBLE = (
+    HorizonFeasibility(regime) for regime in (HorizonRegime.SAFE_WITH_ONE_RELEASE,
+                                              HorizonRegime.SUPREMAL_BOUNDARY,
+                                              HorizonRegime.INFEASIBLE))
+
+
 def _lam(lam: float) -> float:
     """The checked carry-over factor; 0 is the complete-relaxation limit and is accepted."""
     return _number(lam, "carry-over factor lam", below=1)
@@ -411,7 +418,9 @@ def horizon_feasibility(
     One release suffices for ``r <= 1``; for ``1 < r < 1 + h`` some finite
     equally spaced count works and the smallest is returned; at
     ``r = 1 + h`` (within ``eps_thr``) the capacity is only supremal; above
-    it no finite schedule is safe.
+    it no finite schedule is safe.  The three verdicts without a count are shared
+    immutable records, one per regime, returned by every call that reaches them;
+    a ``SAFE_WITH_N`` verdict is built per call.
 
     The count is the first ``n`` whose deficit ``1 + h - B_n(h)`` is at most ``1 + h - r``,
     both free of cancellation.  It is exact except within a few ulps of a deficit, where
@@ -424,11 +433,11 @@ def horizon_feasibility(
     _number(r, "dimensionless load r", strict=True)
     _number(h, "horizon h")
     if r <= 1.0 + _number(eps_thr, "tolerance eps_thr"):
-        return HorizonFeasibility(HorizonRegime.SAFE_WITH_ONE_RELEASE)
+        return _ONE_RELEASE
     if abs(r - (1.0 + h)) <= eps_thr:
-        return HorizonFeasibility(HorizonRegime.SUPREMAL_BOUNDARY)
+        return _SUPREMAL
     if r > 1.0 + h:
-        return HorizonFeasibility(HorizonRegime.INFEASIBLE)
+        return _INFEASIBLE
     gap = math.fsum((1.0, h, -r))  # > 0, as r lies below 1 + h rounded
     # the deficit falls as n grows and is below h**2 / (2m), m = n - 1, so hi fits.  Near
     # 1e15 counts one more count moves the deficit by less than its rounding, and the test
@@ -458,7 +467,9 @@ def unequal_spacing_capacity(taus, rho: float) -> float:
     import numpy as np
 
     taus = _numbers(taus, "inter-release times")
-    return 1.0 + float(np.sum(-np.expm1(-rho * taus)))
+    with np.errstate(over="ignore"):  # a gap whose rho * tau overflows recovers one full unit
+        recovered = -np.expm1(-rho * taus)
+    return 1.0 + float(np.sum(recovered))
 
 
 def capacity_report(

@@ -13,14 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakystage import (
-    HorizonRegime, RecoveryConfig, derive, exposure_batch, exposure_closed_form, horizon_capacity,
-    horizon_feasibility, min_peak_plan, overhead_optimal_count, peak_capacity, state_peak_plan,
-    state_value,
+    HorizonRegime, ModelParams, RecoveryConfig, derive, exposure_batch, exposure_closed_form,
+    horizon_capacity, horizon_feasibility, min_peak_plan, overhead_optimal_count, peak_capacity,
+    state_peak_plan, state_value,
 )
 from strategies import rate_sets
-from util import (exact_budget_residual, mpmath_deficit_excess, mpmath_horizon_capacity,
-                  mpmath_horizon_count, mpmath_overhead_optimum, mpmath_peak_capacity,
-                  mpmath_state_value)
+from util import (exact_budget_residual, mpmath_deficit_excess, mpmath_exposure,
+                  mpmath_horizon_capacity, mpmath_horizon_count, mpmath_overhead_optimum,
+                  mpmath_peak_capacity, mpmath_state_value)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -232,6 +232,41 @@ class TestOverheadOptimum:
         ties = overhead_optimal_count(r, k).ties
         assert mpmath_overhead_optimum(r, k) in ties
         assert len(ties) <= 2
+
+
+class TestExposureClosedForm:
+    """``exposure_closed_form``: from the float ``alpha`` and ``delta_c`` of ``derive``, the
+    value within ``2.5e-14 (1 + |log delta_c|)`` relative of the 50-digit value and the
+    active duration within 2 eps relative."""
+
+    @pytest.mark.parametrize("params", [
+        ModelParams(0.6, 1.0, 1.8, 0.5),      # delta_c = 1/3
+        ModelParams(0.5, 0.56, 1.5, 2.0),     # delta_c = 0.06
+        ModelParams(0.5, 0.501, 1.5, 0.01),   # delta_c = 1e-3
+    ], ids=["1/3", "0.06", "1e-3"])
+    def test_seeded_releases_within_the_bound(self, params):
+        # 20,000 sizes log-uniform in turn in the overshoot q - delta_c from just past the
+        # plateau's eps_thr up to the series switch, in q / delta_c over [1.1, 51], where the
+        # log difference cancels most, and in q up to 1e300
+        delta_c = derive(params).delta_c
+        bound = 2.5e-14 * (1.0 + abs(math.log(delta_c)))
+        rng = np.random.default_rng(53)
+        worst_value = worst_duration = 0.0
+        for i in range(20_000):
+            if i % 3 == 0:
+                q = delta_c + _log_uniform(rng, math.log10(2e-12), math.log10(0.1 * delta_c))
+            elif i % 3 == 1:
+                q = delta_c * (1.0 + _log_uniform(rng, -1.0, math.log10(50.0)))
+            else:
+                q = _log_uniform(rng, math.log10(delta_c) + 1e-9, 300.0)
+            exposure = exposure_closed_form(q, params)
+            value, duration = mpmath_exposure(q, params)
+            value_off = float(abs(mpmath.mpf(exposure.value) - value) / value)
+            duration_off = _eps_off(exposure.active_duration, duration)
+            assert value_off <= bound and duration_off <= 2.0, (q, value_off, duration_off)
+            worst_value, worst_duration = max(worst_value, value_off), max(worst_duration,
+                                                                            duration_off)
+        assert worst_value > 0.2 * bound and worst_duration > 0.5  # the sampler reaches both
 
 
 class TestExposureBatch:

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -43,6 +46,42 @@ class TestDerive:
             second.gamma,
             second.delta_c,
         )
+
+    def test_computed_once_per_params_object(self):
+        p = ModelParams(beta=0.37, mu=0.91, delta=1.55, rho=0.77)
+        assert derive(p) is derive(p)
+        assert derive(ModelParams(0.37, 0.91, 1.55, 0.77)) is not derive(p)
+
+    @pytest.mark.parametrize("rates", [
+        (0.37, 0.91, 1.55, 0.77), (1, 2, 5, 3),
+        tuple(map(np.float64, (0.37, 0.91, 1.55, 0.77)))], ids=["float", "int", "float64"])
+    def test_kept_record_equals_a_fresh_computation(self, rates):
+        beta, mu, delta, _ = rates
+        fresh = DerivedConstants(delta - beta, mu - beta, (mu - beta) / (delta - beta))
+        p = ModelParams(*rates)
+        for d in (derive(p), derive(p)):
+            assert d == fresh and repr(d) == repr(fresh)
+            assert all(type(a) is type(b) for a, b in zip(d._values(), fresh._values()))
+
+    def test_failed_checks_keep_nothing_and_raise_again(self):
+        # delta_c = 2.2e-16 / 1e308 underflows to 0.0, which DerivedConstants rejects
+        p = ModelParams(beta=1.0, mu=1.0 + 2**-52, delta=1e308, rho=1.0)
+        for _ in range(2):
+            with pytest.raises(ParameterError, match="delta_c"):
+                derive(p)
+
+    def test_params_unaffected_by_the_kept_record(self):
+        p, q = ModelParams(0.6, 1.0, 1.8, 0.5), ModelParams(0.6, 1.0, 1.8, 0.5)
+        derive(p)
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+        assert p._values() == q._values() == (0.6, 1.0, 1.8, 0.5)
+        assert {p: 1}[q] == 1
+        for other in (copy.deepcopy(p), pickle.loads(pickle.dumps(p)), copy.copy(p)):
+            assert other == p and hash(other) == hash(p) and repr(other) == repr(p)
+            assert derive(other) == derive(p)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.beta = 0.5
+        assert p == q
 
     def test_product_identity(self):
         rng = np.random.default_rng(7)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from leakystage import (
     UNBOUNDED,
+    HorizonFeasibility,
     HorizonRegime,
     LeakyStageError,
     RecoveryConfig,
@@ -294,6 +296,35 @@ class TestHorizonFeasibility:
             if verdict.regime is HorizonRegime.SAFE_WITH_N:
                 assert verdict.n == horizon_count_bisected_from_2(r, h), (r, h)
 
+    @pytest.mark.parametrize("regime, loads", [
+        (HorizonRegime.SAFE_WITH_ONE_RELEASE, [(0.9, 2.0), (1.0, 0.0), (1e-300, 1e300)]),
+        (HorizonRegime.SUPREMAL_BOUNDARY, [(3.0, 2.0), (1.5, 0.5 + 1e-13), (1e6 + 1.0, 1e6)]),
+        (HorizonRegime.INFEASIBLE, [(3.5, 2.0), (1.5, 0.0), (1e300, 3.0)]),
+    ], ids=["one-release", "supremal", "infeasible"])
+    def test_count_free_verdicts_are_one_shared_record(self, regime, loads):
+        verdicts = [horizon_feasibility(r, h) for r, h in loads * 2]
+        shared = verdicts[0]
+        assert all(verdict is shared for verdict in verdicts)
+        fresh = HorizonFeasibility(regime)
+        assert shared == fresh and hash(shared) == hash(fresh)
+        assert repr(shared) == repr(fresh) == f"HorizonFeasibility(regime={regime!r}, n=None)"
+        assert shared.label == fresh.label == regime.value
+        with pytest.raises(FrozenInstanceError):
+            shared.n = 3
+        with pytest.raises(FrozenInstanceError):
+            shared.regime = HorizonRegime.SAFE_WITH_N
+        with pytest.raises(FrozenInstanceError):
+            del shared.n
+        assert horizon_feasibility(*loads[0]) == fresh  # the shared record is as it was
+
+    @pytest.mark.parametrize("r, h, n", [
+        (2.1, 2.0, 3), (3.99, 3.0, 450), (1.5, 2.0, 2), (1000.999999, 1000.0, 500000000931)])
+    def test_counted_verdicts_are_unchanged(self, r, h, n):
+        verdict = horizon_feasibility(r, h)
+        assert verdict == HorizonFeasibility(HorizonRegime.SAFE_WITH_N, n)
+        assert verdict.label == f"SafeWithN({n})"
+        assert repr(verdict) == f"HorizonFeasibility(regime={HorizonRegime.SAFE_WITH_N!r}, n={n})"
+
     def test_count_past_the_float_range_names_r_and_h(self):
         # the count is about h**2 / (2 (1 + h - r)), some 5e314, and B_n takes
         # n - 1 as a float
@@ -311,6 +342,12 @@ class TestUnequalSpacing:
         assert unequal_spacing_capacity(taus, rho) == pytest.approx(
             horizon_capacity(n, rho * T), rel=1e-14
         )
+
+    @pytest.mark.parametrize("taus, rho, capacity", [
+        ([1.0, 2.0], 1.7e308, 3.0), ([1.7e308], 2.0, 2.0), ([1.7e308, 0.0, 1e308], 1e10, 3.0)])
+    def test_gap_whose_decay_exponent_overflows_recovers_one_unit(self, taus, rho, capacity):
+        # rho * tau passes the float range: -expm1(-inf) = 1, with no numpy warning
+        assert unequal_spacing_capacity(taus, rho) == capacity
 
     def test_two_release_single_gap(self):
         assert unequal_spacing_capacity([3.0], 0.5) == pytest.approx(

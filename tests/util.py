@@ -6,8 +6,8 @@ whole-array exposure batch, grid/simplex searches for the allocation optimum, a
 one-dimensional Bellman grid recursion for the minimax peak value, plain
 enumeration for the overhead trade-off and its frontier ``k_safe`` (with a
 50-digit optimum where r is too large to enumerate), the horizon count, the two
-capacities and the minimal peak at 50 digits, numpy's ``linspace`` for
-the phase grids, the plain per-step loops of the envelope integrator and path
+capacities, the minimal peak and the single-release exposure at 50 digits, numpy's
+``linspace`` for the phase grids, the plain per-step loops of the envelope integrator and path
 exposure, the piece-by-piece balance check, the per-stage peak plans with their
 budget residual in exact rationals and the greedy per-stage fill, the per-cell
 CSV and ``json.dumps`` emit path for the CLI's output bytes, and frozen
@@ -216,6 +216,22 @@ def mpmath_excess(r: float, n: int) -> float:
     with mpmath.workdps(50):
         R, N = mpmath.mpf(r), mpmath.mpf(n)
         return float(R - N - N * mpmath.log(R / N)) if R > N else 0.0
+
+
+def mpmath_exposure(q: float, params: ModelParams):
+    """The exposure value ``alpha/rho (q - delta_c - delta_c log(q/delta_c))`` and active
+    duration ``log(q/delta_c)/rho`` of one release ``q > delta_c`` at 50 digits, as mpmath
+    numbers, not rounded to floats.  It takes ``alpha`` and ``delta_c`` as the floats
+    :func:`~leakystage.model.derive` gives, so it measures the closed form from them on;
+    it needs mpmath."""
+    import mpmath
+
+    d = derive(params)
+    with mpmath.workdps(50):
+        Q, C = mpmath.mpf(q), mpmath.mpf(d.delta_c)
+        log_ratio = mpmath.log(Q / C)
+        rho = mpmath.mpf(params.rho)
+        return mpmath.mpf(d.alpha) / rho * (Q - C - C * log_ratio), log_ratio / rho
 
 
 def mpmath_deficit_excess(r: float, h: float, n: int) -> float:
