@@ -29,10 +29,13 @@ exponential (no integrator error); only the full system is integrated, with
 classical fixed-step RK4 on a per-interval grid chosen so that every event
 time is a grid node bit-exactly.
 ``S`` is advanced in log space, so it can never cross zero; ``S = 0`` is an
-invariant manifold and is held exactly.  The RK4 loop spells out the
-right-hand side in each stage, and :func:`path_exposure` forms its trapezoid
-terms with numpy, the crossing intervals included; both keep the operation
-order of the plain loops, so results are the same bits.
+invariant manifold and is held exactly.  So is ``A = 0`` between jumps: a
+segment that starts with an empty reservoir integrates ``log S`` alone.
+Elsewhere the RK4 loop spells out the right-hand side in each stage and
+subtracts the drain ``(rho + delta S) A`` rather than adding its negation, and
+:func:`path_exposure` forms its trapezoid terms with numpy, the crossing
+intervals included; all keep the operation order of the plain loops, so
+results are the same bits.
 """
 from __future__ import annotations
 
@@ -219,7 +222,19 @@ def simulate_envelope(
 def _rk4_segment(
     u: float, A: float, t0: float, t1: float, h_step: float, params: ModelParams
 ) -> tuple[np.ndarray, list[float], list[float], int]:
-    """Advance (log S, A) over [t0, t1] with fixed-step RK4; return node times and samples."""
+    """Advance (log S, A) over [t0, t1] with fixed-step RK4; return node times and samples.
+
+    ``A = 0`` is an invariant manifold between jumps, as ``S = 0`` is: a segment
+    that starts at ``A == 0.0`` (either sign) runs only the ``u`` stages, whose
+    right-hand side ``alpha * A`` term adds a zero that leaves every bit alone, and
+    its levels are ``+0.0``, as the full stages give from the first node on.  On
+    that manifold ``du <= beta - mu < 0``, so the first stage's drain
+    ``rho + delta S`` is the segment's largest; where it overflows, the full
+    stages run, since ``inf * 0.0`` makes their level NaN.  Stages with a level
+    advance ``A`` by the drain ``p = (rho + delta S) A`` subtracted, not by
+    ``-p`` added: the same bits unless ``A`` is ``-0.0``, which the first branch
+    takes.
+    """
     beta, mu, delta, rho = params.beta, params.mu, params.delta, params.rho
     alpha = delta - beta
     growth = beta - mu
@@ -229,22 +244,29 @@ def _rk4_segment(
     h = (t1 - t0) / n
     half, sixth = 0.5 * h, h / 6.0
     us = [0.0] * n
+    if A == 0.0 and rho + delta * exp(u) < math.inf:
+        for i in range(n):
+            du1 = growth - beta * exp(u)
+            du2 = growth - beta * exp(u + half * du1)
+            du3 = growth - beta * exp(u + half * du2)
+            u = u + sixth * (du1 + 2.0 * du2 + 2.0 * du3 + (growth - beta * exp(u + h * du3)))
+            us[i] = u
+        return nodes, us, [0.0] * n, 0
     As = [0.0] * n
     clamped = 0
     for i in range(n):
         s = exp(u)
-        du1, dA1 = growth - beta * s + alpha * A, -(rho + delta * s) * A
-        u2, A2 = u + half * du1, A + half * dA1
-        s = exp(u2)
-        du2, dA2 = growth - beta * s + alpha * A2, -(rho + delta * s) * A2
-        u3, A3 = u + half * du2, A + half * dA2
-        s = exp(u3)
-        du3, dA3 = growth - beta * s + alpha * A3, -(rho + delta * s) * A3
-        u4, A4 = u + h * du3, A + h * dA3
-        s = exp(u4)
-        du4, dA4 = growth - beta * s + alpha * A4, -(rho + delta * s) * A4
-        u = u + sixth * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
-        A = A + sixth * (dA1 + 2.0 * dA2 + 2.0 * dA3 + dA4)
+        du1, p1 = growth - beta * s + alpha * A, (rho + delta * s) * A
+        A2 = A - half * p1
+        s = exp(u + half * du1)
+        du2, p2 = growth - beta * s + alpha * A2, (rho + delta * s) * A2
+        A3 = A - half * p2
+        s = exp(u + half * du2)
+        du3, p3 = growth - beta * s + alpha * A3, (rho + delta * s) * A3
+        A4 = A - h * p3
+        s = exp(u + h * du3)
+        u = u + sixth * (du1 + 2.0 * du2 + 2.0 * du3 + (growth - beta * s + alpha * A4))
+        A = A - sixth * (p1 + 2.0 * p2 + 2.0 * p3 + (rho + delta * s) * A4)
         if A < 0.0:
             A = 0.0
             clamped += 1

@@ -308,18 +308,36 @@ def derive(params: ModelParams) -> DerivedConstants:
         return d
 
 
+def _levelwise(form, A):
+    """``form(A)`` for a level or an array of levels, with overflow to ``inf`` in both.
+
+    Python floats overflow to ``inf`` and form ``inf - inf`` as NaN silently; numpy
+    warns on both, so an operand with a ``dtype`` (only numpy objects have one, and
+    numpy is then loaded already) runs in an ``errstate`` that ignores them.  A
+    Python number imports nothing.
+    """
+    try:
+        if not hasattr(A, "dtype"):
+            return form(A)
+        import numpy as np
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            return form(A)
+    except (OverflowError, TypeError):
+        raise LeakyStageError(f"level A must be a number or numbers (got {_shown(A)})") from None
+
+
 def growth_pressure(A, params: ModelParams):
     """Growth pressure ``g(A) = (beta - mu) + (delta - beta) * A``.
 
     Strictly increasing in ``A`` and zero exactly at the critical level.
     Accepts scalars or numpy arrays; ``A`` may exceed 1 (the affine
     continuation is a conservative risk proxy, not a population share).
-    NaN and infinite levels propagate; a non-number raises.
+    NaN and infinite levels propagate, and a level whose product passes the
+    float range gives an infinite pressure, elementwise and with no numpy
+    warning; a non-number raises.
     """
-    try:
-        return (params.beta - params.mu) + (params.delta - params.beta) * A
-    except (OverflowError, TypeError):
-        raise LeakyStageError(f"level A must be a number or numbers (got {_shown(A)})") from None
+    return _levelwise(lambda A: (params.beta - params.mu) + (params.delta - params.beta) * A, A)
 
 
 def normalized_factor(A, params: ModelParams):
@@ -328,7 +346,4 @@ def normalized_factor(A, params: ModelParams):
     Satisfies ``g(A) = mu * (R(A) - 1)``, so ``R`` crosses 1 exactly at the
     critical level.  Accepts scalars or numpy arrays, like :func:`growth_pressure`.
     """
-    try:
-        return ((1.0 - A) * params.beta + params.delta * A) / params.mu
-    except (OverflowError, TypeError):
-        raise LeakyStageError(f"level A must be a number or numbers (got {_shown(A)})") from None
+    return _levelwise(lambda A: ((1.0 - A) * params.beta + params.delta * A) / params.mu, A)

@@ -285,6 +285,11 @@ def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
     return np.array_equal(x, y) and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
+def _same_bytes(x: np.ndarray, y: np.ndarray) -> bool:
+    """:func:`_same_bits` for arrays that hold NaN, which ``array_equal`` never calls equal."""
+    return x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
 class TestLoopOracles:
     """The unrolled RK4 and the vectorised trapezoid equal the plain loops bit for bit."""
 
@@ -375,6 +380,57 @@ class TestLoopOracles:
             return
         nodes, *samples = envelope._rk4_segment(*args)
         assert _same_bits(nodes, np.array(expected[0])) and samples == list(expected[1:])
+
+    # Rows through both RK4 branches: a segment that starts at a zero level (either
+    # sign) integrates log S alone, one with a level the sign-free drain.  The last
+    # column says what the oracle's path must show, so that each row covers its case.
+    @pytest.mark.parametrize("events, S0, A0, T, step, shows", [
+        (((1.0, 0.5),), 0.08, 0.0, 3.0, 0.01, "empty stretch"),
+        (((1.0, 0.5),), 0.08, -0.0, 3.0, 0.01, "empty stretch"),
+        (((1.0, 0.5),), 0.08, 0.3, 3.0, 0.01, "no empty stretch"),
+        (((1.0, 0.5),), 0.0, 0.0, 3.0, 0.01, "empty stretch"),
+        (((1.0, 0.5),), 0.0, 0.3, 3.0, 0.01, "no empty stretch"),
+        (((0.0, 0.5), (1.0, 0.2)), 0.08, 0.0, 3.0, 0.01, "no empty stretch"),
+        ((), 0.08, 0.0, 3.0, 0.01, "empty stretch"),
+        ((), 0.08, -0.0, 3.0, 0.01, "empty stretch"),
+        (((0.5, 3.0),), 0.5, 0.0, 4.0, 1.2, "clamp"),
+        (((0.5, 1e-320),), 0.5, 0.0, 60.0, 1.0, "underflow"),
+        ((), 1e308, 0.0, 2.0, 0.01, "NaN"),
+        ((), 1.7e308, -0.0, 2.0, 0.01, "NaN"),
+        (((1.0, 0.5),), 1e308, 0.0, 2.0, 0.01, "NaN"),
+        (((1.0, 0.5),), 1e308, 0.5, 2.0, 0.01, "NaN"),
+        ((), 9e307, 0.0, 2.0, 0.01, "empty stretch"),
+    ], ids=["A0=+0", "A0=-0", "A0>0", "S0=0", "S0=0-A0>0", "release-at-0", "empty", "empty-A0=-0",
+            "clamp", "underflow", "drain-overflow", "drain-overflow-A0=-0",
+            "drain-overflow-then-release", "drain-overflow-A0>0", "drain-finite"])
+    def test_rk4_branches(self, figure_params, events, S0, A0, T, step, shows):
+        args = (ImpulseSchedule(events), figure_params, S0, A0, T, step)
+        full, oracle = simulate_full(*args), _simulate_full_loop(*args)
+        same = _same_bytes if shows == "NaN" else _same_bits
+        for name in ("t", "A", "S", "jump_indices", "jump_sizes"):
+            assert same(getattr(full, name), getattr(oracle, name)), name
+        assert full.clamp_count == oracle.clamp_count
+        first = oracle.jump_indices[0] if events else len(oracle.t) - 1
+        assert np.isnan(oracle.A).any() == (shows == "NaN")
+        if shows == "empty stretch":
+            assert first > 0 and not np.any(oracle.A[:first + 1])
+        elif shows == "no empty stretch":
+            assert first == 0 or oracle.A[0] > 0.0
+        elif shows == "clamp":
+            assert oracle.clamp_count == 1 and first > 0
+        elif shows == "underflow":  # the level reaches zero inside a segment, unclamped
+            assert oracle.A[first + 2] > 0.0 and oracle.A[-1] == 0.0 and oracle.clamp_count == 0
+
+    @pytest.mark.parametrize("u", [-math.inf, -2.0, math.log(1e308), math.log(1.7e308)])
+    @pytest.mark.parametrize("A", [0.0, -0.0, 5e-324, 0.3])
+    def test_segment_bytes(self, figure_params, u, A):
+        # the bytes of every sample, signed zeros and NaN included
+        args = (u, A, 0.5, 2.0, 0.01, figure_params)
+        _, *samples, clamped = envelope._rk4_segment(*args)
+        _, *expected, expected_clamped = rk4_segment_loop(*args)
+        assert clamped == expected_clamped
+        for got, want in zip(samples, expected):
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
     # g(A) = A - 0.5 at these rates, so the pressure is exactly zero at A = 0.5
     @pytest.mark.parametrize("t, A, jumps", [

@@ -157,6 +157,17 @@ def test_numpy_loads_only_with_the_envelope_names():
     assert child.stdout.split() == ["False", "True", "leakystage.envelope"]
 
 
+def test_scalar_levels_load_no_numpy():
+    child = run_child(
+        BLOCK_NUMPY
+        + "from leakystage import ModelParams, growth_pressure, normalized_factor\n"
+        + "p = ModelParams(0.6, 1.0, 1.8, 0.5)\n"
+        + "print(growth_pressure(1.7e308, p), normalized_factor(-1.7e308, p))\n"
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["inf", "-inf"]
+
+
 @pytest.mark.parametrize("argv", SCALAR_RUNS, ids=" ".join)
 def test_scalar_command_runs_with_numpy_blocked(argv):
     child = run_child(

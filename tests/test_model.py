@@ -146,6 +146,22 @@ class TestNormalizedFactor:
             assert abs(g - identity) <= 1e-12 * max(1.0, abs(g))
 
 
+#: levels past and near the float range, both zeros, NaN and a subnormal
+EXTREME_LEVELS = (1.7e308, -1.7e308, 1e308, math.inf, -math.inf, math.nan, 0.0, -0.0, 0.5,
+                  5e-324)
+
+
+@pytest.mark.parametrize("function", [growth_pressure, normalized_factor],
+                         ids=["growth_pressure", "normalized_factor"])
+def test_array_equals_the_scalars_past_the_float_range(figure_params, function):
+    # the suite's filter turns a numpy RuntimeWarning into an error
+    values = function(np.array(EXTREME_LEVELS), figure_params)
+    expected = np.array([function(x, figure_params) for x in EXTREME_LEVELS])
+    assert values.dtype == expected.dtype and values.tobytes() == expected.tobytes()
+    top = function(np.array([1.7e308, -1.7e308]), figure_params)
+    assert top.tolist() == [math.inf, -math.inf]
+
+
 class TestValidation:
     @pytest.mark.parametrize("field", ["beta", "mu", "delta", "rho"])
     def test_nonpositive_rate_rejected(self, field):
