@@ -35,7 +35,11 @@ def excess_exposure(r: float, n: int) -> float:
     Zero for ``r <= n``; otherwise ``r - n - n log(r/n)``, evaluated near the
     kink (``r/n - 1 < 1e-4``) by the series of
     :func:`~leakystage.exposure.exposure_bracket`.  This is the exposure term
-    of the overhead objective, in units of one-shock exposure.
+    of the overhead objective, in units of one-shock exposure.  Below that switch the
+    value lies within 4 eps (2**-52) relative of the exact excess of its arguments; from
+    it on, the log difference cancels, and the bound is
+    ``2 eps (1 + (log r + x) / (x - log1p x))`` relative, ``x = r/n - 1``: up to 5.7e-7
+    just above the switch at ``n`` near 3.5e7, and under 1.1e-12 from ``x = 0.1`` on.
     """
     return _excess(_number(r, "dimensionless load r"), _count(n, "release count n"))
 
@@ -212,6 +216,10 @@ def k_safe(r: float) -> float:
     ``+inf`` when one release is already safe (``ceil(r) = 1``); otherwise the
     exposure ``excess(r, ceil(r) - 1)`` removed by the last stage, by convexity
     the least per extra stage.  Full safety is optimal exactly when ``k <= k_safe(r)``.
+    ``ceil(r)`` carries the guard of :func:`minimal_safe_count`.  The value lies within
+    :func:`excess_exposure`'s bound at ``(r, ceil(r) - 1)``, up to 2.1e-7 relative at
+    ``r = 4712.495943273464``; from 2**53 on, where it takes the series at
+    ``x = 1/(r - 1)``, within 4 eps (2**-52) relative.
     """
     return _k_safe(r, _safe_count(_number(r, "dimensionless load r", strict=True)))
 

@@ -294,7 +294,9 @@ def simulate_full(
     Uses classical RK4 with a per-interval uniform step no larger than
     ``h_step`` chosen to divide each inter-event gap exactly, so impulses
     land on grid nodes.  ``S`` is integrated in log space; a start at
-    ``S0 = 0`` stays on the invariant manifold ``S = 0`` exactly.
+    ``S0 = 0`` stays on the invariant manifold ``S = 0`` exactly.  Where the drain
+    ``(rho + delta S) A`` passes the float range, as from ``S0`` near 1e308, the
+    path would turn NaN: a :class:`LeakyStageError` names ``S0`` instead.
 
     A call whose inputs equal the previous call's bit for bit (``-0.0`` is not
     ``0.0``, an ``int`` is not a ``float``) returns the same read-only
@@ -331,6 +333,10 @@ def simulate_full(
                     f"RK4 overflowed on the level A={level!r} at t={t0!r}, whose growth "
                     "rate no step resolves; reduce the release") from None
             raise LeakyStageError(f"RK4 overflowed at step {h_step!r}; reduce the step") from None
+        if math.isnan(us[-1]) or math.isnan(levels[-1]):  # a NaN lasts to the segment's end
+            raise LeakyStageError(
+                f"S0={S0!r} overflows the RK4 drain (rho + delta*S) * A at the level "
+                f"A={state[1]!r} from t={t0!r} on; reduce S0")
         clamp_count += clamped
         # fromiter reads a list of floats about twice as fast as concatenate would
         return [nodes, *(np.fromiter(x, float, len(x)) for x in (us, levels))]

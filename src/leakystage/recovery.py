@@ -118,10 +118,10 @@ class PeakPlan(FrozenRecord):
 
     ``capacity_residual`` is the defect of the budget identity
     ``sum(q) = A_n + (1-lam) * sum(A_k, k<n) - a0`` and should be at floating
-    noise level for any plan produced here.  For the closed-form plans of
-    :func:`min_peak_plan` and :func:`state_peak_plan` it is exact over the
-    plan's floats and rounded once; :func:`simulate_recurrence` sums it with
-    ``math.fsum``.  ``degenerate`` marks the Q = 0 plan, which releases nothing.
+    noise level for any plan produced here.  Every planner, :func:`min_peak_plan`,
+    :func:`state_peak_plan` and :func:`simulate_recurrence` alike, computes it exact
+    over the plan's numbers and rounds it once.  ``degenerate`` marks the Q = 0 plan,
+    which releases nothing.
     """
 
     releases: tuple[float, ...]
@@ -179,20 +179,10 @@ def simulate_recurrence(config: RecoveryConfig, releases) -> PeakPlan:
     if not math.isfinite(level):  # an inf level stays inf, or turns nan at lam = 0
         j = next(j for j, level in enumerate(levels, 1) if not math.isfinite(level))
         raise ScheduleError(f"release {j} lifts the level past the float range")
-    try:  # a zero level adds nothing to the sum but costs fsum a walk over its partials
-        identity = level + (1.0 - lam) * math.fsum(filter(None, levels[:-1])) - a0
-        residual = math.fsum(releases) - identity
-    except OverflowError:
-        residual = math.inf
-    if not math.isfinite(residual):
-        # the sums pass the float range: add the terms stage by stage instead, so that
-        # the running sum is the current level less a0, finite with the levels
-        decay = lam - 1.0
-        terms = [x for q, level in zip(releases, levels) for x in (q, decay * level)]
-        terms[-1] = -levels[-1]
-        residual = math.fsum(terms + [a0])
+    runs = [*((q, 1, 0) for q in releases), *((x, 0, 1) for x in levels[:-1]),
+            (level, -1, 0), (a0, 1, 0)]
     return PeakPlan(releases, tuple(levels), max(levels), _peak_capacity(config.n, lam),
-                    residual, not any(releases))
+                    _residual(runs, lam), not any(releases))
 
 
 def min_peak_plan(config: RecoveryConfig) -> PeakPlan:

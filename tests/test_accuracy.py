@@ -13,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakystage import (
-    HorizonRegime, ModelParams, RecoveryConfig, derive, exposure_batch, exposure_closed_form,
-    horizon_capacity, horizon_feasibility, min_peak_plan, overhead_optimal_count, peak_capacity,
-    state_peak_plan, state_value,
+    HorizonRegime, ModelParams, RecoveryConfig, derive, excess_exposure, exposure_batch,
+    exposure_closed_form, horizon_capacity, horizon_feasibility, k_safe, min_peak_plan,
+    overhead_optimal_count, peak_capacity, simulate_recurrence, state_peak_plan, state_value,
 )
+from leakystage.model import guarded_ceil
 from strategies import rate_sets
-from util import (exact_budget_residual, mpmath_deficit_excess, mpmath_exposure,
+from util import (exact_budget_residual, mpmath_deficit_excess, mpmath_excess, mpmath_exposure,
                   mpmath_horizon_capacity, mpmath_horizon_count, mpmath_overhead_optimum,
                   mpmath_peak_capacity, mpmath_state_value)
 
@@ -185,9 +186,9 @@ class TestStateValue:
 
 class TestPeakPlan:
     """``state_peak_plan`` and ``min_peak_plan``: ``peak == state_value == max(post_levels)``,
-    exactly, and ``capacity_residual`` is the budget defect
-    ``sum(q) - A_n + a0 - (1 - lam) * sum(A_k, k < n)`` over the plan's floats, exact and
-    rounded once; the reference sums it in ``fractions.Fraction``."""
+    exactly.  For them and ``simulate_recurrence`` alike, ``capacity_residual`` is the budget
+    defect ``sum(q) - A_n + a0 - (1 - lam) * sum(A_k, k < n)`` over the plan's floats, exact
+    and rounded once; the reference sums it in ``fractions.Fraction``."""
 
     @staticmethod
     def _check(plan, m, a, Q, lam):
@@ -220,6 +221,38 @@ class TestPeakPlan:
             self._check(state_peak_plan(m, a, Q, lam), m, a, Q, lam)
             self._check(min_peak_plan(RecoveryConfig(lam=lam, n=m, Q=Q)), m, 0.0, Q, lam)
 
+    @staticmethod
+    def _check_recurrence(a0, lam, releases):
+        plan = simulate_recurrence(RecoveryConfig(lam=lam, n=len(releases), Q=1.0, a0=a0),
+                                   releases)
+        reference = exact_budget_residual(plan.releases, plan.post_levels, a0, lam)
+        assert repr(plan.capacity_residual) == repr(reference), (a0, lam, releases)
+
+    @pytest.mark.parametrize("a0, lam, releases", [
+        (0.0, 0.5, (1e308,) * 3),                 # the release sum passes the float range
+        (0.0, 0.0, (1.7e308,) * 4),               # so do both sums, at every level
+        (0.0, 1e-300, (1.7e308, 1.7e308)),        # lam * A_1 is lost in the rounding of A_2
+        (1.7e308, 0.9, (0.0,) * 5),               # levels whose sum passes the float range
+        (1e308, 0.5, (0.0, 1e308, 0.0)),
+        (0.0, 1.0 - 1e-16, (1e-3,) * 7),          # 1 - lam is not a float's rounding of it
+        (5e-324, 0.5, (5e-324, 0.0, 5e-324)),     # subnormal levels, and a level of zero
+        (0.3, 0.0, (0.0,) * 3),                   # the carry-over is lost at once
+    ])
+    def test_recurrence_float_range_rows(self, a0, lam, releases):
+        self._check_recurrence(a0, lam, releases)
+
+    def test_seeded_recurrences_are_exact(self):
+        # counts up to 1e3, every kind of carry-over, and releases from the subnormals up to
+        # about 1.7e308 times 1 - lam, so that the levels stay in the float range while the
+        # sums of the releases and of the levels pass it
+        rng = np.random.default_rng(59)
+        for _ in range(150):
+            n, lam = int(10.0 ** rng.uniform(0.0, 3.0)), _carry_over(rng)
+            top = _log_uniform(rng, -323.0, math.log10(0.85e308))
+            a0 = float(rng.choice([0.0, 5e-324, rng.uniform(0.0, 1.0) * top]))
+            releases = tuple((rng.uniform(0.0, 1.0, n) * ((1.0 - lam) * top)).tolist())
+            self._check_recurrence(a0, lam, releases)
+
 
 class TestOverheadOptimum:
     """``overhead_optimal_count``: the 50-digit optimum over all counts is among the ties,
@@ -232,6 +265,83 @@ class TestOverheadOptimum:
         ties = overhead_optimal_count(r, k).ties
         assert mpmath_overhead_optimum(r, k) in ties
         assert len(ties) <= 2
+
+
+def _excess_bound(r: float, n: int) -> float:
+    """The relative bound that ``excess_exposure``'s docstring states at ``(r, n)``."""
+    x = r / n - 1.0
+    if x < 1e-4:
+        return 4 * EPS
+    return 2 * EPS * (1.0 + (math.log(r) + x) / (x - math.log1p(x)))
+
+
+def _excess_off(value: float, r: float, n: int) -> float:
+    """The relative error of ``value`` from the excess of ``(r, n)`` at 50 digits, as a
+    share of :func:`_excess_bound`."""
+    reference = mpmath_excess(r, n)
+    return abs(value - reference) / reference / _excess_bound(r, n)
+
+
+class TestExcessExposure:
+    """``excess_exposure``: within 4 eps relative of ``r - n - n log(r/n)`` at 50 digits below
+    ``x = r/n - 1 = 1e-4``, where it takes the series, and from there on within
+    ``2 eps (1 + (log r + x) / (x - log1p x))``, the rounding of the log difference
+    magnified by its cancellation."""
+
+    @pytest.mark.parametrize("r, n", [
+        (34978872.83238933, 34975150),  # 5.7e-7 off, just above the series switch
+        (2.002, 2), (3.0006, 3),        # 1.4e-10 and 2.8e-9 off
+        (1e300, 7),                     # no cancellation
+    ])
+    def test_log_difference_rows(self, r, n):
+        assert _excess_off(excess_exposure(r, n), r, n) <= 1.0
+
+    @pytest.mark.parametrize("low, high", [(-15.0, -4.0), (-4.0, -1.0), (-1.0, 3.0)],
+                             ids=["series", "log-below-0.1", "log-from-0.1"])
+    def test_seeded_loads_within_the_bound(self, low, high):
+        # 4000 counts log-uniform up to 1e12 and excess ratios x log-uniform in the band
+        rng = np.random.default_rng(61)
+        worst = 0.0
+        for _ in range(4000):
+            n = int(_log_uniform(rng, 0.0, 12.0))
+            r = n * (1.0 + _log_uniform(rng, low, high))
+            if r <= n:  # x below half an ulp of 1
+                continue
+            off = _excess_off(excess_exposure(r, n), r, n)
+            assert off <= 1.0, (r, n, off)
+            worst = max(worst, off)
+        assert worst > 0.2  # the sampler reaches the rounding
+
+
+class TestKSafe:
+    """``k_safe``: the excess of ``(r, n_safe - 1)``, ``n_safe`` the guarded ceiling of
+    ``r``, within ``excess_exposure``'s bound there, and from 2**53 on, where it takes the
+    series at ``x = 1/(r - 1)``, within 4 eps relative."""
+
+    def test_row_just_above_the_series_switch(self):
+        # x = 0.4959 / 4712 = 1.05e-4: 2.1e-7 off
+        r = 4712.495943273464
+        assert _excess_off(k_safe(r), r, 4712) <= 1.0
+
+    def test_seeded_loads_within_the_bound(self):
+        # loads log-uniform up to 1e16, past 2**53, where a 50-digit reference still holds
+        # some 18 digits, and loads just above an integer, within its guard too
+        rng = np.random.default_rng(67)
+        worst = 0.0
+        for i in range(4000):
+            if i % 2:
+                r = _log_uniform(rng, 0.0, 16.0)
+            else:
+                r = math.floor(_log_uniform(rng, 0.0, 15.0)) + _log_uniform(rng, -16.0, 0.0)
+            value = k_safe(r)
+            if value == math.inf:
+                continue
+            # from 2**53 on, x = r/n - 1 rounds below the switch, to a bound of 4 eps
+            n = guarded_ceil(r) - 1
+            off = _excess_off(value, r, n)
+            assert off <= 1.0, (r, n, off)
+            worst = max(worst, off)
+        assert worst > 0.2
 
 
 class TestExposureClosedForm:

@@ -458,6 +458,17 @@ class TestMain:
         assert "reduce the step" not in err
         assert "Traceback" not in err
 
+    def test_overflowing_drain_exits_1(self, tmp_path, capsys):
+        # delta * S0 passes the float range, which made every sample after t = 0 NaN
+        path = tmp_path / "run.json"
+        block = {"schedule": [[1.0, 0.5]], "S0": 1e308, "T": 2.0, "step": 0.01}
+        path.write_text(json.dumps({"params": FIG, "simulate": block}), encoding="utf-8")
+        code = main(["simulate", "--config", str(path), "--no-meta-time"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "S0=1e+308 overflows the RK4 drain (rho + delta*S) * A" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_unallocatable_step_exits_1(self, capsys):
         # 1e-300 asks for some 1e300 nodes: numpy refuses before allocating anything
         code = main(["simulate", "--preset", "fig-envelope", "--step", "1e-300", "--no-meta-time"])

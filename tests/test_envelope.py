@@ -285,11 +285,6 @@ def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
     return np.array_equal(x, y) and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
-def _same_bytes(x: np.ndarray, y: np.ndarray) -> bool:
-    """:func:`_same_bits` for arrays that hold NaN, which ``array_equal`` never calls equal."""
-    return x.dtype == y.dtype and x.tobytes() == y.tobytes()
-
-
 class TestLoopOracles:
     """The unrolled RK4 and the vectorised trapezoid equal the plain loops bit for bit."""
 
@@ -383,7 +378,8 @@ class TestLoopOracles:
 
     # Rows through both RK4 branches: a segment that starts at a zero level (either
     # sign) integrates log S alone, one with a level the sign-free drain.  The last
-    # column says what the oracle's path must show, so that each row covers its case.
+    # column says what the oracle's path must show, so that each row covers its case; an
+    # "error" row's drain overflows, where a NaN path gives way to the error naming S0.
     @pytest.mark.parametrize("events, S0, A0, T, step, shows", [
         (((1.0, 0.5),), 0.08, 0.0, 3.0, 0.01, "empty stretch"),
         (((1.0, 0.5),), 0.08, -0.0, 3.0, 0.01, "empty stretch"),
@@ -395,23 +391,32 @@ class TestLoopOracles:
         ((), 0.08, -0.0, 3.0, 0.01, "empty stretch"),
         (((0.5, 3.0),), 0.5, 0.0, 4.0, 1.2, "clamp"),
         (((0.5, 1e-320),), 0.5, 0.0, 60.0, 1.0, "underflow"),
-        ((), 1e308, 0.0, 2.0, 0.01, "NaN"),
-        ((), 1.7e308, -0.0, 2.0, 0.01, "NaN"),
-        (((1.0, 0.5),), 1e308, 0.0, 2.0, 0.01, "NaN"),
-        (((1.0, 0.5),), 1e308, 0.5, 2.0, 0.01, "NaN"),
+        ((), 1e308, 0.0, 2.0, 0.01, "error"),
+        ((), 1.7e308, -0.0, 2.0, 0.01, "error"),
+        (((1.0, 0.5),), 1e308, 0.0, 2.0, 0.01, "error"),
+        (((1.0, 0.5),), 1e308, 0.5, 2.0, 0.01, "error"),
         ((), 9e307, 0.0, 2.0, 0.01, "empty stretch"),
     ], ids=["A0=+0", "A0=-0", "A0>0", "S0=0", "S0=0-A0>0", "release-at-0", "empty", "empty-A0=-0",
             "clamp", "underflow", "drain-overflow", "drain-overflow-A0=-0",
             "drain-overflow-then-release", "drain-overflow-A0>0", "drain-finite"])
     def test_rk4_branches(self, figure_params, events, S0, A0, T, step, shows):
         args = (ImpulseSchedule(events), figure_params, S0, A0, T, step)
+        if shows == "error":
+            # the loop's first segment turns NaN where the drain overflows: both paths name S0
+            end = events[0][0] if events else T
+            samples = rk4_segment_loop(math.log(S0), A0, 0.0, end, step, figure_params)[1:3]
+            assert math.isnan(samples[0][-1]) or math.isnan(samples[1][-1])
+            for simulate in (simulate_full, _simulate_full_loop):
+                with pytest.raises(LeakyStageError, match=r"S0=(1|1\.7)e\+308 overflows the RK4 "
+                                   r"drain \(rho \+ delta\*S\) \* A"):
+                    simulate(*args)
+            return
         full, oracle = simulate_full(*args), _simulate_full_loop(*args)
-        same = _same_bytes if shows == "NaN" else _same_bits
         for name in ("t", "A", "S", "jump_indices", "jump_sizes"):
-            assert same(getattr(full, name), getattr(oracle, name)), name
+            assert _same_bits(getattr(full, name), getattr(oracle, name)), name
         assert full.clamp_count == oracle.clamp_count
         first = oracle.jump_indices[0] if events else len(oracle.t) - 1
-        assert np.isnan(oracle.A).any() == (shows == "NaN")
+        assert not np.isnan(oracle.A).any()
         if shows == "empty stretch":
             assert first > 0 and not np.any(oracle.A[:first + 1])
         elif shows == "no empty stretch":

@@ -32,6 +32,7 @@ from util import (
     bellman_state_value,
     bellman_tables,
     constant_peak_plan_oracle,
+    exact_budget_residual,
     horizon_count_bisected_from_2,
     min_peak_plan_oracle,
     random_params,
@@ -390,6 +391,12 @@ class TestCapacityReport:
         assert isinstance(report.N_safe_lambda, int)
 
 
+def _exact_residual(plan, a0, lam) -> bool:
+    """Whether ``plan``'s budget residual is the exact one rounded once, bit for bit."""
+    reference = exact_budget_residual(plan.releases, plan.post_levels, a0, lam)
+    return repr(plan.capacity_residual) == repr(reference)
+
+
 class TestFloatRange:
     """Plans and values whose sums pass the float range while their levels do not."""
 
@@ -397,19 +404,19 @@ class TestFloatRange:
         plan = min_peak_plan(RecoveryConfig(0.5, 5, 1.7e308))
         assert plan.peak == 1.7e308 / 3.0
         assert plan.releases == (plan.peak,) + (0.5 * plan.peak,) * 4
-        assert abs(plan.capacity_residual) <= 1e-15 * 1.7e308
+        assert _exact_residual(plan, 0.0, 0.5)
 
     def test_decaying_state_plan_whose_level_sum_overflows(self):
         plan = state_peak_plan(5, 1e308, 0.0, 0.9)
         assert plan.releases == (0.0,) * 5
         assert plan.post_levels[0] == plan.peak == 1e308
-        assert abs(plan.capacity_residual) <= 1e-15 * 1e308
+        assert _exact_residual(plan, 1e308, 0.9)
 
     def test_recurrence_whose_release_sum_overflows(self):
         plan = simulate_recurrence(RecoveryConfig(0.5, 3, 1.0), [1e308] * 3)
         assert plan.post_levels == (1e308, 1.5e308, 1.75e308)
         assert plan.peak == 1.75e308
-        assert abs(plan.capacity_residual) <= 1e-15 * 1e308
+        assert _exact_residual(plan, 0.0, 0.5)
 
     def test_state_value_whose_load_sum_overflows(self):
         # a + Q overflows, but the peak (a + Q) / c_m is 1e308
@@ -490,7 +497,7 @@ class TestOnePassPlans:
     @pytest.mark.parametrize("lam", [0.0, -0.0, 5e-324, 0.5])
     @pytest.mark.parametrize("a0", [0.0, -0.0, 5e-324])
     def test_zero_levels_keep_the_residual_bits(self, lam, a0):
-        # the level sum leaves the zero levels out, signed or not; the oracle sums them
+        # zero levels, signed or not, add nothing to the exact residual
         for releases in itertools.product([0.0, -0.0, 5e-324], repeat=3):
             config = RecoveryConfig(lam=lam, n=3, Q=1.0, a0=a0)
             assert _outcome(simulate_recurrence, config, releases) == \

@@ -437,14 +437,14 @@ def bellman_descent_3(
 # ---------------------------------------------------------------------------
 # peak-plan oracles
 #
+# Every plan oracle sums the budget residual in exact rationals
+# (``exact_budget_residual``) and rounds it once, as the package does.
 # ``simulate_recurrence_oracle`` runs the checked recurrence and assembles the
 # ``PeakPlan`` in a second pass.  ``min_peak_plan_oracle`` and
 # ``constant_peak_plan_oracle`` write the closed-form plans one stage at a time,
-# levels included, with the budget residual summed in exact rationals
-# (``exact_budget_residual``); the package writes them in runs and must give the
-# same bits.  ``state_peak_plan_oracle`` is the greedy per-stage fill that
-# ``state_peak_plan`` used to replay bit for bit; it now checks the closed-form
-# plan to within rounding.
+# levels included; the package writes them in runs and must give the same bits.
+# ``state_peak_plan_oracle`` is the greedy per-stage fill that ``state_peak_plan``
+# used to replay bit for bit; it now checks the closed-form plan to within rounding.
 
 
 def exact_budget_residual(releases, levels, a0: float, lam: float) -> float:
@@ -471,15 +471,13 @@ def simulate_recurrence_oracle(config: RecoveryConfig, releases) -> PeakPlan:
     for q in releases:
         level = config.lam * level + q if levels else config.a0 + q
         levels.append(level)
-    total = math.fsum(releases)
-    identity = levels[-1] + (1.0 - config.lam) * math.fsum(levels[:-1]) - config.a0
     return PeakPlan(
         releases=releases,
         post_levels=tuple(levels),
         peak=max(levels) if levels else config.a0,
         capacity_multiplier=peak_capacity(config.n, config.lam),
-        capacity_residual=total - identity,
-        degenerate=total == 0.0,
+        capacity_residual=exact_budget_residual(releases, levels, config.a0, config.lam),
+        degenerate=math.fsum(releases) == 0.0,
     )
 
 
