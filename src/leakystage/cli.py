@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain, groupby, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Mapping
@@ -33,7 +34,7 @@ from . import __version__
 from .allocation import SplitProblem, k_safe, optimal_split, overhead_optimal_count
 from .allocation import _excess, _safe_count
 from .errors import ConfigError, LeakyStageError
-from .exposure import exposure_table
+from .exposure import _table as _exposure_rows
 from .model import (
     EPS_THR,
     DerivedConstants,
@@ -442,7 +443,9 @@ def _dimensionless(config: RunConfig, d: DerivedConstants) -> dict[str, float | 
 
 
 def _run_exposure(config: RunConfig, *_) -> tuple[dict, list[str], int]:
-    rows = exposure_table(config.options["q"], config.params, eps_thr=config.eps_thr)
+    rows = _exposure_rows(config.options["q"], config.params, config.eps_thr, lambda i, q: (
+        ConfigError(f"exposure: q[{i}] = {q!r} has an exposure value past the float range "
+                    "(must be finite and >= 0, got inf)")))
     return {"columns": ["q", "exposure", "derivative", "active_duration"], "rows": rows}, [], 0
 
 
@@ -672,26 +675,66 @@ _CSV_META = ((None, ("tool", "version", "command")), (None, ("delta_c", "alpha",
              ("dimensionless", ("r", "h", "k")))
 
 
-def _csv_lines(rows: list) -> list[str]:
-    """The CSV line of each row, through one %-template per row type signature; a cell of
-    a type ``_CSV_SLOTS`` lacks, bools included, goes through ``_format_cell``."""
-    templates: dict[tuple[type, ...], tuple[str, tuple[int, ...]]] = {}
-    lines = []
-    for row in rows:
-        signature = tuple(map(type, row))
-        template = templates.get(signature)
-        if template is None:
-            template = templates[signature] = (
-                ",".join(_CSV_SLOTS.get(kind, "%s") for kind in signature),
-                tuple(i for i, kind in enumerate(signature) if kind not in _CSV_SLOTS),
-            )
-        text, converted = template
-        if converted:
-            row = list(row)
-            for i in converted:
-                row[i] = _format_cell(row[i])
-        lines.append(text % tuple(row))
-    return lines
+#: Rows per run of :func:`_table`: a run's template, arguments and columns stay a few
+#: hundred KB however long the table is.
+_RUN = 1024
+
+
+def _column(cells: tuple | list, json_text: bool) -> tuple[str, Any]:
+    """The %-slot of a column of cells and the arguments it takes, None for constant text.
+
+    An exact float, int or None column takes one slot for all its cells, as does an exact
+    str or bool column after one ``map``.  Any other column, and in JSON a float column
+    holding a non-finite value or whose sum overflows, is written cell by cell through
+    ``_format_cell`` or ``_JSON_SCALARS`` and ``_NON_FINITE``.  In JSON a cell of a type
+    ``_JSON_SCALARS`` lacks raises ``KeyError``."""
+    kinds = set(map(type, cells))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        if kind is float and (not json_text or math.isfinite(sum(cells))):
+            return ("%r" if json_text else "%.17g"), cells
+        if kind is int:
+            return ("%d" if json_text else "%s"), cells
+        if kind is type(None):
+            return ("null" if json_text else ""), None
+        if kind is str:
+            return "%s", map(encode_basestring_ascii, cells) if json_text else cells
+        if kind is bool:
+            return "%s", map(_JSON_SCALARS[bool], cells)
+    if not json_text:
+        return "%s", map(_format_cell, cells)
+    texts = [_JSON_SCALARS[type(v)](v) for v in cells]
+    return "%s", map(_NON_FINITE.get, texts, texts)
+
+
+def _table(rows: list, json_text: bool, pad: str = "") -> list[str]:
+    """The text of ``rows`` (lists or tuples of cells), written column by column in runs
+    of up to ``_RUN`` consecutive rows of one width: a CSV line per row, or in JSON an
+    array ``len(pad)`` spaces deep.  Each run is one %-template, its row's slots
+    repeated, filled once; the caller joins the run texts with the row separator (a
+    newline, or in JSON a comma, a newline and ``pad``).  In JSON a cell of a type
+    ``_JSON_SCALARS`` lacks raises ``KeyError``."""
+    if json_text:
+        inner = pad + "  "
+        open_, cell_sep, close, empty = "[\n" + inner, ",\n" + inner, "\n" + pad + "]", "[]"
+        row_sep = ",\n" + pad
+    else:
+        open_, cell_sep, close, empty, row_sep = "", ",", "", "", "\n"
+    runs = []
+    for width, group in groupby(rows, len):
+        while run := list(islice(group, _RUN)):
+            if not width:
+                runs.append(row_sep.join([empty] * len(run)))
+                continue
+            slots, columns = [], []
+            for cells in zip(*run):
+                slot, args = _column(cells, json_text)
+                slots.append(slot)
+                if args is not None:
+                    columns.append(args)
+            template = row_sep.join([open_ + cell_sep.join(slots) + close] * len(run))
+            runs.append(template % tuple(chain.from_iterable(zip(*columns))))
+    return runs
 
 
 def to_csv(envelope: OutputEnvelope) -> str:
@@ -711,7 +754,7 @@ def to_csv(envelope: OutputEnvelope) -> str:
     for warning in envelope.warnings:
         lines.append(f"# warning={warning}")
     lines.append(",".join(envelope.payload["columns"]))
-    lines.extend(_csv_lines(envelope.payload["rows"]))
+    lines.extend(_table(envelope.payload["rows"], False))
     lines.append("")  # the final newline, without copying the text to add it
     return "\n".join(lines)
 
@@ -726,8 +769,9 @@ _NON_FINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
 def _json_write(value: Any, pad: str, out: list[str]) -> None:
     """Append to ``out`` the text ``json.dumps(_json_safe(value), indent=2, allow_nan=False)``
     gives ``value`` written ``len(pad)`` spaces deep, without the encoder's per-value
-    dispatch.  A list of scalars is one piece; the caller joins the pieces once, so the
-    document is copied once, not once per nesting level."""
+    dispatch.  A list of scalars is one piece and a list of rows one piece per run of
+    :func:`_table`; the caller joins the pieces once, so the document is copied once, not
+    once per nesting level."""
     kind = type(value)
     if kind is list or kind is tuple:
         if not value:
@@ -735,18 +779,24 @@ def _json_write(value: Any, pad: str, out: list[str]) -> None:
             return
         inner = pad + "  "
         try:
-            items = [_JSON_SCALARS[type(v)](v) for v in value]
+            if set(map(type, value)) <= {list, tuple}:  # a table, in runs of rows
+                texts = _table(value, True, inner)
+            else:  # a list of scalars, as one column
+                slot, args = _column(value, True)
+                texts = [(",\n" + inner).join([slot] * len(value)) % tuple(args or ())]
         except KeyError:  # it holds a container or a type the table lacks
-            separator = "[\n" + inner
+            texts = None
+        separator = "[\n" + inner
+        if texts is None:
             for v in value:
                 out.append(separator)
                 _json_write(v, inner, out)
                 separator = ",\n" + inner
-            out.append("\n" + pad + "]")
-        else:  # a list of scalars, in one pass
-            if "inf" in items or "-inf" in items or "nan" in items:
-                items = [_NON_FINITE.get(item, item) for item in items]
-            out.append("[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]")
+        else:
+            for text in texts:
+                out += separator, text
+                separator = ",\n" + inner
+        out.append("\n" + pad + "]")
     elif kind is dict and all(type(key) is str for key in value):
         if not value:
             out.append("{}")

@@ -151,12 +151,19 @@ def exposure_table(sizes, params: ModelParams, *, eps_thr: float = EPS_THR) -> l
     :func:`exposure_derivative` and is checked against the invariants of
     :class:`ExposureValue`; the constants are derived once for the whole table.
     """
+    return _table(sizes, params, eps_thr, lambda i, q: _overflow(f"sizes[{i}] = {q!r}"))
+
+
+def _table(sizes, params: ModelParams, eps_thr: float, overflow) -> list[list[float]]:
+    """The rows of :func:`exposure_table`; an exposure past the float range raises
+    ``overflow(i, q)``, the error that names the size ``q`` at index ``i`` as its caller
+    labels it."""
     d, rho, eps_thr = derive(params), params.rho, _number(eps_thr, "tolerance eps_thr")
     rows = []
     for i, q in enumerate(sizes):
         value, derivative, active_duration = _release(q, d, rho, eps_thr)
         if value == math.inf:
-            raise _overflow(f"sizes[{i}] = {q!r}")
+            raise overflow(i, q)
         _check_exposure(value, active_duration)
         rows.append([q, value, derivative, active_duration])
     return rows

@@ -567,8 +567,20 @@ class TestMain:
         out, err = capsys.readouterr()
         assert code == 1
         assert out == ""
-        assert (f"error: exposure value of release sizes[{at}] = 1e+308 must be finite and >= 0 "
-                "(got inf)") in err
+        assert (f"error: exposure: q[{at}] = 1e+308 has an exposure value past the float range "
+                "(must be finite and >= 0, got inf)") in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", ["-1", "1e308"])
+    def test_exposure_errors_name_the_config_field(self, capsys, bad):
+        # a negative size and one whose exposure overflows name the same field, as the
+        # config document spells it; the library's own text names its argument sizes[1]
+        code = main(["exposure", "--q", "0.5", "--q", bad, *FIG_FLAGS, "--no-meta-time"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: exposure: q[1] ")
+        assert "sizes" not in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("last, message", [

@@ -1,18 +1,22 @@
 """The CSV and JSON emitters write the same bytes as the plain emit path they replace.
 
-``cli.to_csv`` formats each row through a %-template chosen once per row type
-signature, and ``cli.to_json`` writes the ``json.dumps(..., indent=2)`` layout
-itself.  The oracles in ``tests/util.py`` are the old per-cell path and
-``json.dumps``; on every CPython the suite runs on, the two must agree byte for
-byte, non-finite floats, huge integers, escapes and numpy scalars included.
+Both emitters write a table column by column (``cli._table``): runs of up to
+``cli._RUN`` rows of one width, each through one %-template whose slot per column
+follows from the column's cell types.  ``cli.to_json`` writes the
+``json.dumps(..., indent=2)`` layout itself.  The oracles in ``tests/util.py`` are
+the old per-cell path and ``json.dumps``; on every CPython the suite runs on, the two
+must agree byte for byte, non-finite floats, huge integers, escapes and numpy scalars
+included.
 """
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leakystage.cli import OutputEnvelope, parse_config, run, to_csv, to_json
+from leakystage.cli import _RUN, OutputEnvelope, parse_config, run, to_csv, to_json
 from leakystage.presets import PRESETS
 from util import to_csv_oracle, to_json_oracle
 
@@ -118,3 +122,113 @@ def test_presets_match_the_oracles():
         envelope = run(parse_config(document, command=command), meta_time=False)
         assert to_csv(envelope) == to_csv_oracle(envelope), name
         assert to_json(envelope) == to_json_oracle(envelope), name
+
+
+FIG = {"beta": 0.6, "mu": 1.0, "delta": 1.8, "rho": 0.5}
+#: A 2e4-row config of each command the bulk-emit benchmark emits.
+BULK = {
+    "simulate": {"schedule": [[0.5, 0.3], [2.0, 0.4], [4.0, 0.2]], "S0": 0.1, "T": 6.0,
+                 "step": 6.0 / 20000},
+    "overhead": {"r": 19999.6, "k": 0.7},
+    "exposure": {"q": np.random.default_rng(30).uniform(0.0, 1.6, 20000).tolist()},
+    "phase": {"panel": "a", "h_range": [0.0, 5.0, 3333]},
+}
+
+
+def _table_envelope(rows) -> OutputEnvelope:
+    metadata = {"tool": "leakystage", "version": "0", "command": "x", "delta_c": 0.4,
+                "alpha": 1.25, "gamma": 0.5, "dimensionless": {"r": None, "h": None, "k": None},
+                "config": {"q": [0.5, 1.0]}}
+    return OutputEnvelope(metadata=metadata, payload={"columns": ["a", "b"], "rows": rows})
+
+
+def _assert_matches(rows) -> None:
+    envelope = _table_envelope(rows)
+    assert to_csv(envelope) == to_csv_oracle(envelope)
+    assert to_json(envelope) == to_json_oracle(envelope)
+
+
+@pytest.fixture(scope="module")
+def bulk_envelopes() -> dict[str, OutputEnvelope]:
+    return {command: run(parse_config({"params": FIG, command: block}, command=command),
+                         meta_time=False) for command, block in BULK.items()}
+
+
+@pytest.mark.parametrize("count", [_RUN - 1, _RUN, _RUN + 1, 3 * _RUN + 7])
+def test_tables_across_the_run_cap(count):
+    # each column's cell types change at a row that is no run boundary, so some runs
+    # write a column through one slot and others cell by cell
+    rows = [[i / 7, i, None if i % 3 else i, f"s{i}", i % 2 == 0, "x" if i > 1500 else None]
+            for i in range(count)]
+    _assert_matches(rows)
+    assert to_csv(_table_envelope(rows)).count("\n") == 5 + count
+
+
+def test_alternating_widths_with_empty_rows_between():
+    rows = []
+    for i in range(2 * _RUN + 40):
+        width = (i // 37) % 4  # runs of 37 rows of widths 0, 1, 2 and 3 in turn
+        rows.append([float(i)] * width)
+        if i % 500 == 0:
+            rows.extend([[], []])
+    _assert_matches(rows)
+    _assert_matches([[], [1.5], [], [], [2, 3], []])
+    _assert_matches([[]] * (_RUN + 3))
+
+
+def test_int_and_none_column():
+    # phase's n column: an int on the B_n rows, None on the frontier rows
+    rows = [["a", "B_n", n, None, h / 10, None, None, None, 1.0 + h] for h in range(300)
+            for n in (2, 3)] + [["a", "frontier", None, None, h / 10, None, None, None, 2.0]
+                                 for h in range(900)]
+    _assert_matches(rows)
+
+
+def test_non_finite_floats_in_a_column():
+    for special in (math.inf, -math.inf, math.nan, -0.0):
+        rows = [[i / 3, special if i in (5, _RUN + 2) else i * 0.5] for i in range(_RUN + 9)]
+        _assert_matches(rows)
+        _assert_matches([[special]] * 3)
+
+
+def test_finite_floats_whose_sum_overflows():
+    _assert_matches([[1e308, 0.5], [1e308, 1.5]])
+    _assert_matches([[-1e308], [-1e308], [1e308]])
+    # the config echo's flat list takes the same column rule
+    envelope = _table_envelope([[1.0]])
+    envelope.metadata["config"]["q"] = [1e308, 1e308, math.inf]
+    assert to_csv(envelope) == to_csv_oracle(envelope)
+    assert to_json(envelope) == to_json_oracle(envelope)
+
+
+def test_bools_beside_other_cells_and_tuple_rows():
+    rows = [(True, 1, _Str("s"), np.float64(0.25)), [False, 0, "t", 0.5],
+            (True, False, 2, None), [1, True, _Int(3), "u"], (np.float64(-0.0), True, 1.5, 2)]
+    _assert_matches(rows)
+    _assert_matches(rows * 400)
+    _assert_matches([(True, 2), (False, 3)] * (_RUN + 1))
+    # a nested container or numpy scalar sends the whole table down the generic writer
+    _assert_matches([[1.0, 2.0]] * _RUN + [[[1.0], {"a": 2}]] + [[3.0, 4.0]] * 5)
+
+
+def test_bulk_emit_payloads_match_the_oracles(bulk_envelopes):
+    for command, envelope in bulk_envelopes.items():
+        assert len(envelope.payload["rows"]) >= 19998, command
+        assert to_csv(envelope) == to_csv_oracle(envelope), command
+        assert to_json(envelope) == to_json_oracle(envelope), command
+
+
+@pytest.mark.parametrize("command", ["exposure", "overhead", "phase"])
+def test_emit_peak_memory_is_bounded_by_the_text(bulk_envelopes, command):
+    # the text and the parts it is joined from are alive together at the end, 2x its
+    # length; a writer that holds whole-table temporaries (a string per cell, a line per
+    # row) reaches about 3x
+    envelope = bulk_envelopes[command]
+    for emit in (to_csv, to_json):
+        tracemalloc.start()
+        try:
+            text = emit(envelope)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text), (emit.__name__, peak / len(text))
