@@ -178,10 +178,13 @@ def overhead_optimal_count(r: float, k: float) -> OverheadResult:
     counts only add overhead).  The cost is convex with relaxed minimiser
     :func:`continuous_relaxed_count`, so only the floor and the ceiling of that
     point, clamped to ``[1, ceil(r)]``, are evaluated.  Those whose cost is within
-    a relative 1e-12 of the smaller one tie, and ``n_star`` is the smallest tie.
+    a relative 1e-12 of the smaller one tie, and ``n_star`` is the smallest tie.  A cost
+    past the float range raises :class:`LeakyStageError` naming ``k``.
     """
     relaxed = continuous_relaxed_count(r, k)  # checks r and k
     ties, cost, excess = _optimal_counts(r, k, relaxed, _safe_count(r))
+    if cost == math.inf:
+        raise _cost_overflow(k)
     return OverheadResult(
         n_star=ties[0],
         cost=cost,
@@ -189,6 +192,12 @@ def overhead_optimal_count(r: float, k: float) -> OverheadResult:
         is_fully_safe=excess == 0.0,
         ties=ties,
     )
+
+
+def _cost_overflow(k: float) -> LeakyStageError:
+    """The error for a cost ``n k + excess(r, n)`` past the float range."""
+    return LeakyStageError(
+        f"overhead k={k!r} puts the cost n*k + excess(r, n) past the float range; reduce k")
 
 
 def _optimal_counts(r: float, k: float, relaxed: float,

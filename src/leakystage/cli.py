@@ -32,7 +32,7 @@ from typing import Any, Mapping
 
 from . import __version__
 from .allocation import SplitProblem, k_safe, optimal_split, overhead_optimal_count
-from .allocation import _excess, _safe_count
+from .allocation import _cost_overflow, _excess, _safe_count
 from .errors import ConfigError, LeakyStageError
 from .exposure import _table as _exposure_rows
 from .model import (
@@ -482,6 +482,8 @@ def _run_overhead(config: RunConfig, d: DerivedConstants, dim: dict) -> tuple[di
             result.n_star,
             frontier,
         ])
+    if max(rows[0][1], rows[-1][1]) == math.inf:  # the cost is convex in n
+        raise _cost_overflow(k)
     warnings = []
     if len(result.ties) > 1:
         warnings.append(
@@ -769,53 +771,40 @@ _NON_FINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
 def _json_write(value: Any, pad: str, out: list[str]) -> None:
     """Append to ``out`` the text ``json.dumps(_json_safe(value), indent=2, allow_nan=False)``
     gives ``value`` written ``len(pad)`` spaces deep, without the encoder's per-value
-    dispatch.  A list of scalars is one piece and a list of rows one piece per run of
-    :func:`_table`; the caller joins the pieces once, so the document is copied once, not
-    once per nesting level."""
-    kind = type(value)
-    if kind is list or kind is tuple:
-        if not value:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        try:
-            if set(map(type, value)) <= {list, tuple}:  # a table, in runs of rows
-                texts = _table(value, True, inner)
-            else:  # a list of scalars, as one column
-                slot, args = _column(value, True)
-                texts = [(",\n" + inner).join([slot] * len(value)) % tuple(args or ())]
-        except KeyError:  # it holds a container or a type the table lacks
-            texts = None
-        separator = "[\n" + inner
-        if texts is None:
-            for v in value:
-                out.append(separator)
-                _json_write(v, inner, out)
-                separator = ",\n" + inner
-        else:
-            for text in texts:
-                out += separator, text
-                separator = ",\n" + inner
-        out.append("\n" + pad + "]")
-    elif kind is dict and all(type(key) is str for key in value):
-        if not value:
-            out.append("{}")
-            return
-        inner = pad + "  "
+    dispatch.  A non-empty dict with string keys is written key by key; any other value
+    goes through the column kernel: a list of rows one piece per run of :func:`_table`, a
+    list of scalars or a lone scalar one piece from :func:`_column`.  What the kernel
+    refuses (an empty or nested container, a numpy scalar, a subclass, non-string keys)
+    is the encoder's own text, re-indented.  The caller joins the pieces once, so the
+    document is copied once, not once per nesting level."""
+    inner = pad + "  "
+    if type(value) is dict and value and all(type(key) is str for key in value):
         separator = "{\n" + inner
         for key, v in value.items():
             out.append(separator + encode_basestring_ascii(key) + ": ")
             _json_write(v, inner, out)
             separator = ",\n" + inner
         out.append("\n" + pad + "}")
-    elif kind in _JSON_SCALARS:
-        text = _JSON_SCALARS[kind](value)
-        out.append(_NON_FINITE.get(text, text))
-    else:
-        # any other type (a numpy scalar, a dict subclass, non-string keys): the
-        # encoder itself, its lines re-indented to this depth
+        return
+    try:  # the kernel builds all its text before any of it is appended
+        if type(value) not in (list, tuple) or not value:  # one cell; [] and () are refused
+            slot, args = _column((value,), True)
+            out.append(slot % tuple(args or ()))
+            return
+        if set(map(type, value)) <= {list, tuple}:  # a table, in runs of rows
+            texts = _table(value, True, inner)
+        else:  # a list of scalars, as one column
+            slot, args = _column(value, True)
+            texts = [(",\n" + inner).join([slot] * len(value)) % tuple(args or ())]
+    except KeyError:
         out.append(json.dumps(_json_safe(value), indent=2, allow_nan=False)
                    .replace("\n", "\n" + pad))
+        return
+    separator = "[\n" + inner
+    for text in texts:
+        out += separator, text
+        separator = ",\n" + inner
+    out.append("\n" + pad + "]")
 
 
 def to_json(envelope: OutputEnvelope) -> str:

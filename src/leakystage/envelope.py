@@ -164,14 +164,15 @@ def _walk(
     the last samples, as floats, are the next state.  Each column is kept as a
     list of chunks (node arrays, and 1-tuples for the start and the post-jump
     samples) and joined once.  Returns the samples per state entry and the
-    :class:`Trajectory` fields of the layout.
+    :class:`Trajectory` fields of the layout.  A jump to a level past the float
+    range raises :class:`ScheduleError` naming its event.
     """
     times: list = [(0.0,)]
     columns = [[(x,)] for x in state]
     count = 1  # samples laid out so far
     jump_indices: list[int] = []
     current_t = 0.0
-    for event_t, size in (*schedule.events, (T, None)):
+    for j, (event_t, size) in enumerate((*schedule.events, (T, None))):
         if event_t > current_t:
             nodes, *segments = advance(state, current_t, event_t)
             times.append(nodes)
@@ -184,6 +185,9 @@ def _walk(
             continue
         jump_indices.append(count - 1)
         state = (*state[:-1], state[-1] + size)
+        if state[-1] == math.inf:
+            raise ScheduleError(
+                f"the release of event {j} at t={event_t!r} lifts the level past the float range")
         times.append((event_t,))
         for column, x in zip(columns, state):
             column.append((x,))
@@ -296,7 +300,8 @@ def simulate_full(
     land on grid nodes.  ``S`` is integrated in log space; a start at
     ``S0 = 0`` stays on the invariant manifold ``S = 0`` exactly.  Where the drain
     ``(rho + delta S) A`` passes the float range, as from ``S0`` near 1e308, the
-    path would turn NaN: a :class:`LeakyStageError` names ``S0`` instead.
+    path would turn NaN: a :class:`LeakyStageError` names ``S0`` instead, or the
+    release where the level's growth rate ``alpha A`` overflows the RK4 stage sum.
 
     A call whose inputs equal the previous call's bit for bit (``-0.0`` is not
     ``0.0``, an ``int`` is not a ``float``) returns the same read-only
@@ -319,14 +324,15 @@ def simulate_full(
     ):
         return cached
     clamp_count = 0
+    alpha = params.delta - params.beta
 
     def rk4(state, t0, t1):
         nonlocal clamp_count
+        level = state[1]
         try:
             nodes, us, levels, clamped = _rk4_segment(*state, t0, t1, h_step, params)
         except OverflowError:
-            level = state[1]
-            if (params.delta - params.beta) * level * math.ulp(t1) > 1.0:
+            if alpha * level * math.ulp(t1) > 1.0:
                 # the step that resolves the growth rate alpha * A, about 1 / (alpha * A),
                 # is finer than the float spacing of the times up to t1
                 raise LeakyStageError(
@@ -334,9 +340,15 @@ def simulate_full(
                     "rate no step resolves; reduce the release") from None
             raise LeakyStageError(f"RK4 overflowed at step {h_step!r}; reduce the step") from None
         if math.isnan(us[-1]) or math.isnan(levels[-1]):  # a NaN lasts to the segment's end
+            if 6.0 * alpha * level == math.inf:
+                # the log S stage sum du1 + 2 du2 + 2 du3 + du4 overflows on alpha * A alone
+                raise LeakyStageError(
+                    f"RK4 overflowed on the level A={level!r} at t={t0!r}, whose growth "
+                    "rate alpha * A passes the float range in the RK4 stage sum; "
+                    "reduce the release")
             raise LeakyStageError(
                 f"S0={S0!r} overflows the RK4 drain (rho + delta*S) * A at the level "
-                f"A={state[1]!r} from t={t0!r} on; reduce S0")
+                f"A={level!r} from t={t0!r} on; reduce S0")
         clamp_count += clamped
         # fromiter reads a list of floats about twice as fast as concatenate would
         return [nodes, *(np.fromiter(x, float, len(x)) for x in (us, levels))]
@@ -356,7 +368,7 @@ def path_exposure(trajectory: Trajectory, params: ModelParams) -> float:
     breakpoint by linear interpolation of the pressure, the one rule for the
     full system and the envelope alike.  Duplicated jump samples contribute
     nothing (zero width).  The terms are summed left to right, as a running
-    total would be.
+    total would be.  A total past the float range raises :class:`LeakyStageError`.
     """
     t = trajectory.t
     g = growth_pressure(trajectory.A, params)
@@ -364,15 +376,21 @@ def path_exposure(trajectory: Trajectory, params: ModelParams) -> float:
     gi, gj = g[:-1], g[1:]
     live = dt > 0.0
     active = (gi >= 0.0) & (gj >= 0.0)
-    terms = np.where(live & active, 0.5 * (gi + gj) * dt, 0.0)
-    # one endpoint active: split at the crossing; g[i] and g[i + 1] have strictly
-    # opposite signs there, so neither branch divides by zero
-    i = np.flatnonzero(live & ~active & ~((gi <= 0.0) & (gj <= 0.0)))
-    t0, t1, g0, g1 = t[i], t[i + 1], gi[i], gj[i]
-    t_cross = t0 + dt[i] * g0 / (g0 - g1)
-    terms[i] = np.where(g0 > 0.0, 0.5 * g0 * (t_cross - t0), 0.5 * g1 * (t1 - t_cross))
-    # not np.sum, which adds pairwise: cumsum from 0.0 is the running total
-    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # the total is checked below
+        terms = np.where(live & active, 0.5 * (gi + gj) * dt, 0.0)
+        # one endpoint active: split at the crossing; g[i] and g[i + 1] have strictly
+        # opposite signs there, so neither branch divides by zero
+        i = np.flatnonzero(live & ~active & ~((gi <= 0.0) & (gj <= 0.0)))
+        t0, t1, g0, g1 = t[i], t[i + 1], gi[i], gj[i]
+        t_cross = t0 + dt[i] * g0 / (g0 - g1)
+        terms[i] = np.where(g0 > 0.0, 0.5 * g0 * (t_cross - t0), 0.5 * g1 * (t1 - t_cross))
+        # not np.sum, which adds pairwise: cumsum from 0.0 is the running total
+        total = float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+    if not math.isfinite(total):
+        raise LeakyStageError(
+            f"the path's exposure passes the float range (got {total!r}) at levels up to "
+            f"A={float(trajectory.A.max())!r}; reduce the releases")
+    return total
 
 
 def verify_envelope_dominance(

@@ -239,10 +239,15 @@ def exposure_derivative(
 
     Exactly 0.0 on the plateau, ``(delta-beta)/rho * (1 - delta_c/q)`` above
     it; continuous at the threshold with value 0 and increasing towards
-    ``(delta-beta)/rho`` for large releases.
+    ``(delta-beta)/rho`` for large releases.  A derivative past the float range, as
+    where ``(delta-beta)/rho`` overflows, raises :class:`LeakyStageError` naming ``q``.
     """
     eps_thr = _number(eps_thr, "tolerance eps_thr")
-    return _release(q, derive(params), params.rho, eps_thr)[1]
+    derivative = _release(q, derive(params), params.rho, eps_thr)[1]
+    if derivative == math.inf:
+        raise LeakyStageError(
+            f"exposure derivative of release q={q!r} must be finite (got inf)")
+    return derivative
 
 
 def exposure_near_threshold(epsilon: float, params: ModelParams) -> float:
@@ -250,8 +255,14 @@ def exposure_near_threshold(epsilon: float, params: ModelParams) -> float:
 
     For a release ``delta_c * (1 + epsilon)`` the exposure is
     ``(delta-beta) * delta_c / (2 rho) * epsilon**2`` up to an O(epsilon^3)
-    error.  This is an approximation, not the exact value.
+    error.  This is an approximation, not the exact value.  A term past the float
+    range raises :class:`LeakyStageError` naming ``epsilon``.
     """
     _number(epsilon, "relative overshoot epsilon")
     d = derive(params)
-    return (d.alpha * d.delta_c) / (2.0 * params.rho) * epsilon * epsilon
+    term = (d.alpha * d.delta_c) / (2.0 * params.rho) * epsilon * epsilon
+    if not term < math.inf:  # NaN where the coefficient overflows and epsilon is 0
+        raise LeakyStageError(
+            f"exposure near threshold of relative overshoot epsilon={epsilon!r} "
+            f"must be finite (got {term!r})")
+    return term

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,13 @@ class TestOverheadOptimalCount:
         # 10 + (2.5 - 1 - log 2.5)
         assert result.cost == pytest.approx(10.583709268125844, rel=1e-13)
         assert not result.is_fully_safe
+
+    @pytest.mark.parametrize("r, k", [(1e307, 1.7e308), (1.7e308, 1e308)])
+    def test_cost_past_the_float_range_names_k(self, r, k):
+        # one release is optimal at this overhead, and k + excess(r, 1) passes the float range
+        with pytest.raises(LeakyStageError, match=rf"overhead k={re.escape(repr(k))} puts the "
+                           r"cost n\*k \+ excess\(r, n\) past the float range"):
+            overhead_optimal_count(r, k)
 
     def test_agrees_with_enumeration(self):
         rng = np.random.default_rng(43)

@@ -469,6 +469,19 @@ class TestMain:
         assert "S0=1e+308 overflows the RK4 drain (rho + delta*S) * A" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_release_past_the_rk4_stage_sum_exits_1(self, tmp_path, capsys):
+        # S0 = 0 has no drain term: the log S stage sum overflows on alpha * A
+        path = tmp_path / "run.json"
+        params = {"beta": 0.1, "mu": 0.9, "delta": 1.0, "rho": 0.5}
+        block = {"schedule": [[0.0, 1e308]], "S0": 0.0, "T": 1.0, "step": 0.5}
+        path.write_text(json.dumps({"params": params, "simulate": block}), encoding="utf-8")
+        code = main(["simulate", "--config", str(path), "--no-meta-time"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "error: RK4 overflowed on the level A=1e+308 at t=0.0" in captured.err
+        assert "reduce the release" in captured.err and "S0" not in captured.err
+        assert "Traceback" not in captured.err
+
     def test_unallocatable_step_exits_1(self, capsys):
         # 1e-300 asks for some 1e300 nodes: numpy refuses before allocating anything
         code = main(["simulate", "--preset", "fig-envelope", "--step", "1e-300", "--no-meta-time"])
@@ -558,6 +571,16 @@ class TestMain:
         assert code == 1
         assert out == ""
         assert "error: exposure of total load Q=10000000000.0 must be finite (got inf)" in err
+        assert "Traceback" not in err
+
+    def test_overhead_cost_past_the_float_range_exits_1(self, capsys):
+        # the optimum n = 1 costs 1e308, and rows 2 to 5 pass the float range
+        code = main(["overhead", "--r", "5", "--k", "1e308", *FIG_FLAGS, "--no-meta-time"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert "error: overhead k=1e+308 puts the cost n*k + excess(r, n) past the float " \
+               "range" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("sizes, at", [(["1e308", "0.5"], 0), (["0.5", "1e308"], 1)])

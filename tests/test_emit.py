@@ -116,6 +116,24 @@ def test_edge_payload_matches_the_oracles():
     assert to_json(envelope) == to_json_oracle(envelope)
 
 
+def test_each_json_route_matches_the_oracles():
+    # one fixed value per route of the writer: a dict with string keys key by key, a
+    # table, a flat list or a lone scalar through the column kernel, and whatever the
+    # kernel refuses through the encoder
+    envelope = _table_envelope([[1.0]])
+    envelope.metadata.update(delta_c=np.float64("nan"), alpha=_Int(3))
+    envelope.metadata["config"].update(
+        empty={"dict": {}, "list": [], "tuple": (), "rows": [[], ()], "held": [{}]},
+        echo=[0.5, {"a": 1.0}, 2],
+        pair=(np.float64(0.25), 1),
+    )
+    assert to_csv(envelope) == to_csv_oracle(envelope)
+    assert to_json(envelope) == to_json_oracle(envelope)
+    # the kernel refuses the numpy scalar in the last row only, in the table's third run
+    rows = [[i / 7, i] for i in range(2 * _RUN + 5)] + [[0.5, np.float64(1.5)]]
+    _assert_matches(rows)
+
+
 def test_presets_match_the_oracles():
     for name, document in PRESETS.items():
         command = next(key for key in document if key != "params")

@@ -96,6 +96,22 @@ class TestSimulateEnvelope:
         with pytest.raises(LeakyStageError, match=r"step size 1e-300 needs more samples"):
             simulate(FIG_SCHEDULE, figure_params, 8.0, 1e-300)
 
+    @pytest.mark.parametrize("simulate", [
+        lambda schedule, params, S0, a0: simulate_envelope(schedule, params, 1.0, 0.5, a0=a0),
+        lambda schedule, params, S0, a0: simulate_full(schedule, params, S0, a0, 1.0, 0.5),
+    ], ids=["envelope", "full"])
+    @pytest.mark.parametrize("events, S0, a0, at", [
+        (((0.0, 1e308),), 0.1, 1e308, r"event 0 at t=0\.0"),
+        # from S = 0 the level 2e307 takes a step of 1e-300 without overflowing
+        (((0.0, 1.0), (1e-300, 1.7e308)), 0.0, 2e307, r"event 1 at t=1e-300"),
+    ], ids=["first", "second"])
+    def test_release_past_the_float_range_names_the_event(self, figure_params, simulate,
+                                                          events, S0, a0, at):
+        # the jump's level is inf: both simulators name the event
+        with pytest.raises(ScheduleError, match=rf"release of {at} lifts the level past the "
+                           "float range"):
+            simulate(ImpulseSchedule(events), figure_params, S0, a0)
+
     def test_recurrence_consistency_random(self):
         rng = np.random.default_rng(97)
         for _ in range(50):
@@ -126,6 +142,16 @@ class TestSimulateFull:
         with pytest.raises(LeakyStageError,
                            match=r"level A=1e\+300 at t=0\.0, .* reduce the release"):
             simulate_full(ImpulseSchedule(((0.0, 1e300),)), figure_params, 0.08, 0.0, 2.0, step)
+
+    @pytest.mark.parametrize("loop", [False, True], ids=["unrolled", "loop"])
+    def test_level_past_the_stage_sum_names_the_release(self, loop):
+        # S = 0 has no drain term: the log S stage sum overflows on alpha * A = 9e307, and
+        # -inf + inf is NaN; the release is named, not S0
+        params = ModelParams(0.1, 0.9, 1.0, 0.5)
+        simulate = _simulate_full_loop if loop else simulate_full
+        with pytest.raises(LeakyStageError, match=r"level A=1e\+308 at t=0\.0, whose growth "
+                           r"rate alpha \* A passes the float range .* reduce the release"):
+            simulate(ImpulseSchedule(((0.0, 1e308),)), params, 0.0, 0.0, 1.0, 0.5)
 
     def test_richardson_order_at_least_3_5(self, figure_params):
         terminal = []
@@ -269,6 +295,12 @@ class TestPathExposure:
         numeric = path_exposure(trajectory, figure_params)
         closed = exposure_closed_form(1.0, figure_params).value
         assert numeric == pytest.approx(closed, abs=5e-6)
+
+    def test_total_past_the_float_range_raises(self, figure_params):
+        # the pressure at A = 1e308 is about 1.2e308: the sum of two endpoints overflows
+        trajectory = simulate_envelope(ImpulseSchedule(((0.0, 1e308),)), figure_params, 1.0, 0.5)
+        with pytest.raises(LeakyStageError, match=r"exposure passes the float range \(got inf\)"):
+            path_exposure(trajectory, figure_params)
 
 
 def _simulate_full_loop(*args) -> envelope.Trajectory:

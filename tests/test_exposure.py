@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from leakystage import (
     LeakyStageError,
+    ModelParams,
     derive,
     exposure_batch,
     exposure_closed_form,
@@ -282,9 +284,28 @@ class TestDerivative:
             assert second == pytest.approx(expected, rel=1e-4)
 
 
+    def test_past_the_float_range_names_q(self):
+        # alpha / rho overflows, as exposure_closed_form reports for the value
+        params = ModelParams(0.6, 1.0, 1e10, 1e-308)
+        with pytest.raises(LeakyStageError, match=r"derivative of release q=1\.0 must be finite "
+                           r"\(got inf\)"):
+            exposure_derivative(1.0, params)
+        assert exposure_derivative(1e-12, params) == 0.0  # the plateau is still exact
+
+
 class TestNearThreshold:
     def test_vanishes_at_zero_overshoot(self, figure_params):
         assert exposure_near_threshold(0.0, figure_params) == 0.0
+
+    @pytest.mark.parametrize("epsilon, params, got", [
+        (1e200, ModelParams(0.6, 1.0, 1.8, 0.5), "inf"),
+        # the coefficient (mu - beta) / (2 rho) overflows, and inf * 0 is NaN
+        (0.0, ModelParams(1.0, 1e10, 1e11, 1e-308), "nan"),
+    ], ids=["epsilon", "coefficient"])
+    def test_past_the_float_range_names_epsilon(self, epsilon, params, got):
+        with pytest.raises(LeakyStageError, match=rf"epsilon={re.escape(repr(epsilon))} must "
+                           rf"be finite \(got {got}\)"):
+            exposure_near_threshold(epsilon, params)
 
     def test_cubic_error_bound(self, figure_params):
         d = derive(figure_params)
