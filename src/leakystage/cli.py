@@ -443,9 +443,9 @@ def _dimensionless(config: RunConfig, d: DerivedConstants) -> dict[str, float | 
 
 
 def _run_exposure(config: RunConfig, *_) -> tuple[dict, list[str], int]:
-    rows = _exposure_rows(config.options["q"], config.params, config.eps_thr, lambda i, q: (
-        ConfigError(f"exposure: q[{i}] = {q!r} has an exposure value past the float range "
-                    "(must be finite and >= 0, got inf)")))
+    rows = _exposure_rows(config.options["q"], config.params, config.eps_thr, lambda i, q, fault: (
+        ConfigError("exposure: q[{}] = {!r} has an {} past the float range (must be {}, got {})"
+                    .format(i, q, *fault))))
     return {"columns": ["q", "exposure", "derivative", "active_duration"], "rows": rows}, [], 0
 
 

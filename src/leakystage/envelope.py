@@ -298,10 +298,11 @@ def simulate_full(
     Uses classical RK4 with a per-interval uniform step no larger than
     ``h_step`` chosen to divide each inter-event gap exactly, so impulses
     land on grid nodes.  ``S`` is integrated in log space; a start at
-    ``S0 = 0`` stays on the invariant manifold ``S = 0`` exactly.  Where the drain
-    ``(rho + delta S) A`` passes the float range, as from ``S0`` near 1e308, the
-    path would turn NaN: a :class:`LeakyStageError` names ``S0`` instead, or the
-    release where the level's growth rate ``alpha A`` overflows the RK4 stage sum.
+    ``S0 = 0`` stays on the invariant manifold ``S = 0`` exactly.  A segment that
+    overflows or ends in NaN raises :class:`LeakyStageError` naming, in this order, the
+    release if no step up to ``T`` resolves its growth rate (``alpha A ulp(T) > 1``) or
+    ``6 alpha A`` overflows the RK4 stage sum, ``S0`` if the path turned NaN, as where
+    the drain ``(rho + delta S) A`` passes the float range, or else the step.
 
     A call whose inputs equal the previous call's bit for bit (``-0.0`` is not
     ``0.0``, an ``int`` is not a ``float``) returns the same read-only
@@ -328,30 +329,28 @@ def simulate_full(
 
     def rk4(state, t0, t1):
         nonlocal clamp_count
-        level = state[1]
         try:
             nodes, us, levels, clamped = _rk4_segment(*state, t0, t1, h_step, params)
         except OverflowError:
-            if alpha * level * math.ulp(t1) > 1.0:
-                # the step that resolves the growth rate alpha * A, about 1 / (alpha * A),
-                # is finer than the float spacing of the times up to t1
-                raise LeakyStageError(
-                    f"RK4 overflowed on the level A={level!r} at t={t0!r}, whose growth "
-                    "rate no step resolves; reduce the release") from None
-            raise LeakyStageError(f"RK4 overflowed at step {h_step!r}; reduce the step") from None
-        if math.isnan(us[-1]) or math.isnan(levels[-1]):  # a NaN lasts to the segment's end
-            if 6.0 * alpha * level == math.inf:
-                # the log S stage sum du1 + 2 du2 + 2 du3 + du4 overflows on alpha * A alone
-                raise LeakyStageError(
-                    f"RK4 overflowed on the level A={level!r} at t={t0!r}, whose growth "
-                    "rate alpha * A passes the float range in the RK4 stage sum; "
-                    "reduce the release")
+            nan = False
+        else:
+            nan = math.isnan(us[-1]) or math.isnan(levels[-1])  # a NaN lasts to the segment's end
+            if not nan:
+                clamp_count += clamped
+                # fromiter reads a list of floats about twice as fast as concatenate would
+                return [nodes, *(np.fromiter(x, float, len(x)) for x in (us, levels))]
+        level = state[1]
+        # a step of about 1 / (alpha * A) is finer than the spacing of the times up to T,
+        # or the log S stage sum du1 + 2 du2 + 2 du3 + du4 overflows on alpha * A alone
+        if alpha * level * math.ulp(T) > 1.0 or 6.0 * alpha * level == math.inf:
+            raise LeakyStageError(
+                f"RK4 overflowed on the level A={level!r} at t={t0!r}, whose growth rate "
+                f"alpha * A no step up to T={T!r} resolves; reduce the release")
+        if nan:
             raise LeakyStageError(
                 f"S0={S0!r} overflows the RK4 drain (rho + delta*S) * A at the level "
                 f"A={level!r} from t={t0!r} on; reduce S0")
-        clamp_count += clamped
-        # fromiter reads a list of floats about twice as fast as concatenate would
-        return [nodes, *(np.fromiter(x, float, len(x)) for x in (us, levels))]
+        raise LeakyStageError(f"RK4 overflowed at step {h_step!r}; reduce the step")
 
     u0 = math.log(S0) if S0 > 0.0 else -math.inf
     (us, levels), layout = _walk(schedule, T, (u0, A0), rk4)

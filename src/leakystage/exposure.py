@@ -14,6 +14,7 @@ thread-safe.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING
 
 from .errors import LeakyStageError
@@ -116,9 +117,21 @@ def _release(
     return scale * exposure_bracket(q, delta_c), scale * (1.0 - delta_c / q), log_ratio / rho
 
 
-def _overflow(release: str) -> LeakyStageError:
-    """The error for an exposure of ``release`` past the float range."""
-    return LeakyStageError(f"exposure value of release {release} must be finite and >= 0 (got inf)")
+def _fault(value: float, active_duration: float) -> tuple[str, str, str] | None:
+    """How a release's exposure leaves the float range, as the field, the rule it breaks
+    and what it got, or None: a value or an active duration past it, or a value that
+    underflows to 0.0 where the active duration does not."""
+    if value == math.inf or active_duration == math.inf:
+        return ("exposure value" if value == math.inf else "active duration"), \
+            "finite and >= 0", "inf"
+    if value == 0.0 < active_duration:
+        return "exposure value", f"> 0 at the active duration {active_duration!r}", "0.0"
+    return None
+
+
+def _fault_error(release: str, field: str, rule: str, got: str) -> LeakyStageError:
+    """The error for a :func:`_fault` of ``release``, labelled as its caller names it."""
+    return LeakyStageError(f"{field} of release {release} must be {rule} (got {got})")
 
 
 def exposure_closed_form(
@@ -139,8 +152,9 @@ def exposure_closed_form(
     """
     eps_thr = _number(eps_thr, "tolerance eps_thr")
     value, _, active_duration = _release(q, derive(params), params.rho, eps_thr)
-    if value == math.inf:
-        raise _overflow(f"q={q!r}")
+    fault = _fault(value, active_duration)
+    if fault:
+        raise _fault_error(f"q={q!r}", *fault)
     return ExposureValue(value=value, active_duration=active_duration)
 
 
@@ -151,19 +165,21 @@ def exposure_table(sizes, params: ModelParams, *, eps_thr: float = EPS_THR) -> l
     :func:`exposure_derivative` and is checked against the invariants of
     :class:`ExposureValue`; the constants are derived once for the whole table.
     """
-    return _table(sizes, params, eps_thr, lambda i, q: _overflow(f"sizes[{i}] = {q!r}"))
+    return _table(sizes, params, eps_thr,
+                  lambda i, q, fault: _fault_error(f"sizes[{i}] = {q!r}", *fault))
 
 
-def _table(sizes, params: ModelParams, eps_thr: float, overflow) -> list[list[float]]:
-    """The rows of :func:`exposure_table`; an exposure past the float range raises
-    ``overflow(i, q)``, the error that names the size ``q`` at index ``i`` as its caller
-    labels it."""
+def _table(sizes, params: ModelParams, eps_thr: float, error) -> list[list[float]]:
+    """The rows of :func:`exposure_table`; an exposure that leaves the float range raises
+    ``error(i, q, fault)``, the error for the :func:`_fault` that names the size ``q`` at
+    index ``i`` as its caller labels it."""
     d, rho, eps_thr = derive(params), params.rho, _number(eps_thr, "tolerance eps_thr")
     rows = []
     for i, q in enumerate(sizes):
         value, derivative, active_duration = _release(q, d, rho, eps_thr)
-        if value == math.inf:
-            raise overflow(i, q)
+        fault = _fault(value, active_duration)
+        if fault:
+            raise error(i, q, fault)
         _check_exposure(value, active_duration)
         rows.append([q, value, derivative, active_duration])
     return rows
@@ -187,20 +203,30 @@ def exposure_batch(
 
     The sizes are checked block by block, each block read, checked and finished
     while it sits in cache: a NaN, negative or infinite size raises
-    :class:`LeakyStageError`, and so does an exposure past the float range, as
-    on the scalar path, naming the first such index.  No numpy warning escapes.
+    :class:`LeakyStageError`, and so does an exposure past the float range or one
+    that underflows to 0.0 above the plateau, as on the scalar path, naming the first
+    such index.  No numpy warning escapes.
     """
     import numpy as np
 
     q = _float_array(q, "release sizes")
-    d = derive(params)
-    delta_c, scale = d.delta_c, d.alpha / params.rho
-    log_delta_c, edge = math.log(delta_c), delta_c + _number(eps_thr, "tolerance eps_thr")
+    d, rho, eps_thr = derive(params), params.rho, _number(eps_thr, "tolerance eps_thr")
+    delta_c, scale = d.delta_c, d.alpha / rho
+    log_delta_c, edge = math.log(delta_c), delta_c + eps_thr
     switch = delta_c * (1.0 + _SERIES_SWITCH)
+    # each size past the edge has a bracket and a value at least the first one's, up to
+    # rounding: neither underflows to 0.0 unless one of those is below the smallest normal
+    first = math.nextafter(edge, math.inf)
+    may_underflow = min(scale, 1.0) * exposure_bracket(first, delta_c) < sys.float_info.min
     out = np.empty(q.shape)
     # np.log can round a size read at a negative stride differently, so the sizes are
     # read contiguously; out is C-ordered, so its reshape is a view
     sizes, values = q.ravel(), out.reshape(-1)
+
+    def release(i):  # the size at flat index i, as the scalar path's error names it
+        at = f"[{', '.join(map(str, np.unravel_index(i, q.shape)))}]" if q.ndim else ""
+        return f"sizes{at} = {float(sizes[i])!r}"
+
     # log(0.0) on the plateau is zeroed below; an overflow, and the plateau's 0 * inf where
     # alpha / rho overflows, are checked per block
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -227,8 +253,12 @@ def exposure_batch(
             # the bracket is below q, so only a size near the float range over scale overflows
             if top * scale >= 1e307 and not ob.max() < math.inf:
                 i = start + int(np.argmax(ob == math.inf))
-                at = f"[{', '.join(map(str, np.unravel_index(i, q.shape)))}]" if q.ndim else ""
-                raise _overflow(f"sizes{at} = {float(sizes[i])!r}")
+                raise _fault_error(release(i), *_fault(math.inf, 0.0))
+            if may_underflow:  # a 0.0 past the edge is a fault where the duration is not 0.0
+                for i in start + np.flatnonzero((ob == 0.0) & (qb > edge)):
+                    fault = _fault(0.0, _release(float(sizes[i]), d, rho, eps_thr)[2])
+                    if fault:
+                        raise _fault_error(release(i), *fault)
     return out
 
 

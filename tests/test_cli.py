@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leakystage
-from leakystage import ConfigError, LeakyStageError, derive
+from leakystage import ConfigError, LeakyStageError, derive, k_safe
 from leakystage.cli import (
     _DOCUMENT, _FIELDS, _PARAMS, COMMANDS, _check, _Field, _scalar, main, parse_config, run,
     schema, to_csv, to_json,
@@ -45,6 +45,12 @@ class TestParseConfig:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config({"params": FIG, "split": {"Q": 1.0, "n": 2}, "extra": 1})
+
+    def test_horizon_before_the_last_event_rejected(self):
+        block = {"schedule": [[0.0, 0.3], [2.0, 0.2]], "S0": 0.05, "T": 1.0, "step": 0.1}
+        with pytest.raises(ConfigError, match=r"^simulate: field 'T' must be >= the last event "
+                           r"time 2\.0$"):
+            parse_config({"params": FIG, "simulate": block})
 
     def test_unknown_block_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -209,6 +215,22 @@ class TestRun:
         config = parse_config({"params": FIG, "split": {"Q": 0.4, "n": 3}})
         envelope = run(config)
         assert any("not unique" in w for w in envelope.warnings)
+
+    def test_overhead_tie_warns(self):
+        # at k = k_safe(2.5) the costs of n = 2 and n = 3 tie
+        config = parse_config({"params": FIG, "overhead": {"r": 2.5, "k": k_safe(2.5)}})
+        envelope = run(config)
+        assert envelope.warnings == (
+            "cost-optimal count is tied among [2, 3]; smallest reported as n_star",)
+        assert [row[0] for row in envelope.payload["rows"] if row[3]] == [2, 3]
+
+    def test_peak_at_the_critical_level_warns(self):
+        # Q = 2 delta_c over three releases at lam = 0.5 peaks at delta_c itself
+        config = parse_config({"params": FIG, "peak": {"Q": 0.6666666666666666, "n": 3,
+                                                       "lam": 0.5}})
+        envelope = run(config)
+        assert envelope.warnings == ("peak sits exactly at the critical level (within eps_thr)",)
+        assert all(row[5] == 1.0 and row[6] is True for row in envelope.payload["rows"])
 
     def test_peak_worked_example(self):
         config = parse_config(PRESETS["peak-c"], command="peak")
@@ -413,6 +435,15 @@ class TestMain:
         assert code == 1
         assert "available" in capsys.readouterr().err
 
+    def test_config_and_preset_together_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump({"params": FIG, "exposure": {"q": [0.5]}}),
+                        encoding="utf-8")
+        code = main(["simulate", "--config", str(path), "--preset", "fig-envelope"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "error: use either --config or --preset, not both\n"
+
     def test_config_file_run(self, tmp_path, capsys):
         path = tmp_path / "run.yaml"
         path.write_text(
@@ -444,6 +475,30 @@ class TestMain:
         assert code == 1
         assert "RK4 overflowed at step 2.5; reduce the step" in err
         assert "Traceback" not in err
+
+    def test_coarse_step_on_a_long_horizon_names_the_step(self, tmp_path, capsys):
+        # alpha * A * ulp(T) is 4.4e-10 at T = 1e6: a finer step resolves the level 3.0
+        path = tmp_path / "run.json"
+        block = {"schedule": [[0.0, 3.0]], "S0": 0.9, "T": 1e6, "step": 2.5}
+        path.write_text(json.dumps({"params": FIG, "simulate": block}), encoding="utf-8")
+        code = main(["simulate", "--config", str(path), "--no-meta-time"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: RK4 overflowed at step 2.5; reduce the step\n"
+
+    def test_release_no_step_up_to_the_horizon_resolves_exits_1(self, tmp_path, capsys):
+        # the second release at 1e-300 ends the first segment, where the times' spacing
+        # still admits the step 1 / (alpha * A); up to T it does not, so the release is
+        # named, not the step
+        path = tmp_path / "run.json"
+        block = {"schedule": [[0.0, 2e307], [1e-300, 1.0]], "S0": 0.1, "T": 1.0, "step": 0.5}
+        path.write_text(json.dumps({"params": FIG, "simulate": block}), encoding="utf-8")
+        code = main(["simulate", "--config", str(path), "--no-meta-time"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            "error: RK4 overflowed on the level A=2e+307 at t=0.0, whose growth rate alpha * A "
+            "no step up to T=1.0 resolves; reduce the release\n")
 
     @pytest.mark.parametrize("step", [0.0001, 0.1])
     def test_overflowing_release_exits_1(self, tmp_path, capsys, step):
@@ -593,6 +648,24 @@ class TestMain:
         assert (f"error: exposure: q[{at}] = 1e+308 has an exposure value past the float range "
                 "(must be finite and >= 0, got inf)") in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags, fault", [
+        (["--q", "1e8", "--beta", "0.5", "--mu", "0.5000000001", "--delta", "0.5000000002",
+          "--rho", "1e-307"],
+         "q[0] = 100000000.0 has an active duration past the float range "
+         "(must be finite and >= 0, got inf)"),
+        (["--q", "0.33333333334", "--beta", "0.6", "--mu", "1.0", "--delta", "1.8",
+          "--rho", "1e305"],
+         "q[0] = 0.33333333334 has an exposure value past the float range "
+         "(must be > 0 at the active duration 2.00000016e-316, got 0.0)"),
+    ], ids=["duration-overflow", "value-underflow"])
+    def test_exposure_faults_name_the_release(self, capsys, flags, fault):
+        # printed "active duration must be finite ..." and "exposure is zero exactly when
+        # the active duration is zero", naming no size
+        code = main(["exposure", *flags, "--no-meta-time"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"error: exposure: {fault}\n"
 
     @pytest.mark.parametrize("bad", ["-1", "1e308"])
     def test_exposure_errors_name_the_config_field(self, capsys, bad):

@@ -150,8 +150,31 @@ class TestSimulateFull:
         params = ModelParams(0.1, 0.9, 1.0, 0.5)
         simulate = _simulate_full_loop if loop else simulate_full
         with pytest.raises(LeakyStageError, match=r"level A=1e\+308 at t=0\.0, whose growth "
-                           r"rate alpha \* A passes the float range .* reduce the release"):
+                           r"rate alpha \* A no step up to T=1\.0 resolves; reduce the release"):
             simulate(ImpulseSchedule(((0.0, 1e308),)), params, 0.0, 0.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("loop", [False, True], ids=["unrolled", "loop"])
+    @pytest.mark.parametrize("events, S0, T, step, verdict", [
+        # the step that resolves alpha * A = 2.4e307 lies below the spacing of the times up
+        # to T, though not of those up to the second release at 1e-300, which the verdict
+        # read as the step's fault
+        (((0.0, 2e307), (1e-300, 1.0)), 0.1, 1.0, 0.5,
+         r"RK4 overflowed on the level A=2e\+307 at t=0\.0, whose growth rate alpha \* A no "
+         r"step up to T=1\.0 resolves; reduce the release$"),
+        (((0.0, 2e307),), 0.1, 1.0, 0.5, r"level A=2e\+307 at t=0\.0, .* reduce the release$"),
+        # alpha * A * ulp(T) is 4.4e-10 at T = 1e6: a finer step resolves the level
+        (((0.0, 3.0),), 0.9, 1e6, 2.5, r"^RK4 overflowed at step 2\.5; reduce the step$"),
+        (((0.0, 3.0),), 0.9, 8.0, 2.5, r"^RK4 overflowed at step 2\.5; reduce the step$"),
+        (((1.0, 0.5),), 1e308, 2.0, 0.01,
+         r"^S0=1e\+308 overflows the RK4 drain \(rho \+ delta\*S\) \* A at the level A=0\.0 "
+         r"from t=0\.0 on; reduce S0$"),
+    ], ids=["late-release", "release", "coarse-step-long-horizon", "coarse-step", "drain"])
+    def test_one_verdict_per_culprit(self, figure_params, loop, events, S0, T, step, verdict):
+        # the release if no step up to T resolves its growth rate, S0 if the path turned
+        # NaN, else the step; the plain per-stage loop gives the same verdicts
+        simulate = _simulate_full_loop if loop else simulate_full
+        with pytest.raises(LeakyStageError, match=verdict):
+            simulate(ImpulseSchedule(events), figure_params, S0, 0.0, T, step)
 
     def test_richardson_order_at_least_3_5(self, figure_params):
         terminal = []
@@ -269,6 +292,13 @@ class TestLogGrowthBound:
         with pytest.raises(LeakyStageError):
             verify_log_growth_bound(full, figure_params)
 
+
+    def test_envelope_trajectory_rejected(self, figure_params):
+        # an envelope path carries no S samples
+        envelope_path = simulate_envelope(FIG_SCHEDULE, figure_params, 12.0, 0.05)
+        with pytest.raises(LeakyStageError, match="^log-growth checks need a full-system "
+                           "trajectory with S samples$"):
+            verify_log_growth_bound(envelope_path, figure_params)
 
 class TestImmutability:
     def test_trajectory_samples_read_only(self, figure_params):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leakystage import (
+    ExposureValue,
     LeakyStageError,
     ModelParams,
     derive,
@@ -405,6 +406,47 @@ class TestCliTable:
                 call()
             assert str(info.value) == (f"exposure value of release {release} must be finite "
                                        "and >= 0 (got inf)")
+
+    @pytest.mark.parametrize("rates, q, fault", [
+        # log(q / delta_c) / rho overflows at rho = 1e-307, where the value 2e305 does not
+        ((0.5, 0.5000000001, 0.5000000002, 1e-307), 1e8,
+         "active duration of release {} must be finite and >= 0 (got inf)"),
+        # alpha / rho = 1.2e-305 times a bracket of 2e-23 underflows, while the duration
+        # log1p(x) / rho stays above 0
+        ((0.6, 1.0, 1.8, 1e305), 0.33333333334,
+         "exposure value of release {} must be > 0 at the active duration 2.00000016e-316 "
+         "(got 0.0)"),
+    ], ids=["duration-overflow", "value-underflow"])
+    def test_faults_past_the_float_range_name_the_release(self, rates, q, fault):
+        # both ended in a check of ExposureValue that named no release
+        params = ModelParams(*rates)
+        for call, release in ((lambda: exposure_closed_form(q, params), f"q={q!r}"),
+                              (lambda: exposure_table([0.0, q], params), f"sizes[1] = {q!r}")):
+            with pytest.raises(LeakyStageError) as info:
+                call()
+            assert str(info.value) == fault.format(release)
+        assert 0.0 < exposure_derivative(q, params) < math.inf
+
+    def test_batch_names_an_underflowing_value(self):
+        # returned 0.0 where the scalar path raises: alpha / rho * the bracket underflows
+        params, q = ModelParams(0.6, 1.0, 1.8, 1e305), 0.33333333334
+        sizes = np.zeros((2, 2 * _BLOCK))
+        sizes[1, -3:] = q
+        for sizes, at in (([0.0, q], "[1]"), (q, ""), (sizes, f"[1, {2 * _BLOCK - 3}]")):
+            with pytest.raises(LeakyStageError) as info:
+                exposure_batch(sizes, params)
+            assert str(info.value) == (f"exposure value of release sizes{at} = {q!r} must be "
+                                       "> 0 at the active duration 2.00000016e-316 (got 0.0)")
+
+    def test_value_and_duration_underflowing_together_stay_zero(self):
+        # the first size past delta_c: both log1p(x) / rho and the value underflow to 0.0,
+        # which keeps "zero exactly when the active duration is zero"
+        params = ModelParams(0.6, 1.0, 1.8, 1e308)
+        q = math.nextafter(derive(params).delta_c, math.inf)
+        assert exposure_closed_form(q, params, eps_thr=0.0) == ExposureValue(0.0, 0.0)
+        assert exposure_table([q], params, eps_thr=0.0)[0][1:] == [0.0, 0.0, 0.0]
+        assert exposure_batch([q, 0.5], params, eps_thr=0.0).tolist() == [
+            0.0, exposure_closed_form(0.5, params).value]
 
     def test_duration_stays_finite_where_the_ratio_overflows(self, figure_params):
         # q / delta_c overflows at q = 7e307, where the duration log(q / delta_c) / rho is

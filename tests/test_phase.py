@@ -143,6 +143,10 @@ class TestSawtoothFrontier:
         assert [r for r, _ in ksafe_rows] == [1e10 - 1e-6, 1e10 + 1e-6, 2e10]
 
 
+    def test_grid_without_r_range_rejected(self):
+        with pytest.raises(LeakyStageError, match="^the sawtooth frontier needs r_range$"):
+            sawtooth_frontier(PhaseGrid(k_range=(0.0, 1.0, 3)))
+
 class TestPanelC:
     def test_worked_values(self):
         tables = panel_c_comparison(r=2.1, n=3, h=2.0)
