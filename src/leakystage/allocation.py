@@ -113,13 +113,15 @@ def min_exposure(Q: float, n: int, params: ModelParams, *, eps_thr: float = EPS_
 def _split_exposure(Q: float, cap: float, scale: float, eps_thr: float) -> float:
     """:func:`min_exposure` of a checked load ``Q`` at capacity ``cap``; ``scale = alpha / rho``.
 
-    An exposure past the float range raises :class:`LeakyStageError` naming ``Q``.
+    An exposure past the float range, or one that underflows to 0.0 above the capacity,
+    raises :class:`LeakyStageError` naming ``Q``.
     """
     if Q <= cap + eps_thr:
         return 0.0
     exposure = scale * exposure_bracket(Q, cap)
-    if not exposure < math.inf:
-        raise LeakyStageError(f"exposure of total load Q={Q!r} must be finite (got {exposure!r})")
+    if not 0.0 < exposure < math.inf:  # NaN where scale overflows and the bracket underflows
+        rule = f"> 0 above the capacity n*delta_c={cap!r}" if exposure == 0.0 else "finite"
+        raise LeakyStageError(f"exposure of total load Q={Q!r} must be {rule} (got {exposure!r})")
     return exposure
 
 

@@ -56,15 +56,10 @@ class ExposureValue(FrozenRecord):
     active_duration: float
 
     def __post_init__(self) -> None:
-        _check_exposure(self.value, self.active_duration)
-
-
-def _check_exposure(value: float, active_duration: float) -> None:
-    """The checks of :class:`ExposureValue`, which :func:`exposure_table` makes on each row:
-    both fields finite and nonnegative, and zero together."""
-    if (_number(value, "exposure value") == 0.0) != (
-            _number(active_duration, "active duration") == 0.0):
-        raise LeakyStageError("exposure is zero exactly when the active duration is zero")
+        # both fields finite and nonnegative, and zero together
+        if (_number(self.value, "exposure value") == 0.0) != (
+                _number(self.active_duration, "active duration") == 0.0):
+            raise LeakyStageError("exposure is zero exactly when the active duration is zero")
 
 
 def _onset(x):
@@ -119,13 +114,20 @@ def _release(
 
 def _fault(value: float, active_duration: float) -> tuple[str, str, str] | None:
     """How a release's exposure leaves the float range, as the field, the rule it breaks
-    and what it got, or None: a value or an active duration past it, or a value that
-    underflows to 0.0 where the active duration does not."""
-    if value == math.inf or active_duration == math.inf:
-        return ("exposure value" if value == math.inf else "active duration"), \
-            "finite and >= 0", "inf"
-    if value == 0.0 < active_duration:
-        return "exposure value", f"> 0 at the active duration {active_duration!r}", "0.0"
+    and what it got, or None, which implies the checks of :class:`ExposureValue`.
+
+    The four ways out are a value or an active duration past the range (NaN fails too)
+    and either one underflowing to 0.0 while the other does not.  The one judge of every
+    path: :func:`exposure_batch` judges and values the sizes that may leave the range on
+    the scalar path."""
+    if not (0.0 <= value < math.inf and 0.0 <= active_duration < math.inf):
+        field, got = (("exposure value", value) if not 0.0 <= value < math.inf
+                      else ("active duration", active_duration))
+        return field, "finite and >= 0", repr(float(got))
+    if (value == 0.0) != (active_duration == 0.0):
+        if value == 0.0:
+            return "exposure value", f"> 0 at the active duration {active_duration!r}", "0.0"
+        return "active duration", f"> 0 at the exposure value {value!r}", "0.0"
     return None
 
 
@@ -180,7 +182,6 @@ def _table(sizes, params: ModelParams, eps_thr: float, error) -> list[list[float
         fault = _fault(value, active_duration)
         if fault:
             raise error(i, q, fault)
-        _check_exposure(value, active_duration)
         rows.append([q, value, derivative, active_duration])
     return rows
 
@@ -203,9 +204,9 @@ def exposure_batch(
 
     The sizes are checked block by block, each block read, checked and finished
     while it sits in cache: a NaN, negative or infinite size raises
-    :class:`LeakyStageError`, and so does an exposure past the float range or one
-    that underflows to 0.0 above the plateau, as on the scalar path, naming the first
-    such index.  No numpy warning escapes.
+    :class:`LeakyStageError`.  A size whose exposure may leave the float range is judged
+    and valued on the scalar path, by :func:`_fault`, which raises as
+    :func:`exposure_table` does, naming the first such index.  No numpy warning escapes.
     """
     import numpy as np
 
@@ -214,10 +215,14 @@ def exposure_batch(
     delta_c, scale = d.delta_c, d.alpha / rho
     log_delta_c, edge = math.log(delta_c), delta_c + eps_thr
     switch = delta_c * (1.0 + _SERIES_SWITCH)
-    # each size past the edge has a bracket and a value at least the first one's, up to
-    # rounding: neither underflows to 0.0 unless one of those is below the smallest normal
-    first = math.nextafter(edge, math.inf)
-    may_underflow = min(scale, 1.0) * exposure_bracket(first, delta_c) < sys.float_info.min
+    # up to rounding, each size past the edge has a bracket, value and active duration at
+    # least the first one's and a duration at most the largest float's: unless one of
+    # those may leave the float range, only the value of a size past 1e307 / scale may
+    first, tiny = math.nextafter(edge, math.inf), sys.float_info.min
+    safe = (min(scale, 1.0) * exposure_bracket(first, delta_c) >= tiny
+            and math.log1p((first - delta_c) / delta_c) / rho >= tiny
+            and (math.log(sys.float_info.max) - log_delta_c) / rho < 1e307)
+    limit = max(edge, 1e307 / scale) if safe else edge
     out = np.empty(q.shape)
     # np.log can round a size read at a negative stride differently, so the sizes are
     # read contiguously; out is C-ordered, so its reshape is a view
@@ -227,8 +232,8 @@ def exposure_batch(
         at = f"[{', '.join(map(str, np.unravel_index(i, q.shape)))}]" if q.ndim else ""
         return f"sizes{at} = {float(sizes[i])!r}"
 
-    # log(0.0) on the plateau is zeroed below; an overflow, and the plateau's 0 * inf where
-    # alpha / rho overflows, are checked per block
+    # log(0.0) on the plateau is zeroed below, and the sizes past limit, with any overflow
+    # or NaN, are judged and valued on the scalar path
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, sizes.size, _BLOCK):
             qb, ob = sizes[start:start + _BLOCK], values[start:start + _BLOCK]
@@ -250,15 +255,11 @@ def exposure_batch(
             if low < switch:  # edge < q < switch takes the series; most blocks have no such q
                 onset = np.flatnonzero((qb < switch) & (qb > edge))
                 ob[onset] = scale * _onset_bracket(qb[onset], delta_c)
-            # the bracket is below q, so only a size near the float range over scale overflows
-            if top * scale >= 1e307 and not ob.max() < math.inf:
-                i = start + int(np.argmax(ob == math.inf))
-                raise _fault_error(release(i), *_fault(math.inf, 0.0))
-            if may_underflow:  # a 0.0 past the edge is a fault where the duration is not 0.0
-                for i in start + np.flatnonzero((ob == 0.0) & (qb > edge)):
-                    fault = _fault(0.0, _release(float(sizes[i]), d, rho, eps_thr)[2])
-                    if fault:
-                        raise _fault_error(release(i), *fault)
+            if top > limit:
+                at = np.flatnonzero(qb > limit)
+                rows = _table(qb[at].tolist(), params, eps_thr, lambda i, _, fault: (
+                    _fault_error(release(start + int(at[i])), *fault)))
+                ob[at] = [row[1] for row in rows]
     return out
 
 
@@ -275,8 +276,7 @@ def exposure_derivative(
     eps_thr = _number(eps_thr, "tolerance eps_thr")
     derivative = _release(q, derive(params), params.rho, eps_thr)[1]
     if derivative == math.inf:
-        raise LeakyStageError(
-            f"exposure derivative of release q={q!r} must be finite (got inf)")
+        raise _fault_error(f"q={q!r}", "exposure derivative", "finite", "inf")
     return derivative
 
 

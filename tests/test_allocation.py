@@ -170,6 +170,18 @@ class TestMinExposure:
         with pytest.raises(LeakyStageError, match=message):
             optimal_split(SplitProblem(Q=1e10, n=2, params=params))
 
+    def test_exposure_underflow_above_capacity_names_the_load(self):
+        # alpha / rho = 7e-309 times a bracket of 5e-17 underflows to 0.0 above the capacity
+        # 1.0: optimal_split returned total_exposure 0.0 with is_safe False
+        params = ModelParams(beta=0.6, mu=1.0, delta=1.8, rho=1.7e308)
+        message = (r"exposure of total load Q=1\.00000001 must be > 0 above the capacity "
+                   r"n\*delta_c=1\.0 \(got 0\.0\)")
+        with pytest.raises(LeakyStageError, match=message):
+            min_exposure(1.00000001, 3, params)
+        with pytest.raises(LeakyStageError, match=message):
+            optimal_split(SplitProblem(Q=1.00000001, n=3, params=params))
+        assert optimal_split(SplitProblem(Q=1.0, n=3, params=params)).total_exposure == 0.0
+
 
 class TestMinimalSafeCount:
     def test_fractional_load(self, figure_params):

@@ -628,6 +628,16 @@ class TestMain:
         assert "error: exposure of total load Q=10000000000.0 must be finite (got inf)" in err
         assert "Traceback" not in err
 
+    def test_split_exposure_underflow_exits_1(self, capsys):
+        # alpha / rho = 7e-309 times a bracket of 5e-17 underflows: printed an exposure of 0
+        # beside is_safe false
+        code = main(["split", "--Q", "1.00000001", "--n", "3", "--beta", "0.6", "--mu", "1.0",
+                     "--delta", "1.8", "--rho", "1.7e308", "--no-meta-time"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == ("error: exposure of total load Q=1.00000001 must be > 0 above the "
+                       "capacity n*delta_c=1.0 (got 0.0)\n")
+
     def test_overhead_cost_past_the_float_range_exits_1(self, capsys):
         # the optimum n = 1 costs 1e308, and rows 2 to 5 pass the float range
         code = main(["overhead", "--r", "5", "--k", "1e308", *FIG_FLAGS, "--no-meta-time"])
@@ -658,7 +668,11 @@ class TestMain:
           "--rho", "1e305"],
          "q[0] = 0.33333333334 has an exposure value past the float range "
          "(must be > 0 at the active duration 2.00000016e-316, got 0.0)"),
-    ], ids=["duration-overflow", "value-underflow"])
+        (["--q", "0.6666666666666667", "--beta", "1", "--mu", "1e308", "--delta", "1.5e308",
+          "--rho", "1.7e308", "--tol", "1e-300"],
+         "q[0] = 0.6666666666666667 has an active duration past the float range "
+         "(must be > 0 at the exposure value 8.156879764463587e-33, got 0.0)"),
+    ], ids=["duration-overflow", "value-underflow", "duration-underflow"])
     def test_exposure_faults_name_the_release(self, capsys, flags, fault):
         # printed "active duration must be finite ..." and "exposure is zero exactly when
         # the active duration is zero", naming no size

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leakystage import (
+    EPS_THR,
     ExposureValue,
     LeakyStageError,
     ModelParams,
@@ -407,25 +409,59 @@ class TestCliTable:
             assert str(info.value) == (f"exposure value of release {release} must be finite "
                                        "and >= 0 (got inf)")
 
-    @pytest.mark.parametrize("rates, q, fault", [
+    @pytest.mark.parametrize("rates, eps_thr, q, fault", [
+        # alpha / rho = 2.4 times a bracket of about 1e308 overflows
+        ((0.6, 1.0, 1.8, 0.5), EPS_THR, 1e308,
+         "exposure value of release {} must be finite and >= 0 (got inf)"),
         # log(q / delta_c) / rho overflows at rho = 1e-307, where the value 2e305 does not
-        ((0.5, 0.5000000001, 0.5000000002, 1e-307), 1e8,
+        ((0.5, 0.5000000001, 0.5000000002, 1e-307), EPS_THR, 1e8,
          "active duration of release {} must be finite and >= 0 (got inf)"),
         # alpha / rho = 1.2e-305 times a bracket of 2e-23 underflows, while the duration
         # log1p(x) / rho stays above 0
-        ((0.6, 1.0, 1.8, 1e305), 0.33333333334,
+        ((0.6, 1.0, 1.8, 1e305), EPS_THR, 0.33333333334,
          "exposure value of release {} must be > 0 at the active duration 2.00000016e-316 "
          "(got 0.0)"),
-    ], ids=["duration-overflow", "value-underflow"])
-    def test_faults_past_the_float_range_name_the_release(self, rates, q, fault):
-        # both ended in a check of ExposureValue that named no release
+        # an ulp past delta_c, log1p(x) / rho = 1.1e-16 / 1.7e308 underflows, while the value
+        # alpha / rho = 0.88 times a bracket of 9e-33 does not
+        ((1.0, 1e308, 1.5e308, 1.7e308), 1e-300, 0.6666666666666667,
+         "active duration of release {} must be > 0 at the exposure value "
+         "8.156879764463587e-33 (got 0.0)"),
+    ], ids=["value-overflow", "duration-overflow", "value-underflow", "duration-underflow"])
+    def test_faults_past_the_float_range_name_the_release(self, rates, eps_thr, q, fault):
+        # exposure_batch returned a value for both duration faults, and the scalar paths
+        # named no release for the duration underflow
         params = ModelParams(*rates)
-        for call, release in ((lambda: exposure_closed_form(q, params), f"q={q!r}"),
-                              (lambda: exposure_table([0.0, q], params), f"sizes[1] = {q!r}")):
+        grid = np.zeros((2, 3))
+        grid[1, 2] = q
+        for call, release in (
+                (lambda: exposure_closed_form(q, params, eps_thr=eps_thr), f"q={q!r}"),
+                (lambda: exposure_table([0.0, q], params, eps_thr=eps_thr), f"sizes[1] = {q!r}"),
+                (lambda: exposure_batch([0.0, q], params, eps_thr=eps_thr), f"sizes[1] = {q!r}"),
+                (lambda: exposure_batch(q, params, eps_thr=eps_thr), f"sizes = {q!r}"),
+                (lambda: exposure_batch(grid, params, eps_thr=eps_thr), f"sizes[1, 2] = {q!r}")):
             with pytest.raises(LeakyStageError) as info:
                 call()
             assert str(info.value) == fault.format(release)
-        assert 0.0 < exposure_derivative(q, params) < math.inf
+        assert 0.0 < exposure_derivative(q, params, eps_thr=eps_thr) < math.inf
+
+    def test_nan_value_names_the_release(self):
+        # alpha / rho overflows and the bracket delta_c x**2 / 2 = 1e-300 * 1e-32 underflows:
+        # inf * 0.0 is NaN, which the scalar paths reported naming no release and
+        # exposure_batch blamed on the plateau size 0.0
+        params = ModelParams(1e-300, 2e-300, 1.0, 5e-324)
+        q = math.nextafter(derive(params).delta_c, math.inf)
+        for call, release in ((lambda: exposure_closed_form(q, params, eps_thr=0.0), f"q={q!r}"),
+                              (lambda: exposure_table([0.0, q], params, eps_thr=0.0),
+                               f"sizes[1] = {q!r}"),
+                              (lambda: exposure_batch([0.0, q], params, eps_thr=0.0),
+                               f"sizes[1] = {q!r}")):
+            with pytest.raises(LeakyStageError) as info:
+                call()
+            assert str(info.value) == (f"exposure value of release {release} must be finite "
+                                       "and >= 0 (got nan)")
+        with pytest.raises(LeakyStageError) as info:
+            exposure_derivative(q, params, eps_thr=0.0)
+        assert str(info.value) == f"exposure derivative of release q={q!r} must be finite (got inf)"
 
     def test_batch_names_an_underflowing_value(self):
         # returned 0.0 where the scalar path raises: alpha / rho * the bracket underflows
@@ -456,3 +492,54 @@ class TestCliTable:
         [row] = exposure_table([q], figure_params)
         assert row[3] == exposure_closed_form(q, figure_params).active_duration == expected
         assert row[3] == pytest.approx(1419.876, abs=1e-3)
+
+
+def _extreme_draws(count, seed=11):
+    """Rate sets, tolerances and sizes drawn log-uniform across the float range.
+
+    Rates are three sorted draws in [1e-320, 1.7e308] (redrawn where they tie) and
+    ``rho`` one more, ``eps_thr`` is in [1e-320, 1e-3], and the sizes are one a few ulps
+    past the plateau's edge and three from ``delta_c`` to 1.7e308, in a shuffled order.
+    """
+    rng = random.Random(seed)
+
+    def log_uniform(low, high):
+        return math.exp(rng.uniform(math.log(low), math.log(high)))
+
+    draws = []
+    while len(draws) < count:
+        beta, mu, delta = sorted(log_uniform(1e-320, 1.7e308) for _ in range(3))
+        try:
+            params = ModelParams(beta, mu, delta, log_uniform(1e-320, 1.7e308))
+            delta_c = derive(params).delta_c
+        except LeakyStageError:
+            continue
+        eps_thr = log_uniform(1e-320, 1e-3)
+        q = delta_c + eps_thr
+        for _ in range(rng.randint(1, 4)):
+            q = math.nextafter(q, math.inf)
+        sizes = [q] + [log_uniform(delta_c, 1.7e308) for _ in range(3)]
+        rng.shuffle(sizes)
+        draws.append((params, eps_thr, sizes))
+    return draws
+
+
+def _error(call):
+    """The text of the :class:`LeakyStageError` that ``call()`` raises, or None."""
+    try:
+        call()
+    except LeakyStageError as error:
+        return str(error)
+    return None
+
+
+def test_one_fault_judge_on_extreme_rates():
+    # the batch returned values where the table raised, or blamed another size, and the
+    # scalar path raised texts that named no release
+    for params, eps_thr, sizes in _extreme_draws(2000):
+        table = _error(lambda: exposure_table(sizes, params, eps_thr=eps_thr))
+        assert _error(lambda: exposure_batch(sizes, params, eps_thr=eps_thr)) == table, \
+            (params, eps_thr, sizes)
+        for q in sizes:
+            error = _error(lambda: exposure_closed_form(q, params, eps_thr=eps_thr))
+            assert error is None or f"release q={q!r} " in error, (params, eps_thr, q)
