@@ -681,9 +681,19 @@ _CSV_META = ((None, ("tool", "version", "command")), (None, ("delta_c", "alpha",
 #: hundred KB however long the table is.
 _RUN = 1024
 
+#: The exact cell types whose equal cells print alike, so that :func:`_column` folds a
+#: column of them into one text (float once its first cell is not a zero).
+_FOLDS = frozenset((float, int, str, bool))
+
 
 def _column(cells: tuple | list, json_text: bool) -> tuple[str, Any]:
     """The %-slot of a column of cells and the arguments it takes, None for constant text.
+
+    A column of two or more equal cells of one exact type in ``_FOLDS`` is folded: its
+    slot is the text of its first cell, by the rule below, with ``%`` doubled, so the
+    template holds it and no argument is formatted.  A float column whose first cell is
+    a zero does not fold, since ``-0.0 == 0.0`` prints otherwise; the last cell is compared
+    with the first before any count, so a varying column pays almost nothing.
 
     An exact float, int or None column takes one slot for all its cells, as does an exact
     str or bool column after one ``map``.  Any other column, and in JSON a float column
@@ -692,7 +702,11 @@ def _column(cells: tuple | list, json_text: bool) -> tuple[str, Any]:
     ``_JSON_SCALARS`` lacks raises ``KeyError``."""
     kinds = set(map(type, cells))
     if len(kinds) == 1:
-        kind = kinds.pop()
+        kind, first = kinds.pop(), cells[0]
+        if (kind in _FOLDS and len(cells) > 1 and cells[-1] == first
+                and (first or kind is not float) and cells.count(first) == len(cells)):
+            slot, args = _column((first,), json_text)
+            return (slot % tuple(args)).replace("%", "%%"), None
         if kind is float and (not json_text or math.isfinite(sum(cells))):
             return ("%r" if json_text else "%.17g"), cells
         if kind is int:
@@ -713,9 +727,11 @@ def _table(rows: list, json_text: bool, pad: str = "") -> list[str]:
     """The text of ``rows`` (lists or tuples of cells), written column by column in runs
     of up to ``_RUN`` consecutive rows of one width: a CSV line per row, or in JSON an
     array ``len(pad)`` spaces deep.  Each run is one %-template, its row's slots
-    repeated, filled once; the caller joins the run texts with the row separator (a
-    newline, or in JSON a comma, a newline and ``pad``).  In JSON a cell of a type
-    ``_JSON_SCALARS`` lacks raises ``KeyError``."""
+    repeated, filled once; a column constant over the run is folded into the template as
+    its text (:func:`_column`), so it is formatted once per run, not once per cell.  The
+    caller joins the run texts with the row separator (a newline, or in JSON a comma, a
+    newline and ``pad``).  In JSON a cell of a type ``_JSON_SCALARS`` lacks raises
+    ``KeyError``."""
     if json_text:
         inner = pad + "  "
         open_, cell_sep, close, empty = "[\n" + inner, ",\n" + inner, "\n" + pad + "]", "[]"

@@ -186,6 +186,42 @@ def _table(sizes, params: ModelParams, eps_thr: float, error) -> list[list[float
     return rows
 
 
+def _window(d: DerivedConstants, rho: float, edge: float) -> tuple[float, float]:
+    """The sizes ``(floor, ceiling)`` between which no release's exposure leaves the float
+    range: :func:`exposure_batch` sends the sizes past the plateau's ``edge`` and outside
+    them to the scalar path.
+
+    Up to rounding, the bracket, the value and the active duration grow with the size.
+    Past the ceiling, the lesser of ``1e307 / scale`` and the size whose active duration
+    is 1e307, a value or a duration may overflow.  Below the floor one may underflow: the
+    floor is the edge unless the first size past it underflows, and else the least
+    ``delta_c + 2**e`` at which neither does.  The window is empty where no size can be
+    trusted, as where ``scale`` is 0.0 or infinite."""
+    delta_c, scale, tiny = d.delta_c, d.alpha / rho, sys.float_info.min
+
+    def underflows(q: float) -> bool:
+        return not (min(scale, 1.0) * exposure_bracket(q, delta_c) >= tiny
+                    and math.log1p((q - delta_c) / delta_c) / rho >= tiny)
+
+    try:
+        longest = math.exp(math.log(delta_c) + 1e307 * rho)
+    except OverflowError:
+        longest = math.inf
+    ceiling = max(edge, min(1e307 / scale if scale else math.inf, longest))
+    if not underflows(math.nextafter(edge, math.inf)):
+        return edge, ceiling
+    # bisect on e: delta_c + 2**-1075 is delta_c, which underflows, and 2**1024 is past
+    # the range, which stands for no size at all
+    under, over = -1075, 1024
+    while over - under > 1:
+        e = (under + over) // 2
+        if underflows(delta_c + math.ldexp(1.0, e)):
+            under = e
+        else:
+            over = e
+    return (delta_c + math.ldexp(1.0, over) if over < 1024 else math.inf), ceiling
+
+
 def exposure_batch(
     q, params: ModelParams, *, eps_thr: float = EPS_THR
 ) -> np.ndarray:
@@ -215,14 +251,7 @@ def exposure_batch(
     delta_c, scale = d.delta_c, d.alpha / rho
     log_delta_c, edge = math.log(delta_c), delta_c + eps_thr
     switch = delta_c * (1.0 + _SERIES_SWITCH)
-    # up to rounding, each size past the edge has a bracket, value and active duration at
-    # least the first one's and a duration at most the largest float's: unless one of
-    # those may leave the float range, only the value of a size past 1e307 / scale may
-    first, tiny = math.nextafter(edge, math.inf), sys.float_info.min
-    safe = (min(scale, 1.0) * exposure_bracket(first, delta_c) >= tiny
-            and math.log1p((first - delta_c) / delta_c) / rho >= tiny
-            and (math.log(sys.float_info.max) - log_delta_c) / rho < 1e307)
-    limit = max(edge, 1e307 / scale) if safe else edge
+    floor, ceiling = _window(d, rho, edge)
     out = np.empty(q.shape)
     # np.log can round a size read at a negative stride differently, so the sizes are
     # read contiguously; out is C-ordered, so its reshape is a view
@@ -232,8 +261,8 @@ def exposure_batch(
         at = f"[{', '.join(map(str, np.unravel_index(i, q.shape)))}]" if q.ndim else ""
         return f"sizes{at} = {float(sizes[i])!r}"
 
-    # log(0.0) on the plateau is zeroed below, and the sizes past limit, with any overflow
-    # or NaN, are judged and valued on the scalar path
+    # log(0.0) on the plateau is zeroed below, and the sizes outside the window, with any
+    # overflow, underflow or NaN, are judged and valued on the scalar path
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, sizes.size, _BLOCK):
             qb, ob = sizes[start:start + _BLOCK], values[start:start + _BLOCK]
@@ -255,8 +284,8 @@ def exposure_batch(
             if low < switch:  # edge < q < switch takes the series; most blocks have no such q
                 onset = np.flatnonzero((qb < switch) & (qb > edge))
                 ob[onset] = scale * _onset_bracket(qb[onset], delta_c)
-            if top > limit:
-                at = np.flatnonzero(qb > limit)
+            if top > ceiling or (floor > edge and low < floor):
+                at = np.flatnonzero((qb > ceiling) | ((qb > edge) & (qb < floor)))
                 rows = _table(qb[at].tolist(), params, eps_thr, lambda i, _, fault: (
                     _fault_error(release(start + int(at[i])), *fault)))
                 ob[at] = [row[1] for row in rows]

@@ -2,11 +2,14 @@
 
 Both emitters write a table column by column (``cli._table``): runs of up to
 ``cli._RUN`` rows of one width, each through one %-template whose slot per column
-follows from the column's cell types.  ``cli.to_json`` writes the
-``json.dumps(..., indent=2)`` layout itself.  The oracles in ``tests/util.py`` are
-the old per-cell path and ``json.dumps``; on every CPython the suite runs on, the two
-must agree byte for byte, non-finite floats, huge integers, escapes and numpy scalars
-included.
+follows from the column's cell types.  A column whose cells in a run are equal and of
+one exact float, int, str or bool type is folded into the template as its text, with
+``%`` doubled; a float column led by a zero and any numpy scalar or subclass column
+is not, as ``-0.0 == 0.0`` and a subclass may print otherwise.  ``cli.to_json``
+writes the ``json.dumps(..., indent=2)`` layout itself.  The oracles in
+``tests/util.py`` are the old per-cell path and ``json.dumps``; on every CPython the
+suite runs on, the two must agree byte for byte, non-finite floats, huge integers,
+escapes and numpy scalars included.
 """
 import math
 import tracemalloc
@@ -90,6 +93,22 @@ def _envelopes(draw, cells=_cells) -> OutputEnvelope:
                           warnings=tuple(draw(st.lists(st.text(), max_size=3))))
 
 
+@st.composite
+def _repeated_rows(draw, cells=_cells) -> OutputEnvelope:
+    """An envelope whose table is a drawn row repeated, across a run boundary at times,
+    with a few rows of the same width changed, so that most columns are constant over
+    a run and some are not."""
+    envelope = draw(_envelopes(cells))
+    row = draw(st.lists(cells, min_size=1, max_size=6))
+    rows = [list(row) for _ in range(draw(st.sampled_from([2, 3, 50, _RUN, _RUN + 3])))]
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, len(row) - 1))] = \
+            draw(cells)
+    return OutputEnvelope(metadata=envelope.metadata,
+                          payload={"columns": envelope.payload["columns"], "rows": rows},
+                          warnings=envelope.warnings)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_envelopes())
 def test_emitters_match_the_oracles(envelope):
@@ -101,6 +120,13 @@ def test_emitters_match_the_oracles(envelope):
 @given(_envelopes(_csv_cells))
 def test_csv_matches_the_oracle_on_numpy_bools_and_integers(envelope):
     assert to_csv(envelope) == to_csv_oracle(envelope)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_repeated_rows())
+def test_repeated_rows_match_the_oracles(envelope):
+    assert to_csv(envelope) == to_csv_oracle(envelope)
+    assert to_json(envelope) == to_json_oracle(envelope)
 
 
 def test_edge_payload_matches_the_oracles():
@@ -229,6 +255,46 @@ def test_bools_beside_other_cells_and_tuple_rows():
     _assert_matches([[1.0, 2.0]] * _RUN + [[[1.0], {"a": 2}]] + [[3.0, 4.0]] * 5)
 
 
+def test_a_column_constant_in_one_run_and_varying_in_the_next():
+    # overhead's layout: n_star and its flag inside the second of three runs, k_safe and
+    # the tie flag constant throughout
+    n_star = _RUN + 500
+    rows = [[n, n / 3, n_star, 7, n == n_star, False] for n in range(1, 2 * _RUN + 100)]
+    _assert_matches(rows)
+    assert to_csv(_table_envelope(rows)).count(f",{n_star},7,false,false") == len(rows) - 1
+
+
+def test_signed_zeros_do_not_fold():
+    for zero, other in ((0.0, -0.0), (-0.0, 0.0)):
+        for kind in (float, np.float64):
+            _assert_matches([[kind(zero)], [kind(other)], [kind(zero)]])
+            _assert_matches([[kind(zero), 1.5]] * (_RUN - 1) + [[kind(other), 1.5]] * 3)
+            _assert_matches([[kind(zero)]] * 3)
+
+
+def test_non_finite_constant_columns():
+    nan = math.nan
+    _assert_matches([[nan, 1]] * 5)  # one NaN object, repeated
+    _assert_matches([[float("nan"), 1] for _ in range(5)])  # distinct NaNs
+    _assert_matches([[math.inf, -math.inf]] * (_RUN + 2))
+    # a constant column whose sum overflows: one cell's text, not the overflowed sum's
+    _assert_matches([[1e308, -1e308]] * 4)
+
+
+def test_constant_strings_holding_percent_signs():
+    for text in ("%", "%%", "%s", "100% of %d"):
+        _assert_matches([[text, 0.5]] * 3 + [[text, 1.5]])
+        _assert_matches([[text]] * (_RUN + 1))
+
+
+def test_constant_columns_of_each_cell_type():
+    for cell in (True, False, 3, 2**70, _Int(3), "s", _Str("s"), np.float64(0.25), 0.25, None):
+        _assert_matches([[cell, 1.0]] * 3)
+        _assert_matches([[cell] for _ in range(_RUN + 1)])
+    # equal cells of mixed types do not fold: 1 == 1.0 == True
+    _assert_matches([[1], [1.0], [True]])
+
+
 def test_bulk_emit_payloads_match_the_oracles(bulk_envelopes):
     for command, envelope in bulk_envelopes.items():
         assert len(envelope.payload["rows"]) >= 19998, command
@@ -236,7 +302,7 @@ def test_bulk_emit_payloads_match_the_oracles(bulk_envelopes):
         assert to_json(envelope) == to_json_oracle(envelope), command
 
 
-@pytest.mark.parametrize("command", ["exposure", "overhead", "phase"])
+@pytest.mark.parametrize("command", ["exposure", "overhead", "phase", "simulate"])
 def test_emit_peak_memory_is_bounded_by_the_text(bulk_envelopes, command):
     # the text and the parts it is joined from are alive together at the end, 2x its
     # length; a writer that holds whole-table temporaries (a string per cell, a line per

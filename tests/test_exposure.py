@@ -18,8 +18,9 @@ from leakystage import (
     exposure_derivative,
     exposure_near_threshold,
 )
+from leakystage import exposure
 from leakystage.cli import parse_config, run
-from leakystage.exposure import _BLOCK, _SERIES_SWITCH, _onset, exposure_table
+from leakystage.exposure import _BLOCK, _SERIES_SWITCH, _onset, _window, exposure_table
 from strategies import rate_sets
 from util import (exposure_batch_masked, exposure_quadrature, exposure_spectral_form,
                   random_params)
@@ -543,3 +544,58 @@ def test_one_fault_judge_on_extreme_rates():
         for q in sizes:
             error = _error(lambda: exposure_closed_form(q, params, eps_thr=eps_thr))
             assert error is None or f"release q={q!r} " in error, (params, eps_thr, q)
+
+
+def _scalar_sizes(monkeypatch) -> list[int]:
+    """The number of sizes each later call of ``exposure._table`` is given."""
+    counts, table = [], exposure._table
+
+    def counted(sizes, *args):
+        counts.append(len(sizes))
+        return table(sizes, *args)
+
+    monkeypatch.setattr(exposure, "_table", counted)
+    return counts
+
+
+def test_window_keeps_extreme_rate_grids_off_the_scalar_path(monkeypatch):
+    # rho = 1e-306: the duration of a size past about 7300 overflows, so every size past
+    # the edge went through the scalar path, 921 ms for this grid against 6.7 ms
+    params, grid = ModelParams(0.6, 1.0, 1.8, 1e-306), np.linspace(0.0, 1.0, 10**6)
+    counts = _scalar_sizes(monkeypatch)
+    values = exposure_batch(grid, params)
+    assert sum(counts) == 0
+    for i in (0, 333_333, 333_334, 500_000, 10**6 - 1):
+        expected = exposure_closed_form(float(grid[i]), params).value
+        assert values[i] == pytest.approx(expected, rel=5e-14, abs=0.0), i
+    # past the ceiling, 1e307 / scale = 8.33, sizes still go through the scalar path
+    assert exposure_batch([0.5, 9.0], params)[1] == exposure_closed_form(9.0, params).value
+    assert counts == [1]
+
+
+def test_window_at_random_rates_is_the_whole_range_below_the_value_limit():
+    # the sizes past 1e307 / scale alone go through the scalar path, as before the window
+    rng = np.random.default_rng(34)
+    for _ in range(2000):
+        params, eps_thr = random_params(rng), float(rng.choice([EPS_THR, 0.0, 1e-3]))
+        d = derive(params)
+        edge = d.delta_c + eps_thr
+        assert _window(d, params.rho, edge) == (edge, max(edge, 1e307 / (d.alpha / params.rho)))
+
+
+def test_window_floor_sends_underflowing_sizes_to_the_scalar_path(monkeypatch):
+    # the value of a size just past the edge underflows; the sizes from the floor, the
+    # least delta_c + 2**e whose value does not, up do not
+    params = ModelParams(0.6, 1.0, 1.8, 1e305)
+    d = derive(params)
+    edge = d.delta_c + EPS_THR
+    floor, ceiling = _window(d, params.rho, edge)
+    assert floor == d.delta_c + 2.0**-4 and ceiling == 1e307 / (d.alpha / params.rho)
+    counts = _scalar_sizes(monkeypatch)
+    sizes = [0.0, floor, 0.5, 1e3]
+    assert exposure_batch(sizes, params).tolist() == pytest.approx(
+        [exposure_closed_form(q, params).value for q in sizes], rel=5e-14, abs=0.0)
+    assert sum(counts) == 0
+    with pytest.raises(LeakyStageError, match=r"sizes\[1\] = 0\.33333333334 "):
+        exposure_batch([floor, 0.33333333334], params)
+    assert sum(counts) == 1
