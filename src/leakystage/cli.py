@@ -42,6 +42,7 @@ from .model import (
     FrozenRecord,
     ModelParams,
     _count,
+    _floats,
     _number,
     _shown,
     derive,
@@ -246,6 +247,8 @@ def _check(field: _Field, value: Any, where: str, name: str) -> Any:
     if not (isinstance(value, (list, tuple)) and value):
         raise ConfigError(f"{what} must be a nonempty list of "
                           + ("numbers" if kind == "numbers" else "integers"))
+    if kind == "numbers" and _floats(value, field.minimum):  # as the per-item path returns it
+        return list(value)
     item = _Field(kind[:-1], minimum=field.minimum)
     return [_scalar(v, f"{where}: {name}[{i}]", item) for i, v in enumerate(value)]
 
@@ -469,19 +472,13 @@ def _run_split(config: RunConfig, *_) -> tuple[dict, list[str], int]:
 def _run_overhead(config: RunConfig, d: DerivedConstants, dim: dict) -> tuple[dict, list[str], int]:
     r, k = dim["r"], dim["k"]
     result = overhead_optimal_count(r, k)
-    frontier = k_safe(r)
-    rows = []
-    for n in range(1, _safe_count(r) + 1):  # r and k were checked by the two calls above
-        residual = _excess(r, n)
-        rows.append([
-            n,
-            n * k + residual,
-            residual,
-            n in result.ties,
-            n == result.n_star,
-            result.n_star,
-            frontier,
-        ])
+    frontier, n_star = k_safe(r), result.n_star
+    counts = range(1, _safe_count(r) + 1)  # r and k were checked by the two calls above
+    rows = [[n, n * k + residual, residual, False, False, n_star, frontier]
+            for n, residual in zip(counts, _excess(r, counts))]
+    for n in result.ties:  # is_tie, and is_n_star at the first tie
+        rows[n - 1][3] = True
+    rows[n_star - 1][4] = True
     if max(rows[0][1], rows[-1][1]) == math.inf:  # the cost is convex in n
         raise _cost_overflow(k)
     warnings = []
@@ -524,7 +521,7 @@ def _run_horizon(config: RunConfig, d: DerivedConstants, dim: dict) -> tuple[dic
     n_safe = UNBOUNDED.value if n_safe is UNBOUNDED else n_safe
     rows = []
     for n in config.options["n_list"]:  # h was checked by horizon_feasibility
-        capacity = _horizon_capacity(n, h)
+        capacity = _horizon_capacity(n, (h,))[0]
         rows.append([
             n,
             capacity,
@@ -557,7 +554,7 @@ def _run_simulate(config: RunConfig, *_) -> tuple[dict, list[str], int]:
     full = simulate_full(schedule, config.params, opts["S0"], 0.0, opts["T"], opts["step"])
     g_full, g_red = growth_pressure(full.A, config.params), growth_pressure(red.A, config.params)
     samples = (red.t, red.A, full.S, full.A, g_full, g_red)
-    rows = [list(row) for row in zip(*(array.tolist() for array in samples))]
+    rows = list(map(list, zip(*(array.tolist() for array in samples))))
     warnings = []
     if full.clamp_count:
         warnings.append(

@@ -14,12 +14,13 @@ thread-safe.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from typing import TYPE_CHECKING
 
 from .errors import LeakyStageError
-from .model import EPS_THR, DerivedConstants, FrozenRecord, ModelParams, _float_array, _number
-from .model import derive
+from .model import EPS_THR, DerivedConstants, FrozenRecord, ModelParams, _float_array, _floats
+from .model import _number, derive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -93,23 +94,22 @@ def exposure_bracket(q: float, delta_c: float) -> float:
     return q - delta_c - delta_c * (math.log(q) - math.log(delta_c))
 
 
-def _release(
-    q: float, d: DerivedConstants, rho: float, eps_thr: float
-) -> tuple[float, float, float]:
-    """Exposure value, derivative and active duration of one release of size ``q``.
+def _releases(sizes, d: DerivedConstants, rho: float, eps_thr: float) -> list[list[float]]:
+    """Rows ``[q, value, derivative, active_duration]``, one per checked release size ``q``.
 
-    The one kernel behind :func:`exposure_closed_form`, :func:`exposure_derivative`
-    and :func:`exposure_table`, so all three give the same bits.  It checks ``q``;
-    the callers check ``eps_thr``.
+    The one spelling of a release's exposure: a comprehension over the column, with the
+    table's constants taken once.  :func:`exposure_closed_form` and
+    :func:`exposure_derivative` pass a one-size column, and :func:`exposure_table` its
+    sizes, so all three give the same bits; the bracket is :func:`exposure_bracket`'s.
+    The callers check the sizes (:func:`_valued`) and ``eps_thr`` and judge the faults.
     """
-    delta_c = d.delta_c
-    if _number(q, "release size q") <= delta_c + eps_thr:
-        return 0.0, 0.0, 0.0
-    scale, x = d.alpha / rho, (q - delta_c) / delta_c
+    delta_c, edge, scale = d.delta_c, d.delta_c + eps_thr, d.alpha / rho
     # log(q / delta_c): log1p keeps every digit near the threshold, where q - delta_c is
     # exact; the difference of logarithms stands in only where x overflows
-    log_ratio = math.log1p(x) if x < math.inf else math.log(q) - math.log(delta_c)
-    return scale * exposure_bracket(q, delta_c), scale * (1.0 - delta_c / q), log_ratio / rho
+    return [[q, 0.0, 0.0, 0.0] if q <= edge else
+            [q, scale * exposure_bracket(q, delta_c), scale * (1.0 - delta_c / q),
+             (math.log1p(x) if x < math.inf else math.log(q) - math.log(delta_c)) / rho]
+            for q in sizes for x in ((q - delta_c) / delta_c,)]
 
 
 def _fault(value: float, active_duration: float) -> tuple[str, str, str] | None:
@@ -153,7 +153,8 @@ def exposure_closed_form(
     1.46e-13 at ``delta_c`` = 1/3, 0.06 and 1e-3, and 1.17 eps for the duration.
     """
     eps_thr = _number(eps_thr, "tolerance eps_thr")
-    value, _, active_duration = _release(q, derive(params), params.rho, eps_thr)
+    [[_, value, _, active_duration]] = _releases((_valued(q, "release size q"),), derive(params),
+                                                 params.rho, eps_thr)
     fault = _fault(value, active_duration)
     if fault:
         raise _fault_error(f"q={q!r}", *fault)
@@ -164,8 +165,12 @@ def exposure_table(sizes, params: ModelParams, *, eps_thr: float = EPS_THR) -> l
     """Rows ``[q, value, derivative, active_duration]``, one per release size ``q``.
 
     Each row holds the bits of :func:`exposure_closed_form` and
-    :func:`exposure_derivative` and is checked against the invariants of
-    :class:`ExposureValue`; the constants are derived once for the whole table.
+    :func:`exposure_derivative`; the constants are derived once for the whole table.
+    :func:`_fault` judges the rows whose size lies past the plateau's edge and outside
+    the size window of :func:`exposure_batch`, the only ones whose exposure may leave
+    the float range; the others meet the invariants of :class:`ExposureValue` as they
+    stand.  A bad size or a fault raises :class:`LeakyStageError` naming the first such
+    index as ``sizes[i]``.
     """
     return _table(sizes, params, eps_thr,
                   lambda i, q, fault: _fault_error(f"sizes[{i}] = {q!r}", *fault))
@@ -174,16 +179,42 @@ def exposure_table(sizes, params: ModelParams, *, eps_thr: float = EPS_THR) -> l
 def _table(sizes, params: ModelParams, eps_thr: float, error) -> list[list[float]]:
     """The rows of :func:`exposure_table`; an exposure that leaves the float range raises
     ``error(i, q, fault)``, the error for the :func:`_fault` that names the size ``q`` at
-    index ``i`` as its caller labels it."""
+    index ``i`` as its caller labels it.
+
+    The sizes are checked once for the list when all are floats in range, else one by one
+    up to the first bad size, whose error is raised after the rows before it are judged."""
     d, rho, eps_thr = derive(params), params.rho, _number(eps_thr, "tolerance eps_thr")
-    rows = []
-    for i, q in enumerate(sizes):
-        value, derivative, active_duration = _release(q, d, rho, eps_thr)
-        fault = _fault(value, active_duration)
-        if fault:
-            raise error(i, q, fault)
-        rows.append([q, value, derivative, active_duration])
+    sizes, bad = list(sizes), None
+    column = sizes
+    if not _floats(sizes):
+        column = []
+        for i, q in enumerate(sizes):
+            try:
+                column.append(_valued(q, f"release size sizes[{i}]"))
+            except LeakyStageError as exc:
+                bad = exc
+                break
+    rows = _releases(column, d, rho, eps_thr)
+    if column is not sizes:  # each row holds its size as given
+        for row, q in zip(rows, sizes):
+            row[0] = q
+    edge = d.delta_c + eps_thr
+    floor, ceiling = _window(d, rho, edge)
+    if rows and (floor > edge or max(column) > ceiling):
+        for i, (q, row) in enumerate(zip(column, rows)):
+            if (q > ceiling or edge < q < floor) and (fault := _fault(row[1], row[3])):
+                raise error(i, sizes[i], fault)
+    if bad:
+        raise bad
     return rows
+
+
+def _valued(q, what: str):
+    """The release size ``q``, checked by :func:`_number` and named ``what`` in its error,
+    as its row is valued: a float subclass such as ``numpy.float64``, whose arithmetic
+    warns past the float range, as a float."""
+    q = _number(q, what)
+    return float(q) if isinstance(q, float) else q
 
 
 def _window(d: DerivedConstants, rho: float, edge: float) -> tuple[float, float]:
@@ -194,9 +225,10 @@ def _window(d: DerivedConstants, rho: float, edge: float) -> tuple[float, float]
     Up to rounding, the bracket, the value and the active duration grow with the size.
     Past the ceiling, the lesser of ``1e307 / scale`` and the size whose active duration
     is 1e307, a value or a duration may overflow.  Below the floor one may underflow: the
-    floor is the edge unless the first size past it underflows, and else the least
-    ``delta_c + 2**e`` at which neither does.  The window is empty where no size can be
-    trusted, as where ``scale`` is 0.0 or infinite."""
+    floor is the edge unless the first size past it underflows, and else the least float
+    at which neither does, found by bisection first on ``e`` in ``delta_c + 2**e`` and
+    then on the floats between ``delta_c + 2**(e-1)`` and ``delta_c + 2**e``.  The window
+    is empty where no size can be trusted, as where ``scale`` is 0.0 or infinite."""
     delta_c, scale, tiny = d.delta_c, d.alpha / rho, sys.float_info.min
 
     def underflows(q: float) -> bool:
@@ -219,7 +251,25 @@ def _window(d: DerivedConstants, rho: float, edge: float) -> tuple[float, float]
             under = e
         else:
             over = e
-    return (delta_c + math.ldexp(1.0, over) if over < 1024 else math.inf), ceiling
+    if over == 1024:
+        return math.inf, ceiling
+
+    # then on the floats between delta_c + 2**under and delta_c + 2**over: the bit
+    # patterns of positive floats, read as integers, are in the floats' order
+    def bits(q: float) -> int:
+        return struct.unpack("<q", struct.pack("<d", q))[0]
+
+    def size(pattern: int) -> float:
+        return struct.unpack("<d", struct.pack("<q", pattern))[0]
+
+    low, high = bits(delta_c + math.ldexp(1.0, under)), bits(delta_c + math.ldexp(1.0, over))
+    while high - low > 1:
+        middle = (low + high) // 2
+        if underflows(size(middle)):
+            low = middle
+        else:
+            high = middle
+    return size(high), ceiling
 
 
 def exposure_batch(
@@ -241,8 +291,8 @@ def exposure_batch(
     The sizes are checked block by block, each block read, checked and finished
     while it sits in cache: a NaN, negative or infinite size raises
     :class:`LeakyStageError`.  A size whose exposure may leave the float range is judged
-    and valued on the scalar path, by :func:`_fault`, which raises as
-    :func:`exposure_table` does, naming the first such index.  No numpy warning escapes.
+    and valued on the scalar path, by :func:`_fault`.  The first bad size or fault
+    raises as :func:`exposure_table` does, naming its index.  No numpy warning escapes.
     """
     import numpy as np
 
@@ -257,9 +307,14 @@ def exposure_batch(
     # read contiguously; out is C-ordered, so its reshape is a view
     sizes, values = q.ravel(), out.reshape(-1)
 
-    def release(i):  # the size at flat index i, as the scalar path's error names it
-        at = f"[{', '.join(map(str, np.unravel_index(i, q.shape)))}]" if q.ndim else ""
-        return f"sizes{at} = {float(sizes[i])!r}"
+    def label(i):  # the size at flat index i, as exposure_table names it
+        return f"sizes[{', '.join(map(str, np.unravel_index(i, q.shape)))}]" if q.ndim else "sizes"
+
+    def scalar(start, qb):  # the sizes of qb, from flat index start, outside the window
+        at = np.flatnonzero((qb > ceiling) | ((qb > edge) & (qb < floor)))
+        rows = _table(qb[at].tolist(), params, eps_thr, lambda i, q, fault: (
+            _fault_error(f"{label(start + int(at[i]))} = {q!r}", *fault)))
+        return at, [row[1] for row in rows]
 
     # log(0.0) on the plateau is zeroed below, and the sizes outside the window, with any
     # overflow, underflow or NaN, are judged and valued on the scalar path
@@ -268,7 +323,9 @@ def exposure_batch(
             qb, ob = sizes[start:start + _BLOCK], values[start:start + _BLOCK]
             low, top = qb.min(), qb.max()
             if not (low >= 0.0 and top < math.inf):  # NaN fails both tests
-                raise LeakyStageError("release sizes must be finite and >= 0")
+                i = int(np.flatnonzero(~((qb >= 0.0) & (qb < math.inf)))[0])
+                scalar(start, qb[:i])  # a fault before the bad size raises first
+                _number(float(qb[i]), f"release size {label(start + i)}")  # raises
             if top <= edge:  # all on the plateau, as the first blocks of a grid from 0 are
                 ob.fill(0.0)
                 continue
@@ -285,10 +342,8 @@ def exposure_batch(
                 onset = np.flatnonzero((qb < switch) & (qb > edge))
                 ob[onset] = scale * _onset_bracket(qb[onset], delta_c)
             if top > ceiling or (floor > edge and low < floor):
-                at = np.flatnonzero((qb > ceiling) | ((qb > edge) & (qb < floor)))
-                rows = _table(qb[at].tolist(), params, eps_thr, lambda i, _, fault: (
-                    _fault_error(release(start + int(at[i])), *fault)))
-                ob[at] = [row[1] for row in rows]
+                at, scalar_values = scalar(start, qb)
+                ob[at] = scalar_values
     return out
 
 
@@ -303,7 +358,8 @@ def exposure_derivative(
     where ``(delta-beta)/rho`` overflows, raises :class:`LeakyStageError` naming ``q``.
     """
     eps_thr = _number(eps_thr, "tolerance eps_thr")
-    derivative = _release(q, derive(params), params.rho, eps_thr)[1]
+    [[_, _, derivative, _]] = _releases((_valued(q, "release size q"),), derive(params),
+                                        params.rho, eps_thr)
     if derivative == math.inf:
         raise _fault_error(f"q={q!r}", "exposure derivative", "finite", "inf")
     return derivative

@@ -147,6 +147,18 @@ def _number(value, what: str, minimum=0, strict: bool = False, below=math.inf,
     raise error(f"{what} must be {'' if finite else 'finite and '}{rule} (got {_shown(value)})")
 
 
+def _floats(values, minimum=0.0) -> bool:
+    """Whether every item of the list or tuple ``values`` is a float (of the exact type)
+    that :func:`_number` passes at ``minimum``, tested over the whole column at once.
+
+    False is no verdict: an ``int``, a subclass, or a sum past the float range sends the
+    column to the caller's check item by item, which names the first bad item.  NaN and
+    the infinities fail the minimum or make the sum NaN or infinite.
+    """
+    return not values or ({float}.issuperset(map(type, values))
+                          and min(values) >= minimum and sum(values) < math.inf)
+
+
 def _count(value, what: str, minimum: int = 1,
            error: type[LeakyStageError] = LeakyStageError) -> int:
     """``value`` if it is an ``int`` (never a ``bool``) at or above ``minimum`` within

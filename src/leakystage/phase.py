@@ -20,6 +20,7 @@ Rows are emitted in deterministic grid order.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 from .allocation import _k_safe, _optimal_counts, _safe_count
 from .errors import LeakyStageError
@@ -122,7 +123,7 @@ def feasibility_curves(
     hs = _linspace(*grid.h_range, what="h_range count")  # the grid's checks cover every n and h
     feasibility: list[tuple[float, int, float]] = []
     for n in grid.n_curves:
-        feasibility += [(h, n, _horizon_capacity(n, h)) for h in hs]
+        feasibility += zip(hs, repeat(n), _horizon_capacity(n, hs))
     frontier = tuple((h, 1.0 + h) for h in hs)
     return tuple(feasibility), frontier
 
@@ -212,7 +213,7 @@ def panel_c_comparison(
         n=n,
         h=h,
         lam=lam,
-        capacity=_horizon_capacity(n, h),
+        capacity=_horizon_capacity(n, (h,))[0],
         uniform_releases=uniform.releases,
         front_releases=front.releases,
         uniform_levels=levels(uniform),

@@ -380,15 +380,21 @@ def horizon_capacity(n: int, h: float) -> float:
     increasing in ``n`` and strictly below the supremum ``1 + h``.  The value lies within
     2 eps (2**-52) relative of the exact capacity of its float arguments.
     """
-    return _horizon_capacity(_count(n, "release count n"), _number(h, "horizon h"))
+    return _horizon_capacity(_count(n, "release count n"), (_number(h, "horizon h"),))[0]
 
 
-def _horizon_capacity(n: int, h: float) -> float:
-    """:func:`horizon_capacity` of arguments already checked."""
+def _horizon_capacity(n: int, hs) -> list[float]:
+    """:func:`horizon_capacity` of a checked count ``n`` at each checked horizon in ``hs``.
+
+    The one spelling of ``B_n``: a comprehension over the column with ``n - 1`` taken
+    once, which :func:`~leakystage.phase.feasibility_curves` runs over a curve's horizons
+    and the scalar entry points over one horizon.
+    """
     if n == 1:
-        return 1.0
+        return [1.0 for _ in hs]
+    m, expm1 = n - 1, math.expm1
     # -expm1 keeps full precision when h/(n-1) is tiny (large n).
-    return 1.0 - (n - 1) * math.expm1(-h / (n - 1))
+    return [1.0 - m * expm1(-h / m) for h in hs]
 
 
 def _deficit_fits(n: int, h: float, gap: float) -> bool:
@@ -481,7 +487,7 @@ def capacity_report(
     feasibility = horizon_feasibility(r, h, eps_thr=eps_thr)
     return CapacityReport(
         c_n=c_n,
-        B_n=_horizon_capacity(n, h),
+        B_n=_horizon_capacity(n, (h,))[0],
         Q_max_safe=d.delta_c * c_n,
         Q_sup_safe=d.delta_c * (1.0 + h),
         N_safe_lambda=safe_count_fixed_lambda(Q, lam, params),

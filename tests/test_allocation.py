@@ -21,11 +21,15 @@ from leakystage import (
     optimal_split,
     overhead_optimal_count,
 )
+from leakystage.cli import parse_config, run
+from leakystage.model import guarded_ceil
 from util import (
     enumerate_k_safe,
     enumerate_overhead,
+    excess_per_count,
     grid_min_split_2,
     mpmath_excess,
+    overhead_rows_loop,
     random_params,
 )
 
@@ -261,18 +265,21 @@ class TestOverheadOptimalCount:
             assert result.ties == tuple(n for n in ties if n <= math.ceil(r)), (r, k)
 
     def test_evaluates_only_the_tie_run_and_its_neighbours(self, monkeypatch):
-        counts = set()
+        counts, calls = set(), []
         excess = allocation._excess
 
-        def counting_excess(r, n):
-            counts.add(n)
-            return excess(r, n)
+        def counting_excess(r, ns):
+            counts.update(ns)
+            calls.append(ns)
+            return excess(r, ns)
 
         monkeypatch.setattr(allocation, "_excess", counting_excess)
         rng = np.random.default_rng(41)
         for r, k in [(10.0 ** rng.uniform(0.0, 7.0), rng.uniform(0.0, 3.0)) for _ in range(200)]:
             counts.clear()
+            calls.clear()
             result = overhead_optimal_count(r, k)
+            assert len(calls) == 1  # the floor and the ceiling in one column
             assert set(result.ties) <= counts
             assert len(counts) <= len(result.ties) + 2
             assert len(counts) <= 2
@@ -362,6 +369,53 @@ class TestKSafe:
             unsafe = overhead_optimal_count(r, frontier + 1e-9)
             assert safe.is_fully_safe
             assert not unsafe.is_fully_safe
+
+
+def _kink_loads(rng, count):
+    """Loads ``r = m (1 + x)``, ``m`` in [5000, 9800), whose ``k_safe`` count
+    ``ceil(r) - 1`` is ``m``, with ``x`` a few ulps or up to 1% from the series switch
+    1e-4 on either side, and overheads that put the relaxed count ``r e^-k`` at a count
+    whose ``r / n - 1`` lies near it too."""
+    loads = []
+    for _ in range(count):
+        m = int(rng.integers(5000, 9800))
+        r = m * (1.0 + 1e-4 * (1.0 + float(rng.uniform(-0.01, 0.01))))
+        if rng.random() < 0.5:
+            r = m * (1.0 + 1e-4)
+            for _ in range(int(rng.integers(0, 4))):
+                r = math.nextafter(r, math.inf if rng.random() < 0.5 else 0.0)
+        loads.append((r, math.log1p(1e-4 * float(rng.uniform(0.9, 1.1)))))
+    return loads
+
+
+class TestOverheadTable:
+    """The overhead table, its optimum and ``k_safe`` against the per-count loop, bit for
+    bit: for loads up to 1e5, and across the series switch at ``r/n - 1 = 1e-4``."""
+
+    def test_rows_are_the_per_count_loop(self):
+        rng = np.random.default_rng(35)
+        draws = [(float(10 ** rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 3.0)))
+                 for _ in range(12)]
+        params = {"beta": 0.6, "mu": 1.0, "delta": 1.8, "rho": 0.5}
+        for r, k in [(0.5, 0.1), (1.0, 0.0), (2.5, k_safe(2.5)), *draws, *_kink_loads(rng, 4)]:
+            config = parse_config({"params": params, "overhead": {"r": r, "k": k}})
+            rows = run(config, meta_time=False).payload["rows"]
+            assert repr(rows) == repr(overhead_rows_loop(r, k)), (r, k)
+
+    def test_optimum_and_k_safe_are_the_per_count_excess(self):
+        rng = np.random.default_rng(36)
+        draws = [(float(10 ** rng.uniform(0.0, 5.0)), float(10 ** rng.uniform(-6.0, 1.0)))
+                 for _ in range(2000)]
+        for r, k in draws + _kink_loads(rng, 2000):
+            result = overhead_optimal_count(r, k)
+            excess = excess_per_count(r, result.n_star)
+            assert repr(result.residual_exposure) == repr(excess), (r, k)
+            assert repr(result.cost) == repr(result.n_star * k + excess), (r, k)
+            n_safe = max(1, guarded_ceil(r))
+            assert repr(k_safe(r)) == repr(excess_per_count(r, n_safe - 1) if n_safe > 1
+                                           else math.inf), r
+            for n in {result.n_star, *result.ties, n_safe - 1, n_safe} - {0}:
+                assert repr(excess_exposure(r, n)) == repr(excess_per_count(r, n)), (r, n)
 
 
 class TestContinuousRelaxedCount:

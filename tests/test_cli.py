@@ -79,6 +79,31 @@ class TestParseConfig:
                 rf"^split: field 'Q' must be finite and > 0\.0 \(got '{value}'\)$")):
             parse_config({"params": FIG, "split": {"Q": value, "n": 2}})
 
+    @pytest.mark.parametrize("bad, message", [
+        (True, "must be finite and >= 0.0 (got True)"),
+        (math.nan, "must be finite and >= 0.0 (got nan)"),
+        (-1.0, "must be >= 0.0 (got -1.0)"),
+        (2**1100, f"must be finite and >= 0.0 (got {2**1100})"),
+        ("1e300", "must be finite and >= 0.0 (got '1e300'); the value was read as text: "
+                  "write it as 1.0e+300"),
+    ])
+    def test_long_size_list_names_its_bad_item(self, bad, message):
+        # a list of floats is checked at once; one bad item sends it to the per-item path,
+        # which names the item by its index
+        q = [0.001 * i for i in range(6000)]
+        q[5000] = bad
+        with pytest.raises(ConfigError) as info:
+            parse_config({"params": FIG, "exposure": {"q": q}})
+        assert str(info.value) == f"exposure: q[5000] {message}"
+
+    def test_integer_sizes_echo_as_floats(self):
+        q = [0.001 * i for i in range(6000)]
+        q[10::10] = range(1, 600)
+        config = parse_config({"params": FIG, "exposure": {"q": q}})
+        assert config.options["q"] == q
+        assert {type(v) for v in config.options["q"]} == {float}
+        assert {type(v) for v in config.echo()["exposure"]["q"]} == {float}
+
     def test_exactly_one_command_block(self):
         with pytest.raises(ConfigError, match="exactly one command block"):
             parse_config({"params": FIG})

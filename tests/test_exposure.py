@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from leakystage.cli import parse_config, run
 from leakystage.exposure import _BLOCK, _SERIES_SWITCH, _onset, _window, exposure_table
 from strategies import rate_sets
 from util import (exposure_batch_masked, exposure_quadrature, exposure_spectral_form,
-                  random_params)
+                  exposure_table_loop, random_params)
 
 
 class TestClosedForm:
@@ -546,6 +547,67 @@ def test_one_fault_judge_on_extreme_rates():
             assert error is None or f"release q={q!r} " in error, (params, eps_thr, q)
 
 
+#: Sizes that no check passes, each of another kind: negative, NaN, infinite, a bool, text,
+#: None, an integer past the float range and a numpy NaN.
+_BAD_SIZES = (-1.0, math.nan, math.inf, -math.inf, True, "1e300", None, 2**1100, np.float64("nan"))
+
+
+@st.composite
+def _table_inputs(draw):
+    """Rates from ``rate_sets`` or ``_extreme_draws``, a tolerance, and a list of float,
+    int and ``np.float64`` sizes a few ulps around the plateau's edge, the series switch,
+    the window's floor and its ceiling, or log-uniform up to 1.7e308, with at most two bad
+    sizes in it."""
+    if draw(st.booleans()):
+        params, eps_thr = draw(rate_sets), draw(st.sampled_from([EPS_THR, 0.0, 1e-3]))
+    else:
+        params, eps_thr, _ = draw(st.sampled_from(_EXTREME_DRAWS))
+    d = derive(params)
+    edge = d.delta_c + eps_thr
+    anchors = [edge, d.delta_c * (1.0 + _SERIES_SWITCH), *_window(d, params.rho, edge)]
+    anchors = [a for a in anchors if a < 1.7e308]
+
+    def size():
+        kind = draw(st.sampled_from(["anchor", "anchor", "wide", "int"]))
+        if kind == "int":
+            return draw(st.one_of(st.integers(0, 3), *(
+                st.integers(-2, 2).map(lambda k, a=a: max(0, int(a) + k)) for a in anchors)))
+        if kind == "wide":
+            q = math.exp(draw(st.floats(math.log(1e-300), math.log(1.7e308))))
+        else:
+            q = draw(st.sampled_from(anchors))
+            for _ in range(draw(st.integers(0, 3))):
+                q = math.nextafter(q, draw(st.sampled_from([0.0, math.inf])))
+        return np.float64(q) if draw(st.integers(0, 4)) == 0 else q
+
+    sizes = [size() for _ in range(draw(st.integers(0, 12)))]
+    for _ in range(draw(st.integers(0, 2))):
+        sizes.insert(draw(st.integers(0, len(sizes))), draw(st.sampled_from(_BAD_SIZES)))
+    return params, eps_thr, sizes
+
+
+_EXTREME_DRAWS = _extreme_draws(300, seed=35)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_table_inputs())
+@example((ModelParams(0.6, 1.0, 1.8, 0.5), EPS_THR, [0.5, 1e308, -1.0, 0.2]))  # a fault first
+@example((ModelParams(0.6, 1.0, 1.8, 0.5), EPS_THR, [0.5, -1.0, 1e308, 0.2]))  # a bad size first
+@example((ModelParams(0.6, 1.0, 1.8, 1e305), EPS_THR, [0.5, 0.33333333334, math.nan]))
+def test_table_matches_the_per_row_loop(inputs):
+    # the rows, or the text of the first bad size or fault, of the column kernel, which
+    # checks float lists at once and judges only the sizes outside the window, are the
+    # per-row loop's
+    params, eps_thr, sizes = inputs
+    rows, expected = [], []
+    error = _error(lambda: rows.append(exposure_table(sizes, params, eps_thr=eps_thr)))
+    assert error == _error(lambda: expected.append(exposure_table_loop(sizes, params,
+                                                                       eps_thr=eps_thr)))
+    assert repr(rows) == repr(expected)
+    if error and all(type(q) is float for q in sizes):  # the batch names the index alike
+        assert _error(lambda: exposure_batch(sizes, params, eps_thr=eps_thr)) == error
+
+
 def _scalar_sizes(monkeypatch) -> list[int]:
     """The number of sizes each later call of ``exposure._table`` is given."""
     counts, table = [], exposure._table
@@ -585,12 +647,20 @@ def test_window_at_random_rates_is_the_whole_range_below_the_value_limit():
 
 def test_window_floor_sends_underflowing_sizes_to_the_scalar_path(monkeypatch):
     # the value of a size just past the edge underflows; the sizes from the floor, the
-    # least delta_c + 2**e whose value does not, up do not
+    # least float whose value and duration do not, up do not: 0.369739, where the least
+    # delta_c + 2**e that does not is delta_c + 2**-4 = 0.3958
     params = ModelParams(0.6, 1.0, 1.8, 1e305)
     d = derive(params)
-    edge = d.delta_c + EPS_THR
+    edge, scale, tiny = d.delta_c + EPS_THR, d.alpha / params.rho, sys.float_info.min
     floor, ceiling = _window(d, params.rho, edge)
-    assert floor == d.delta_c + 2.0**-4 and ceiling == 1e307 / (d.alpha / params.rho)
+    assert ceiling == 1e307 / scale
+
+    def underflows(q):
+        value, duration = exposure._releases((q,), d, params.rho, EPS_THR)[0][1::2]
+        return not (value >= tiny and duration >= tiny)
+
+    assert not underflows(floor) and underflows(math.nextafter(floor, 0.0))
+    assert floor == pytest.approx(0.369739, abs=1e-6)
     counts = _scalar_sizes(monkeypatch)
     sizes = [0.0, floor, 0.5, 1e3]
     assert exposure_batch(sizes, params).tolist() == pytest.approx(

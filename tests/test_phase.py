@@ -16,7 +16,7 @@ from leakystage import (
     sawtooth_frontier,
 )
 from leakystage.phase import _linspace
-from util import linspace_oracle
+from util import horizon_capacity_per_point, linspace_oracle
 
 GRID = PhaseGrid(
     r_range=(1.05, 4.0, 60),
@@ -77,12 +77,13 @@ class TestFeasibilityCurves:
     @given(h_range=_RANGES, n_curves=st.lists(_COUNTS, max_size=4))
     @example(h_range=GRID.h_range, n_curves=list(GRID.n_curves))
     def test_rows_reproducible(self, h_range, n_curves):
-        # every row is the public per-point call, bit for bit
+        # every row is the public per-point call and the per-point oracle, bit for bit
         grid = PhaseGrid(h_range=h_range, n_curves=(1, *n_curves, 10**6))
         feasibility, frontier = feasibility_curves(grid)
         assert len(feasibility) == len(grid.n_curves) * len(frontier)
         for h, n, value in feasibility:
             assert repr(value) == repr(horizon_capacity(n, h))
+            assert repr(value) == repr(horizon_capacity_per_point(n, h))
         for h, value in frontier:
             assert repr(value) == repr(1.0 + h)
 
@@ -104,7 +105,7 @@ class TestSawtoothFrontier:
     @example(r_range=(2.0, 2.0**54, 5), k_range=(0.0, 40.0, 9), resolve_integers=True)
     @example(r_range=(0.0, 1e300, 4), k_range=(0.0, 1e-10, 3), resolve_integers=True)
     def test_rows_reproducible(self, r_range, k_range, resolve_integers):
-        # every row is the public per-point call, bit for bit
+        # every row is the public per-point call and the per-point oracle, bit for bit
         grid = PhaseGrid(r_range=r_range, k_range=k_range)
         ksafe_rows, nstar_rows = sawtooth_frontier(grid, resolve_integers=resolve_integers)
         ks = _linspace(*k_range)

@@ -66,7 +66,7 @@ from leakystage import (
     unequal_spacing_capacity,
     verify_envelope_dominance,
 )
-from leakystage.exposure import _BLOCK
+from leakystage.exposure import _BLOCK, exposure_table
 from leakystage.model import EPS_THR, _shown
 
 P = ModelParams(beta=0.6, mu=1.0, delta=1.8, rho=0.5)
@@ -249,9 +249,23 @@ def test_level_past_repr_digits_is_shown_by_length(call):
 
 
 def test_exposure_batch_rejects_non_finite_sizes():
-    # exposure_batch([nan, inf]) returned [0.0, nan], and bools passed as 0 and 1
-    for sizes in ([math.nan, math.inf], [0.5, math.nan], [math.inf], [-math.inf, 1.0], [-0.5],
-                  np.array([True, False]), [0.2, True], [[0.2], [np.True_]]):
+    # exposure_batch([nan, inf]) returned [0.0, nan], and bools passed as 0 and 1; a bad
+    # size is named as exposure_table names it, where the text named no index
+    for sizes, error in (([math.nan, math.inf], "sizes[0] must be finite and >= 0 (got nan)"),
+                         ([0.5, math.nan], "sizes[1] must be finite and >= 0 (got nan)"),
+                         ([math.inf], "sizes[0] must be finite and >= 0 (got inf)"),
+                         ([-math.inf, 1.0], "sizes[0] must be finite and >= 0 (got -inf)"),
+                         ([-0.5], "sizes[0] must be >= 0 (got -0.5)"),
+                         ([[0.5, 0.1], [0.2, -0.5]], "sizes[1, 1] must be >= 0 (got -0.5)"),
+                         (-0.5, "sizes must be >= 0 (got -0.5)")):
+        with pytest.raises(LeakyStageError) as info:
+            exposure_batch(sizes, P)
+        assert str(info.value) == f"release size {error}"
+        if np.ndim(sizes) == 1:
+            with pytest.raises(LeakyStageError) as info:
+                exposure_table(sizes, P)
+            assert str(info.value) == f"release size {error}"
+    for sizes in (np.array([True, False]), [0.2, True], [[0.2], [np.True_]]):
         with pytest.raises(LeakyStageError, match="release sizes must be finite and >= 0"):
             exposure_batch(sizes, P)
     assert exposure_batch([], P).shape == (0,)
@@ -273,7 +287,7 @@ def test_exposure_batch_checks_the_last_block(bad):
     # the range is checked block by block; a bad size past the first block still fails
     sizes = np.linspace(0.0, 1.0, 3 * _BLOCK + 7)
     sizes[-1] = bad
-    with pytest.raises(LeakyStageError, match="release sizes must be finite and >= 0"):
+    with pytest.raises(LeakyStageError, match=rf"release size sizes\[{3 * _BLOCK + 6}\] must be "):
         exposure_batch(sizes, P)
 
 
@@ -281,7 +295,7 @@ def test_exposure_batch_checks_the_last_block(bad):
 def test_exposure_batch_rejects_inf_beside_the_plateau(eps_thr):
     # inf is the only size above the plateau edge and its bracket is inf - inf = nan, so
     # neither the block minimum nor the output alone shows it
-    with pytest.raises(LeakyStageError, match="release sizes must be finite and >= 0"):
+    with pytest.raises(LeakyStageError, match=r"release size sizes\[5\] must be finite and >= 0"):
         exposure_batch([0.0] * 5 + [math.inf], P, eps_thr=eps_thr)
 
 

@@ -7,7 +7,9 @@ one-dimensional Bellman grid recursion for the minimax peak value, plain
 enumeration for the overhead trade-off and its frontier ``k_safe`` (with a
 50-digit optimum where r is too large to enumerate), the horizon count, the two
 capacities, the minimal peak and the single-release exposure at 50 digits, numpy's
-``linspace`` for the phase grids, the plain per-step loops of the envelope integrator and path
+``linspace`` for the phase grids, the run layer's tables row by row (the exposure
+table size by size, the overhead table count by count, the capacity curves point by
+point), the plain per-step loops of the envelope integrator and path
 exposure, the piece-by-piece balance check, the per-stage peak plans with their
 budget residual in exact rationals and the greedy per-stage fill, the per-cell
 CSV and ``json.dumps`` emit path for the CLI's output bytes, and frozen
@@ -34,12 +36,15 @@ from leakystage import (
     excess_exposure,
     exposure_batch,
     growth_pressure,
+    k_safe,
     normalized_factor,
+    overhead_optimal_count,
     peak_capacity,
     state_value,
 )
 from leakystage.envelope import Trajectory, _segment_nodes
-from leakystage.model import guarded_ceil
+from leakystage.exposure import _fault, _fault_error, exposure_bracket
+from leakystage.model import _number, guarded_ceil
 from leakystage.recovery import _deficit_fits
 
 
@@ -575,6 +580,70 @@ def constant_peak_plan_oracle(m: int, a: float, Q: float, lam: float) -> PeakPla
         capacity_residual=exact_budget_residual(releases, levels, a, lam),
         degenerate=Q == 0.0,
     )
+
+
+# ---------------------------------------------------------------------------
+# run-layer row oracles
+#
+# The loops that the column kernels ``exposure._releases``, ``allocation._excess`` and
+# ``recovery._horizon_capacity`` replace: one size, count or horizon at a time, each
+# size checked and each row judged before the next.  The kernels must match them bit
+# for bit and raise the same text at the same first index.
+
+
+def exposure_table_loop(sizes, params: ModelParams, *, eps_thr: float = EPS_THR):
+    """``exposure_table`` size by size: each size checked, its row formed (a float
+    subclass valued as a float) and every row judged by ``exposure._fault``, so the first
+    bad size or fault raises, naming its index as ``sizes[i]``."""
+    d, rho, eps_thr = derive(params), params.rho, _number(eps_thr, "tolerance eps_thr")
+    delta_c, scale = d.delta_c, d.alpha / rho
+    rows = []
+    for i, given in enumerate(sizes):
+        q = _number(given, f"release size sizes[{i}]")
+        q = float(q) if isinstance(q, float) else q
+        if q <= delta_c + eps_thr:
+            value = derivative = duration = 0.0
+        else:
+            x = (q - delta_c) / delta_c
+            value = scale * exposure_bracket(q, delta_c)
+            derivative = scale * (1.0 - delta_c / q)
+            duration = (math.log1p(x) if x < math.inf
+                        else math.log(q) - math.log(delta_c)) / rho
+        fault = _fault(value, duration)
+        if fault:
+            raise _fault_error(f"sizes[{i}] = {given!r}", *fault)
+        rows.append([given, value, derivative, duration])
+    return rows
+
+
+def excess_per_count(r: float, n: int) -> float:
+    """The excess ``r - n - n log(r/n)`` of a checked load and count, one count per call,
+    by the series of ``exposure_bracket`` below the kink ``r/n - 1 < 1e-4``."""
+    if r <= n:
+        return 0.0
+    if r / n - 1.0 < 1e-4:
+        return exposure_bracket(r, n)
+    return r - n - n * (math.log(r) - math.log(n))
+
+
+def overhead_rows_loop(r: float, k: float) -> list[list]:
+    """The CLI's overhead table count by count: ``[n, cost, excess, is_tie, is_n_star,
+    n_star, k_safe]`` for ``n = 1 .. ceil r``, each excess by :func:`excess_per_count`."""
+    result, frontier = overhead_optimal_count(r, k), k_safe(r)
+    rows = []
+    for n in range(1, max(1, guarded_ceil(r)) + 1):
+        residual = excess_per_count(r, n)
+        rows.append([n, n * k + residual, residual, n in result.ties, n == result.n_star,
+                     result.n_star, frontier])
+    return rows
+
+
+def horizon_capacity_per_point(n: int, h: float) -> float:
+    """``B_n(h) = 1 - (n - 1) expm1(-h / (n - 1))`` of a checked count and horizon, one
+    point per call."""
+    if n == 1:
+        return 1.0
+    return 1.0 - (n - 1) * math.expm1(-h / (n - 1))
 
 
 # ---------------------------------------------------------------------------
