@@ -122,16 +122,14 @@ def min_exposure(Q: float, n: int, params: ModelParams, *, eps_thr: float = EPS_
 def _split_exposure(Q: float, cap: float, scale: float, eps_thr: float) -> float:
     """:func:`min_exposure` of a checked load ``Q`` at capacity ``cap``; ``scale = alpha / rho``.
 
-    An exposure past the float range, or one that underflows to 0.0 above the capacity,
-    raises :class:`LeakyStageError` naming ``Q``.
+    The exposure of a single release with ``delta_c`` replaced by ``cap``, and finite
+    and positive above the capacity for the same reasons: ``cap`` is at least
+    ``delta_c >= 2**-252`` and the float ``Q`` above it, so
+    :func:`~leakystage.exposure.exposure_closed_form`'s derivation holds as it stands.
     """
     if Q <= cap + eps_thr:
         return 0.0
-    exposure = scale * exposure_bracket(Q, cap)
-    if not 0.0 < exposure < math.inf:  # NaN where scale overflows and the bracket underflows
-        rule = f"> 0 above the capacity n*delta_c={cap!r}" if exposure == 0.0 else "finite"
-        raise LeakyStageError(f"exposure of total load Q={Q!r} must be {rule} (got {exposure!r})")
-    return exposure
+    return scale * exposure_bracket(Q, cap)
 
 
 def optimal_split(problem: SplitProblem, *, eps_thr: float = EPS_THR) -> AllocationResult:
@@ -174,12 +172,10 @@ def minimal_safe_count(Q: float, params: ModelParams) -> int:
 
     This is the ceiling of ``Q / delta_c`` with a small relative guard so
     that loads which are exact multiples of the critical level (up to
-    floating error) are not pushed to an extra stage.
+    floating error) are not pushed to an extra stage.  In the domain ``Q / delta_c``
+    is below ``2**333 * 2**252``, finite.
     """
-    r = _number(Q, "total load Q", strict=True) / derive(params).delta_c
-    if r == math.inf:
-        raise LeakyStageError(f"total load Q={Q!r} overflows Q / delta_c")
-    return _safe_count(r)
+    return _safe_count(_number(Q, "total load Q", strict=True) / derive(params).delta_c)
 
 
 def overhead_optimal_count(r: float, k: float) -> OverheadResult:
@@ -189,13 +185,14 @@ def overhead_optimal_count(r: float, k: float) -> OverheadResult:
     counts only add overhead).  The cost is convex with relaxed minimiser
     :func:`continuous_relaxed_count`, so only the floor and the ceiling of that
     point, clamped to ``[1, ceil(r)]``, are evaluated.  Those whose cost is within
-    a relative 1e-12 of the smaller one tie, and ``n_star`` is the smallest tie.  A cost
-    past the float range raises :class:`LeakyStageError` naming ``k``.
+    a relative 1e-12 of the smaller one tie, and ``n_star`` is the smallest tie.
+
+    No cost ``n k + excess(r, n)`` with ``n <= ceil r`` leaves the float range in the
+    domain, where ``r`` and ``k`` are at most 1e100: the excess is below ``r``, so the
+    cost is below ``(r + 1) k + r``, about 1e200.
     """
     relaxed = continuous_relaxed_count(r, k)  # checks r and k
     ties, cost, excess = _optimal_counts(r, k, relaxed, _safe_count(r))
-    if cost == math.inf:
-        raise _cost_overflow(k)
     return OverheadResult(
         n_star=ties[0],
         cost=cost,
@@ -203,12 +200,6 @@ def overhead_optimal_count(r: float, k: float) -> OverheadResult:
         is_fully_safe=excess == 0.0,
         ties=ties,
     )
-
-
-def _cost_overflow(k: float) -> LeakyStageError:
-    """The error for a cost ``n k + excess(r, n)`` past the float range."""
-    return LeakyStageError(
-        f"overhead k={k!r} puts the cost n*k + excess(r, n) past the float range; reduce k")
 
 
 def _optimal_counts(r: float, k: float, relaxed: float,

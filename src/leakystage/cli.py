@@ -32,15 +32,18 @@ from typing import Any, Mapping
 
 from . import __version__
 from .allocation import SplitProblem, k_safe, optimal_split, overhead_optimal_count
-from .allocation import _cost_overflow, _excess, _safe_count
+from .allocation import _excess, _safe_count
 from .errors import ConfigError, LeakyStageError
-from .exposure import _table as _exposure_rows
+from .exposure import exposure_table
 from .model import (
+    _MAX,
+    _RATE_MAX,
+    _RATE_MIN,
     EPS_THR,
     DerivedConstants,
-    DimensionlessPoint,
     FrozenRecord,
     ModelParams,
+    _coordinates,
     _count,
     _floats,
     _number,
@@ -66,7 +69,8 @@ class _Field(FrozenRecord):
     ``counts`` (nonempty lists), ``range`` (``[min, max, count]``), ``schedule`` (a list
     of ``[time, size]`` pairs), ``enum`` (one of ``choices``), ``bool``, or ``object`` (a
     mapping of ``fields`` holding exactly one member of each ``one_of`` group).  Numbers
-    and counts are >= ``minimum`` (> when ``strict``); numbers are < ``below``.  An absent
+    and counts are >= ``minimum`` (> when ``strict``); numbers are <= ``maximum``, the
+    domain's bound unless given, and < ``below``.  An absent
     field fails when ``required``, else takes ``default`` unless that is None.  ``help``
     is its flag help and schema description; flags are ``--name`` (``_`` as ``-``)."""
 
@@ -74,6 +78,7 @@ class _Field(FrozenRecord):
     help: str = ""
     minimum: float = 0.0
     strict: bool = False
+    maximum: float = _MAX
     below: float = math.inf
     required: bool = False
     default: Any = None
@@ -88,7 +93,8 @@ _RANGE_ITEMS = {"min": _Field("number"), "max": _Field("number"),
                 "count": _Field("count", minimum=2)}
 _PAIR_ITEMS = {"time": _Field("number"), "size": _Field("number")}
 
-_PARAMS = {name: _Field("number", text, strict=True, required=True) for name, text in (
+_PARAMS = {name: _Field("number", text, _RATE_MIN, maximum=_RATE_MAX, required=True)
+           for name, text in (
     ("beta", "baseline recruitment rate"), ("mu", "return rate"),
     ("delta", "reservoir reactivation rate"), ("rho", "reservoir recovery rate"))}
 
@@ -200,7 +206,8 @@ def _scalar(value: Any, what: str, field: _Field) -> float | int:
             if isinstance(value, float) and value.is_integer():
                 value = int(value)
             return _count(value, what, field.minimum, ConfigError)
-        return float(_number(value, what, field.minimum, field.strict, field.below, ConfigError))
+        return float(_number(value, what, field.minimum, field.strict, field.maximum, field.below,
+                             ConfigError))
     except ConfigError as exc:
         spelled = _yaml_float(value)
         if spelled is None:
@@ -247,9 +254,9 @@ def _check(field: _Field, value: Any, where: str, name: str) -> Any:
     if not (isinstance(value, (list, tuple)) and value):
         raise ConfigError(f"{what} must be a nonempty list of "
                           + ("numbers" if kind == "numbers" else "integers"))
-    if kind == "numbers" and _floats(value, field.minimum):  # as the per-item path returns it
-        return list(value)
-    item = _Field(kind[:-1], minimum=field.minimum)
+    if kind == "numbers" and _floats(value, field.minimum, field.maximum):
+        return list(value)  # as the per-item path returns it
+    item = _Field(kind[:-1], minimum=field.minimum, maximum=field.maximum)
     return [_scalar(v, f"{where}: {name}[{i}]", item) for i, v in enumerate(value)]
 
 
@@ -386,8 +393,10 @@ def _schema(field: _Field) -> dict[str, Any]:
         out["exclusiveMinimum" if field.strict else "minimum"] = field.minimum
         if field.below < math.inf:
             out["exclusiveMaximum"] = field.below
+        elif kind == "number":
+            out["maximum"] = field.maximum
     elif kind in ("numbers", "counts"):
-        item = _Field(kind[:-1], minimum=field.minimum)  # kind "number" or "count"
+        item = _Field(kind[:-1], minimum=field.minimum, maximum=field.maximum)  # number or count
         out.update(type="array", minItems=1, items=_schema(item))
     elif kind == "range":
         out.update(type="array", minItems=3, maxItems=3,
@@ -424,31 +433,28 @@ def schema() -> dict[str, Any]:
 _COORDINATES = {"r": "Q", "h": "T", "k": "K"}
 
 
-def _dimensionless(config: RunConfig, d: DerivedConstants) -> dict[str, float | None]:
+def _dimensionless(config: RunConfig) -> dict[str, float | None]:
     """The run's ``r``, ``h`` and ``k``, or None where its command has no such coordinate.
 
-    Each is taken as given or derived from its dimensional field by
-    :meth:`DimensionlessPoint.from_dimensional`; a schedule's load is the sum
-    of its releases, below the float range by the schedule's check.
+    Each is taken as given or derived from its dimensional field as
+    :meth:`DimensionlessPoint.from_dimensional` derives it; a schedule's load is the
+    sum of its releases.  A derived coordinate may pass its bound, which the solvers that
+    take it check, while a run that only reports it, as ``split`` reports ``r``, does not.
     """
     opts = config.options
     given = {dim: opts[dim] for dim in _COORDINATES.values() if dim in opts}
     if "schedule" in opts:
         given["Q"] = math.fsum(q for _, q in opts["schedule"])
-        if given["Q"] / d.delta_c == math.inf:
-            raise ConfigError(f"{config.command}: the total of field 'schedule' "
-                              f"({given['Q']!r}) overflows r = Q / delta_c")
-    point = DimensionlessPoint.from_dimensional(config.params, **given)
+    derived = dict(zip(_COORDINATES, _coordinates(
+        config.params, *(given.get(dim, 0.0) for dim in _COORDINATES.values()))))
     return {
-        name: opts[name] if name in opts else getattr(point, name) if dim in given else None
+        name: opts[name] if name in opts else derived[name] if dim in given else None
         for name, dim in _COORDINATES.items()
     }
 
 
 def _run_exposure(config: RunConfig, *_) -> tuple[dict, list[str], int]:
-    rows = _exposure_rows(config.options["q"], config.params, config.eps_thr, lambda i, q, fault: (
-        ConfigError("exposure: q[{}] = {!r} has an {} past the float range (must be {}, got {})"
-                    .format(i, q, *fault))))
+    rows = exposure_table(config.options["q"], config.params, eps_thr=config.eps_thr)
     return {"columns": ["q", "exposure", "derivative", "active_duration"], "rows": rows}, [], 0
 
 
@@ -479,8 +485,6 @@ def _run_overhead(config: RunConfig, d: DerivedConstants, dim: dict) -> tuple[di
     for n in result.ties:  # is_tie, and is_n_star at the first tie
         rows[n - 1][3] = True
     rows[n_star - 1][4] = True
-    if max(rows[0][1], rows[-1][1]) == math.inf:  # the cost is convex in n
-        raise _cost_overflow(k)
     warnings = []
     if len(result.ties) > 1:
         warnings.append(
@@ -610,7 +614,7 @@ _RUNNERS = {
 def run(config: RunConfig, *, meta_time: bool = True) -> OutputEnvelope:
     """Execute a validated run and assemble the output envelope."""
     d = derive(config.params)
-    dimensionless = _dimensionless(config, d)  # fails on an overflowing input before the solve
+    dimensionless = _dimensionless(config)
     payload, warnings, exit_code = _RUNNERS[config.command](config, d, dimensionless)
     metadata: dict[str, Any] = {
         "tool": "leakystage",

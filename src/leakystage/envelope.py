@@ -55,7 +55,12 @@ TOL_DOM = 1e-9
 
 
 class ImpulseSchedule(FrozenRecord):
-    """Ordered release events ``(time, size)`` with strictly increasing times."""
+    """Ordered release events ``(time, size)`` with strictly increasing times.
+
+    Times and sizes lie in the domain's [0, 1e100], so a schedule, fewer than 2**63
+    events, releases less than 2**396 in total, and no level a simulation reaches from a
+    start level in the domain leaves the float range.
+    """
 
     events: tuple[tuple[float, float], ...]
 
@@ -68,11 +73,6 @@ class ImpulseSchedule(FrozenRecord):
                 raise ScheduleError(f"event times must be strictly increasing (event {i} at {t!r})")
             events.append((t, float(_number(q, f"event {i} size", error=ScheduleError))))
             previous = t
-        try:
-            math.fsum(q for _, q in events)
-        except OverflowError:
-            raise ScheduleError(
-                "the schedule's event sizes must sum below the float range") from None
         object.__setattr__(self, "events", tuple(events))
 
     @property
@@ -164,15 +164,14 @@ def _walk(
     the last samples, as floats, are the next state.  Each column is kept as a
     list of chunks (node arrays, and 1-tuples for the start and the post-jump
     samples) and joined once.  Returns the samples per state entry and the
-    :class:`Trajectory` fields of the layout.  A jump to a level past the float
-    range raises :class:`ScheduleError` naming its event.
+    :class:`Trajectory` fields of the layout.
     """
     times: list = [(0.0,)]
     columns = [[(x,)] for x in state]
     count = 1  # samples laid out so far
     jump_indices: list[int] = []
     current_t = 0.0
-    for j, (event_t, size) in enumerate((*schedule.events, (T, None))):
+    for event_t, size in (*schedule.events, (T, None)):
         if event_t > current_t:
             nodes, *segments = advance(state, current_t, event_t)
             times.append(nodes)
@@ -185,9 +184,6 @@ def _walk(
             continue
         jump_indices.append(count - 1)
         state = (*state[:-1], state[-1] + size)
-        if state[-1] == math.inf:
-            raise ScheduleError(
-                f"the release of event {j} at t={event_t!r} lifts the level past the float range")
         times.append((event_t,))
         for column, x in zip(columns, state):
             column.append((x,))
@@ -299,10 +295,12 @@ def simulate_full(
     ``h_step`` chosen to divide each inter-event gap exactly, so impulses
     land on grid nodes.  ``S`` is integrated in log space; a start at
     ``S0 = 0`` stays on the invariant manifold ``S = 0`` exactly.  A segment that
-    overflows or ends in NaN raises :class:`LeakyStageError` naming, in this order, the
-    release if no step up to ``T`` resolves its growth rate (``alpha A ulp(T) > 1``) or
-    ``6 alpha A`` overflows the RK4 stage sum, ``S0`` if the path turned NaN, as where
-    the drain ``(rho + delta S) A`` passes the float range, or else the step.
+    overflows or ends in NaN raises :class:`LeakyStageError` naming the release if no
+    step up to ``T`` resolves its growth rate (``alpha A ulp(T) > 1``), else the step.
+    In the domain nothing else is to blame: the growth rate of a level the releases
+    reach, below 2**396, cannot overflow the RK4 stage sum alone, as ``alpha < 2**100``,
+    and the drain ``(rho + delta S) A`` at ``S0 <= 1e100`` is below 2**829; it overflows,
+    and turns the path NaN, only where a coarse step overshoots ``S``.
 
     A call whose inputs equal the previous call's bit for bit (``-0.0`` is not
     ``0.0``, an ``int`` is not a ``float``) returns the same read-only
@@ -332,24 +330,18 @@ def simulate_full(
         try:
             nodes, us, levels, clamped = _rk4_segment(*state, t0, t1, h_step, params)
         except OverflowError:
-            nan = False
+            pass
         else:
-            nan = math.isnan(us[-1]) or math.isnan(levels[-1])  # a NaN lasts to the segment's end
-            if not nan:
+            if not (math.isnan(us[-1]) or math.isnan(levels[-1])):  # a NaN lasts to the end
                 clamp_count += clamped
                 # fromiter reads a list of floats about twice as fast as concatenate would
                 return [nodes, *(np.fromiter(x, float, len(x)) for x in (us, levels))]
         level = state[1]
-        # a step of about 1 / (alpha * A) is finer than the spacing of the times up to T,
-        # or the log S stage sum du1 + 2 du2 + 2 du3 + du4 overflows on alpha * A alone
-        if alpha * level * math.ulp(T) > 1.0 or 6.0 * alpha * level == math.inf:
+        # a step of about 1 / (alpha * A) is finer than the spacing of the times up to T
+        if alpha * level * math.ulp(T) > 1.0:
             raise LeakyStageError(
                 f"RK4 overflowed on the level A={level!r} at t={t0!r}, whose growth rate "
                 f"alpha * A no step up to T={T!r} resolves; reduce the release")
-        if nan:
-            raise LeakyStageError(
-                f"S0={S0!r} overflows the RK4 drain (rho + delta*S) * A at the level "
-                f"A={level!r} from t={t0!r} on; reduce S0")
         raise LeakyStageError(f"RK4 overflowed at step {h_step!r}; reduce the step")
 
     u0 = math.log(S0) if S0 > 0.0 else -math.inf

@@ -14,13 +14,11 @@ thread-safe.
 from __future__ import annotations
 
 import math
-import struct
-import sys
 from typing import TYPE_CHECKING
 
 from .errors import LeakyStageError
-from .model import EPS_THR, DerivedConstants, FrozenRecord, ModelParams, _float_array, _floats
-from .model import _number, derive
+from .model import _MAX, EPS_THR, DerivedConstants, FrozenRecord, ModelParams, _float_array
+from .model import _floats, _number, derive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,8 +56,8 @@ class ExposureValue(FrozenRecord):
 
     def __post_init__(self) -> None:
         # both fields finite and nonnegative, and zero together
-        if (_number(self.value, "exposure value") == 0.0) != (
-                _number(self.active_duration, "active duration") == 0.0):
+        if (_number(self.value, "exposure value", maximum=math.inf) == 0.0) != (
+                _number(self.active_duration, "active duration", maximum=math.inf) == 0.0):
             raise LeakyStageError("exposure is zero exactly when the active duration is zero")
 
 
@@ -97,43 +95,23 @@ def exposure_bracket(q: float, delta_c: float) -> float:
 def _releases(sizes, d: DerivedConstants, rho: float, eps_thr: float) -> list[list[float]]:
     """Rows ``[q, value, derivative, active_duration]``, one per checked release size ``q``.
 
-    The one spelling of a release's exposure: a comprehension over the column, with the
-    table's constants taken once.  :func:`exposure_closed_form` and
-    :func:`exposure_derivative` pass a one-size column, and :func:`exposure_table` its
-    sizes, so all three give the same bits; the bracket is :func:`exposure_bracket`'s.
-    The callers check the sizes (:func:`_valued`) and ``eps_thr`` and judge the faults.
+    The one spelling of a release's exposure: one pass over the column, with the table's
+    constants taken once.  :func:`exposure_closed_form` and :func:`exposure_derivative`
+    pass a one-size column, and :func:`exposure_table` its sizes, so all three give the
+    same bits; the bracket is :func:`exposure_bracket`'s.  The callers check the sizes
+    (:func:`_valued`) and ``eps_thr``.  A loop, not a comprehension, as
+    :func:`~leakystage.allocation._excess` is: a one-size column costs about 0.3 us less
+    (Python 3.11), and a 2e4-size table no more.
     """
     delta_c, edge, scale = d.delta_c, d.delta_c + eps_thr, d.alpha / rho
-    # log(q / delta_c): log1p keeps every digit near the threshold, where q - delta_c is
-    # exact; the difference of logarithms stands in only where x overflows
-    return [[q, 0.0, 0.0, 0.0] if q <= edge else
-            [q, scale * exposure_bracket(q, delta_c), scale * (1.0 - delta_c / q),
-             (math.log1p(x) if x < math.inf else math.log(q) - math.log(delta_c)) / rho]
-            for q in sizes for x in ((q - delta_c) / delta_c,)]
-
-
-def _fault(value: float, active_duration: float) -> tuple[str, str, str] | None:
-    """How a release's exposure leaves the float range, as the field, the rule it breaks
-    and what it got, or None, which implies the checks of :class:`ExposureValue`.
-
-    The four ways out are a value or an active duration past the range (NaN fails too)
-    and either one underflowing to 0.0 while the other does not.  The one judge of every
-    path: :func:`exposure_batch` judges and values the sizes that may leave the range on
-    the scalar path."""
-    if not (0.0 <= value < math.inf and 0.0 <= active_duration < math.inf):
-        field, got = (("exposure value", value) if not 0.0 <= value < math.inf
-                      else ("active duration", active_duration))
-        return field, "finite and >= 0", repr(float(got))
-    if (value == 0.0) != (active_duration == 0.0):
-        if value == 0.0:
-            return "exposure value", f"> 0 at the active duration {active_duration!r}", "0.0"
-        return "active duration", f"> 0 at the exposure value {value!r}", "0.0"
-    return None
-
-
-def _fault_error(release: str, field: str, rule: str, got: str) -> LeakyStageError:
-    """The error for a :func:`_fault` of ``release``, labelled as its caller names it."""
-    return LeakyStageError(f"{field} of release {release} must be {rule} (got {got})")
+    log1p, rows = math.log1p, []
+    for q in sizes:
+        # log(q / delta_c) as log1p(x): it keeps every digit near the threshold, where
+        # q - delta_c is exact
+        rows.append([q, 0.0, 0.0, 0.0] if q <= edge else
+                    [q, scale * exposure_bracket(q, delta_c), scale * (1.0 - delta_c / q),
+                     log1p((q - delta_c) / delta_c) / rho])
+    return rows
 
 
 def exposure_closed_form(
@@ -151,13 +129,22 @@ def exposure_closed_form(
     the series switch, where the log difference cancels: in 100,000 sizes per
     ``delta_c`` from the plateau's edge to 1e300, the worst seen was 3.1e-14, 5.4e-14 and
     1.46e-13 at ``delta_c`` = 1/3, 0.06 and 1e-3, and 1.17 eps for the duration.
+
+    In the domain of :mod:`~leakystage.model`, neither field leaves the float range, so
+    the result keeps the invariants of :class:`ExposureValue`.  With ``delta_c`` in
+    [2**-252, 1), ``alpha / rho`` in [2**-252, 2**200] and ``q < 2**333``:
+
+    - the value is at most ``(alpha / rho) q < 2**533``, the derivative at most
+      ``alpha / rho``, and the duration ``log(q / delta_c) / rho < 585 * 2**100``;
+    - past the plateau, ``q`` is at least the float after ``delta_c``, so
+      ``x = q / delta_c - 1 > 2**-53``; the bracket ``delta_c (x - log1p x)`` and the
+      duration grow with ``q``, and at the least such ``x`` the bracket exceeds
+      ``delta_c x**2 / 3 > 2**-360``, the value ``2**-612`` and the duration ``2**-154``,
+      all far above the least normal float, 2**-1022.
     """
     eps_thr = _number(eps_thr, "tolerance eps_thr")
     [[_, value, _, active_duration]] = _releases((_valued(q, "release size q"),), derive(params),
                                                  params.rho, eps_thr)
-    fault = _fault(value, active_duration)
-    if fault:
-        raise _fault_error(f"q={q!r}", *fault)
     return ExposureValue(value=value, active_duration=active_duration)
 
 
@@ -166,110 +153,26 @@ def exposure_table(sizes, params: ModelParams, *, eps_thr: float = EPS_THR) -> l
 
     Each row holds the bits of :func:`exposure_closed_form` and
     :func:`exposure_derivative`; the constants are derived once for the whole table.
-    :func:`_fault` judges the rows whose size lies past the plateau's edge and outside
-    the size window of :func:`exposure_batch`, the only ones whose exposure may leave
-    the float range; the others meet the invariants of :class:`ExposureValue` as they
-    stand.  A bad size or a fault raises :class:`LeakyStageError` naming the first such
-    index as ``sizes[i]``.
+    The sizes are checked once for the list when all are floats in the domain, else one
+    by one: a bad size raises :class:`LeakyStageError` naming the first such index as
+    ``sizes[i]``.
     """
-    return _table(sizes, params, eps_thr,
-                  lambda i, q, fault: _fault_error(f"sizes[{i}] = {q!r}", *fault))
-
-
-def _table(sizes, params: ModelParams, eps_thr: float, error) -> list[list[float]]:
-    """The rows of :func:`exposure_table`; an exposure that leaves the float range raises
-    ``error(i, q, fault)``, the error for the :func:`_fault` that names the size ``q`` at
-    index ``i`` as its caller labels it.
-
-    The sizes are checked once for the list when all are floats in range, else one by one
-    up to the first bad size, whose error is raised after the rows before it are judged."""
     d, rho, eps_thr = derive(params), params.rho, _number(eps_thr, "tolerance eps_thr")
-    sizes, bad = list(sizes), None
-    column = sizes
-    if not _floats(sizes):
-        column = []
-        for i, q in enumerate(sizes):
-            try:
-                column.append(_valued(q, f"release size sizes[{i}]"))
-            except LeakyStageError as exc:
-                bad = exc
-                break
-    rows = _releases(column, d, rho, eps_thr)
-    if column is not sizes:  # each row holds its size as given
-        for row, q in zip(rows, sizes):
-            row[0] = q
-    edge = d.delta_c + eps_thr
-    floor, ceiling = _window(d, rho, edge)
-    if rows and (floor > edge or max(column) > ceiling):
-        for i, (q, row) in enumerate(zip(column, rows)):
-            if (q > ceiling or edge < q < floor) and (fault := _fault(row[1], row[3])):
-                raise error(i, sizes[i], fault)
-    if bad:
-        raise bad
+    sizes = list(sizes)
+    if _floats(sizes):
+        return _releases(sizes, d, rho, eps_thr)
+    rows = _releases([_valued(q, f"release size sizes[{i}]") for i, q in enumerate(sizes)],
+                     d, rho, eps_thr)
+    for row, q in zip(rows, sizes):  # each row holds its size as given
+        row[0] = q
     return rows
 
 
 def _valued(q, what: str):
     """The release size ``q``, checked by :func:`_number` and named ``what`` in its error,
-    as its row is valued: a float subclass such as ``numpy.float64``, whose arithmetic
-    warns past the float range, as a float."""
+    as its row is valued: a float subclass such as ``numpy.float64`` as a float."""
     q = _number(q, what)
     return float(q) if isinstance(q, float) else q
-
-
-def _window(d: DerivedConstants, rho: float, edge: float) -> tuple[float, float]:
-    """The sizes ``(floor, ceiling)`` between which no release's exposure leaves the float
-    range: :func:`exposure_batch` sends the sizes past the plateau's ``edge`` and outside
-    them to the scalar path.
-
-    Up to rounding, the bracket, the value and the active duration grow with the size.
-    Past the ceiling, the lesser of ``1e307 / scale`` and the size whose active duration
-    is 1e307, a value or a duration may overflow.  Below the floor one may underflow: the
-    floor is the edge unless the first size past it underflows, and else the least float
-    at which neither does, found by bisection first on ``e`` in ``delta_c + 2**e`` and
-    then on the floats between ``delta_c + 2**(e-1)`` and ``delta_c + 2**e``.  The window
-    is empty where no size can be trusted, as where ``scale`` is 0.0 or infinite."""
-    delta_c, scale, tiny = d.delta_c, d.alpha / rho, sys.float_info.min
-
-    def underflows(q: float) -> bool:
-        return not (min(scale, 1.0) * exposure_bracket(q, delta_c) >= tiny
-                    and math.log1p((q - delta_c) / delta_c) / rho >= tiny)
-
-    try:
-        longest = math.exp(math.log(delta_c) + 1e307 * rho)
-    except OverflowError:
-        longest = math.inf
-    ceiling = max(edge, min(1e307 / scale if scale else math.inf, longest))
-    if not underflows(math.nextafter(edge, math.inf)):
-        return edge, ceiling
-    # bisect on e: delta_c + 2**-1075 is delta_c, which underflows, and 2**1024 is past
-    # the range, which stands for no size at all
-    under, over = -1075, 1024
-    while over - under > 1:
-        e = (under + over) // 2
-        if underflows(delta_c + math.ldexp(1.0, e)):
-            under = e
-        else:
-            over = e
-    if over == 1024:
-        return math.inf, ceiling
-
-    # then on the floats between delta_c + 2**under and delta_c + 2**over: the bit
-    # patterns of positive floats, read as integers, are in the floats' order
-    def bits(q: float) -> int:
-        return struct.unpack("<q", struct.pack("<d", q))[0]
-
-    def size(pattern: int) -> float:
-        return struct.unpack("<d", struct.pack("<q", pattern))[0]
-
-    low, high = bits(delta_c + math.ldexp(1.0, under)), bits(delta_c + math.ldexp(1.0, over))
-    while high - low > 1:
-        middle = (low + high) // 2
-        if underflows(size(middle)):
-            low = middle
-        else:
-            high = middle
-    return size(high), ceiling
 
 
 def exposure_batch(
@@ -286,13 +189,13 @@ def exposure_batch(
     for the scalar path's own :func:`_onset_bracket`, each value is bit-equal to
     :func:`exposure_closed_form`.  Above the switch the two agree within
     ``5e-14 * max(1, |log q|)`` relative: ``np.log`` and ``math.log`` can
-    differ in the last bit, which the bracket's cancellation magnifies.
+    differ in the last bit, which the bracket's cancellation magnifies.  In the
+    domain no value leaves the float range, as :func:`exposure_closed_form` derives.
 
     The sizes are checked block by block, each block read, checked and finished
-    while it sits in cache: a NaN, negative or infinite size raises
-    :class:`LeakyStageError`.  A size whose exposure may leave the float range is judged
-    and valued on the scalar path, by :func:`_fault`.  The first bad size or fault
-    raises as :func:`exposure_table` does, naming its index.  No numpy warning escapes.
+    while it sits in cache: the first size that is NaN or outside [0, 1e100] raises
+    :class:`LeakyStageError` naming its index as :func:`exposure_table` does.  No numpy
+    warning escapes.
     """
     import numpy as np
 
@@ -301,31 +204,19 @@ def exposure_batch(
     delta_c, scale = d.delta_c, d.alpha / rho
     log_delta_c, edge = math.log(delta_c), delta_c + eps_thr
     switch = delta_c * (1.0 + _SERIES_SWITCH)
-    floor, ceiling = _window(d, rho, edge)
     out = np.empty(q.shape)
     # np.log can round a size read at a negative stride differently, so the sizes are
     # read contiguously; out is C-ordered, so its reshape is a view
     sizes, values = q.ravel(), out.reshape(-1)
-
-    def label(i):  # the size at flat index i, as exposure_table names it
-        return f"sizes[{', '.join(map(str, np.unravel_index(i, q.shape)))}]" if q.ndim else "sizes"
-
-    def scalar(start, qb):  # the sizes of qb, from flat index start, outside the window
-        at = np.flatnonzero((qb > ceiling) | ((qb > edge) & (qb < floor)))
-        rows = _table(qb[at].tolist(), params, eps_thr, lambda i, q, fault: (
-            _fault_error(f"{label(start + int(at[i]))} = {q!r}", *fault)))
-        return at, [row[1] for row in rows]
-
-    # log(0.0) on the plateau is zeroed below, and the sizes outside the window, with any
-    # overflow, underflow or NaN, are judged and valued on the scalar path
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    # log(0.0) on the plateau is zeroed below
+    with np.errstate(divide="ignore"):
         for start in range(0, sizes.size, _BLOCK):
             qb, ob = sizes[start:start + _BLOCK], values[start:start + _BLOCK]
             low, top = qb.min(), qb.max()
-            if not (low >= 0.0 and top < math.inf):  # NaN fails both tests
-                i = int(np.flatnonzero(~((qb >= 0.0) & (qb < math.inf)))[0])
-                scalar(start, qb[:i])  # a fault before the bad size raises first
-                _number(float(qb[i]), f"release size {label(start + i)}")  # raises
+            if not (low >= 0.0 and top <= _MAX):  # NaN fails both tests
+                i = start + int(np.flatnonzero(~((qb >= 0.0) & (qb <= _MAX)))[0])
+                at = f"[{', '.join(map(str, np.unravel_index(i, q.shape)))}]" if q.ndim else ""
+                _number(float(sizes[i]), f"release size sizes{at}")  # raises
             if top <= edge:  # all on the plateau, as the first blocks of a grid from 0 are
                 ob.fill(0.0)
                 continue
@@ -341,9 +232,6 @@ def exposure_batch(
             if low < switch:  # edge < q < switch takes the series; most blocks have no such q
                 onset = np.flatnonzero((qb < switch) & (qb > edge))
                 ob[onset] = scale * _onset_bracket(qb[onset], delta_c)
-            if top > ceiling or (floor > edge and low < floor):
-                at, scalar_values = scalar(start, qb)
-                ob[at] = scalar_values
     return out
 
 
@@ -354,14 +242,11 @@ def exposure_derivative(
 
     Exactly 0.0 on the plateau, ``(delta-beta)/rho * (1 - delta_c/q)`` above
     it; continuous at the threshold with value 0 and increasing towards
-    ``(delta-beta)/rho`` for large releases.  A derivative past the float range, as
-    where ``(delta-beta)/rho`` overflows, raises :class:`LeakyStageError` naming ``q``.
+    ``(delta-beta)/rho``, at most 2**200 in the domain, for large releases.
     """
     eps_thr = _number(eps_thr, "tolerance eps_thr")
     [[_, _, derivative, _]] = _releases((_valued(q, "release size q"),), derive(params),
                                         params.rho, eps_thr)
-    if derivative == math.inf:
-        raise _fault_error(f"q={q!r}", "exposure derivative", "finite", "inf")
     return derivative
 
 
@@ -370,14 +255,10 @@ def exposure_near_threshold(epsilon: float, params: ModelParams) -> float:
 
     For a release ``delta_c * (1 + epsilon)`` the exposure is
     ``(delta-beta) * delta_c / (2 rho) * epsilon**2`` up to an O(epsilon^3)
-    error.  This is an approximation, not the exact value.  A term past the float
-    range raises :class:`LeakyStageError` naming ``epsilon``.
+    error.  This is an approximation, not the exact value.  In the domain the
+    coefficient ``gamma / (2 rho)`` is below 2**199 and ``epsilon**2`` below 2**666, so
+    the term is finite.
     """
     _number(epsilon, "relative overshoot epsilon")
     d = derive(params)
-    term = (d.alpha * d.delta_c) / (2.0 * params.rho) * epsilon * epsilon
-    if not term < math.inf:  # NaN where the coefficient overflows and epsilon is 0
-        raise LeakyStageError(
-            f"exposure near threshold of relative overshoot epsilon={epsilon!r} "
-            f"must be finite (got {term!r})")
-    return term
+    return (d.alpha * d.delta_c) / (2.0 * params.rho) * epsilon * epsilon

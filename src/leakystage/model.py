@@ -31,6 +31,20 @@ EPS_THR = 1e-12
 _CEIL_GUARD = 1e-12
 _CEIL_CAP = 1e-3
 
+#: The numeric domain.  Every rate lies in [_RATE_MIN, _RATE_MAX], and every other number
+#: that a public function or record takes, a count aside, lies in [0, _MAX]: release sizes,
+#: loads and levels, times and steps, overheads, ``eps_thr``, and the dimensionless ``r``,
+#: ``h`` and ``k``.  :func:`_number` checks each where it enters.  The closed forms derive
+#: from these bounds that no result leaves the float range, from three facts:
+#:
+#: - ``gamma = mu - beta`` is at least one ulp of ``beta >= 2**-100``, so ``gamma >= 2**-152``,
+#:   and ``gamma <= alpha = delta - beta < 2**100``;
+#: - so ``delta_c = gamma / alpha`` lies in [2**-252, 1) and ``alpha / rho`` in [2**-252, 2**200];
+#: - every other number is below 2**333, and a sum over a sequence, fewer than 2**63 items,
+#:   below 2**396.
+_RATE_MIN, _RATE_MAX = 1e-30, 1e30
+_MAX = 1e100
+
 
 def guarded_ceil(x: float) -> int:
     """Ceiling that forgives floating error just above an integer: ceil(x) - 1 or ceil(x)."""
@@ -124,39 +138,45 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and value.__class__ is not bool
 
 
-def _number(value, what: str, minimum=0, strict: bool = False, below=math.inf,
+def _number(value, what: str, minimum=0, strict: bool = False, maximum=_MAX, below=math.inf,
             error: type[LeakyStageError] = LeakyStageError):
     """``value``, as given, if it is a finite number at or above ``minimum`` (above it
-    when ``strict``) and below ``below``; else ``error`` naming it ``what``.
+    when ``strict``), at most ``maximum`` and below ``below``; else ``error`` naming it
+    ``what``.
 
     The one rule for the numeric arguments of the package's public functions and
-    records, and for the number fields of a CLI config.  A number is an ``int`` or a
-    ``float``, subclasses such as ``numpy.float64`` included, but never a ``bool``;
-    ``Decimal``, ``Fraction``, ``numpy.float32`` and ``numpy.int64`` are not numbers.
-    ``minimum`` is finite.
+    records, and for the number fields of a CLI config, whose default ``maximum`` is the
+    domain's bound ``_MAX``.  A number is an ``int`` or a ``float``, subclasses such as
+    ``numpy.float64`` included, but never a ``bool``; ``Decimal``, ``Fraction``,
+    ``numpy.float32`` and ``numpy.int64`` are not numbers.  ``minimum`` is finite, and a
+    finite ``below`` lies under ``maximum``, so the error states it in its place.
     """
     try:
-        # a float needs no isfinite: NaN fails both comparisons, and infinities one of them
+        # a float needs no isfinite: NaN fails every comparison, and infinities one of them
         if (value.__class__ is float or _is_number(value) and math.isfinite(value)) \
-                and (value > minimum if strict else value >= minimum) and value < below:
+                and (value > minimum if strict else value >= minimum) \
+                and value <= maximum and value < below:
             return value
         finite = _is_number(value) and math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         finite = False
-    rule = f"{'>' if strict else '>='} {minimum}" + ("" if below == math.inf else f" and < {below}")
+    rule = f"{'>' if strict else '>='} {minimum}" + (
+        f" and < {below}" if below < math.inf else
+        f" and <= {maximum}" if maximum < math.inf else "")
     raise error(f"{what} must be {'' if finite else 'finite and '}{rule} (got {_shown(value)})")
 
 
-def _floats(values, minimum=0.0) -> bool:
+def _floats(values, minimum=0.0, maximum=_MAX) -> bool:
     """Whether every item of the list or tuple ``values`` is a float (of the exact type)
-    that :func:`_number` passes at ``minimum``, tested over the whole column at once.
+    that :func:`_number` passes at ``minimum`` and ``maximum``, tested over the whole
+    column at once.
 
-    False is no verdict: an ``int``, a subclass, or a sum past the float range sends the
-    column to the caller's check item by item, which names the first bad item.  NaN and
-    the infinities fail the minimum or make the sum NaN or infinite.
+    False is no verdict: an ``int``, a subclass, or a bad item sends the column to the
+    caller's check item by item, which names the first bad item.  NaN fails the bounds
+    or makes the sum NaN, and the infinities fail the bounds.
     """
-    return not values or ({float}.issuperset(map(type, values))
-                          and min(values) >= minimum and sum(values) < math.inf)
+    return not values or ({float}.issuperset(map(type, values)) and min(values) >= minimum
+                          and max(values) <= maximum and sum(values) < math.inf)
 
 
 def _count(value, what: str, minimum: int = 1,
@@ -200,19 +220,24 @@ def _float_array(values, what: str):
             return array.astype(float, copy=False)
     except ValueError:  # a ragged nesting
         pass
-    raise LeakyStageError(f"{what} must be finite and >= 0")
+    raise LeakyStageError(f"{what} must be finite and >= 0 and <= {_MAX}")
 
 
 def _numbers(values, what: str):
-    """:func:`_number` for an array: ``values`` as floats if all are finite and >= 0.
+    """:func:`_number` for an array: ``values`` as floats if all lie in [0, _MAX].
 
     :func:`_float_array`'s type check, then the range check over the whole array,
     by its minimum and maximum; NaN fails both.
     """
     array = _float_array(values, what)
-    if not array.size or array.min() >= 0.0 and array.max() < math.inf:
+    if not array.size or array.min() >= 0.0 and array.max() <= _MAX:
         return array
-    raise LeakyStageError(f"{what} must be finite and >= 0")
+    raise LeakyStageError(f"{what} must be finite and >= 0 and <= {_MAX}")
+
+
+def _rate(value, what: str, error: type[LeakyStageError] = LeakyStageError):
+    """``value`` if it is a rate of the domain, in [_RATE_MIN, _RATE_MAX]; else ``error``."""
+    return _number(value, what, _RATE_MIN, maximum=_RATE_MAX, error=error)
 
 
 class ModelParams(FrozenRecord):
@@ -229,8 +254,8 @@ class ModelParams(FrozenRecord):
     rho:
         Reservoir recovery rate (1/time).
 
-    Construction fails with :class:`ParameterError` unless all rates are
-    strictly positive and the shock-sensitive ordering ``beta < mu < delta``
+    Construction fails with :class:`ParameterError` unless all rates lie in the
+    domain's [1e-30, 1e30] and the shock-sensitive ordering ``beta < mu < delta``
     holds; outside that regime the threshold formulas degenerate silently.
     """
 
@@ -241,7 +266,7 @@ class ModelParams(FrozenRecord):
 
     def __post_init__(self) -> None:
         for name in ("beta", "mu", "delta", "rho"):
-            _number(getattr(self, name), name, strict=True, error=ParameterError)
+            _rate(getattr(self, name), name, ParameterError)
         if not self.beta < self.mu < self.delta:
             raise ParameterError("shock-sensitive ordering violated: requires beta < mu < delta "
                                  f"(got beta={self.beta!r}, mu={self.mu!r}, delta={self.delta!r})")
@@ -270,7 +295,10 @@ class DimensionlessPoint(FrozenRecord):
 
     ``r`` is the load in threshold units (Q / delta_c), ``h`` the recovery
     budget over the horizon (rho * T), and ``k`` the per-release overhead in
-    one-shock exposure units (K * rho / (mu - beta)).
+    one-shock exposure units (K * rho / (mu - beta)).  Each lies in the domain's
+    [0, 1e100]; so do ``Q``, ``T`` and ``K`` in :meth:`from_dimensional`, where
+    ``r <= 1e100 * 2**252``, ``h <= 1e130`` and ``k <= 1e100 * 2**252`` stay finite and
+    the record's own check names a coordinate past its bound.
     """
 
     r: float
@@ -291,14 +319,14 @@ class DimensionlessPoint(FrozenRecord):
     ) -> "DimensionlessPoint":
         for name, value in (("Q", Q), ("T", T), ("K", K)):
             _number(value, name, error=ParameterError)
-        d = derive(params)
-        r, h, k = Q / d.delta_c, params.rho * T, K * params.rho / d.gamma
-        for name, value, coordinate, formula in (("Q", Q, r, "r = Q / delta_c"),
-                                                 ("T", T, h, "h = rho * T"),
-                                                 ("K", K, k, "k = K * rho / gamma")):
-            if coordinate == math.inf:  # finite inputs whose product passes the float range
-                raise ParameterError(f"{name}={value!r} overflows {formula}")
-        return cls(r=r, h=h, k=k)
+        return cls(*_coordinates(params, Q, T, K))
+
+
+def _coordinates(params: ModelParams, Q: float, T: float, K: float) -> tuple[float, float, float]:
+    """``r``, ``h`` and ``k`` of the checked ``Q``, ``T`` and ``K``, unchecked: finite in the
+    domain, though each may pass the bound of its coordinate."""
+    d = derive(params)
+    return Q / d.delta_c, params.rho * T, K * params.rho / d.gamma
 
 
 def derive(params: ModelParams) -> DerivedConstants:

@@ -21,7 +21,7 @@ from itertools import chain, repeat
 
 from .errors import LeakyStageError, ScheduleError
 from .exposure import _SERIES_SWITCH, _onset
-from .model import EPS_THR, FrozenRecord, ModelParams, _count, _number, _numbers, derive
+from .model import EPS_THR, FrozenRecord, ModelParams, _count, _number, _numbers, _rate, derive
 from .model import guarded_ceil
 
 __all__ = ["UNBOUNDED", "CapacityReport", "CountBound", "HorizonFeasibility", "HorizonRegime",
@@ -104,7 +104,7 @@ class RecoveryConfig(FrozenRecord):
     def from_interval(
         cls, rho: float, tau: float, n: int, Q: float, a0: float = 0.0
     ) -> "RecoveryConfig":
-        _number(rho, "recovery rate rho", strict=True)
+        _rate(rho, "recovery rate rho")
         _number(tau, "inter-release time tau", strict=True)
         lam = math.exp(-rho * tau)
         if not lam < 1.0:
@@ -163,7 +163,8 @@ def _peak_capacity(n: int, lam: float) -> float:
 def simulate_recurrence(config: RecoveryConfig, releases) -> PeakPlan:
     """Run the post-release recurrence for an explicit release vector.
 
-    ``A_1 = a0 + q_1`` and ``A_k = lam * A_{k-1} + q_k`` for later stages.
+    ``A_1 = a0 + q_1`` and ``A_k = lam * A_{k-1} + q_k`` for later stages.  Every level
+    is at most ``a0`` plus the sum of the releases, below 2**396 in the domain.
     """
     releases = tuple(releases)
     if len(releases) != config.n:
@@ -176,9 +177,6 @@ def simulate_recurrence(config: RecoveryConfig, releases) -> PeakPlan:
     for q in releases[1:]:
         level = lam * level + q
         levels.append(level)
-    if not math.isfinite(level):  # an inf level stays inf, or turns nan at lam = 0
-        j = next(j for j, level in enumerate(levels, 1) if not math.isfinite(level))
-        raise ScheduleError(f"release {j} lifts the level past the float range")
     runs = [*((q, 1, 0) for q in releases), *((x, 0, 1) for x in levels[:-1]),
             (level, -1, 0), (a0, 1, 0)]
     return PeakPlan(releases, tuple(levels), max(levels), _peak_capacity(config.n, lam),
@@ -228,15 +226,14 @@ def _state_target(m: int, a: float, Q: float, lam: float) -> tuple[float, float,
 
 def _target(m: int, a: float, Q: float, lam: float) -> tuple[float, float]:
     """``c_m(lam)`` and the fill peak ``(a + Q) / c_m(lam)`` for checked plain-float
-    arguments."""
+    arguments.
+
+    Every number of a peak plan is finite in the domain: ``a + Q <= 2e100`` and
+    ``c_m >= 1``, so the fill and the target ``max(a, fill)`` are at most 2e100, each
+    release is at most the target, and each level at most the target too.
+    """
     capacity = _peak_capacity(m, lam)
-    fill = (a + Q) / capacity
-    if fill == math.inf:  # a + Q overflows, which the peak need not
-        fill = a / capacity + Q / capacity
-        if fill == math.inf:
-            raise LeakyStageError(f"remaining load Q={Q!r} from current level a={a!r} "
-                                  "overflows the peak (a + Q) / c_m(lam)")
-    return capacity, fill
+    return capacity, (a + Q) / capacity
 
 
 def state_peak_plan(m: int, a: float, Q: float, lam: float) -> PeakPlan:
@@ -359,18 +356,15 @@ def safe_count_fixed_lambda(Q: float, lam: float, params: ModelParams) -> int:
 
     At fixed carry-over ``lam`` this is ``1 + ceil((r - 1)_+ / (1 - lam))``
     with ``r = Q / delta_c``; equivalently the smallest ``n`` with
-    ``r <= c_n(lam)``.
+    ``r <= c_n(lam)``.  In the domain ``r < 2**585`` and ``1 - lam >= 2**-53``, so the
+    stage count ``(r - 1) / (1 - lam)`` is finite.
     """
     _number(Q, "total load Q", strict=True)
     _lam(lam)
-    r = Q / derive(params).delta_c
-    excess = max(0.0, r - 1.0)
+    excess = max(0.0, Q / derive(params).delta_c - 1.0)
     if excess == 0.0:
         return 1
-    stages = excess / (1.0 - lam)
-    if stages == math.inf:
-        raise LeakyStageError(f"total load Q={Q!r} overflows (Q / delta_c - 1) / (1 - lam)")
-    return 1 + max(0, guarded_ceil(stages))
+    return 1 + max(0, guarded_ceil(excess / (1.0 - lam)))
 
 
 def horizon_capacity(n: int, h: float) -> float:
@@ -425,6 +419,12 @@ def horizon_feasibility(
     float test is no longer monotone in ``n``.  From a count bound
     ``h**2 / (2 (1 + h - r))`` of 2**44 on, the count lies within ``1 + 4 eps n`` of the
     exact count.
+
+    The count bound is finite in the domain, where ``h <= 1e100``: below ``1 + h``
+    by more than ``eps_thr``, the float ``r`` leaves a gap ``1 + h - r`` of at least
+    half its ulp, ``r 2**-54``, so the gap exceeds ``(1 + h) 2**-55`` where
+    ``r >= (1 + h) / 2`` and ``(1 + h) / 2`` elsewhere, and the bound is below
+    ``2**54 h < 2**387``: the bisection takes at most 387 steps.
     """
     _number(r, "dimensionless load r", strict=True)
     _number(h, "horizon h")
@@ -438,11 +438,7 @@ def horizon_feasibility(
     # the deficit falls as n grows and is below h**2 / (2m), m = n - 1, so hi fits.  Near
     # 1e15 counts one more count moves the deficit by less than its rounding, and the test
     # is no longer monotone in n: the count is then the one this bisection finds
-    bound = h / gap * h / 2.0
-    if bound == math.inf:
-        raise LeakyStageError(f"load r={r!r} needs more than 2**1023 releases within "
-                              f"horizon h={h!r}, past the count rule")
-    lo, hi = 2, 2 + int(bound)
+    lo, hi = 2, 2 + int(h / gap * h / 2.0)
     while lo < hi:
         mid = (lo + hi) // 2
         if _deficit_fits(mid, h, gap):
@@ -459,13 +455,11 @@ def unequal_spacing_capacity(taus, rho: float) -> float:
     a threshold unit that recovers during it.  Equal gaps with the same total
     time maximise this, matching ``B_n``.
     """
-    _number(rho, "recovery rate rho", strict=True)
+    _rate(rho, "recovery rate rho")
     import numpy as np
 
-    taus = _numbers(taus, "inter-release times")
-    with np.errstate(over="ignore"):  # a gap whose rho * tau overflows recovers one full unit
-        recovered = -np.expm1(-rho * taus)
-    return 1.0 + float(np.sum(recovered))
+    # rho * tau is below 1e130 in the domain, so no numpy warning
+    return 1.0 + float(np.sum(-np.expm1(-rho * _numbers(taus, "inter-release times"))))
 
 
 def capacity_report(
@@ -477,14 +471,15 @@ def capacity_report(
     *,
     eps_thr: float = EPS_THR,
 ) -> CapacityReport:
-    """Assemble the safe-capacity numbers for one configuration."""
+    """Assemble the safe-capacity numbers for one configuration.
+
+    ``r = Q / delta_c`` is finite in the domain; :func:`horizon_feasibility` names it
+    where it passes its bound of 1e100.
+    """
     _number(Q, "total load Q", strict=True)
     c_n = peak_capacity(n, lam)
     d = derive(params)
-    r = Q / d.delta_c
-    if r == math.inf:
-        raise LeakyStageError(f"total load Q={Q!r} overflows Q / delta_c")
-    feasibility = horizon_feasibility(r, h, eps_thr=eps_thr)
+    feasibility = horizon_feasibility(Q / d.delta_c, h, eps_thr=eps_thr)
     return CapacityReport(
         c_n=c_n,
         B_n=_horizon_capacity(n, (h,))[0],

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 
 from leakystage import (
     LeakyStageError,
-    ModelParams,
     SplitProblem,
     allocation,
     continuous_relaxed_count,
@@ -165,28 +163,6 @@ class TestMinExposure:
         assert error <= 1e-14
 
 
-    def test_exposure_past_the_float_range_names_the_load(self):
-        # alpha / rho = 1.2e300, so the exposure of a load of 1e10 passes the float range
-        params = ModelParams(beta=0.6, mu=1.0, delta=1.8, rho=1e-300)
-        message = r"exposure of total load Q=10000000000\.0 must be finite \(got inf\)"
-        with pytest.raises(LeakyStageError, match=message):
-            min_exposure(1e10, 2, params)
-        with pytest.raises(LeakyStageError, match=message):
-            optimal_split(SplitProblem(Q=1e10, n=2, params=params))
-
-    def test_exposure_underflow_above_capacity_names_the_load(self):
-        # alpha / rho = 7e-309 times a bracket of 5e-17 underflows to 0.0 above the capacity
-        # 1.0: optimal_split returned total_exposure 0.0 with is_safe False
-        params = ModelParams(beta=0.6, mu=1.0, delta=1.8, rho=1.7e308)
-        message = (r"exposure of total load Q=1\.00000001 must be > 0 above the capacity "
-                   r"n\*delta_c=1\.0 \(got 0\.0\)")
-        with pytest.raises(LeakyStageError, match=message):
-            min_exposure(1.00000001, 3, params)
-        with pytest.raises(LeakyStageError, match=message):
-            optimal_split(SplitProblem(Q=1.00000001, n=3, params=params))
-        assert optimal_split(SplitProblem(Q=1.0, n=3, params=params)).total_exposure == 0.0
-
-
 class TestMinimalSafeCount:
     def test_fractional_load(self, figure_params):
         d = derive(figure_params)
@@ -212,12 +188,6 @@ class TestMinimalSafeCount:
             if n > 1:
                 assert (n - 1) * d.delta_c < Q
 
-    def test_overflowing_ratio_names_Q(self, figure_params):
-        # Q / delta_c is inf: guarded_ceil(inf) used to raise ValueError
-        with pytest.raises(LeakyStageError, match=r"total load Q=1e\+308 overflows"):
-            minimal_safe_count(1e308, figure_params)
-
-
 class TestOverheadOptimalCount:
     def test_subcritical_load_needs_one_release(self):
         for k in (0.0, 0.3, 10.0):
@@ -238,13 +208,6 @@ class TestOverheadOptimalCount:
         # 10 + (2.5 - 1 - log 2.5)
         assert result.cost == pytest.approx(10.583709268125844, rel=1e-13)
         assert not result.is_fully_safe
-
-    @pytest.mark.parametrize("r, k", [(1e307, 1.7e308), (1.7e308, 1e308)])
-    def test_cost_past_the_float_range_names_k(self, r, k):
-        # one release is optimal at this overhead, and k + excess(r, 1) passes the float range
-        with pytest.raises(LeakyStageError, match=rf"overhead k={re.escape(repr(k))} puts the "
-                           r"cost n\*k \+ excess\(r, n\) past the float range"):
-            overhead_optimal_count(r, k)
 
     def test_agrees_with_enumeration(self):
         rng = np.random.default_rng(43)
@@ -294,10 +257,10 @@ class TestOverheadOptimalCount:
         assert result.ties == tuple(range(result.n_star, result.ties[-1] + 1))
         assert not result.is_fully_safe
 
-    def test_load_at_the_float_limit_returns(self):
-        # near 1e300 neighbouring counts round to one double, so every cost ties
-        result = overhead_optimal_count(1e300, 0.0)
-        assert result.ties == (result.n_star,) == (int(1e300),)
+    def test_load_at_the_domain_bound_returns(self):
+        # near 1e100 neighbouring counts round to one double, so every cost ties
+        result = overhead_optimal_count(1e100, 0.0)
+        assert result.ties == (result.n_star,) == (int(1e100),)
         assert result.is_fully_safe
 
     def test_tie_at_frontier_contains_safe_count(self):
@@ -341,12 +304,12 @@ class TestKSafe:
     def test_large_load_is_last_stage_exposure(self):
         assert k_safe(1e9 + 0.5) == excess_exposure(1e9 + 0.5, 10**9)
 
-    @pytest.mark.parametrize("r", [2.0**53, 1e16, 1e30, 1e300])
+    @pytest.mark.parametrize("r", [2.0**53, 1e16, 1e30, 1e100])
     def test_integer_loads_match_mpmath(self, r):
         # from 2**53 on, r / (r - 1) rounds to 1; the excess r - m - m log(r/m) of
         # m = r - 1 is about 1/(2r) and must not collapse to 0
         mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(700):  # the log term cancels about 600 digits at 1e300
+        with mpmath.workdps(300):  # the log term cancels about 200 digits at 1e100
             m = mpmath.mpf(int(r) - 1)
             expected = float(1 - m * mpmath.log1p(1 / m))
         assert k_safe(r) == pytest.approx(expected, rel=1e-14, abs=0.0)

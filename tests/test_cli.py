@@ -65,10 +65,11 @@ class TestParseConfig:
                                                     "a": 1}})
 
     @pytest.mark.parametrize("value, spelled", [
-        ("1e300", "1.0e+300"), ("-2e-5", "-2.0e-05"), ("0.5", "0.5"), ("3", "3.0")])
+        ("1e50", "1.0e+50"), ("-2e-5", "-2.0e-05"), ("0.5", "0.5"), ("3", "3.0")])
     def test_number_read_as_text_is_named_as_text(self, value, spelled):
-        # YAML 1.1 reads 1e300 (no dot, no exponent sign) as a string
-        message = (f"phase: field 'r_range' max must be finite and >= 0.0 (got '{value}'); "
+        # YAML 1.1 reads 1e50 (no dot, no exponent sign) as a string
+        message = (f"phase: field 'r_range' max must be finite and >= 0.0 and <= 1e+100 "
+                   f"(got '{value}'); "
                    f"the value was read as text: write it as {spelled}")
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config({"params": FIG, "phase": {"panel": "b", "r_range": [1.0, value, 3]}})
@@ -76,16 +77,18 @@ class TestParseConfig:
     @pytest.mark.parametrize("value", ["inf", "nan", "1e300x", "x"])
     def test_other_text_keeps_the_number_message(self, value):
         with pytest.raises(ConfigError, match=(
-                rf"^split: field 'Q' must be finite and > 0\.0 \(got '{value}'\)$")):
+                rf"^split: field 'Q' must be finite and > 0\.0 and <= 1e\+100 "
+                rf"\(got '{value}'\)$")):
             parse_config({"params": FIG, "split": {"Q": value, "n": 2}})
 
     @pytest.mark.parametrize("bad, message", [
-        (True, "must be finite and >= 0.0 (got True)"),
-        (math.nan, "must be finite and >= 0.0 (got nan)"),
-        (-1.0, "must be >= 0.0 (got -1.0)"),
-        (2**1100, f"must be finite and >= 0.0 (got {2**1100})"),
-        ("1e300", "must be finite and >= 0.0 (got '1e300'); the value was read as text: "
-                  "write it as 1.0e+300"),
+        (True, "must be finite and >= 0.0 and <= 1e+100 (got True)"),
+        (math.nan, "must be finite and >= 0.0 and <= 1e+100 (got nan)"),
+        (-1.0, "must be >= 0.0 and <= 1e+100 (got -1.0)"),
+        (1.0000000000000002e100, "must be >= 0.0 and <= 1e+100 (got 1.0000000000000002e+100)"),
+        (2**1100, f"must be finite and >= 0.0 and <= 1e+100 (got {2**1100})"),
+        ("1e50", "must be finite and >= 0.0 and <= 1e+100 (got '1e50'); the value was read as "
+                 "text: write it as 1.0e+50"),
     ])
     def test_long_size_list_names_its_bad_item(self, bad, message):
         # a list of floats is checked at once; one bad item sends it to the per-item path,
@@ -281,10 +284,10 @@ class TestRun:
         b3 = [row[1] for row in envelope.payload["rows"] if row[0] == 3]
         assert b3[0] == pytest.approx(2.264, abs=1e-3)
 
-    def test_phase_loads_up_to_1e300_finish(self):
-        # near r = 1e300 neighbouring counts round to one double, so every cost ties
+    def test_phase_loads_up_to_the_bound_finish(self):
+        # near r = 1e100 neighbouring counts round to one double, so every cost ties
         envelope = run(parse_config(
-            {"params": FIG, "phase": {"panel": "b", "r_range": [1.0, 1e300, 3]}}))
+            {"params": FIG, "phase": {"panel": "b", "r_range": [1.0, 1e100, 3]}}))
         assert envelope.exit_code == 0
         assert len(envelope.payload["rows"]) == 3 + 3 * 7
 
@@ -512,55 +515,31 @@ class TestMain:
         assert captured.err == "error: RK4 overflowed at step 2.5; reduce the step\n"
 
     def test_release_no_step_up_to_the_horizon_resolves_exits_1(self, tmp_path, capsys):
-        # the second release at 1e-300 ends the first segment, where the times' spacing
+        # the second release at 1e-60 ends the first segment, where the times' spacing
         # still admits the step 1 / (alpha * A); up to T it does not, so the release is
         # named, not the step
         path = tmp_path / "run.json"
-        block = {"schedule": [[0.0, 2e307], [1e-300, 1.0]], "S0": 0.1, "T": 1.0, "step": 0.5}
+        block = {"schedule": [[0.0, 1e70], [1e-60, 1.0]], "S0": 0.1, "T": 1.0, "step": 0.5}
         path.write_text(json.dumps({"params": FIG, "simulate": block}), encoding="utf-8")
         code = main(["simulate", "--config", str(path), "--no-meta-time"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == (
-            "error: RK4 overflowed on the level A=2e+307 at t=0.0, whose growth rate alpha * A "
+            "error: RK4 overflowed on the level A=1e+70 at t=0.0, whose growth rate alpha * A "
             "no step up to T=1.0 resolves; reduce the release\n")
 
     @pytest.mark.parametrize("step", [0.0001, 0.1])
     def test_overflowing_release_exits_1(self, tmp_path, capsys, step):
-        # no step resolves a growth rate alpha * A of about 1.2e300
+        # no step resolves a growth rate alpha * A of about 1.2e60
         path = tmp_path / "run.yaml"
-        block = {"schedule": [[0.0, 1e300]], "S0": 0.08, "T": 2.0, "step": step}
+        block = {"schedule": [[0.0, 1e60]], "S0": 0.08, "T": 2.0, "step": step}
         path.write_text(yaml.safe_dump({"params": FIG, "simulate": block}), encoding="utf-8")
         code = main(["simulate", "--config", str(path), "--no-meta-time"])
         err = capsys.readouterr().err
         assert code == 1
-        assert "RK4 overflowed on the level A=1e+300 at t=0.0" in err
+        assert "RK4 overflowed on the level A=1e+60 at t=0.0" in err
         assert "reduce the step" not in err
         assert "Traceback" not in err
-
-    def test_overflowing_drain_exits_1(self, tmp_path, capsys):
-        # delta * S0 passes the float range, which made every sample after t = 0 NaN
-        path = tmp_path / "run.json"
-        block = {"schedule": [[1.0, 0.5]], "S0": 1e308, "T": 2.0, "step": 0.01}
-        path.write_text(json.dumps({"params": FIG, "simulate": block}), encoding="utf-8")
-        code = main(["simulate", "--config", str(path), "--no-meta-time"])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        assert "S0=1e+308 overflows the RK4 drain (rho + delta*S) * A" in captured.err
-        assert "Traceback" not in captured.err
-
-    def test_release_past_the_rk4_stage_sum_exits_1(self, tmp_path, capsys):
-        # S0 = 0 has no drain term: the log S stage sum overflows on alpha * A
-        path = tmp_path / "run.json"
-        params = {"beta": 0.1, "mu": 0.9, "delta": 1.0, "rho": 0.5}
-        block = {"schedule": [[0.0, 1e308]], "S0": 0.0, "T": 1.0, "step": 0.5}
-        path.write_text(json.dumps({"params": params, "simulate": block}), encoding="utf-8")
-        code = main(["simulate", "--config", str(path), "--no-meta-time"])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        assert "error: RK4 overflowed on the level A=1e+308 at t=0.0" in captured.err
-        assert "reduce the release" in captured.err and "S0" not in captured.err
-        assert "Traceback" not in captured.err
 
     def test_unallocatable_step_exits_1(self, capsys):
         # 1e-300 asks for some 1e300 nodes: numpy refuses before allocating anything
@@ -587,8 +566,8 @@ class TestMain:
 
     @pytest.mark.parametrize("command, block, message", [
         ("split", "{Q: 1.0, n: 2, 1: 2, x: 3}", "split: unknown key(s) 1, 'x'"),
-        ("phase", "{panel: b, r_range: [1.0, 1e300, 3]}",
-         "(got '1e300'); the value was read as text: write it as 1.0e+300"),
+        ("phase", "{panel: b, r_range: [1.0, 1e50, 3]}",
+         "(got '1e50'); the value was read as text: write it as 1.0e+50"),
     ], ids=["mixed-key-types", "number-read-as-text"])
     def test_yaml_key_and_value_types_exit_1(self, tmp_path, capsys, command, block, message):
         path = tmp_path / "run.yaml"
@@ -611,13 +590,6 @@ class TestMain:
         assert f"error: release count n={2**62} " in err
         assert "Traceback" not in err
 
-    def test_horizon_past_the_count_rule_exits_1(self, capsys):
-        code = main(["horizon", "--r", "9.99999999999999e299", "--h", "1e300", *FIG_FLAGS])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "needs more than 2**1023 releases" in err
-        assert "Traceback" not in err
-
     @pytest.mark.parametrize("field", ["r_range", "h_range", "k_range"])
     def test_unallocatable_phase_count_exits_1(self, tmp_path, capsys, field):
         # 2**62 samples fail Python's size check before anything is allocated
@@ -631,9 +603,12 @@ class TestMain:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv, message", [
-        (["overhead", "--Q", "1e308", "--k", "0.5"], "Q=1e+308 overflows r = Q / delta_c"),
-        (["horizon", "--Q", "0.7", "--T", "1e308"], "T=1e+308 overflows h = rho * T"),
-        (["overhead", "--r", "3", "--K", "1e308"], "K=1e+308 overflows k = K * rho / gamma"),
+        (["overhead", "--Q", "1e308", "--k", "0.5"],
+         "overhead: field 'Q' must be > 0.0 and <= 1e+100 (got 1e+308)"),
+        (["horizon", "--Q", "0.7", "--T", "1e308"],
+         "horizon: field 'T' must be >= 0.0 and <= 1e+100 (got 1e+308)"),
+        (["overhead", "--r", "3", "--K", "1e308"],
+         "overhead: field 'K' must be >= 0.0 and <= 1e+100 (got 1e+308)"),
         (["peak", "--Q", "0.7", "--n", "3", "--tau", "1e-17"],
          "recovery rate rho=4.0 and inter-release time tau=1e-17 give a carry-over"),
     ], ids=["Q", "T", "K", "tau"])
@@ -644,71 +619,9 @@ class TestMain:
         assert f"error: {message}" in err
         assert "Traceback" not in err
 
-    def test_split_exposure_past_the_float_range_exits_1(self, capsys):
-        code = main(["split", "--Q", "1e10", "--n", "2", "--beta", "0.6", "--mu", "1.0",
-                     "--delta", "1.8", "--rho", "1e-300", "--no-meta-time"])
-        out, err = capsys.readouterr()
-        assert code == 1
-        assert out == ""
-        assert "error: exposure of total load Q=10000000000.0 must be finite (got inf)" in err
-        assert "Traceback" not in err
-
-    def test_split_exposure_underflow_exits_1(self, capsys):
-        # alpha / rho = 7e-309 times a bracket of 5e-17 underflows: printed an exposure of 0
-        # beside is_safe false
-        code = main(["split", "--Q", "1.00000001", "--n", "3", "--beta", "0.6", "--mu", "1.0",
-                     "--delta", "1.8", "--rho", "1.7e308", "--no-meta-time"])
-        out, err = capsys.readouterr()
-        assert code == 1 and out == ""
-        assert err == ("error: exposure of total load Q=1.00000001 must be > 0 above the "
-                       "capacity n*delta_c=1.0 (got 0.0)\n")
-
-    def test_overhead_cost_past_the_float_range_exits_1(self, capsys):
-        # the optimum n = 1 costs 1e308, and rows 2 to 5 pass the float range
-        code = main(["overhead", "--r", "5", "--k", "1e308", *FIG_FLAGS, "--no-meta-time"])
-        out, err = capsys.readouterr()
-        assert code == 1
-        assert out == ""
-        assert "error: overhead k=1e+308 puts the cost n*k + excess(r, n) past the float " \
-               "range" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("sizes, at", [(["1e308", "0.5"], 0), (["0.5", "1e308"], 1)])
-    def test_exposure_past_the_float_range_names_the_release(self, capsys, sizes, at):
-        flags = [flag for q in sizes for flag in ("--q", q)]
-        code = main(["exposure", *flags, *FIG_FLAGS, "--no-meta-time"])
-        out, err = capsys.readouterr()
-        assert code == 1
-        assert out == ""
-        assert (f"error: exposure: q[{at}] = 1e+308 has an exposure value past the float range "
-                "(must be finite and >= 0, got inf)") in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("flags, fault", [
-        (["--q", "1e8", "--beta", "0.5", "--mu", "0.5000000001", "--delta", "0.5000000002",
-          "--rho", "1e-307"],
-         "q[0] = 100000000.0 has an active duration past the float range "
-         "(must be finite and >= 0, got inf)"),
-        (["--q", "0.33333333334", "--beta", "0.6", "--mu", "1.0", "--delta", "1.8",
-          "--rho", "1e305"],
-         "q[0] = 0.33333333334 has an exposure value past the float range "
-         "(must be > 0 at the active duration 2.00000016e-316, got 0.0)"),
-        (["--q", "0.6666666666666667", "--beta", "1", "--mu", "1e308", "--delta", "1.5e308",
-          "--rho", "1.7e308", "--tol", "1e-300"],
-         "q[0] = 0.6666666666666667 has an active duration past the float range "
-         "(must be > 0 at the exposure value 8.156879764463587e-33, got 0.0)"),
-    ], ids=["duration-overflow", "value-underflow", "duration-underflow"])
-    def test_exposure_faults_name_the_release(self, capsys, flags, fault):
-        # printed "active duration must be finite ..." and "exposure is zero exactly when
-        # the active duration is zero", naming no size
-        code = main(["exposure", *flags, "--no-meta-time"])
-        out, err = capsys.readouterr()
-        assert code == 1 and out == ""
-        assert err == f"error: exposure: {fault}\n"
-
     @pytest.mark.parametrize("bad", ["-1", "1e308"])
     def test_exposure_errors_name_the_config_field(self, capsys, bad):
-        # a negative size and one whose exposure overflows name the same field, as the
+        # a negative size and one past the domain's bound name the same field, as the
         # config document spells it; the library's own text names its argument sizes[1]
         code = main(["exposure", "--q", "0.5", "--q", bad, *FIG_FLAGS, "--no-meta-time"])
         out, err = capsys.readouterr()
@@ -716,20 +629,6 @@ class TestMain:
         assert out == ""
         assert err.startswith("error: exposure: q[1] ")
         assert "sizes" not in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("last, message", [
-        (1e308, "simulate: invalid schedule: the schedule's event sizes must sum below"),
-        (5e307, "simulate: the total of field 'schedule' (1.5e+308) overflows r = Q / delta_c"),
-    ], ids=["total", "load"])
-    def test_overflowing_schedule_total_exits_1(self, tmp_path, capsys, last, message):
-        block = {"schedule": [[0.0, 1e308], [1.0, last]], "S0": 0.0, "T": 2.0, "step": 0.01}
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"params": FIG, "simulate": block}), encoding="utf-8")
-        code = main(["simulate", "--config", str(path), "--no-meta-time"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert f"error: {message}" in err
         assert "Traceback" not in err
 
     def test_config_errors_name_the_path_as_typed(self, tmp_path, monkeypatch, capsys):
@@ -768,9 +667,9 @@ class TestMain:
         assert "Traceback" not in child.stderr
         assert "Exception ignored" not in child.stderr
 
-    def test_json_file_reads_1e300_as_a_number(self, tmp_path, capsys):
-        # YAML 1.1 reads 1e300 as text, JSON as a number: a .json file is read as JSON
-        ranges = {"yaml": "[1.0, 1.0e+300, 3]", "json": "[1.0, 1e300, 3]"}
+    def test_json_file_reads_1e50_as_a_number(self, tmp_path, capsys):
+        # YAML 1.1 reads 1e50 as text, JSON as a number: a .json file is read as JSON
+        ranges = {"yaml": "[1.0, 1.0e+50, 3]", "json": "[1.0, 1e50, 3]"}
         outputs = {}
         for suffix, text in [("yaml", ranges["yaml"]), ("json", ranges["json"])]:
             path = tmp_path / f"p.{suffix}"

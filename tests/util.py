@@ -43,7 +43,7 @@ from leakystage import (
     state_value,
 )
 from leakystage.envelope import Trajectory, _segment_nodes
-from leakystage.exposure import _fault, _fault_error, exposure_bracket
+from leakystage.exposure import exposure_bracket
 from leakystage.model import _number, guarded_ceil
 from leakystage.recovery import _deficit_fits
 
@@ -555,8 +555,6 @@ def constant_peak_plan_oracle(m: int, a: float, Q: float, lam: float) -> PeakPla
     a, Q, lam = float(a), float(Q), float(lam) + 0.0
     capacity = peak_capacity(m, lam)
     fill = (a + Q) / capacity
-    if fill == math.inf:
-        fill = a / capacity + Q / capacity
     step = (1.0 - lam) * target + 0.0
     k = int(min(m - 2, Q // step)) if step else 0
     releases, levels = [], []
@@ -587,14 +585,14 @@ def constant_peak_plan_oracle(m: int, a: float, Q: float, lam: float) -> PeakPla
 #
 # The loops that the column kernels ``exposure._releases``, ``allocation._excess`` and
 # ``recovery._horizon_capacity`` replace: one size, count or horizon at a time, each
-# size checked and each row judged before the next.  The kernels must match them bit
-# for bit and raise the same text at the same first index.
+# size checked before its row is formed.  The kernels must match them bit for bit and
+# raise the same text at the same first index.
 
 
 def exposure_table_loop(sizes, params: ModelParams, *, eps_thr: float = EPS_THR):
-    """``exposure_table`` size by size: each size checked, its row formed (a float
-    subclass valued as a float) and every row judged by ``exposure._fault``, so the first
-    bad size or fault raises, naming its index as ``sizes[i]``."""
+    """``exposure_table`` size by size: each size checked and its row formed (a float
+    subclass valued as a float), so the first bad size raises, naming its index as
+    ``sizes[i]``."""
     d, rho, eps_thr = derive(params), params.rho, _number(eps_thr, "tolerance eps_thr")
     delta_c, scale = d.delta_c, d.alpha / rho
     rows = []
@@ -604,14 +602,9 @@ def exposure_table_loop(sizes, params: ModelParams, *, eps_thr: float = EPS_THR)
         if q <= delta_c + eps_thr:
             value = derivative = duration = 0.0
         else:
-            x = (q - delta_c) / delta_c
             value = scale * exposure_bracket(q, delta_c)
             derivative = scale * (1.0 - delta_c / q)
-            duration = (math.log1p(x) if x < math.inf
-                        else math.log(q) - math.log(delta_c)) / rho
-        fault = _fault(value, duration)
-        if fault:
-            raise _fault_error(f"sizes[{i}] = {given!r}", *fault)
+            duration = math.log1p((q - delta_c) / delta_c) / rho
         rows.append([given, value, derivative, duration])
     return rows
 
