@@ -39,7 +39,8 @@ from leakystage import (
 )
 from leakystage.cli import main
 from leakystage.exposure import _SERIES_SWITCH, exposure_table
-from leakystage.recovery import HorizonRegime
+from leakystage.phase import PhaseGrid, panel_c_comparison
+from leakystage.recovery import HorizonRegime, horizon_capacity, simulate_recurrence
 from strategies import MAX, RATE_MAX, RATE_MIN, corner_rate_sets, corner_tolerances
 
 FIG = {"beta": 0.6, "mu": 1.0, "delta": 1.8, "rho": 0.5}
@@ -157,11 +158,50 @@ _FIELDS = [
      (lambda v: _document("horizon", {"r": 2.0, "h": v}), "'h'")),
     ("dimensionless overhead k", lambda v: overhead_optimal_count(3.0, v), MAX,
      (lambda v: _document("overhead", {"r": 3.0, "k": v}), "'k'")),
+    ("event 0 time", lambda v: ImpulseSchedule(((v, 0.5),)), MAX,
+     (lambda v: _document("simulate", {"schedule": [[v, 0.0]], "S0": 0.0, "T": MAX,
+                                       "step": MAX}), "schedule[0] time")),
+    ("step size", lambda v: simulate_envelope(ImpulseSchedule(()), P, 1.0, v), MAX,
+     (lambda v: _document("simulate", {"schedule": [], "S0": 0.0, "T": 1.0, "step": v}),
+      "'step'")),
+    ("inter-release time tau", lambda v: RecoveryConfig.from_interval(0.5, v, 3, 1.0), MAX,
+     (lambda v: _document("peak", {"Q": 1.0, "n": 3, "tau": v}), "'tau'")),
+    ("r_range max", lambda v: PhaseGrid(r_range=(1.02, v, 2)), MAX,
+     (lambda v: _document("phase", {"panel": "b", "r_range": [1.02, v, 2]}), "'r_range' max")),
+    ("h_range max", lambda v: PhaseGrid(h_range=(0.0, v, 2)), MAX,
+     (lambda v: _document("phase", {"panel": "a", "h_range": [0.0, v, 2]}), "'h_range' max")),
+    ("k_range max", lambda v: PhaseGrid(k_range=(0.0, v, 2)), MAX,
+     (lambda v: _document("phase", {"panel": "b", "k_range": [0.0, v, 2]}), "'k_range' max")),
     ("relative overshoot epsilon", lambda v: exposure_near_threshold(v, P), MAX, None),
     ("current level a", lambda v: state_value(3, v, 1.0, 0.5), MAX, None),
+    ("remaining load Q", lambda v: state_value(3, 1.0, v, 0.5), MAX, None),
     ("initial level a0", lambda v: RecoveryConfig(0.5, 3, 1.0, a0=v), MAX, None),
+    ("A0", lambda v: simulate_full(ImpulseSchedule(()), P, 0.0, v, 1.0, 0.5), MAX, None),
+    ("release 1", lambda v: simulate_recurrence(RecoveryConfig(0.5, 1, 1.0), [v]), MAX, None),
+    ("r", lambda v: DimensionlessPoint(v, 1.0, 1.0), MAX, None),
 ]
 _IDS = [f"{name}-{'min' if bound < 1.0 else 'max'}" for name, _, bound, _ in _FIELDS]
+
+#: Further entry points of fields above, each with its own check of the bound, as rows of
+#: the same kind, named by the entry point and the field.
+_ENTRIES = {
+    "panel_c_comparison-h": ("horizon h", lambda v: panel_c_comparison(2.1, 3, v), MAX,
+                             (lambda v: _document("phase", {"panel": "c", "panel_c": {"h": v}}),
+                              "'h'")),
+    "panel_c_comparison-r": ("dimensionless load r", lambda v: panel_c_comparison(v, 3, 2.0), MAX,
+                             (lambda v: _document("phase", {"panel": "c", "panel_c": {"r": v}}),
+                              "'r'")),
+    "simulate_envelope-a0": ("initial level a0", lambda v: simulate_envelope(
+        ImpulseSchedule(()), P, 1.0, 0.5, a0=v), MAX, None),
+    "horizon_capacity-h": ("horizon h", lambda v: horizon_capacity(3, v), MAX, None),
+    "excess_exposure-r": ("dimensionless load r", lambda v: excess_exposure(v, 3), MAX, None),
+    "horizon_feasibility-eps_thr": ("tolerance eps_thr",
+                                    lambda v: horizon_feasibility(2.0, 1.0, eps_thr=v), MAX, None),
+    "optimal_split-eps_thr": ("tolerance eps_thr", lambda v: optimal_split(
+        SplitProblem(1.0, 2, P), eps_thr=v), MAX, None),
+    "minimal_safe_count-Q": ("total load Q", lambda v: minimal_safe_count(v, P), MAX, None),
+}
+_ROWS, _ROW_IDS = _FIELDS + list(_ENTRIES.values()), _IDS + list(_ENTRIES)
 
 
 def _past(bound: float) -> float:
@@ -169,7 +209,7 @@ def _past(bound: float) -> float:
     return math.nextafter(bound, 0.0 if bound < 1.0 else math.inf)
 
 
-@pytest.mark.parametrize("name, call, bound, cli", _FIELDS, ids=_IDS)
+@pytest.mark.parametrize("name, call, bound, cli", _ROWS, ids=_ROW_IDS)
 def test_library_names_a_field_past_its_bound(name, call, bound, cli):
     call(bound)
     with pytest.raises(LeakyStageError) as info:
@@ -179,8 +219,8 @@ def test_library_names_a_field_past_its_bound(name, call, bound, cli):
     assert limits in str(info.value) and repr(_past(bound)) in str(info.value)
 
 
-@pytest.mark.parametrize("name, call, bound, cli", [row for row in _FIELDS if row[3]],
-                         ids=[i for i, row in zip(_IDS, _FIELDS) if row[3]])
+@pytest.mark.parametrize("name, call, bound, cli", [row for row in _ROWS if row[3]],
+                         ids=[i for i, row in zip(_ROW_IDS, _ROWS) if row[3]])
 def test_cli_names_a_field_past_its_bound(tmp_path, capsys, name, call, bound, cli):
     document, field = cli
     path = tmp_path / "run.json"
