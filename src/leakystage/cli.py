@@ -254,7 +254,7 @@ def _check(field: _Field, value: Any, where: str, name: str) -> Any:
     if not (isinstance(value, (list, tuple)) and value):
         raise ConfigError(f"{what} must be a nonempty list of "
                           + ("numbers" if kind == "numbers" else "integers"))
-    if kind == "numbers" and _floats(value, field.minimum, field.maximum):
+    if kind == "numbers" and _floats(value, field.minimum):
         return list(value)  # as the per-item path returns it
     item = _Field(kind[:-1], minimum=field.minimum, maximum=field.maximum)
     return [_scalar(v, f"{where}: {name}[{i}]", item) for i, v in enumerate(value)]

@@ -132,7 +132,8 @@ def exposure_closed_form(
 
     In the domain of :mod:`~leakystage.model`, neither field leaves the float range, so
     the result keeps the invariants of :class:`ExposureValue`.  With ``delta_c`` in
-    [2**-252, 1), ``alpha / rho`` in [2**-252, 2**200] and ``q < 2**333``:
+    [2**-252, 1) (the bounds give ``<= 1``, and ``derive`` rejects 1), ``alpha / rho`` in
+    [2**-252, 2**200] and ``q < 2**333``:
 
     - the value is at most ``(alpha / rho) q < 2**533``, the derivative at most
       ``alpha / rho``, and the duration ``log(q / delta_c) / rho < 585 * 2**100``;

@@ -39,7 +39,10 @@ _CEIL_CAP = 1e-3
 #:
 #: - ``gamma = mu - beta`` is at least one ulp of ``beta >= 2**-100``, so ``gamma >= 2**-152``,
 #:   and ``gamma <= alpha = delta - beta < 2**100``;
-#: - so ``delta_c = gamma / alpha`` lies in [2**-252, 1) and ``alpha / rho`` in [2**-252, 2**200];
+#: - so ``delta_c = gamma / alpha`` lies in [2**-252, 1] and ``alpha / rho`` in [2**-252, 2**200].
+#:   ``delta_c < 1`` rests on :class:`DerivedConstants`' check, not on the bounds: the two
+#:   rounded differences can tie (``ModelParams(2**-53, 1.5, 1.5 + 2**-52, 1.0)`` gives
+#:   ``gamma == alpha == 1.5``), and :func:`derive` rejects such a set naming ``delta_c``;
 #: - every other number is below 2**333, and a sum over a sequence, fewer than 2**63 items,
 #:   below 2**396.
 _RATE_MIN, _RATE_MAX = 1e-30, 1e30
@@ -149,7 +152,8 @@ def _number(value, what: str, minimum=0, strict: bool = False, maximum=_MAX, bel
     domain's bound ``_MAX``.  A number is an ``int`` or a ``float``, subclasses such as
     ``numpy.float64`` included, but never a ``bool``; ``Decimal``, ``Fraction``,
     ``numpy.float32`` and ``numpy.int64`` are not numbers.  ``minimum`` is finite, and a
-    finite ``below`` lies under ``maximum``, so the error states it in its place.
+    finite ``below`` lies under ``maximum``, so the error states it in its place; only the
+    two fields in [0, 1), ``lam`` and ``delta_c``, give it.
     """
     try:
         # a float needs no isfinite: NaN fails every comparison, and infinities one of them
@@ -166,17 +170,17 @@ def _number(value, what: str, minimum=0, strict: bool = False, maximum=_MAX, bel
     raise error(f"{what} must be {'' if finite else 'finite and '}{rule} (got {_shown(value)})")
 
 
-def _floats(values, minimum=0.0, maximum=_MAX) -> bool:
+def _floats(values, minimum=0.0) -> bool:
     """Whether every item of the list or tuple ``values`` is a float (of the exact type)
-    that :func:`_number` passes at ``minimum`` and ``maximum``, tested over the whole
-    column at once.
+    that :func:`_number` passes at ``minimum`` and the domain's bound ``_MAX``, tested
+    over the whole column at once.
 
     False is no verdict: an ``int``, a subclass, or a bad item sends the column to the
     caller's check item by item, which names the first bad item.  NaN fails the bounds
     or makes the sum NaN, and the infinities fail the bounds.
     """
     return not values or ({float}.issuperset(map(type, values)) and min(values) >= minimum
-                          and max(values) <= maximum and sum(values) < math.inf)
+                          and max(values) <= _MAX and sum(values) < math.inf)
 
 
 def _count(value, what: str, minimum: int = 1,

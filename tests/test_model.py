@@ -63,6 +63,14 @@ class TestDerive:
             assert d == fresh and repr(d) == repr(fresh)
             assert all(type(a) is type(b) for a, b in zip(d._values(), fresh._values()))
 
+    def test_failed_checks_keep_nothing_and_raise_again(self):
+        # every rate lies in the domain, yet mu - beta and delta - beta are both ties that
+        # round to even, 1.5: gamma == alpha, so delta_c = 1, which DerivedConstants rejects
+        p = ModelParams(beta=2**-53, mu=1.5, delta=1.5 + 2**-52, rho=1.0)
+        for _ in range(2):
+            with pytest.raises(ParameterError, match="delta_c"):
+                derive(p)
+
     def test_params_unaffected_by_the_kept_record(self):
         p, q = ModelParams(0.6, 1.0, 1.8, 0.5), ModelParams(0.6, 1.0, 1.8, 0.5)
         derive(p)
