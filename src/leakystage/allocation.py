@@ -16,13 +16,15 @@ import math
 
 from .errors import LeakyStageError
 from .exposure import _onset, exposure_bracket
-from .model import EPS_THR, FrozenRecord, ModelParams, _count, _number, derive, guarded_ceil
+from .model import EPS_THR, FrozenRecord, ModelParams, _count, _number, _tolerance, derive
+from .model import guarded_ceil
 
 __all__ = ["AllocationResult", "OverheadResult", "SplitProblem", "continuous_relaxed_count",
            "excess_exposure", "k_safe", "min_exposure", "minimal_safe_count", "optimal_split",
            "overhead_optimal_count"]
 
-#: Candidate costs within this relative distance of the minimum are ties.
+#: Candidate costs within this tolerance of the minimum, by the rule of every threshold
+#: verdict (:func:`~leakystage.model._tolerance`), are ties: relative from a cost of 1 on.
 _TIE_REL = 1e-12
 
 #: From here on every float is an integer and the spacing of floats is at least 2.
@@ -93,7 +95,7 @@ class OverheadResult(FrozenRecord):
     """Outcome of the overhead/exposure stage-count minimisation.
 
     ``ties`` lists the cost-optimal counts, smallest first: one count, or two
-    consecutive ones whose costs agree within a relative 1e-12; ``n_star`` is
+    consecutive ones whose costs agree within ``1e-12 * max(1, cost)``; ``n_star`` is
     the smallest.  At the frontier the safe count and one unsafe count are
     co-optimal, and both appear in ``ties``.
     """
@@ -108,9 +110,10 @@ class OverheadResult(FrozenRecord):
 def min_exposure(Q: float, n: int, params: ModelParams, *, eps_thr: float = EPS_THR) -> float:
     """Smallest total exposure of load ``Q`` over ``n`` fully separated releases.
 
-    Zero for ``Q <= n * delta_c``; otherwise the logarithmic closed form.
-    Nonincreasing in ``n`` and strictly decreasing exactly while ``Q``
-    exceeds ``n * delta_c``.
+    Zero up to the top of the threshold band about the capacity ``n * delta_c``,
+    ``eps_thr * max(1, n * delta_c)`` above it; otherwise the logarithmic closed form.
+    Nonincreasing in ``n`` and strictly decreasing exactly while ``Q`` lies above
+    that band.
     """
     _number(Q, "total load Q", strict=True)
     _count(n, "release count n")
@@ -127,7 +130,7 @@ def _split_exposure(Q: float, cap: float, scale: float, eps_thr: float) -> float
     ``delta_c >= 2**-252`` and the float ``Q`` above it, so
     :func:`~leakystage.exposure.exposure_closed_form`'s derivation holds as it stands.
     """
-    if Q <= cap + eps_thr:
+    if Q <= cap + _tolerance(cap, eps_thr):
         return 0.0
     return scale * exposure_bracket(Q, cap)
 
@@ -139,14 +142,18 @@ def optimal_split(problem: SplitProblem, *, eps_thr: float = EPS_THR) -> Allocat
     split.  Below it every split with all releases at or below the critical
     level has zero exposure; a canonical representative is returned (stages
     filled left to right at the critical level, then the remainder, then
-    zeros) and ``unique_minimizer`` is False.  At exact capacity the unique
-    zero-exposure split has every release at the critical level.
+    zeros) and ``unique_minimizer`` is False.  At capacity the unique
+    zero-exposure split has every release at the critical level.  "At" means within
+    the threshold band about the capacity, ``eps_thr * max(1, n * delta_c)`` to each
+    side, where the equal split is returned with zero exposure; ``is_safe`` holds
+    exactly when the total exposure is zero.
     """
     Q, n, params = problem.Q, problem.n, problem.params
     eps_thr = _number(eps_thr, "tolerance eps_thr")
     d = derive(params)
     cap = n * d.delta_c
-    equal = Q >= cap - eps_thr  # the equal split, unique when the average is at or above threshold
+    # the equal split, unique when the average is at or above threshold, within the band
+    equal = Q >= cap - _tolerance(cap, eps_thr)
     full = 0 if equal else int(Q // d.delta_c)  # < n here, since Q < n * delta_c
     try:
         releases = (Q / n,) * n if equal else (
@@ -154,10 +161,11 @@ def optimal_split(problem: SplitProblem, *, eps_thr: float = EPS_THR) -> Allocat
     except (OverflowError, MemoryError):  # more releases than can be allocated
         raise LeakyStageError("release count n must be small enough to allocate its split") \
             from None
+    exposure = _split_exposure(Q, cap, d.alpha / params.rho, eps_thr) if equal else 0.0
     return AllocationResult(
         releases=releases,
-        total_exposure=_split_exposure(Q, cap, d.alpha / params.rho, eps_thr) if equal else 0.0,
-        is_safe=not equal or Q <= cap + eps_thr,
+        total_exposure=exposure,
+        is_safe=exposure == 0.0,
         unique_minimizer=equal,
     )
 
@@ -185,7 +193,8 @@ def overhead_optimal_count(r: float, k: float) -> OverheadResult:
     counts only add overhead).  The cost is convex with relaxed minimiser
     :func:`continuous_relaxed_count`, so only the floor and the ceiling of that
     point, clamped to ``[1, ceil(r)]``, are evaluated.  Those whose cost is within
-    a relative 1e-12 of the smaller one tie, and ``n_star`` is the smallest tie.
+    ``1e-12 * max(1, cost)`` of the smaller cost tie, by the threshold band's rule, and
+    ``n_star`` is the smallest tie.
 
     No cost ``n k + excess(r, n)`` with ``n <= ceil r`` leaves the float range in the
     domain, where ``r`` and ``k`` are at most 1e100: the excess is below ``r``, so the
@@ -214,7 +223,7 @@ def _optimal_counts(r: float, k: float, relaxed: float,
         return (lo,), cost_lo, excess_lo
     cost_hi = hi * k + excess_hi
     best = min(cost_lo, cost_hi)
-    tie = best + _TIE_REL * max(1.0, best)
+    tie = best + _tolerance(best, _TIE_REL)
     if cost_lo > tie:
         return (hi,), cost_hi, excess_hi
     return ((lo, hi) if cost_hi <= tie else (lo,)), cost_lo, excess_lo

@@ -43,6 +43,7 @@ from .model import (
     DerivedConstants,
     FrozenRecord,
     ModelParams,
+    _tolerance,
     _coordinates,
     _count,
     _floats,
@@ -153,8 +154,9 @@ _DOCUMENT = _Field(
     "line override values from this document.", one_of=(COMMANDS,), fields={
         "params": _Field("object", "The four positive rates; must satisfy beta < mu < delta.",
                          fields=_PARAMS, required=True),
-        "eps_thr": _Field("number", "absolute tolerance for comparisons against the critical "
-                          "level", strict=True, default=EPS_THR),
+        "eps_thr": _Field("number", "tolerance of every threshold verdict: a value within "
+                          "eps_thr * max(1, level) of its level counts as at the level",
+                          strict=True, default=EPS_THR),
         **_FIELDS,
     },
 )
@@ -480,8 +482,13 @@ def _run_overhead(config: RunConfig, d: DerivedConstants, dim: dict) -> tuple[di
     result = overhead_optimal_count(r, k)
     frontier, n_star = k_safe(r), result.n_star
     counts = range(1, _safe_count(r) + 1)  # r and k were checked by the two calls above
-    rows = [[n, n * k + residual, residual, False, False, n_star, frontier]
-            for n, residual in zip(counts, _excess(r, counts))]
+    try:  # at full length first, so that a count beyond memory fails at once
+        rows = [None] * len(counts)
+    except (OverflowError, MemoryError):
+        raise LeakyStageError("load r must be small enough to allocate the overhead table, "
+                              f"one row per count up to ceil(r) (got {r!r})") from None
+    for n, residual in zip(counts, _excess(r, counts)):
+        rows[n - 1] = [n, n * k + residual, residual, False, False, n_star, frontier]
     for n in result.ties:  # is_tie, and is_n_star at the first tie
         rows[n - 1][3] = True
     rows[n_star - 1][4] = True
@@ -501,11 +508,12 @@ def _run_peak(config: RunConfig, d: DerivedConstants, dim: dict) -> tuple[dict, 
     else:
         rc = RecoveryConfig(lam=opts["lam"], n=opts["n"], Q=opts["Q"])
     plan = min_peak_plan(rc)
-    is_safe = plan.peak <= d.delta_c + config.eps_thr
+    tolerance = _tolerance(d.delta_c, config.eps_thr)
+    is_safe = plan.peak <= d.delta_c + tolerance
     warnings = []
     if plan.degenerate:
         warnings.append("degenerate plan: zero load releases nothing")
-    if abs(plan.peak - d.delta_c) <= config.eps_thr:
+    if d.delta_c - tolerance <= plan.peak <= d.delta_c + tolerance:
         warnings.append("peak sits exactly at the critical level (within eps_thr)")
     rows = [
         [stage + 1, q, level, plan.peak, plan.capacity_multiplier, plan.peak / d.delta_c, is_safe]
@@ -530,7 +538,7 @@ def _run_horizon(config: RunConfig, d: DerivedConstants, dim: dict) -> tuple[dic
             n,
             capacity,
             d.delta_c * capacity,
-            r <= capacity + config.eps_thr,
+            r <= capacity + _tolerance(capacity, config.eps_thr),
             verdict.label,
             n_safe,
             d.delta_c * (1.0 + h),

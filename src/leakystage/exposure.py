@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from .errors import LeakyStageError
 from .model import _MAX, EPS_THR, DerivedConstants, FrozenRecord, ModelParams, _float_array
-from .model import _floats, _number, derive
+from .model import _floats, _number, _tolerance, derive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -103,7 +103,8 @@ def _releases(sizes, d: DerivedConstants, rho: float, eps_thr: float) -> list[li
     :func:`~leakystage.allocation._excess` is: a one-size column costs about 0.3 us less
     (Python 3.11), and a 2e4-size table no more.
     """
-    delta_c, edge, scale = d.delta_c, d.delta_c + eps_thr, d.alpha / rho
+    delta_c, scale = d.delta_c, d.alpha / rho
+    edge = delta_c + _tolerance(delta_c, eps_thr)  # the plateau's top
     log1p, rows = math.log1p, []
     for q in sizes:
         # log(q / delta_c) as log1p(x): it keeps every digit near the threshold, where
@@ -119,8 +120,9 @@ def exposure_closed_form(
 ) -> ExposureValue:
     """Closed-form threshold exposure of a single release of size ``q``.
 
-    Returns exactly 0.0 for ``q <= delta_c`` (within ``eps_thr``); above the
-    threshold the value is ``(delta-beta)/rho * (q - delta_c - delta_c *
+    Returns exactly 0.0 up to the top of the threshold band about ``delta_c``, whose
+    half-width ``eps_thr * max(1, level)`` is ``eps_thr`` itself at a level below 1.
+    Above the band the value is ``(delta-beta)/rho * (q - delta_c - delta_c *
     log(q/delta_c))`` and the active duration is ``log(q/delta_c)/rho``.
 
     From the float ``alpha`` and ``delta_c`` of :func:`~leakystage.model.derive`, the
@@ -203,7 +205,7 @@ def exposure_batch(
     q = _float_array(q, "release sizes")
     d, rho, eps_thr = derive(params), params.rho, _number(eps_thr, "tolerance eps_thr")
     delta_c, scale = d.delta_c, d.alpha / rho
-    log_delta_c, edge = math.log(delta_c), delta_c + eps_thr
+    log_delta_c, edge = math.log(delta_c), delta_c + _tolerance(delta_c, eps_thr)
     switch = delta_c * (1.0 + _SERIES_SWITCH)
     out = np.empty(q.shape)
     # np.log can round a size read at a negative stride differently, so the sizes are

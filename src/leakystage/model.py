@@ -20,7 +20,8 @@ from .errors import LeakyStageError, ParameterError
 __all__ = ["EPS_THR", "DerivedConstants", "DimensionlessPoint", "ModelParams", "derive",
            "growth_pressure", "normalized_factor"]
 
-#: Absolute tolerance for floating comparisons against the critical level.
+#: Default tolerance of every threshold verdict, relative above a level of 1
+#: (:func:`_tolerance`).
 #: Inputs exactly at the threshold are classified as safe (closed interval).
 EPS_THR = 1e-12
 
@@ -47,6 +48,21 @@ _CEIL_CAP = 1e-3
 #:   below 2**396.
 _RATE_MIN, _RATE_MAX = 1e-30, 1e30
 _MAX = 1e100
+
+
+def _tolerance(level: float, eps_thr: float) -> float:
+    """The half-width ``eps_thr * max(1, level)`` of the band about a ``level >= 0`` in
+    which a value counts as at the level: the one tolerance rule of every threshold verdict.
+
+    A value below ``level - _tolerance(level, eps_thr)``, each end rounded, lies below the
+    level, one above ``level + _tolerance(level, eps_thr)`` above it, and one between the
+    two ends at it.  Up to a level of 1 the half-width is ``eps_thr`` itself, and above it
+    relative: at the default 1e-12 it stays wider than an ulp of the level, which an
+    absolute 1e-12 is not from a level of 8192 on.  The critical level ``delta_c`` lies
+    below 1, so the plateau and peak verdicts keep an absolute band.  It is one
+    conditional expression, as a grid's verdicts take it once or twice per point.
+    """
+    return eps_thr * level if level > 1.0 else eps_thr
 
 
 def guarded_ceil(x: float) -> int:

@@ -21,8 +21,8 @@ from itertools import chain, repeat
 
 from .errors import LeakyStageError, ScheduleError
 from .exposure import _SERIES_SWITCH, _onset
-from .model import EPS_THR, FrozenRecord, ModelParams, _count, _number, _numbers, _rate, derive
-from .model import guarded_ceil
+from .model import EPS_THR, FrozenRecord, ModelParams, _count, _number, _numbers, _rate, _tolerance
+from .model import derive, guarded_ceil
 
 __all__ = ["UNBOUNDED", "CapacityReport", "CountBound", "HorizonFeasibility", "HorizonRegime",
            "PeakPlan", "RecoveryConfig", "capacity_report", "horizon_capacity",
@@ -407,10 +407,13 @@ def horizon_feasibility(
 
     One release suffices for ``r <= 1``; for ``1 < r < 1 + h`` some finite
     equally spaced count works and the smallest is returned; at
-    ``r = 1 + h`` (within ``eps_thr``) the capacity is only supremal; above
-    it no finite schedule is safe.  The three verdicts without a count are shared
-    immutable records, one per regime, returned by every call that reaches them;
-    a ``SAFE_WITH_N`` verdict is built per call.
+    ``r = 1 + h`` the capacity is only supremal; above it no finite schedule is
+    safe.  "At" a level means within the threshold band about it,
+    ``eps_thr * max(1, level)`` to each side: ``eps_thr`` about 1, and
+    ``eps_thr (1 + h)`` about ``1 + h``, which the default keeps wider than an ulp.
+    The three verdicts without a count are shared immutable records, one per regime,
+    returned by every call that reaches them; a ``SAFE_WITH_N`` verdict is built per
+    call.
 
     The count is the first ``n`` whose deficit ``1 + h - B_n(h)`` is at most ``1 + h - r``,
     both free of cancellation.  It is exact except within a few ulps of a deficit, where
@@ -420,21 +423,29 @@ def horizon_feasibility(
     ``h**2 / (2 (1 + h - r))`` of 2**44 on, the count lies within ``1 + 4 eps n`` of the
     exact count.
 
-    The count bound is finite in the domain, where ``h <= 1e100``: below ``1 + h``
-    by more than ``eps_thr``, the float ``r`` leaves a gap ``1 + h - r`` of at least
-    half its ulp, ``r 2**-54``, so the gap exceeds ``(1 + h) 2**-55`` where
-    ``r >= (1 + h) / 2`` and ``(1 + h) / 2`` elsewhere, and the bound is below
-    ``2**54 h < 2**387``: the bisection takes at most 387 steps.
+    The count bound is finite in the domain, where ``h <= 1e100``.  A float ``r`` below
+    the band about ``1 + h`` lies below ``1 + h`` rounded, so it leaves a gap
+    ``1 + h - r`` of at least half its ulp, ``r 2**-54``: the gap exceeds
+    ``(1 + h) 2**-55`` where ``r >= (1 + h) / 2`` and ``(1 + h) / 2`` elsewhere, and the
+    bound is below ``2**54 h < 2**387``, so the bisection takes at most 387 steps.  For
+    ``eps_thr`` above ``2**-51`` the band's half-width ``eps_thr (1 + h)`` bounds the gap
+    too: ``r`` lies below the band's low end, which is ``1 + h`` less the half-width up to
+    three roundings (``1 + h``, the half-width and the low end), each within ``2**-53``
+    relative, so the gap exceeds ``(1 + h)(eps_thr - 2**-51)`` and the bound is below
+    ``h / (2 (eps_thr - 2**-51))``, about ``5e11 h`` at the default ``eps_thr``.
     """
     _number(r, "dimensionless load r", strict=True)
     _number(h, "horizon h")
-    if r <= 1.0 + _number(eps_thr, "tolerance eps_thr"):
+    eps_thr = _number(eps_thr, "tolerance eps_thr")
+    if r <= 1.0 + _tolerance(1.0, eps_thr):
         return _ONE_RELEASE
-    if abs(r - (1.0 + h)) <= eps_thr:
-        return _SUPREMAL
-    if r > 1.0 + h:
+    level = 1.0 + h
+    tolerance = _tolerance(level, eps_thr)
+    if r > level + tolerance:
         return _INFEASIBLE
-    gap = math.fsum((1.0, h, -r))  # > 0, as r lies below 1 + h rounded
+    if r >= level - tolerance:
+        return _SUPREMAL
+    gap = math.fsum((1.0, h, -r))  # > 0, as r lies below the band, so below 1 + h rounded
     # the deficit falls as n grows and is below h**2 / (2m), m = n - 1, so hi fits.  Near
     # 1e15 counts one more count moves the deficit by less than its rounding, and the test
     # is no longer monotone in n: the count is then the one this bisection finds

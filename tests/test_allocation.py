@@ -20,7 +20,7 @@ from leakystage import (
     overhead_optimal_count,
 )
 from leakystage.cli import parse_config, run
-from leakystage.model import guarded_ceil
+from leakystage.model import EPS_THR, _tolerance, guarded_ceil
 from util import (
     enumerate_k_safe,
     enumerate_overhead,
@@ -88,7 +88,8 @@ class TestOptimalSplit:
             n = int(rng.integers(1, 6))
             Q = rng.uniform(0.2, 2.0) * n * d.delta_c
             result = optimal_split(SplitProblem(Q=Q, n=n, params=p))
-            assert result.is_safe == (Q <= n * d.delta_c + 1e-12)
+            cap = n * d.delta_c
+            assert result.is_safe == (Q <= cap + _tolerance(cap, EPS_THR))
             assert result.is_safe == (result.total_exposure == 0.0)
 
     def test_equal_split_strictly_better_than_perturbations(self, figure_params):

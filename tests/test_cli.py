@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leakystage
-from leakystage import ConfigError, LeakyStageError, derive, k_safe
+from leakystage import ConfigError, LeakyStageError, ModelParams, derive, excess_exposure, k_safe
 from leakystage.cli import (
     _DOCUMENT, _FIELDS, _PARAMS, COMMANDS, _check, _Field, _scalar, main, parse_config, run,
     schema, to_csv, to_json,
@@ -251,6 +251,24 @@ class TestRun:
         assert envelope.warnings == (
             "cost-optimal count is tied among [2, 3]; smallest reported as n_star",)
         assert [row[0] for row in envelope.payload["rows"] if row[3]] == [2, 3]
+        # n = 2 and n = 3 of r = 10.5 about the edge of the tie band, at a cost near 8
+        # where the band is relative: over 200 ulps of k the ties keep the rule
+        # best + 1e-12 * max(1, best) on the table's own costs
+        r = 10.5
+        k = excess_exposure(r, 2) - excess_exposure(r, 3)  # the two costs tie
+        k += 1e-12 * (2.0 * k + excess_exposure(r, 2))
+        for _ in range(100):
+            k = math.nextafter(k, 0.0)
+        seen = set()
+        for _ in range(200):
+            rows = run(parse_config({"params": FIG, "overhead": {"r": r, "k": k}})).payload["rows"]
+            cost = {row[0]: row[1] for row in rows}
+            best = min(cost[2], cost[3])
+            ties = [n for n in (2, 3) if cost[n] <= best + 1e-12 * max(1.0, best)]
+            assert [row[0] for row in rows if row[3]] == ties, k
+            seen.add(len(ties))
+            k = math.nextafter(k, math.inf)
+        assert seen == {1, 2}
 
     def test_peak_at_the_critical_level_warns(self):
         # Q = 2 delta_c over three releases at lam = 0.5 peaks at delta_c itself
@@ -259,6 +277,28 @@ class TestRun:
         envelope = run(config)
         assert envelope.warnings == ("peak sits exactly at the critical level (within eps_thr)",)
         assert all(row[5] == 1.0 and row[6] is True for row in envelope.payload["rows"])
+
+    @pytest.mark.parametrize("rates", [FIG, {"beta": 0.1, "mu": 0.3, "delta": 0.9, "rho": 1.0}],
+                             ids=["figure", "outward-rounded-ends"])
+    def test_peak_verdicts_at_the_ends_of_the_band(self, rates):
+        # one release peaks at its size; five ulps about each end of the band about delta_c.
+        # is_safe keeps its rule, peak <= delta_c + eps_thr rounded.  The warning holds on
+        # the same rounded band, delta_c - eps_thr to delta_c + eps_thr; at the second
+        # rates both ends round outwards, where a test of |peak - delta_c| <= eps_thr
+        # differs on the end floats
+        delta_c = derive(ModelParams(**rates)).delta_c
+        for end in (delta_c - 1e-12, delta_c + 1e-12):
+            peaks = [end]
+            for _ in range(5):
+                peaks = [math.nextafter(peaks[0], 0.0), *peaks, math.nextafter(peaks[-1], 1.0)]
+            for peak in peaks:
+                envelope = run(parse_config({"params": rates,
+                                             "peak": {"Q": peak, "n": 1, "lam": 0.5}}))
+                [row] = envelope.payload["rows"]
+                assert row[3] == peak and row[6] is (peak <= delta_c + 1e-12)
+                warned = "peak sits exactly at the critical level (within eps_thr)" in \
+                    envelope.warnings
+                assert warned is (delta_c - 1e-12 <= peak <= delta_c + 1e-12)
 
     def test_peak_worked_example(self):
         config = parse_config(PRESETS["peak-c"], command="peak")
@@ -600,6 +640,17 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 1
         assert f"error: {field} count must be small enough to allocate its grid" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("r", ["1e19", "1e100"])
+    def test_unallocatable_overhead_table_exits_1(self, capsys, r):
+        # a table of ceil(r) >= 2**63 rows fails Python's size check before anything is
+        # allocated, rather than growing row by row
+        code = main(["overhead", "--r", r, "--k", "0.5", *FIG_FLAGS, "--no-meta-time"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert ("error: load r must be small enough to allocate the overhead table, one row "
+                f"per count up to ceil(r) (got {float(r)!r})") in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv, message", [

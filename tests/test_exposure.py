@@ -186,6 +186,10 @@ class TestBlockedBatch:
             sizes += down[::-1] + up[1:]
         self._same_bits(np.array(sizes), figure_params, eps_thr=eps_thr)
         self._same_bits(np.array(sizes[64:]), figure_params, eps_thr=eps_thr)  # from the edge
+        # the table's plateau ends where the oracle's does: the threshold band about
+        # delta_c < 1 is eps_thr wide, so its top is delta_c + eps_thr rounded
+        rows = exposure_table(sizes, figure_params, eps_thr=eps_thr)
+        assert [row[1] == 0.0 for row in rows] == [q <= d.delta_c + eps_thr for q in sizes]
 
     @settings(max_examples=100, deadline=None)
     @given(params=rate_sets, eps_thr=st.sampled_from([0.0, 1e-12, 1e-3]),

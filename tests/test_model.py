@@ -5,19 +5,26 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from leakystage import (
     DerivedConstants,
     DimensionlessPoint,
+    HorizonRegime,
     ModelParams,
     ParameterError,
+    SplitProblem,
     derive,
     growth_pressure,
+    horizon_capacity,
+    horizon_feasibility,
+    min_exposure,
     normalized_factor,
+    optimal_split,
 )
-from leakystage.model import _shown, guarded_ceil
+from leakystage.cli import parse_config, run
+from leakystage.model import _MAX, EPS_THR, _shown, guarded_ceil
 from util import random_params
 
 
@@ -282,3 +289,59 @@ class TestGuardedCeil:
     ])
     def test_large_ratios_keep_their_ceiling(self, x, expected):
         assert guarded_ceil(x) == expected
+
+
+FIG = {"beta": 0.6, "mu": 1.0, "delta": 1.8, "rho": 0.5}
+
+#: Levels log-uniform in [1, 1e100]
+_LEVELS = st.floats(0.0, 100.0).map(lambda x: 10.0 ** x)
+
+
+def _about(level: float) -> list[float]:
+    """``level`` and the floats one to four ulps below and above it, those within the
+    domain's bound."""
+    values, below, above = [level], level, level
+    for _ in range(4):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+        values += [below, above]
+    return [value for value in values if value <= _MAX]
+
+
+class TestThresholdBand:
+    """A value within four ulps of a level counts as at the level, at every level: the
+    band is eps_thr * max(1, level) to each side, relative above 1, where an ulp stays
+    narrower than it.  With an absolute 1e-12, an ulp passed the band from 8192 on."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(level=_LEVELS)
+    def test_load_at_the_horizon_frontier_is_supremal(self, level):
+        h = level - 1.0
+        assume(h > 2.0 * EPS_THR)  # closer to 1, the one-release band about 1 comes first
+        for r in _about(1.0 + h):
+            assert horizon_feasibility(r, h).regime is HorizonRegime.SUPREMAL_BOUNDARY, r
+
+    @settings(max_examples=200, deadline=None)
+    @given(level=_LEVELS)
+    def test_load_at_the_split_capacity_is_safe(self, level):
+        params = ModelParams(**FIG)
+        delta_c = derive(params).delta_c
+        n = max(1, round(level / delta_c))
+        for Q in _about(n * delta_c):
+            assert min_exposure(Q, n, params) == 0.0, Q
+            if n <= 2**16:  # a split small enough to allocate: the equal one, and safe
+                result = optimal_split(SplitProblem(Q, n, params))
+                assert result.unique_minimizer and result.is_safe, Q
+                assert result.total_exposure == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(level=_LEVELS)
+    def test_load_at_a_horizon_capacity_is_covered(self, level):
+        # B_n(h) = level at h = -m log1p(-(level - 1) / m), m = n - 1 = 16 level + 1
+        n = int(16.0 * level) + 2
+        h = -(n - 1) * math.log1p(-(level - 1.0) / (n - 1))
+        assume(h <= _MAX)
+        capacity = horizon_capacity(n, h)
+        for r in _about(capacity):
+            document = {"params": FIG, "horizon": {"r": r, "h": h, "n_list": [n]}}
+            [row] = run(parse_config(document)).payload["rows"]
+            assert row[1] == capacity and row[3] is True, r
