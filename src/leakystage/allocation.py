@@ -50,8 +50,8 @@ def _excess(r: float, counts) -> list[float]:
     """:func:`excess_exposure` of a checked load ``r`` at each checked count in ``counts``.
 
     The one spelling of the excess: one pass over the column, with ``log r`` taken once.
-    The overhead table runs it over ``1..ceil r``, :func:`_optimal_counts` over its floor
-    and ceiling, and the scalar entry points over one count.  Below the kink,
+    The overhead table runs it over its window of counts, :func:`_optimal_counts` over its
+    floor and ceiling, and the scalar entry points over one count.  Below the kink,
     ``x = r/n - 1 < 1e-4``, it is :func:`~leakystage.exposure.exposure_bracket`'s.  A
     loop, not a comprehension: the sawtooth grid calls it on one or two counts per
     point, where a comprehension's set-up costs about 0.25 us more per call (Python

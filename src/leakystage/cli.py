@@ -99,6 +99,10 @@ _PARAMS = {name: _Field("number", text, _RATE_MIN, maximum=_RATE_MAX, required=T
     ("beta", "baseline recruitment rate"), ("mu", "return rate"),
     ("delta", "reservoir reactivation rate"), ("rho", "reservoir recovery rate"))}
 
+#: The overhead table lists the counts within this many of 1, ``n_star`` and ``ceil r``: at
+#: most 14, the ties and ``ceil r - 1`` among them, and every count when ``ceil r <= 7``.
+_WINDOW = 3
+
 #: Every command block, its fields in config order.
 _FIELDS: dict[str, _Field] = {
     "exposure": _Field("object", "Single-release exposure table of a list of sizes.", fields={
@@ -107,7 +111,8 @@ _FIELDS: dict[str, _Field] = {
         "Q": _Field("number", "total load", strict=True, required=True),
         "n": _Field("count", "number of releases", minimum=1, required=True)}),
     "overhead": _Field("object", "Cost-optimal release count; load as r or Q, overhead as k or "
-                       "K, each chosen on its own.", one_of=(("r", "Q"), ("k", "K")), fields={
+                       f"K, each chosen on its own. The table lists the counts within {_WINDOW} "
+                       "of 1, n_star and ceil(r).", one_of=(("r", "Q"), ("k", "K")), fields={
         "r": _Field("number", "load in threshold units, Q / delta_c", strict=True),
         "Q": _Field("number", "total load", strict=True),
         "k": _Field("number", "overhead per release in one-shock exposure units"),
@@ -480,18 +485,12 @@ def _run_split(config: RunConfig, *_) -> tuple[dict, list[str], int]:
 def _run_overhead(config: RunConfig, d: DerivedConstants, dim: dict) -> tuple[dict, list[str], int]:
     r, k = dim["r"], dim["k"]
     result = overhead_optimal_count(r, k)
-    frontier, n_star = k_safe(r), result.n_star
-    counts = range(1, _safe_count(r) + 1)  # r and k were checked by the two calls above
-    try:  # at full length first, so that a count beyond memory fails at once
-        rows = [None] * len(counts)
-    except (OverflowError, MemoryError):
-        raise LeakyStageError("load r must be small enough to allocate the overhead table, "
-                              f"one row per count up to ceil(r) (got {r!r})") from None
-    for n, residual in zip(counts, _excess(r, counts)):
-        rows[n - 1] = [n, n * k + residual, residual, False, False, n_star, frontier]
-    for n in result.ties:  # is_tie, and is_n_star at the first tie
-        rows[n - 1][3] = True
-    rows[n_star - 1][4] = True
+    frontier, n_star, n_safe = k_safe(r), result.n_star, _safe_count(r)  # r, k checked above
+    counts = sorted({*range(1, min(_WINDOW, n_safe) + 1),
+                     *range(max(1, n_star - _WINDOW), min(n_star + _WINDOW, n_safe) + 1),
+                     *range(max(1, n_safe - _WINDOW), n_safe + 1)})
+    rows = [[n, n * k + residual, residual, n in result.ties, n == n_star, n_star, frontier]
+            for n, residual in zip(counts, _excess(r, counts))]
     warnings = []
     if len(result.ties) > 1:
         warnings.append(

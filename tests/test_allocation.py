@@ -28,6 +28,7 @@ from util import (
     grid_min_split_2,
     mpmath_excess,
     overhead_rows_loop,
+    overhead_window,
     random_params,
 )
 
@@ -352,19 +353,46 @@ def _kink_loads(rng, count):
     return loads
 
 
+def _overhead_rows(r: float, k: float) -> list[list]:
+    """The rows of the CLI's overhead table at the figure rates."""
+    params = {"beta": 0.6, "mu": 1.0, "delta": 1.8, "rho": 0.5}
+    config = parse_config({"params": params, "overhead": {"r": r, "k": k}})
+    return run(config, meta_time=False).payload["rows"]
+
+
 class TestOverheadTable:
     """The overhead table, its optimum and ``k_safe`` against the per-count loop, bit for
-    bit: for loads up to 1e5, and across the series switch at ``r/n - 1 = 1e-4``."""
+    bit at the table's window of counts: for loads up to 1e5, and across the series switch
+    at ``r/n - 1 = 1e-4``; and the window's counts and flags up to the domain's bound."""
 
     def test_rows_are_the_per_count_loop(self):
         rng = np.random.default_rng(35)
         draws = [(float(10 ** rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 3.0)))
                  for _ in range(12)]
-        params = {"beta": 0.6, "mu": 1.0, "delta": 1.8, "rho": 0.5}
-        for r, k in [(0.5, 0.1), (1.0, 0.0), (2.5, k_safe(2.5)), *draws, *_kink_loads(rng, 4)]:
-            config = parse_config({"params": params, "overhead": {"r": r, "k": k}})
-            rows = run(config, meta_time=False).payload["rows"]
-            assert repr(rows) == repr(overhead_rows_loop(r, k)), (r, k)
+        for r, k in [(0.5, 0.1), (1.0, 0.0), (2.5, k_safe(2.5)), (7.0, 0.3), (7.5, 0.3),
+                     (40.0, 0.0), *draws, *_kink_loads(rng, 4)]:
+            window = overhead_window(r, overhead_optimal_count(r, k).n_star)
+            loop = [row for row in overhead_rows_loop(r, k) if row[0] in window]
+            assert repr(_overhead_rows(r, k)) == repr(loop), (r, k)
+        # up to ceil r = 7 the window holds every count
+        assert repr(_overhead_rows(6.5, 0.2)) == repr(overhead_rows_loop(6.5, 0.2))
+
+    def test_rows_are_the_window_up_to_the_domains_bound(self):
+        rng = np.random.default_rng(38)
+        draws = [(float(10 ** rng.uniform(0.0, 100.0)), float(rng.uniform(0.0, 3.0)))
+                 for _ in range(300)]
+        draws += [(r, 0.0) for r, _ in draws[:50]] + [(1e8, 0.0), (1e19, 0.5), (1e100, 0.5),
+                                                      (1e100, 0.0), (2.0**53 + 2.0, 1e-16)]
+        tied = 0
+        for r, k in draws:
+            result = overhead_optimal_count(r, k)
+            rows = _overhead_rows(r, k)
+            assert [row[0] for row in rows] == overhead_window(r, result.n_star), (r, k)
+            assert len(rows) <= 14, (r, k)
+            assert [row[0] for row in rows if row[4]] == [result.n_star], (r, k)
+            assert [row[0] for row in rows if row[3]] == list(result.ties), (r, k)
+            tied += len(result.ties) > 1
+        assert tied > 0
 
     def test_optimum_and_k_safe_are_the_per_count_excess(self):
         rng = np.random.default_rng(36)

@@ -8,12 +8,12 @@ enumeration for the overhead trade-off and its frontier ``k_safe`` (with a
 50-digit optimum where r is too large to enumerate), the horizon count, the two
 capacities, the minimal peak and the single-release exposure at 50 digits, numpy's
 ``linspace`` for the phase grids, the run layer's tables row by row (the exposure
-table size by size, the overhead table count by count, the capacity curves point by
-point), the plain per-step loops of the envelope integrator and path
-exposure, the piece-by-piece balance check, the per-stage peak plans with their
-budget residual in exact rationals and the greedy per-stage fill, the per-cell
-CSV and ``json.dumps`` emit path for the CLI's output bytes, and frozen
-dataclasses for the package's records.
+table size by size, the overhead table count by count with its window of counts
+spelled as a rule, the capacity curves point by point), the plain per-step loops of
+the envelope integrator and path exposure, the piece-by-piece balance check, the
+per-stage peak plans with their budget residual in exact rationals and the greedy
+per-stage fill, the per-cell CSV and ``json.dumps`` emit path for the CLI's output
+bytes, and frozen dataclasses for the package's records.
 """
 from __future__ import annotations
 
@@ -620,8 +620,9 @@ def excess_per_count(r: float, n: int) -> float:
 
 
 def overhead_rows_loop(r: float, k: float) -> list[list]:
-    """The CLI's overhead table count by count: ``[n, cost, excess, is_tie, is_n_star,
-    n_star, k_safe]`` for ``n = 1 .. ceil r``, each excess by :func:`excess_per_count`."""
+    """The overhead table at every count: ``[n, cost, excess, is_tie, is_n_star, n_star,
+    k_safe]`` for ``n = 1 .. ceil r``, each excess by :func:`excess_per_count`.  The CLI
+    prints the rows at the counts of :func:`overhead_window`."""
     result, frontier = overhead_optimal_count(r, k), k_safe(r)
     rows = []
     for n in range(1, max(1, guarded_ceil(r)) + 1):
@@ -629,6 +630,17 @@ def overhead_rows_loop(r: float, k: float) -> list[list]:
         rows.append([n, n * k + residual, residual, n in result.ties, n == result.n_star,
                      result.n_star, frontier])
     return rows
+
+
+def overhead_window(r: float, n_star: int) -> list[int]:
+    """The counts the CLI's overhead table lists, by its rule as stated: each ``n`` in
+    ``[1, ceil r]`` with ``n <= 3``, ``|n - n_star| <= 3`` or ``n >= ceil r - 3``,
+    ascending.  Such a count lies within 3 of 1, ``n_star`` or ``ceil r``, so only those
+    are tried."""
+    n_safe = max(1, guarded_ceil(r))
+    near = {anchor + step for anchor in (1, n_star, n_safe) for step in range(-3, 4)}
+    return sorted(n for n in near
+                  if 1 <= n <= n_safe and (n <= 3 or abs(n - n_star) <= 3 or n >= n_safe - 3))
 
 
 def horizon_capacity_per_point(n: int, h: float) -> float:
