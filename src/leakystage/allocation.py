@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .errors import LeakyStageError
-from .exposure import _onset, exposure_bracket
+from .exposure import exposure_bracket
 from .model import EPS_THR, FrozenRecord, ModelParams, _count, _number, _tolerance, derive
 from .model import guarded_ceil
 
@@ -38,8 +38,8 @@ def excess_exposure(r: float, n: int) -> float:
     kink (``r/n - 1 < 1e-4``) by the series of
     :func:`~leakystage.exposure.exposure_bracket`.  This is the exposure term
     of the overhead objective, in units of one-shock exposure.  Below that switch the
-    value lies within 4 eps (2**-52) relative of the exact excess of its arguments; from
-    it on, the log difference cancels, and the bound is
+    value lies within 4 eps (2**-52) relative of the exact excess of its arguments, at
+    every load in the domain; from it on, the log difference cancels, and the bound is
     ``2 eps (1 + (log r + x) / (x - log1p x))`` relative, ``x = r/n - 1``: up to 5.7e-7
     just above the switch at ``n`` near 3.5e7, and under 1.1e-12 from ``x = 0.1`` on.
     """
@@ -52,11 +52,14 @@ def _excess(r: float, counts) -> list[float]:
     The one spelling of the excess: one pass over the column, with ``log r`` taken once.
     The overhead table runs it over its window of counts, :func:`_optimal_counts` over its
     floor and ceiling, and the scalar entry points over one count.  Below the kink,
-    ``x = r/n - 1 < 1e-4``, it is :func:`~leakystage.exposure.exposure_bracket`'s.  A
-    loop, not a comprehension: the sawtooth grid calls it on one or two counts per
-    point, where a comprehension's set-up costs about 0.25 us more per call (Python
-    3.11), and over 2e4 counts the loop takes about 12% longer.
+    ``x = r/n - 1 < 1e-4``, it is :func:`~leakystage.exposure.exposure_bracket`'s.  From
+    2**53 on the load is read as the integer it is, so ``r - n`` is exact and ``r / n``
+    and the bracket's ``x = (r - n)/n`` are rounded once at every count.  A loop, not a
+    comprehension: the sawtooth grid calls it on one or two counts per point, where a
+    comprehension's set-up costs about 0.25 us more per call (Python 3.11), and over 2e4
+    counts the loop takes about 12% longer.
     """
+    r = int(r) if r >= _EXACT_INTEGERS else r
     log, log_r = math.log, (math.log(r) if r > 1.0 else 0.0)  # r <= 1 <= n gives 0.0 throughout
     excess = []
     for n in counts:
@@ -235,24 +238,16 @@ def k_safe(r: float) -> float:
     ``+inf`` when one release is already safe (``ceil(r) = 1``); otherwise the
     exposure ``excess(r, ceil(r) - 1)`` removed by the last stage, by convexity
     the least per extra stage.  Full safety is optimal exactly when ``k <= k_safe(r)``.
-    ``ceil(r)`` carries the guard of :func:`minimal_safe_count`.  The value lies within
-    :func:`excess_exposure`'s bound at ``(r, ceil(r) - 1)``, up to 2.1e-7 relative at
-    ``r = 4712.495943273464``; from 2**53 on, where it takes the series at
-    ``x = 1/(r - 1)``, within 4 eps (2**-52) relative.
+    ``ceil(r)`` carries the guard of :func:`minimal_safe_count`.  The value is
+    :func:`excess_exposure` at ``(r, ceil(r) - 1)``, bit for bit, and within its bound
+    there: up to 2.1e-7 relative at ``r = 4712.495943273464``.
     """
     return _k_safe(r, _safe_count(_number(r, "dimensionless load r", strict=True)))
 
 
 def _k_safe(r: float, n_safe: int) -> float:
     """:func:`k_safe` of a checked load ``r`` whose safe count is ``n_safe``."""
-    if n_safe <= 1:
-        return math.inf
-    if r >= _EXACT_INTEGERS:
-        # r is an integer here and r / (r - 1) rounds to 1, so write the excess
-        # m (x - log1p x) of m = r - 1 through x = 1/m: it is x * onset(x), about 1/(2r).
-        x = 1.0 / (int(r) - 1)
-        return x * _onset(x)
-    return _excess(r, (n_safe - 1,))[0]
+    return math.inf if n_safe <= 1 else _excess(r, (n_safe - 1,))[0]
 
 
 def continuous_relaxed_count(r: float, k: float) -> float:

@@ -31,8 +31,8 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from . import __version__
-from .allocation import SplitProblem, k_safe, optimal_split, overhead_optimal_count
-from .allocation import _excess, _safe_count
+from .allocation import SplitProblem, optimal_split, overhead_optimal_count
+from .allocation import _excess, _k_safe, _safe_count
 from .errors import ConfigError, LeakyStageError
 from .exposure import exposure_table
 from .model import (
@@ -485,7 +485,8 @@ def _run_split(config: RunConfig, *_) -> tuple[dict, list[str], int]:
 def _run_overhead(config: RunConfig, d: DerivedConstants, dim: dict) -> tuple[dict, list[str], int]:
     r, k = dim["r"], dim["k"]
     result = overhead_optimal_count(r, k)
-    frontier, n_star, n_safe = k_safe(r), result.n_star, _safe_count(r)  # r, k checked above
+    n_star, n_safe = result.n_star, _safe_count(r)  # r, k checked above
+    frontier = _k_safe(r, n_safe)
     counts = sorted({*range(1, min(_WINDOW, n_safe) + 1),
                      *range(max(1, n_star - _WINDOW), min(n_star + _WINDOW, n_safe) + 1),
                      *range(max(1, n_safe - _WINDOW), n_safe + 1)})

@@ -85,7 +85,8 @@ def exposure_bracket(q: float, delta_c: float) -> float:
     """``q - delta_c - delta_c log(q/delta_c)`` for ``q > delta_c``, without cancellation.
 
     The exposure of one release, and of ``n`` equal releases with ``delta_c``
-    replaced by the capacity ``n * delta_c``, is this times ``alpha / rho``.
+    replaced by the capacity ``n * delta_c``, is this times ``alpha / rho``.  It also
+    takes integers, which make the series' ``q - delta_c`` exact.
     """
     if q < delta_c * (1.0 + _SERIES_SWITCH):
         return _onset_bracket(q, delta_c)

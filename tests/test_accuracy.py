@@ -6,6 +6,7 @@ reference, and the bound its docstring states.  The batch exposure's reference i
 scalar closed form, whose bits it keeps except above the series switch.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -308,11 +309,22 @@ class TestExcessExposure:
             worst = max(worst, off)
         assert worst > 0.2  # the sampler reaches the rounding
 
+    @pytest.mark.parametrize("r", [2.0**53, 2.0**53 + 2.0, 1e16, 1e19, 2.0**64, 1e30, 1e100])
+    def test_counts_next_to_a_load_from_2_53_on(self, r):
+        # a 50-digit mpf(n) cannot hold n = 10**100 - 1, so the reference is the series
+        # n (x**2/2 - x**3/3 + ...) at x = (r - n)/n, in exact rationals to x**7
+        for m in range(1, 5):
+            n = math.ceil(r) - m
+            x = Fraction(int(r) - n, n)
+            reference = n * sum(Fraction((-1) ** j, j) * x**j for j in range(2, 8))
+            value = excess_exposure(r, n)
+            assert abs(Fraction(value) - reference) <= 4 * EPS * reference, (r, m, value)
+
 
 class TestKSafe:
     """``k_safe``: the excess of ``(r, n_safe - 1)``, ``n_safe`` the guarded ceiling of
-    ``r``, within ``excess_exposure``'s bound there, and from 2**53 on, where it takes the
-    series at ``x = 1/(r - 1)``, within 4 eps relative."""
+    ``r``, within ``excess_exposure``'s bound there: from 2**53 on, where ``r/n - 1``
+    rounds below the series switch, within 4 eps relative."""
 
     def test_row_just_above_the_series_switch(self):
         # x = 0.4959 / 4712 = 1.05e-4: 2.1e-7 off

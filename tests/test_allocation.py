@@ -353,6 +353,11 @@ def _kink_loads(rng, count):
     return loads
 
 
+#: Loads from 2**53 on, each an integer, whose excess at ``ceil r - 1`` is about ``1/(2r)``
+#: and equals ``k_safe``, not 0, and the overheads at which the table shows them.
+_INTEGER_LOADS = [(2.0**53 + 2.0, 1e-16), (1e19, 0.5), (1e19, 0.3), (1e100, 0.5), (1e100, 0.3)]
+
+
 def _overhead_rows(r: float, k: float) -> list[list]:
     """The rows of the CLI's overhead table at the figure rates."""
     params = {"beta": 0.6, "mu": 1.0, "delta": 1.8, "rho": 0.5}
@@ -362,18 +367,18 @@ def _overhead_rows(r: float, k: float) -> list[list]:
 
 class TestOverheadTable:
     """The overhead table, its optimum and ``k_safe`` against the per-count loop, bit for
-    bit at the table's window of counts: for loads up to 1e5, and across the series switch
-    at ``r/n - 1 = 1e-4``; and the window's counts and flags up to the domain's bound."""
+    bit at the table's window of counts: for loads up to 1e5, across the series switch
+    at ``r/n - 1 = 1e-4``, and from 2**53 to 1e100; and the window's counts and flags up
+    to the domain's bound."""
 
     def test_rows_are_the_per_count_loop(self):
         rng = np.random.default_rng(35)
         draws = [(float(10 ** rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 3.0)))
                  for _ in range(12)]
         for r, k in [(0.5, 0.1), (1.0, 0.0), (2.5, k_safe(2.5)), (7.0, 0.3), (7.5, 0.3),
-                     (40.0, 0.0), *draws, *_kink_loads(rng, 4)]:
+                     (40.0, 0.0), *draws, *_kink_loads(rng, 4), *_INTEGER_LOADS]:
             window = overhead_window(r, overhead_optimal_count(r, k).n_star)
-            loop = [row for row in overhead_rows_loop(r, k) if row[0] in window]
-            assert repr(_overhead_rows(r, k)) == repr(loop), (r, k)
+            assert repr(_overhead_rows(r, k)) == repr(overhead_rows_loop(r, k, window)), (r, k)
         # up to ceil r = 7 the window holds every count
         assert repr(_overhead_rows(6.5, 0.2)) == repr(overhead_rows_loop(6.5, 0.2))
 
@@ -398,7 +403,7 @@ class TestOverheadTable:
         rng = np.random.default_rng(36)
         draws = [(float(10 ** rng.uniform(0.0, 5.0)), float(10 ** rng.uniform(-6.0, 1.0)))
                  for _ in range(2000)]
-        for r, k in draws + _kink_loads(rng, 2000):
+        for r, k in draws + _kink_loads(rng, 2000) + _INTEGER_LOADS:
             result = overhead_optimal_count(r, k)
             excess = excess_per_count(r, result.n_star)
             assert repr(result.residual_exposure) == repr(excess), (r, k)

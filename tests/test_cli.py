@@ -90,14 +90,15 @@ class TestParseConfig:
         ("1e50", "must be finite and >= 0.0 and <= 1e+100 (got '1e50'); the value was read as "
                  "text: write it as 1.0e+50"),
     ])
-    def test_long_size_list_names_its_bad_item(self, bad, message):
+    @pytest.mark.parametrize("size, at", [(6000, 5000), (3500, 3000)])
+    def test_long_size_list_names_its_bad_item(self, bad, message, size, at):
         # a list of floats is checked at once; one bad item sends it to the per-item path,
         # which names the item by its index
-        q = [0.001 * i for i in range(6000)]
-        q[5000] = bad
+        q = [0.001 * i for i in range(size)]
+        q[at] = bad
         with pytest.raises(ConfigError) as info:
             parse_config({"params": FIG, "exposure": {"q": q}})
-        assert str(info.value) == f"exposure: q[5000] {message}"
+        assert str(info.value) == f"exposure: q[{at}] {message}"
 
     def test_integer_sizes_echo_as_floats(self):
         q = [0.001 * i for i in range(6000)]
@@ -651,6 +652,10 @@ class TestMain:
         assert code == 0, err
         assert 7 <= len(rows) <= 14, len(rows)
         assert rows[-1].startswith(f"{int(float(r))},")  # ceil r, an integer here
+        # the last stage removes k_safe: the excess at ceil r - 1, about 1/(2r), is no 0
+        cells = rows[-2].split(",")
+        assert float(cells[2]) > 0.0
+        assert float(cells[2]) == float(cells[6])
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv, message", [
@@ -811,8 +816,10 @@ class TestMain:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
-    def test_fractional_count_flag_names_the_field(self, capsys):
-        assert main(["split", "--Q", "1.0", "--n", "2.5", *FIG_FLAGS]) == 1
+    @pytest.mark.parametrize("n", ["2.5", "0"])
+    def test_fractional_count_flag_names_the_field(self, capsys, n):
+        # a fraction, and a count below 1
+        assert main(["split", "--Q", "1.0", "--n", n, *FIG_FLAGS]) == 1
         assert "field 'n'" in capsys.readouterr().err
 
     def test_non_numeric_count_flag_names_the_flag(self, capsys):

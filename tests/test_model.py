@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from leakystage import (
@@ -314,6 +314,7 @@ class TestThresholdBand:
 
     @settings(max_examples=200, deadline=None)
     @given(level=_LEVELS)
+    @example(level=1000001.0)  # h = 1e6: an ulp below and above 1 + h are on the frontier
     def test_load_at_the_horizon_frontier_is_supremal(self, level):
         h = level - 1.0
         assume(h > 2.0 * EPS_THR)  # closer to 1, the one-release band about 1 comes first
@@ -322,6 +323,7 @@ class TestThresholdBand:
 
     @settings(max_examples=200, deadline=None)
     @given(level=_LEVELS)
+    @example(level=20000.0)  # 60000 releases: one ulp above 60000 delta_c = 20000 is safe
     def test_load_at_the_split_capacity_is_safe(self, level):
         params = ModelParams(**FIG)
         delta_c = derive(params).delta_c

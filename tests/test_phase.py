@@ -31,8 +31,8 @@ def _range(lo: float, hi: float, count: int) -> tuple[float, float, int]:
 
 
 # Loads and horizons across the domain: small values, integers (on which
-# resolve_integers acts), both sides of 2**53 (where k_safe changes its formula) and
-# up to the bound 1e100.
+# resolve_integers acts), both sides of 2**53 (from where the excess takes its load as
+# an integer) and up to the bound 1e100.
 _VALUES = st.one_of(
     st.floats(0.0, 50.0),
     st.integers(0, 10**7).map(float),

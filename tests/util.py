@@ -43,7 +43,7 @@ from leakystage import (
     state_value,
 )
 from leakystage.envelope import Trajectory, _segment_nodes
-from leakystage.exposure import exposure_bracket
+from leakystage.exposure import _onset, exposure_bracket
 from leakystage.model import _number, guarded_ceil
 from leakystage.recovery import _deficit_fits
 
@@ -143,7 +143,7 @@ def exposure_batch_masked(q, params: ModelParams, *, eps_thr: float = EPS_THR) -
     their brackets formed in full-length temporaries and scattered back.
     The blocked kernel runs the same operations in the same order and must
     give the same bits."""
-    from leakystage.exposure import _SERIES_SWITCH, _onset
+    from leakystage.exposure import _SERIES_SWITCH
     from leakystage.model import _number, _numbers
 
     q = _numbers(q, "release sizes")
@@ -611,21 +611,30 @@ def exposure_table_loop(sizes, params: ModelParams, *, eps_thr: float = EPS_THR)
 
 def excess_per_count(r: float, n: int) -> float:
     """The excess ``r - n - n log(r/n)`` of a checked load and count, one count per call,
-    by the series of ``exposure_bracket`` below the kink ``r/n - 1 < 1e-4``."""
+    by the series of ``exposure_bracket`` below the kink ``r/n - 1 < 1e-4``.  A load from
+    2**53 on is an integer, taken as one: ``r - n`` is exact, and the series' own
+    ``x = (r - n)/n`` and ``r / n`` are rounded once."""
     if r <= n:
         return 0.0
+    if r >= 2.0**53:
+        load = int(r)
+        if load / n - 1.0 < 1e-4:
+            x = (load - n) / n
+            return n * x * x * _onset(x)
+        return load - n - n * (math.log(load) - math.log(n))
     if r / n - 1.0 < 1e-4:
         return exposure_bracket(r, n)
     return r - n - n * (math.log(r) - math.log(n))
 
 
-def overhead_rows_loop(r: float, k: float) -> list[list]:
+def overhead_rows_loop(r: float, k: float, counts=None) -> list[list]:
     """The overhead table at every count: ``[n, cost, excess, is_tie, is_n_star, n_star,
-    k_safe]`` for ``n = 1 .. ceil r``, each excess by :func:`excess_per_count`.  The CLI
-    prints the rows at the counts of :func:`overhead_window`."""
+    k_safe]`` for ``n = 1 .. ceil r``, or for each of ``counts`` when given, each excess by
+    :func:`excess_per_count`.  The CLI prints the rows at the counts of
+    :func:`overhead_window`."""
     result, frontier = overhead_optimal_count(r, k), k_safe(r)
     rows = []
-    for n in range(1, max(1, guarded_ceil(r)) + 1):
+    for n in counts or range(1, max(1, guarded_ceil(r)) + 1):
         residual = excess_per_count(r, n)
         rows.append([n, n * k + residual, residual, n in result.ties, n == result.n_star,
                      result.n_star, frontier])
